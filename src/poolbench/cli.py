@@ -12,10 +12,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .data import check_data_args
 from .gradcheck import run_gradcheck
+from .grads import FDOracleConfig
 from .layers import ToyNetConfig
 from .ops import HEADLINE_METHODS, METHODS
 from .optim import OptimConfig
@@ -42,6 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_methods(methods):
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise UsageError(f"unknown method(s) {', '.join(unknown)}; valid: {', '.join(METHODS)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A resolved sweep: which methods and seeds, training and data settings."""
@@ -57,13 +65,11 @@ class ExperimentConfig:
     lse_sharpness: float = 1.0
 
     def __post_init__(self):
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise UsageError(
-                f"unknown method(s) {', '.join(unknown)}; valid: {', '.join(METHODS)}"
-            )
+        _check_methods(self.methods)
         if not self.seeds:
             raise UsageError("seed list must not be empty")
+        check_data_args(self.classes, self.samples)
+        self.net_config()  # validates the class count and LSE sharpness
 
     def data_kwargs(self) -> dict:
         return {
@@ -160,26 +166,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_experiment(args) -> ExperimentConfig:
+def _resolve_experiment(args, default_epochs=10) -> ExperimentConfig:
+    """Flags, then config file, then defaults; out-of-range values are usage errors."""
     file_cfg = _read_config_file(args.config) if args.config else {}
-    methods = tuple(_pick(args, file_cfg, "methods", _str_list, HEADLINE_METHODS))
-    seeds = tuple(_pick(args, file_cfg, "seeds", _int_list, _DEFAULT_SEEDS))
-    optim = OptimConfig(
-        lr=_pick(args, file_cfg, "lr", float, 1e-4),
-        epochs=_pick(args, file_cfg, "epochs", int, 10),
-        batch_size=_pick(args, file_cfg, "batch_size", int, 10),
-    )
-    return ExperimentConfig(
-        methods=methods,
-        seeds=seeds,
-        optim=optim,
-        out_dir=Path(_pick(args, file_cfg, "out", str, "results")),
-        samples=_pick(args, file_cfg, "samples", int, 1000),
-        noise=_pick(args, file_cfg, "noise", float, 0.1),
-        classes=_pick(args, file_cfg, "classes", int, 4),
-        data_seed=_pick(args, file_cfg, "data_seed", int, _DEFAULT_DATA_SEED),
-        lse_sharpness=_pick(args, file_cfg, "lse_r", float, 1.0),
-    )
+    try:
+        return ExperimentConfig(
+            methods=tuple(_pick(args, file_cfg, "methods", _str_list, HEADLINE_METHODS)),
+            seeds=tuple(_pick(args, file_cfg, "seeds", _int_list, _DEFAULT_SEEDS)),
+            optim=OptimConfig(
+                lr=_pick(args, file_cfg, "lr", float, 1e-4),
+                epochs=_pick(args, file_cfg, "epochs", int, default_epochs),
+                batch_size=_pick(args, file_cfg, "batch_size", int, 10),
+            ),
+            out_dir=Path(_pick(args, file_cfg, "out", str, "results")),
+            samples=_pick(args, file_cfg, "samples", int, 1000),
+            noise=_pick(args, file_cfg, "noise", float, 0.1),
+            classes=_pick(args, file_cfg, "classes", int, 4),
+            data_seed=_pick(args, file_cfg, "data_seed", int, _DEFAULT_DATA_SEED),
+            lse_sharpness=_pick(args, file_cfg, "lse_r", float, 1.0),
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def _worker_count() -> int:
@@ -239,14 +246,17 @@ def cmd_sweep(args) -> int:
 def cmd_gradcheck(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     methods = tuple(_pick(args, file_cfg, "methods", _str_list, METHODS))
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise UsageError(
-            f"unknown method(s) {', '.join(unknown)}; valid: {', '.join(METHODS)}"
-        )
+    _check_methods(methods)
     trials = _pick(args, file_cfg, "trials", int, 1000)
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
     tolerance = _pick(args, file_cfg, "tolerance", float, 1e-5)
     lse_r = _pick(args, file_cfg, "lse_r", float, 1.0)
+    try:
+        FDOracleConfig(tolerance=tolerance)
+        ToyNetConfig(lse_sharpness=lse_r)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     results = run_gradcheck(
         methods, trials=trials, tolerance=tolerance, seed=args.seed, lse_sharpness=lse_r
     )
@@ -290,21 +300,15 @@ def cmd_params_report(args) -> int:
 
 
 def cmd_lr_sweep(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    if args.method not in METHODS:
-        raise UsageError(f"unknown method {args.method!r}; valid: {', '.join(METHODS)}")
-    if any(lr <= 0 for lr in args.lrs):
+    _check_methods([args.method])
+    if not all(lr > 0 for lr in args.lrs):
         raise UsageError("learning rates must be positive")
-    epochs = _pick(args, file_cfg, "epochs", int, 1)
-    batch_size = _pick(args, file_cfg, "batch_size", int, 10)
-    out_dir = Path(_pick(args, file_cfg, "out", str, "results"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = _resolve_experiment_defaults(file_cfg)
-    net_config = ToyNetConfig(classes=base["classes"])
+    config = _resolve_experiment(args, default_epochs=1)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for lr in args.lrs:
-        optim = OptimConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=args.seed)
-        report = run_single(args.method, args.seed, base, optim, net_config)
+        optim = replace(config.optim, lr=lr)
+        report = run_single(args.method, args.seed, config.data_kwargs(), optim, config.net_config())
         results.append((lr, report.final_train_loss, report.diverged))
     # ties break toward the smaller learning rate
     viable = [(loss, lr) for lr, loss, diverged in results if not diverged]
@@ -312,7 +316,7 @@ def cmd_lr_sweep(args) -> int:
     for lr, loss, diverged in results:
         note = " (diverged)" if diverged else ""
         print(f"{lr:>10.1e} {loss:>18.6f}{note}")
-    with open(out_dir / "lr_sweep.csv", "w", newline="") as fh:
+    with open(config.out_dir / "lr_sweep.csv", "w", newline="") as fh:
         fh.write("lr,final_train_loss,diverged\n")
         for lr, loss, diverged in results:
             fh.write(f"{lr!r},{loss!r},{int(diverged)}\n")
@@ -322,15 +326,6 @@ def cmd_lr_sweep(args) -> int:
     best_loss, best_lr = min(viable)
     print(f"best lr: {best_lr!r} (final train loss {best_loss:.6f})")
     return EXIT_OK
-
-
-def _resolve_experiment_defaults(file_cfg) -> dict:
-    return {
-        "classes": int(file_cfg.get("classes", 4)),
-        "samples": int(file_cfg.get("samples", 1000)),
-        "seed": int(file_cfg.get("data_seed", _DEFAULT_DATA_SEED)),
-        "noise": float(file_cfg.get("noise", 0.1)),
-    }
 
 
 def main(argv=None) -> int:

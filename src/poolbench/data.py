@@ -7,7 +7,7 @@ keep the task easy for a small network while still giving max-like pooling
 something to prefer.
 
 Generation is fully determined by the seed; the dataset is regenerated on
-demand and never stored.
+demand and never written to disk.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SyntheticDataset", "make_synthetic", "nearest_centroid_accuracy"]
+__all__ = ["SyntheticDataset", "check_data_args", "make_synthetic", "nearest_centroid_accuracy"]
 
 
 def _vertical_stripes(size):
@@ -108,6 +108,14 @@ class SyntheticDataset:
         return self.labels[self.test_idx]
 
 
+def check_data_args(classes: int, samples: int) -> None:
+    """Raise ValueError unless :func:`make_synthetic` can build this dataset."""
+    if not 1 <= classes <= len(_PATTERNS):
+        raise ValueError(f"classes must be in 1..{len(_PATTERNS)}, got {classes}")
+    if samples < classes:
+        raise ValueError(f"need at least one sample per class, got {samples}")
+
+
 def make_synthetic(
     classes: int = 4,
     samples: int = 1000,
@@ -123,10 +131,7 @@ def make_synthetic(
     the only variation left is the shift/amplitude jitter, and a
     nearest-centroid classifier separates the classes perfectly.
     """
-    if not 1 <= classes <= len(_PATTERNS):
-        raise ValueError(f"classes must be in 1..{len(_PATTERNS)}, got {classes}")
-    if samples < classes:
-        raise ValueError(f"need at least one sample per class, got {samples}")
+    check_data_args(classes, samples)
     rng = np.random.default_rng(seed)
     bases = [fn(image_size) for fn in _PATTERNS[:classes]]
     counts = [samples // classes + (1 if k < samples % classes else 0) for k in range(classes)]

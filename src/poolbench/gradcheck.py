@@ -214,11 +214,8 @@ def _check_se_block(method, trials, config, rng):
             )
             # keep the ReLU kink and window ties out of FD range
             hidden = params.se_f1(x[0].mean(axis=(1, 2)))
-            windows = layers.sliding_windows(x, _WINDOW)
-            sorted_win = np.sort(windows, axis=-1)
-            if np.abs(hidden).min() > 1e-3 and (
-                sorted_win[..., -1] - sorted_win[..., -2]
-            ).min() > 1e-2:
+            sorted_win = np.sort(np.stack(layers.window_views(x, _WINDOW)), axis=0)
+            if np.abs(hidden).min() > 1e-3 and (sorted_win[-1] - sorted_win[-2]).min() > 1e-2:
                 break
         block = layers.PoolingBlock(spec, params)
         probe = rng.uniform(-1.0, 1.0, size=block.forward(x).shape)

@@ -1,11 +1,13 @@
 """Batched layers for the toy classifier: convolution, pooling blocks, head.
 
 Everything operates on (B, C, H, W) float64 arrays with explicit forward and
-backward methods; each layer caches what its backward pass needs.  The
-pooling block evaluates whole window grids at once using the same formulas
-and reduction order as the window-level operators in :mod:`poolbench.ops`,
-so the two paths agree to machine precision (the test suite asserts this for
-every method).
+backward methods; each layer caches what its backward pass needs.
+
+A pooling block reads its windows through the window-offset views of its
+input (:func:`window_views`), never through copied windows, and runs one
+(forward, backward) kernel pair per method from :data:`KERNELS`.  The kernels
+share no code with the window-level operators in :mod:`poolbench.ops`, which
+the test suite uses as the independent reference for every method.
 
 Layers expose ``params()`` and ``grads()`` dicts of like-named arrays;
 gradients accumulate per backward call into ``grads()`` entries that the
@@ -15,6 +17,7 @@ optimizer reads and the trainer zeroes between steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,12 +34,13 @@ from .ops import (
 from .tensor import WindowSpec, output_size
 
 __all__ = [
-    "sliding_windows",
-    "scatter_windows",
+    "window_views",
     "Conv2D",
     "ReLU",
     "Flatten",
     "Linear",
+    "Kernel",
+    "KERNELS",
     "PoolingBlock",
     "ToyNetConfig",
     "ToyNet",
@@ -45,31 +49,30 @@ __all__ = [
 ]
 
 
-def sliding_windows(x: np.ndarray, spec: WindowSpec) -> np.ndarray:
-    """All pooling windows of a batch: (B, C, H, W) -> (B, C, H', W', k1*k2)."""
-    b, c, h, w = x.shape
-    h_out, w_out = output_size(h, w, spec)
-    view = np.lib.stride_tricks.sliding_window_view(x, (spec.k1, spec.k2), axis=(2, 3))
-    view = view[:, :, :: spec.s1, :: spec.s2]
-    return np.ascontiguousarray(view).reshape(b, c, h_out, w_out, spec.n)
+def window_views(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
+    """The k1*k2 window-offset views of a (..., H, W) array, each (..., H', W').
 
-
-def scatter_windows(d_windows: np.ndarray, shape, spec: WindowSpec) -> np.ndarray:
-    """Accumulate per-window gradients back onto the input grid.
-
-    Inverse of :func:`sliding_windows` in the adjoint sense; handles
-    overlapping windows by accumulating one window offset at a time.
+    View ``u*k2 + v`` is ``x[..., u::s1, v::s2]`` cut to the H' x W' window
+    grid: its (i, j) entry is entry (u, v) of window (i, j), so the views
+    list every window in the row-major order of ``extract_window``.  The
+    views share memory with ``x``; rows and columns that fit no complete
+    window appear in none of them.
     """
-    b, c, h, w = shape
-    _, _, h_out, w_out, _ = d_windows.shape
+    h_out, w_out = output_size(x.shape[-2], x.shape[-1], spec)
+    rows = spec.s1 * (h_out - 1) + 1
+    cols = spec.s2 * (w_out - 1) + 1
+    return [
+        x[..., u : u + rows : spec.s1, v : v + cols : spec.s2]
+        for u in range(spec.k1)
+        for v in range(spec.k2)
+    ]
+
+
+def _scatter(shape, spec: WindowSpec, parts) -> np.ndarray:
+    """Adjoint of :func:`window_views`: add parts[k] into view k of a zeroed array."""
     dx = np.zeros(shape)
-    rows = spec.s1 * np.arange(h_out)
-    cols = spec.s2 * np.arange(w_out)
-    for u in range(spec.k1):
-        for v in range(spec.k2):
-            dx[:, :, rows[:, None] + u, cols[None, :] + v] += d_windows[
-                ..., u * spec.k2 + v
-            ]
+    for view, part in zip(window_views(dx, spec), parts):
+        view += part
     return dx
 
 
@@ -105,15 +108,11 @@ class Conv2D:
         self.grads_["weight"] += (dyt.T @ patches).reshape(self.weight.shape)
         self.grads_["bias"] += dy.sum(axis=(0, 2, 3))
         d_patches = (dyt @ self.weight.reshape(o, -1)).reshape(
-            b, h_out, w_out, self._in_shape[1], k, k
+            b, h_out, w_out, self._in_shape[1], k * k
         )
-        dx = np.zeros(self._in_shape)
-        for u in range(k):
-            for v in range(k):
-                dx[:, :, u : u + h_out, v : v + w_out] += d_patches[
-                    :, :, :, :, u, v
-                ].transpose(0, 3, 1, 2)
-        return dx
+        # col2im: kernel offset (u, v) is window entry u*k + v of a stride-1 grid
+        parts = d_patches.transpose(4, 0, 3, 1, 2)
+        return _scatter(self._in_shape, WindowSpec(k, k, 1, 1), parts)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -177,38 +176,229 @@ class Linear:
         return self.grads_
 
 
+# -- pooling kernels ------------------------------------------------------------
+#
+# A forward kernel maps (block, x) to (y, cache); its backward maps (block,
+# cache, dy) to dx and adds parameter gradients into block.grads_.  Kernels
+# stack the views on a leading axis, (n, B, C, H', W'): one strided copy, after
+# which every fold over the window runs on contiguous planes in window order.
+
+
+def _stack(block, x):
+    return np.stack(window_views(x, block.window))
+
+
+def _first_max(stacked):
+    """Window maximum and a one-hot mask of its first maximizer (argmax's tie rule)."""
+    peak = stacked.max(axis=0)
+    first = stacked == peak
+    seen = first[0].copy()
+    for mask in first[1:]:
+        mask &= ~seen
+        seen |= mask
+    return peak, first
+
+
+def _entry_sums(stacked, field):
+    """Per window entry k: the sum of stacked[k] * field over every window."""
+    return (stacked * field).reshape(len(stacked), -1).sum(axis=1)
+
+
+def _conv_forward(block, x):
+    stacked = _stack(block, x)
+    w = block.pool_params.conv_w[:, None, None, None, None]
+    return (stacked * w).sum(axis=0), stacked
+
+
+def _conv_backward(block, stacked, dy):
+    block.grads_["conv_w"] += _entry_sums(stacked, dy)
+    return block._scatter(dy * block.pool_params.conv_w[:, None, None, None, None])
+
+
+def _gp_forward(block, x):
+    stacked = _stack(block, x)
+    w = block.pool_params.gate_w[:, None, None, None, None]
+    g = sigmoid((stacked * w).sum(axis=0))
+    peak, first = _first_max(stacked)
+    mean = stacked.mean(axis=0)
+    return g * mean + (1.0 - g) * peak, (stacked, g, first, mean, peak)
+
+
+def _gp_backward(block, cache, dy):
+    stacked, g, first, mean, peak = cache
+    w = block.pool_params.gate_w[:, None, None, None, None]
+    swing = g * (1.0 - g) * (mean - peak)
+    block.grads_["gate_w"] += _entry_sums(stacked, dy * swing)
+    return block._scatter(dy * (g / len(stacked) + swing * w) + first * ((1.0 - g) * dy))
+
+
+def _op_forward(block, x):
+    stacked = _stack(block, x)
+    # stable ascending rank of every entry: tied entries keep window order
+    ranks = np.zeros(stacked.shape, dtype=np.min_scalar_type(len(stacked)))
+    for j in range(len(stacked)):
+        for k in range(j + 1, len(stacked)):
+            k_first = stacked[k] < stacked[j]
+            ranks[j] += k_first
+            ranks[k] += ~k_first
+    slot_w = block.pool_params.ordinal_w[ranks]
+    return (stacked * slot_w).sum(axis=0), (stacked, ranks, slot_w)
+
+
+def _op_backward(block, cache, dy):
+    stacked, ranks, slot_w = cache
+    block.grads_["ordinal_w"] += np.bincount(
+        ranks.reshape(-1), weights=(stacked * dy).reshape(-1), minlength=len(stacked)
+    )
+    return block._scatter(slot_w * dy)
+
+
+def _lnp_forward(block, x):
+    p = norm_exponent(block.pool_params.p_raw[0])
+    stacked = _stack(block, x)
+    magnitudes = np.abs(stacked)
+    peak = magnitudes.max(axis=0)
+    safe = peak > 0.0
+    ratios = magnitudes / np.where(safe, peak, 1.0)
+    powered = ratios**p
+    mean_pow = powered.mean(axis=0)
+    y = np.where(safe, peak * mean_pow ** (1.0 / p), 0.0)
+    return y, (p, stacked, y, safe, ratios, powered, mean_pow)
+
+
+def _lnp_backward(block, cache, dy):
+    p, stacked, y, safe, ratios, powered, mean_pow = cache
+    safe_mean = np.where(safe, mean_pow, 1.0)
+    d_stacked = dy * safe * np.sign(stacked) * ratios ** (p - 1.0)
+    d_stacked *= safe_mean ** (1.0 / p - 1.0) / len(stacked)
+    log_ratios = np.where(ratios > 0.0, np.log(np.where(ratios > 0.0, ratios, 1.0)), 0.0)
+    weighted = (powered * log_ratios).sum(axis=0)
+    dy_dp = np.where(
+        safe,
+        y * (weighted / (p * np.where(safe, powered.sum(axis=0), 1.0)) - np.log(safe_mean) / p**2),
+        0.0,
+    )
+    d_p = (dy * dy_dp).sum()
+    block.grads_["p_raw"] += d_p * sigmoid(float(block.pool_params.p_raw[0]))
+    return block._scatter(d_stacked)
+
+
+def _softmax_weights(z):
+    """Max-shifted exponentials of stacked logits and their sum over the window."""
+    e = np.exp(z - z.max(axis=0))
+    return e, e.sum(axis=0)
+
+
+def _lse_forward(block, x):
+    r = block.pool_params.sharpness
+    z = r * _stack(block, x)
+    e, total = _softmax_weights(z)
+    return (z.max(axis=0) + np.log(total / len(z))) / r, e / total
+
+
+def _smp(block, x, tau):
+    """Softmax-weighted window average under the temperature field ``tau``."""
+    stacked = _stack(block, x)
+    e, total = _softmax_weights(tau * stacked)
+    y = (e * stacked).sum(axis=0) / total
+    return y, (stacked, tau, e / total, y)
+
+
+def _smp_forward(block, x):
+    return _smp(block, x, block.pool_params.tau[None, :, None, None])
+
+
+def _sesmp_forward(block, x):
+    return _smp(block, x, block._branch(x)[:, :, None, None])
+
+
+def _smp_parts(cache, dy):
+    """Window-entry gradients and the temperature-field gradient of :func:`_smp`."""
+    stacked, tau, s, y = cache
+    centered = stacked - y
+    return dy * s * (1.0 + tau * centered), dy * (s * centered**2).sum(axis=0)
+
+
+def _smp_backward(block, cache, dy):
+    d_stacked, d_tau_field = _smp_parts(cache, dy)
+    if "tau" in block.grads_:  # SMP_trainable; SMP_fixed keeps its ladder
+        block.grads_["tau"] += d_tau_field.sum(axis=(0, 2, 3))
+    return block._scatter(d_stacked)
+
+
+def _sesmp_backward(block, cache, dy):
+    d_stacked, d_tau_field = _smp_parts(cache, dy)
+    return block._scatter(d_stacked) + block._branch_backward(d_tau_field.sum(axis=(2, 3)))
+
+
+def _semp_forward(block, x):
+    scales = sigmoid(block._branch(x))  # (B, C)
+    y, first = _first_max(_stack(block, x * scales[:, :, None, None]))
+    return y, (x, scales, first)
+
+
+def _semp_backward(block, cache, dy):
+    x, scales, first = cache
+    d_scaled = block._scatter(dy * first)
+    d_scales = (d_scaled * x).sum(axis=(2, 3))
+    return d_scaled * scales[:, :, None, None] + block._branch_backward(
+        d_scales * scales * (1.0 - scales)
+    )
+
+
+class Kernel(NamedTuple):
+    """A method's trainable parameter names and batched kernel pair (LSE
+    sharpness and the fixed temperature ladder are hyperparameters)."""
+
+    trainable: tuple[str, ...]
+    forward: Callable
+    backward: Callable
+
+
+_SE_PARAMS = ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias")
+
+#: every pooling method's kernel pair, keyed by method name
+KERNELS = {
+    "MP": Kernel(
+        (),
+        lambda block, x: _first_max(_stack(block, x)),
+        lambda block, first, dy: block._scatter(dy * first),
+    ),
+    "AP": Kernel(
+        (),
+        lambda block, x: (_stack(block, x).mean(axis=0), None),
+        lambda block, _, dy: block._scatter([dy / block.window.n] * block.window.n),
+    ),
+    "NN": Kernel(
+        (),
+        lambda block, x: (window_views(x, block.window)[0].copy(), None),
+        lambda block, _, dy: block._scatter([dy]),  # view 0 only
+    ),
+    "CONV": Kernel(("conv_w",), _conv_forward, _conv_backward),
+    "GP": Kernel(("gate_w",), _gp_forward, _gp_backward),
+    "OP": Kernel(("ordinal_w",), _op_forward, _op_backward),
+    "LNP": Kernel(("p_raw",), _lnp_forward, _lnp_backward),
+    "LSE": Kernel((), _lse_forward, lambda block, s, dy: block._scatter(dy * s)),
+    "SMP_fixed": Kernel((), _smp_forward, _smp_backward),
+    "SMP_trainable": Kernel(("tau",), _smp_forward, _smp_backward),
+    "SESMP": Kernel(_SE_PARAMS, _sesmp_forward, _sesmp_backward),
+    "SEMP": Kernel(_SE_PARAMS, _semp_forward, _semp_backward),
+}
+
+
 class PoolingBlock:
     """One downsampling stage evaluating any of the pooling methods.
 
     Parameters shared across channels (conv/gate/ordinal weights, the norm
     exponent) are single vectors per block; temperatures are per channel.
-    The backward pass recomputes softmax weights from cached shifted logits
-    instead of caching the probabilities, trading memory for one exp pass.
     """
-
-    #: trainable parameter names per method (LSE sharpness and the fixed
-    #: temperature ladder are hyperparameters, not trained)
-    TRAINABLE = {
-        "MP": (),
-        "AP": (),
-        "NN": (),
-        "CONV": ("conv_w",),
-        "GP": ("gate_w",),
-        "OP": ("ordinal_w",),
-        "LNP": ("p_raw",),
-        "LSE": (),
-        "SMP_fixed": (),
-        "SMP_trainable": ("tau",),
-        "SESMP": ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"),
-        "SEMP": ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"),
-    }
 
     def __init__(self, spec: PoolSpec, pool_params: PoolParams):
         validate_pool_params(spec, pool_params)
-        self.spec = spec
         self.window = spec.window
         self.method = spec.method
         self.pool_params = pool_params
+        self.kernel = KERNELS[spec.method]
         self.grads_ = {name: np.zeros_like(arr) for name, arr in self.params().items()}
 
     # -- parameter plumbing -------------------------------------------------
@@ -216,7 +406,7 @@ class PoolingBlock:
     def params(self) -> dict[str, np.ndarray]:
         p = self.pool_params
         out = {}
-        for name in self.TRAINABLE[self.method]:
+        for name in self.kernel.trainable:
             if name.startswith("se_"):
                 affine = p.se_f1 if "f1" in name else p.se_f2
                 out[name] = affine.weight if name.endswith("weight") else affine.bias
@@ -227,72 +417,21 @@ class PoolingBlock:
     def grads(self) -> dict[str, np.ndarray]:
         return self.grads_
 
-    # -- forward ------------------------------------------------------------
+    # -- forward and backward -----------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise ValueError("pooling input contains non-finite values")
         self._x_shape = x.shape
-        m = self.method
-        if m == "SEMP":
-            return self._forward_semp(x)
-        if m == "SESMP":
-            return self._forward_sesmp(x)
-        win = sliding_windows(x, self.window)
-        self._windows = win
-        p = self.pool_params
-        if m == "MP":
-            self._argmax = win.argmax(axis=-1)
-            return win.max(axis=-1)
-        if m == "AP":
-            return win.mean(axis=-1)
-        if m == "NN":
-            return win[..., 0].copy()
-        if m == "CONV":
-            return (win * p.conv_w).sum(axis=-1)
-        if m == "GP":
-            g = sigmoid((win * p.gate_w).sum(axis=-1))
-            self._gate = g
-            self._argmax = win.argmax(axis=-1)
-            self._mean = win.mean(axis=-1)
-            self._peak = win.max(axis=-1)
-            return g * self._mean + (1.0 - g) * self._peak
-        if m == "OP":
-            self._order = np.argsort(win, axis=-1, kind="stable")
-            self._sorted = np.take_along_axis(win, self._order, axis=-1)
-            return (self._sorted * p.ordinal_w).sum(axis=-1)
-        if m == "LNP":
-            return self._forward_lnp(win)
-        if m == "LSE":
-            z = p.sharpness * win
-            self._shifted = z - z.max(axis=-1, keepdims=True)
-            d = z.max(axis=-1)
-            return (d + np.log(np.exp(self._shifted).mean(axis=-1))) / p.sharpness
-        if m in ("SMP_fixed", "SMP_trainable"):
-            return self._forward_smp(win, p.tau[None, :, None, None])
-        raise ConfigurationError(f"unknown pooling method {m!r}")  # pragma: no cover
-
-    def _forward_lnp(self, win):
-        p = norm_exponent(self.pool_params.p_raw[0])
-        magnitudes = np.abs(win)
-        peak = magnitudes.max(axis=-1)
-        safe = peak > 0.0
-        ratios = magnitudes / np.where(safe, peak, 1.0)[..., None]
-        powered = ratios**p
-        mean_pow = powered.mean(axis=-1)
-        self._lnp = (p, peak, safe, ratios, powered, mean_pow)
-        return np.where(safe, peak * mean_pow ** (1.0 / p), 0.0)
-
-    def _forward_smp(self, win, tau):
-        # tau broadcasts over (B, C, H', W'): per channel, or per sample and
-        # channel for the branch-computed variant
-        z = tau[..., None] * win
-        self._shifted = z - z.max(axis=-1, keepdims=True)
-        s = np.exp(self._shifted)
-        y = (s * win).sum(axis=-1) / s.sum(axis=-1)
-        self._tau_field = tau
-        self._y = y
+        self._cache = None  # free the last call's cache before building this one
+        y, self._cache = self.kernel.forward(self, x)
         return y
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        return self.kernel.backward(self, self._cache, dy)
+
+    def _scatter(self, parts) -> np.ndarray:
+        return _scatter(self._x_shape, self.window, parts)
 
     def _branch(self, x):
         # squeeze: per-channel spatial means; excite: affine-ReLU-affine
@@ -316,128 +455,6 @@ class PoolingBlock:
         b, c, h, w = self._x_shape
         return d_mu[:, :, None, None] / (h * w) * np.ones((1, 1, h, w))
 
-    def _forward_sesmp(self, x):
-        tau = self._branch(x)  # (B, C)
-        win = sliding_windows(x, self.window)
-        self._windows = win
-        return self._forward_smp(win, tau[:, :, None, None])
-
-    def _forward_semp(self, x):
-        scales = sigmoid(self._branch(x))  # (B, C)
-        self._semp_scales = scales
-        self._semp_x = x
-        scaled = x * scales[:, :, None, None]
-        win = sliding_windows(scaled, self.window)
-        self._windows = win
-        self._argmax = win.argmax(axis=-1)
-        return win.max(axis=-1)
-
-    # -- backward -----------------------------------------------------------
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        m = self.method
-        p = self.pool_params
-        win = self._windows
-        n = self.window.n
-        if m == "MP":
-            d_win = np.zeros_like(win)
-            np.put_along_axis(d_win, self._argmax[..., None], dy[..., None], axis=-1)
-        elif m == "AP":
-            d_win = np.broadcast_to(dy[..., None] / n, win.shape).copy()
-        elif m == "NN":
-            d_win = np.zeros_like(win)
-            d_win[..., 0] = dy
-        elif m == "CONV":
-            d_win = dy[..., None] * p.conv_w
-            self.grads_["conv_w"] += (win * dy[..., None]).sum(axis=(0, 1, 2, 3))
-        elif m == "GP":
-            g = self._gate
-            swing = g * (1.0 - g) * (self._mean - self._peak)
-            d_win = dy[..., None] * (g[..., None] / n + swing[..., None] * p.gate_w)
-            np.put_along_axis(
-                d_win,
-                self._argmax[..., None],
-                np.take_along_axis(d_win, self._argmax[..., None], axis=-1)
-                + ((1.0 - g) * dy)[..., None],
-                axis=-1,
-            )
-            self.grads_["gate_w"] += (win * (dy * swing)[..., None]).sum(
-                axis=(0, 1, 2, 3)
-            )
-        elif m == "OP":
-            d_win = np.empty_like(win)
-            np.put_along_axis(
-                d_win,
-                self._order,
-                np.broadcast_to(p.ordinal_w, win.shape) * dy[..., None],
-                axis=-1,
-            )
-            self.grads_["ordinal_w"] += (self._sorted * dy[..., None]).sum(
-                axis=(0, 1, 2, 3)
-            )
-        elif m == "LNP":
-            d_win = self._backward_lnp(dy)
-        elif m == "LSE":
-            s = np.exp(self._shifted)
-            s /= s.sum(axis=-1, keepdims=True)
-            d_win = dy[..., None] * s
-        elif m in ("SMP_fixed", "SMP_trainable"):
-            d_win, d_tau_field = self._backward_smp(dy)
-            if m == "SMP_trainable":
-                self.grads_["tau"] += d_tau_field.sum(axis=(0, 2, 3))
-        elif m == "SESMP":
-            d_win, d_tau_field = self._backward_smp(dy)
-            dx = scatter_windows(d_win, self._x_shape, self.window)
-            dx += self._branch_backward(d_tau_field.sum(axis=(2, 3)))
-            return dx
-        elif m == "SEMP":
-            d_win = np.zeros_like(win)
-            np.put_along_axis(d_win, self._argmax[..., None], dy[..., None], axis=-1)
-            d_scaled = scatter_windows(d_win, self._x_shape, self.window)
-            scales = self._semp_scales
-            dx = d_scaled * scales[:, :, None, None]
-            d_scales = (d_scaled * self._semp_x).sum(axis=(2, 3))
-            d_branch = d_scales * scales * (1.0 - scales)
-            dx += self._branch_backward(d_branch)
-            return dx
-        else:  # pragma: no cover
-            raise ConfigurationError(f"unknown pooling method {m!r}")
-        return scatter_windows(d_win, self._x_shape, self.window)
-
-    def _backward_lnp(self, dy):
-        p, peak, safe, ratios, powered, mean_pow = self._lnp
-        win = self._windows
-        n = self.window.n
-        safe_mean = np.where(safe, mean_pow, 1.0)
-        d_win = (
-            dy[..., None]
-            * np.sign(win)
-            * ratios ** (p - 1.0)
-            * (safe_mean ** (1.0 / p - 1.0))[..., None]
-            / n
-        )
-        d_win *= safe[..., None]
-        y = np.where(safe, peak * mean_pow ** (1.0 / p), 0.0)
-        log_ratios = np.where(ratios > 0.0, np.log(np.where(ratios > 0.0, ratios, 1.0)), 0.0)
-        weighted = (powered * log_ratios).sum(axis=-1)
-        dy_dp = np.where(
-            safe,
-            y * (weighted / (p * np.where(safe, powered.sum(axis=-1), 1.0)) - np.log(safe_mean) / p**2),
-            0.0,
-        )
-        d_p = (dy * dy_dp).sum()
-        self.grads_["p_raw"] += d_p * sigmoid(float(self.pool_params.p_raw[0]))
-        return d_win
-
-    def _backward_smp(self, dy):
-        win = self._windows
-        s = np.exp(self._shifted)
-        s /= s.sum(axis=-1, keepdims=True)
-        centered = win - self._y[..., None]
-        d_win = dy[..., None] * s * (1.0 + self._tau_field[..., None] * centered)
-        d_tau_field = dy * (s * centered**2).sum(axis=-1)
-        return d_win, d_tau_field
-
 
 @dataclass(frozen=True)
 class ToyNetConfig:
@@ -459,13 +476,12 @@ class ToyNetConfig:
     lse_sharpness: float = 1.0
 
     def __post_init__(self):
-        if (self.window.k1, self.window.k2) != (2, 2) or (
-            self.window.s1,
-            self.window.s2,
-        ) != (2, 2):
+        if self.window != WindowSpec(2, 2, 2, 2):
             raise ConfigurationError("pooling stages must halve resolution: 2x2 windows, stride 2")
         if self.classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.classes}")
+        if not 0 < self.lse_sharpness < float("inf"):
+            raise ConfigurationError(f"LSE sharpness must be > 0, got {self.lse_sharpness}")
         for c in self.stage_channels:
             if c % self.se_ratio != 0:
                 raise ConfigurationError(
@@ -527,40 +543,24 @@ class ToyNet:
         self.config = config
         self.method = method
         c1, c2 = config.stage_channels
+
+        def pool(channels):
+            spec = PoolSpec(method, config.window, channels)
+            params = init_pool_params(
+                spec, rng, se_ratio=config.se_ratio, lse_sharpness=config.lse_sharpness
+            )
+            return PoolingBlock(spec, params)
+
         self.conv1 = Conv2D(config.in_channels, c1, config.conv_kernel, rng)
-        self.pool1 = PoolingBlock(
-            PoolSpec(method, config.window, c1),
-            init_pool_params(
-                PoolSpec(method, config.window, c1),
-                rng,
-                se_ratio=config.se_ratio,
-                lse_sharpness=config.lse_sharpness,
-            ),
-        )
+        self.pool1 = pool(c1)
         self.conv2 = Conv2D(c1, c2, config.conv_kernel, rng)
-        self.pool2 = PoolingBlock(
-            PoolSpec(method, config.window, c2),
-            init_pool_params(
-                PoolSpec(method, config.window, c2),
-                rng,
-                se_ratio=config.se_ratio,
-                lse_sharpness=config.lse_sharpness,
-            ),
-        )
+        self.pool2 = pool(c2)
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.flatten = Flatten()
         self.head = Linear(config.feature_size(), config.classes, rng)
-        self._stack = [
-            ("conv1", self.conv1),
-            ("relu1", self.relu1),
-            ("pool1", self.pool1),
-            ("conv2", self.conv2),
-            ("relu2", self.relu2),
-            ("pool2", self.pool2),
-            ("flatten", self.flatten),
-            ("head", self.head),
-        ]
+        names = ("conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "flatten", "head")
+        self._stack = [(name, getattr(self, name)) for name in names]
 
     @property
     def pooling_blocks(self) -> list[PoolingBlock]:
@@ -577,18 +577,10 @@ class ToyNet:
         return d_logits
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._stack:
-            for pname, arr in layer.params().items():
-                out[f"{name}.{pname}"] = arr
-        return out
+        return {f"{n}.{k}": v for n, layer in self._stack for k, v in layer.params().items()}
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._stack:
-            for pname, arr in layer.grads().items():
-                out[f"{name}.{pname}"] = arr
-        return out
+        return {f"{n}.{k}": v for n, layer in self._stack for k, v in layer.grads().items()}
 
     def zero_grads(self):
         for _, layer in self._stack:

@@ -8,6 +8,7 @@ same configuration reproduces a bit-identical :class:`RunReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,10 +194,20 @@ def train(
     return report
 
 
-def run_single(method: str, seed: int, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> RunReport:
-    """One (method, seed) run with its dataset regenerated from config.
+@lru_cache(maxsize=4)
+def _shared_dataset(data_items) -> SyntheticDataset:
+    """make_synthetic(**dict(data_items)), built once per process and read-only."""
+    dataset = make_synthetic(**dict(data_items))
+    for arr in (dataset.images, dataset.labels, dataset.train_idx, dataset.test_idx):
+        arr.flags.writeable = False
+    return dataset
 
-    Top-level so a process pool can dispatch it.
+
+def run_single(method: str, seed: int, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> RunReport:
+    """One (method, seed) run on the dataset that ``data_kwargs`` describe.
+
+    Every run of a sweep shares one dataset, so it is generated once per
+    process.  Top-level so a process pool can dispatch it.
     """
-    dataset = make_synthetic(**data_kwargs)
+    dataset = _shared_dataset(tuple(sorted(data_kwargs.items())))
     return train(method, dataset, replace(optim, seed=seed), net_config)

@@ -87,6 +87,27 @@ class TestSweep:
         assert "MAXIMUMPOOL" in err
         assert "MP" in err and "SESMP" in err  # lists the valid names
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--epochs", "0"], ""),
+            (["--batch-size", "0"], ""),
+            ([], "classes = 9\n"),
+            (["--methods", "LSE", "--lse-r", "0"], ""),
+        ],
+    )
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags, config):
+        def no_run(*args):
+            raise AssertionError("a run started before the settings were validated")
+
+        monkeypatch.setattr(cli, "run_single", no_run)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        code = run_cli("sweep", "--config", str(cfg), *flags, "--out", str(tmp_path / "r"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_summary_statistics_recompute_from_runs(self, tmp_path, tiny_config):
         out = tmp_path / "results"
         run_cli(
@@ -159,6 +180,22 @@ class TestGradcheck:
 
     def test_unknown_method_usage_error(self):
         assert run_cli("gradcheck", "--methods", "NOPE") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trials", "0"],  # would report a worst error of 0 and pass vacuously
+            ["--trials", "-3"],
+            ["--tolerance", "0"],
+            ["--methods", "LSE", "--lse-r", "0"],
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, flags):
+        assert run_cli("gradcheck", "--methods", "AP", "--trials", "2", *flags) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestParamsReport:
@@ -245,6 +282,35 @@ class TestLrSweep:
     def test_non_positive_rate_usage_error(self, tmp_path):
         assert run_cli("lr-sweep", "--method", "MP", "--lrs", "0.0", "--out", str(tmp_path)) == 1
         assert run_cli("lr-sweep", "--method", "MP", "--lrs", "-1e-4", "--out", str(tmp_path)) == 1
+        assert run_cli("lr-sweep", "--method", "MP", "--lrs", "nan", "--out", str(tmp_path)) == 1
+
+    def test_data_and_net_settings_from_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run(method, seed, data_kwargs, optim, net_config):
+            seen.append((data_kwargs, optim, net_config))
+            report = RunReport(method=method, seed=seed)
+            report.epochs = [EpochMetrics(1, 0.5, 0.9, 0.6, 0.8)]
+            return report
+
+        monkeypatch.setattr(cli, "run_single", fake_run)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("samples = 160\nnoise = 0.3\ndata_seed = 9\nlse_r = 2.5\nbatch_size = 20\n")
+        code = run_cli(
+            "lr-sweep", "--config", str(cfg), "--method", "LSE", "--lrs", "1e-3", "--out", str(tmp_path)
+        )
+        assert code == 0
+        (data_kwargs, optim, net_config), = seen
+        assert data_kwargs == {"classes": 4, "samples": 160, "seed": 9, "noise": 0.3}
+        assert (optim.lr, optim.epochs, optim.batch_size) == (1e-3, 1, 20)
+        assert net_config.lse_sharpness == 2.5
+
+    def test_bad_class_count_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("classes = 9\n")
+        code = run_cli("lr-sweep", "--config", str(cfg), "--lrs", "1e-3", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_class_count_from_config_respected(self, tmp_path):
         cfg = tmp_path / "cfg"

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolbench import (
     PoolSpec,
     WindowSpec,
     avg_pool,
     conv_pool,
+    extract_window,
     gated_pool,
     global_avg_pool,
     learned_norm_pool,
@@ -20,6 +23,7 @@ from poolbench import (
     sigmoid,
     smooth_max_pool,
 )
+from poolbench.grads import gated_pool_grad, max_pool_grad, ordinal_pool_grad
 from poolbench.layers import (
     Conv2D,
     Linear,
@@ -28,9 +32,8 @@ from poolbench.layers import (
     ToyNet,
     ToyNetConfig,
     init_pool_params,
-    scatter_windows,
-    sliding_windows,
     softmax_cross_entropy,
+    window_views,
 )
 
 POOL22 = WindowSpec(2, 2, 2, 2)
@@ -103,6 +106,48 @@ def reference_forward(block, x):
     return np.stack(outs)
 
 
+def assert_backward_matches_fd(block, x, rng, input_coords):
+    """Block backward against central differences of <probe, block(x)>.
+
+    Checks ``input_coords`` random input coordinates and up to six
+    coordinates of every trainable parameter.
+    """
+    probe = rng.normal(size=block.forward(x).shape)
+
+    def scalar(xx):
+        return float((probe * block.forward(xx)).sum())
+
+    block.forward(x)
+    dx = block.backward(probe)
+
+    h = 1e-6
+    flat_x = x.reshape(-1)
+    idx = rng.choice(flat_x.size, size=min(input_coords, flat_x.size), replace=False)
+    for i in idx:
+        bumped = flat_x.copy()
+        bumped[i] += h
+        hi = scalar(bumped.reshape(x.shape))
+        bumped[i] -= 2 * h
+        lo = scalar(bumped.reshape(x.shape))
+        numeric = (hi - lo) / (2 * h)
+        assert numeric == pytest.approx(dx.reshape(-1)[i], rel=1e-4, abs=1e-7)
+
+    for name, arr in block.params().items():
+        grad = block.grads()[name]
+        flat = arr.reshape(-1)
+        for i in rng.choice(flat.size, size=min(6, flat.size), replace=False):
+            saved = flat[i]
+            flat[i] = saved + h
+            hi = scalar(x)
+            flat[i] = saved - h
+            lo = scalar(x)
+            flat[i] = saved
+            numeric = (hi - lo) / (2 * h)
+            assert numeric == pytest.approx(
+                grad.reshape(-1)[i], rel=1e-4, abs=1e-7
+            ), f"{name}[{i}]"
+
+
 ALL_METHODS = [
     "MP",
     "AP",
@@ -123,17 +168,18 @@ class TestWindowViews:
     def test_round_trip_partition(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 6, 6))
-        win = sliding_windows(x, POOL22)
-        assert win.shape == (2, 3, 3, 3, 4)
-        # scattering all-ones hits each element exactly once for s = k
-        ones = np.ones_like(win)
-        np.testing.assert_array_equal(scatter_windows(ones, x.shape, POOL22), np.ones_like(x))
+        views = window_views(x, POOL22)
+        assert len(views) == 4 and all(v.shape == (2, 3, 3, 3) for v in views)
+        # for s = k the views partition the grid: copying them back rebuilds x
+        rebuilt = np.zeros_like(x)
+        for dst, src in zip(window_views(rebuilt, POOL22), views):
+            dst[...] = src
+        np.testing.assert_array_equal(rebuilt, x)
 
     def test_overlapping_scatter_accumulates(self):
-        spec = WindowSpec(2, 2, 1, 1)
-        x = np.zeros((1, 1, 3, 3))
-        win = sliding_windows(x, spec)
-        counts = scatter_windows(np.ones_like(win), x.shape, spec)
+        counts = np.zeros((1, 1, 3, 3))
+        for view in window_views(counts, WindowSpec(2, 2, 1, 1)):
+            view += 1.0
         np.testing.assert_array_equal(
             counts[0, 0], [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]
         )
@@ -142,12 +188,14 @@ class TestWindowViews:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 2, 5, 7))
         spec = WindowSpec(2, 3, 1, 2)
-        win = sliding_windows(x, spec)
-        ref = np.stack(
-            [map_windows(x[0], spec, lambda w, k=k: w[k]) for k in range(spec.n)],
-            axis=-1,
-        )
-        np.testing.assert_array_equal(win[0], ref)
+        views = window_views(x, spec)
+        assert len(views) == spec.n and views[0].shape == (1, 2, 4, 3)
+        for c in range(2):
+            for i in range(4):
+                for j in range(3):
+                    np.testing.assert_array_equal(
+                        [v[0, c, i, j] for v in views], extract_window(x[0, c], spec, i + 1, j + 1)
+                    )
 
 
 class TestPoolingBlockForward:
@@ -183,43 +231,30 @@ class TestPoolingBlockBackward:
         # keep clear of ties and ReLU kinks so FD is well-defined
         while True:
             x = rng.uniform(-1.0, 1.0, size=(2, 4, 4, 4))
-            win = np.sort(sliding_windows(x, POOL22), axis=-1)
-            if (win[..., -1] - win[..., -2]).min() > 1e-2:
+            win = np.sort(np.stack(window_views(x, POOL22)), axis=0)
+            if (win[-1] - win[-2]).min() > 1e-2:
                 break
-        probe = rng.normal(size=block.forward(x).shape)
+        assert_backward_matches_fd(block, x, rng, input_coords=24)
 
-        def scalar(xx):
-            return float((probe * block.forward(xx)).sum())
-
+    @pytest.mark.parametrize(
+        "window", [[0.0, 0.0, 0.0, 0.0], [1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0]]
+    )
+    @pytest.mark.parametrize("method", ["MP", "GP", "OP"])
+    def test_ties_follow_window_level_rule(self, method, window):
+        # ReLU outputs tie at zero; the first tied entry in window order wins
+        block = make_block(method, channels=1)
+        x = np.array(window).reshape(1, 1, 2, 2)
         block.forward(x)
-        dx = block.backward(probe)
-
-        h = 1e-6
-        flat_x = x.reshape(-1)
-        idx = rng.choice(flat_x.size, size=24, replace=False)
-        for i in idx:
-            bumped = flat_x.copy()
-            bumped[i] += h
-            hi = scalar(bumped.reshape(x.shape))
-            bumped[i] -= 2 * h
-            lo = scalar(bumped.reshape(x.shape))
-            numeric = (hi - lo) / (2 * h)
-            assert numeric == pytest.approx(dx.reshape(-1)[i], rel=1e-4, abs=1e-7)
-
-        for name, arr in block.params().items():
-            grad = block.grads()[name]
-            flat = arr.reshape(-1)
-            for i in rng.choice(flat.size, size=min(6, flat.size), replace=False):
-                saved = flat[i]
-                flat[i] = saved + h
-                hi = scalar(x)
-                flat[i] = saved - h
-                lo = scalar(x)
-                flat[i] = saved
-                numeric = (hi - lo) / (2 * h)
-                assert numeric == pytest.approx(
-                    grad.reshape(-1)[i], rel=1e-4, abs=1e-7
-                ), f"{name}[{i}]"
+        dx = block.backward(np.ones((1, 1, 1, 1)))
+        p = block.pool_params
+        bundle = {
+            "MP": lambda: max_pool_grad(window),
+            "GP": lambda: gated_pool_grad(window, p.gate_w),
+            "OP": lambda: ordinal_pool_grad(window, p.ordinal_w),
+        }[method]()
+        np.testing.assert_allclose(dx.reshape(-1), bundle.d_input, rtol=1e-14, atol=1e-15)
+        for name, grad in bundle.d_params.items():
+            np.testing.assert_allclose(block.grads()[name], grad, rtol=1e-14, atol=1e-15)
 
     def test_gradients_accumulate_until_zeroed(self):
         rng = np.random.default_rng(6)
@@ -231,6 +266,45 @@ class TestPoolingBlockBackward:
         block.forward(x)
         block.backward(dy)
         np.testing.assert_allclose(block.grads()["conv_w"], 2 * once)
+
+
+@st.composite
+def window_geometry(draw):
+    """A window spec and an input size with 1-3 windows per axis.
+
+    Covers non-square windows, overlapping (k > s) and strided (s > k)
+    windows, and trailing rows/columns that fit no complete window.
+    """
+    k1, k2, s1, s2 = (draw(st.integers(1, 3)) for _ in range(4))
+    h = (draw(st.integers(1, 3)) - 1) * s1 + k1 + draw(st.integers(0, s1 - 1))
+    w = (draw(st.integers(1, 3)) - 1) * s2 + k2 + draw(st.integers(0, s2 - 1))
+    return WindowSpec(k1, k2, s1, s2), h, w
+
+
+def clear_of_se_kink(block, x):
+    """True unless a squeeze-and-excitation ReLU input lies within FD range of 0."""
+    f1 = block.pool_params.se_f1
+    return f1 is None or np.abs(x.mean(axis=(2, 3)) @ f1.weight.T + f1.bias).min() > 1e-3
+
+
+class TestRandomGeometry:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(geometry=window_geometry(), seed=st.integers(0, 2**32 - 1))
+    def test_block_matches_reference_and_fd(self, method, geometry, seed):
+        window, h, w = geometry
+        rng = np.random.default_rng(seed)
+        block = make_block(method, rng=rng, window=window)
+        size = 2 * 4 * h * w
+        while True:
+            # distinct entries 0.02 apart and none zero: no ties, no |x| kink
+            x = ((rng.permutation(size) - size // 2 + 0.25) * 0.02).reshape(2, 4, h, w)
+            if clear_of_se_kink(block, x):
+                break
+        np.testing.assert_allclose(
+            block.forward(x), reference_forward(block, x), rtol=1e-13, atol=1e-13
+        )
+        assert_backward_matches_fd(block, x, rng, input_coords=16)
 
 
 class TestConvAndHead:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from poolbench import train as train_module
 from poolbench.data import make_synthetic
 from poolbench.layers import ToyNetConfig
 from poolbench.ops import HEADLINE_METHODS, norm_exponent
@@ -12,6 +13,7 @@ from poolbench.train import (
     evaluate,
     forward_backward,
     init_weights,
+    run_single,
     train,
 )
 
@@ -196,3 +198,23 @@ class TestTraining:
         loss, acc = evaluate(net, dataset.test_images, dataset.test_labels)
         assert np.isfinite(loss)
         assert 0.0 <= acc <= 1.0
+
+
+def test_run_single_builds_each_dataset_once(monkeypatch):
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return make_synthetic(**kwargs)
+
+    monkeypatch.setattr(train_module, "make_synthetic", counting)
+    train_module._shared_dataset.cache_clear()
+    optim = OptimConfig(epochs=1, batch_size=20)
+    data = {"classes": 4, "samples": 40, "seed": 3, "noise": 0.1}
+    first = run_single("AP", 1, data, optim, ToyNetConfig())
+    run_single("MP", 2, dict(reversed(list(data.items()))), optim, ToyNetConfig())
+    again = run_single("AP", 1, data, optim, ToyNetConfig())
+    run_single("AP", 1, {**data, "seed": 4}, optim, ToyNetConfig())
+    train_module._shared_dataset.cache_clear()
+    assert [c["seed"] for c in calls] == [3, 4]
+    assert again.epochs == first.epochs
