@@ -21,7 +21,6 @@ from .ops import (
     Affine,
     ConfigurationError,
     DegenerateWeightsError,
-    GateValue,
     ParameterError,
     PoolParams,
     PoolSpec,
@@ -37,7 +36,6 @@ from .ops import (
     norm_exponent,
     ordinal_pool,
     project_to_simplex,
-    se_gated_max_pool,
     se_temperatures,
     sigmoid,
     smooth_max_pool,
@@ -47,12 +45,10 @@ from .grads import (
     FDOracleConfig,
     GradBundle,
     OracleError,
-    StaleCacheError,
     avg_pool_grad,
     central_difference,
     conv_pool_grad,
     fd_check,
-    gap_grad,
     gated_pool_grad,
     learned_norm_pool_grad,
     lse_pool_grad,
@@ -60,7 +56,6 @@ from .grads import (
     nearest_pool_grad,
     ordinal_pool_grad,
     relative_error,
-    se_branch_grad,
     smooth_max_pool_grad,
 )
 

@@ -1,10 +1,13 @@
 """Gradient verification driver: every pooling method against the FD oracle.
 
-For the window-level operators the check draws random (window, parameter)
-points, evaluates the analytic bundle, and compares it coordinate by
-coordinate with central differences.  For the squeeze-and-excitation blocks
-(SESMP, SEMP) the check runs at block level through the batched layer,
-probing a random linear functional of the block output.
+For the window-level operators each method is one table entry: the name of
+its operator and a draw of random (window, parameter) points.  The check
+redraws until a point is informative, evaluates the analytic bundle, and
+compares the input gradient and every parameter gradient coordinate by
+coordinate with central differences, so every trial makes at least one
+comparison.  For the squeeze-and-excitation blocks (SESMP, SEMP) the check
+runs at block level through the batched layer, probing a random linear
+functional of the block output.
 
 Sampling keeps points where the comparison is informative:
 
@@ -73,118 +76,66 @@ def _away_from_zero(rng, n=4, lo=0.05, hi=1.0):
     return rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
 
 
+def _gp_draw(rng, lse_r):
+    x = _spread_window(rng)
+    while np.abs(x).min() < 0.05:  # keep the gate's inputs off zero
+        x = _spread_window(rng)
+    return x, {"gate_w": _away_from_zero(rng)}
+
+
+def _smp_draw(rng, lse_r):
+    return rng.uniform(-2.0, 2.0, size=4), {"tau": rng.uniform(-3.0, 3.0)}
+
+
+#: method -> (window operator name in ops, draw(rng, lse_r) -> (window, {param: value}));
+#: every operator takes at most one parameter, FD-checked when the analytic bundle has
+#: a gradient of that name
+_WINDOW_CHECKS = {
+    "MP": ("max_pool", lambda rng, r: (_spread_window(rng), {})),
+    "AP": ("avg_pool", lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {})),
+    "NN": ("nearest_pool", lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {})),
+    "CONV": (
+        "conv_pool",
+        lambda rng, r: (_away_from_zero(rng), {"conv_w": _away_from_zero(rng)}),
+    ),
+    "GP": ("gated_pool", _gp_draw),
+    "OP": (
+        "ordinal_pool",
+        lambda rng, r: (_spread_window(rng), {"ordinal_w": _interior_simplex(rng)}),
+    ),
+    "LNP": (
+        "learned_norm_pool",
+        lambda rng, r: (_away_from_zero(rng, lo=0.1, hi=1.5), {"p_raw": rng.uniform(-1.0, 2.0)}),
+    ),
+    # x = u / r keeps r*x, and so the softmax gradient, at the same spread for every r
+    "LSE": ("lse_pool", lambda rng, r: (rng.uniform(-1.0, 1.0, size=4) / r, {"sharpness": r})),
+    "SMP_fixed": ("smooth_max_pool", _smp_draw),
+    "SMP_trainable": ("smooth_max_pool", _smp_draw),
+}
+
+
 def _check_window_method(method, trials, config, rng, lse_sharpness):
+    name, draw = _WINDOW_CHECKS[method]
+    # looked up per check, not bound at import, so wrappers patched onto ops/grads see every call
+    op, grad = getattr(ops, name), getattr(grads, f"{name}_grad")
+    r = float(lse_sharpness)
     worst = 0.0
-    n = 4
     for _ in range(trials):
-        if method == "MP":
-            x = _spread_window(rng)
-            bundle = grads.max_pool_grad(x)
-            worst = max(worst, fd_check(ops.max_pool, x, bundle.d_input, config))
-        elif method == "AP":
-            x = rng.uniform(-1.0, 1.0, size=n)
-            bundle = grads.avg_pool_grad(x)
-            worst = max(worst, fd_check(ops.avg_pool, x, bundle.d_input, config))
-        elif method == "NN":
-            x = rng.uniform(-1.0, 1.0, size=n)
-            bundle = grads.nearest_pool_grad(x)
-            worst = max(worst, fd_check(ops.nearest_pool, x, bundle.d_input, config))
-        elif method == "CONV":
-            x = _away_from_zero(rng)
-            w = _away_from_zero(rng)
-            bundle = grads.conv_pool_grad(x, w)
-            worst = max(
-                worst,
-                fd_check(lambda v: ops.conv_pool(v, w), x, bundle.d_input, config),
-                fd_check(
-                    lambda v: ops.conv_pool(x, v), w, bundle.d_params["conv_w"], config
-                ),
-            )
-        elif method == "GP":
-            while True:
-                x = _spread_window(rng)
-                if np.abs(x).min() < 0.05:
-                    continue
-                w = _away_from_zero(rng)
-                bundle = grads.gated_pool_grad(x, w)
-                if _informative(bundle.d_input, bundle.d_params["gate_w"]):
-                    break
-            worst = max(
-                worst,
-                fd_check(lambda v: ops.gated_pool(v, w)[0], x, bundle.d_input, config),
-                fd_check(
-                    lambda v: ops.gated_pool(x, v)[0],
-                    w,
-                    bundle.d_params["gate_w"],
-                    config,
-                ),
-            )
-        elif method == "OP":
-            x = _spread_window(rng)
-            w = _interior_simplex(rng)
-            bundle = grads.ordinal_pool_grad(x, w)
-            worst = max(
-                worst,
-                fd_check(lambda v: ops.ordinal_pool(v, w), x, bundle.d_input, config),
-                fd_check(
-                    lambda v: ops.ordinal_pool(x, v),
-                    w,
-                    bundle.d_params["ordinal_w"],
-                    config,
-                ),
-            )
-        elif method == "LNP":
-            while True:
-                x = _away_from_zero(rng, lo=0.1, hi=1.5)
-                p_raw = rng.uniform(-1.0, 2.0)
-                bundle = grads.learned_norm_pool_grad(x, p_raw)
-                if _informative(bundle.d_input, bundle.d_params["p_raw"]):
-                    break
-            worst = max(
-                worst,
-                fd_check(
-                    lambda v: ops.learned_norm_pool(v, p_raw),
-                    x,
-                    bundle.d_input,
-                    config,
-                ),
-                fd_check(
-                    lambda v: ops.learned_norm_pool(x, v[0]),
-                    np.array([p_raw]),
-                    bundle.d_params["p_raw"],
-                    config,
-                ),
-            )
-        elif method == "LSE":
-            x = rng.uniform(-1.0, 1.0, size=n)
-            r = float(lse_sharpness)
-            bundle = grads.lse_pool_grad(x, r)
-            if not _informative(bundle.d_input):
-                continue
-            worst = max(
-                worst, fd_check(lambda v: ops.lse_pool(v, r), x, bundle.d_input, config)
-            )
-        elif method in ("SMP_fixed", "SMP_trainable"):
-            while True:
-                x = rng.uniform(-2.0, 2.0, size=n)
-                tau = rng.uniform(-3.0, 3.0)
-                bundle = grads.smooth_max_pool_grad(x, tau)
-                if _informative(bundle.d_input, bundle.d_params["tau"]):
-                    break
-            worst = max(
-                worst,
-                fd_check(
-                    lambda v: ops.smooth_max_pool(v, tau), x, bundle.d_input, config
-                ),
-                fd_check(
-                    lambda v: ops.smooth_max_pool(x, v[0]),
-                    np.array([tau]),
-                    bundle.d_params["tau"],
-                    config,
-                ),
-            )
-        else:  # pragma: no cover
-            raise ValueError(f"no window-level check for {method}")
+        while True:
+            x, params = draw(rng, r)
+            bundle = grad(x, *params.values())
+            if _informative(bundle.d_input, *bundle.d_params.values()):
+                break
+        values = list(params.values())
+        worst = max(worst, fd_check(lambda v: op(v, *values), x, bundle.d_input, config))
+        for param, value in params.items():
+            if param in bundle.d_params:  # a fixed hyperparameter (LSE sharpness) has none
+
+                def at(v, shape=np.shape(value)):
+                    return op(x, v.reshape(shape))
+
+                point = np.atleast_1d(value)
+                worst = max(worst, fd_check(at, point, bundle.d_params[param], config))
     return worst
 
 

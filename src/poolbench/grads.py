@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import GateValue, Affine, ParameterError, norm_exponent, sigmoid
+from .ops import ParameterError, norm_exponent, sigmoid
 from .tensor import ShapeError
 
 __all__ = [
     "OracleError",
-    "StaleCacheError",
     "GradBundle",
     "FDOracleConfig",
     "max_pool_grad",
@@ -37,8 +36,6 @@ __all__ = [
     "learned_norm_pool_grad",
     "lse_pool_grad",
     "smooth_max_pool_grad",
-    "se_branch_grad",
-    "gap_grad",
     "central_difference",
     "relative_error",
     "fd_check",
@@ -47,10 +44,6 @@ __all__ = [
 
 class OracleError(RuntimeError):
     """The finite-difference oracle hit a non-finite function value."""
-
-
-class StaleCacheError(ValueError):
-    """A cached forward artifact does not belong to the inputs being differentiated."""
 
 
 @dataclass
@@ -78,10 +71,13 @@ class FDOracleConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ParameterError(f"step must be > 0, got {self.step}")
-        if not self.tolerance > 0:
-            raise ParameterError(f"tolerance must be > 0, got {self.tolerance}")
+        # an infinite tolerance would pass every gradient, right or wrong
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ParameterError(f"step must be a positive finite number, got {self.step}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ParameterError(
+                f"tolerance must be a positive finite number, got {self.tolerance}"
+            )
 
 
 def _vector(x) -> np.ndarray:
@@ -122,24 +118,17 @@ def conv_pool_grad(x, weights) -> GradBundle:
     return GradBundle(w.copy(), {"conv_w": x.copy()})
 
 
-def gated_pool_grad(x, gate_w, gate: GateValue | None = None) -> GradBundle:
+def gated_pool_grad(x, gate_w) -> GradBundle:
     """Chain rule through g*avg + (1-g)*max with g = sigmoid(w.x).
 
     dy/dx_i = g/n + (1-g)*[i = argmax] + g(1-g) w_i (avg - max)
     dy/dw_i = g(1-g) x_i (avg - max)
-
-    ``gate`` may pass the value cached by the forward pass; it is verified
-    against the inputs and a mismatch raises :class:`StaleCacheError`.
     """
     x = _vector(x)
     w = _vector(gate_w)
     if w.shape != x.shape:
         raise ShapeError(f"gate weights length {w.size} != window length {x.size}")
     g = sigmoid((w * x).sum())
-    if gate is not None and abs(gate.g - g) > 1e-12:
-        raise StaleCacheError(
-            f"cached gate {gate.g!r} does not match these inputs (expected {g!r})"
-        )
     n = x.size
     mean = x.mean()
     peak = x.max()
@@ -150,22 +139,18 @@ def gated_pool_grad(x, gate_w, gate: GateValue | None = None) -> GradBundle:
     return GradBundle(d_input, {"gate_w": swing * x})
 
 
-def ordinal_pool_grad(x, weights, order: np.ndarray | None = None) -> GradBundle:
+def ordinal_pool_grad(x, weights) -> GradBundle:
     """Chain rule through the sorting permutation, treated as locally constant.
 
-    With ``order`` the ascending argsort of x (stable, so ties resolve to the
-    first index in window order): dy/dx_i is the weight of the slot entry i
-    was sorted into, and dy/dw_slot is the slot's sorted value.
+    With the ascending argsort of x (stable, so ties resolve to the first
+    index in window order), dy/dx_i is the weight of the slot entry i was
+    sorted into, and dy/dw_slot is the slot's sorted value.
     """
     x = _vector(x)
     w = _vector(weights)
     if w.shape != x.shape:
         raise ShapeError(f"weights length {w.size} != window length {x.size}")
-    fresh = np.argsort(x, kind="stable")
-    if order is None:
-        order = fresh
-    elif not np.array_equal(np.asarray(order), fresh):
-        raise StaleCacheError("cached sort permutation does not match these inputs")
+    order = np.argsort(x, kind="stable")
     d_input = np.empty_like(x)
     d_input[order] = w
     return GradBundle(d_input, {"ordinal_w": x[order].copy()})
@@ -240,47 +225,6 @@ def smooth_max_pool_grad(x, tau) -> GradBundle:
     d_input = s * (1.0 + tau * centered)
     d_tau = (s * centered**2).sum()
     return GradBundle(d_input, {"tau": np.array([d_tau])})
-
-
-def se_branch_grad(mu, f1: Affine, f2: Affine, d_out) -> GradBundle:
-    """Backward through the squeeze-and-excitation branch f2(relu(f1(mu))).
-
-    ``d_out`` is the upstream gradient on the branch output (one entry per
-    channel).  Returns the gradient on the channel means as ``d_input`` and
-    the four affine-parameter gradients in ``d_params``.
-    """
-    mu = _vector(mu)
-    d_out = _vector(d_out)
-    if d_out.size != f2.out_dim:
-        raise ShapeError(f"upstream length {d_out.size} != branch output {f2.out_dim}")
-    hidden_pre = f1(mu)
-    hidden = np.maximum(hidden_pre, 0.0)
-    d_f2_weight = np.outer(d_out, hidden)
-    d_f2_bias = d_out.copy()
-    d_hidden = f2.weight.T @ d_out
-    d_hidden_pre = d_hidden * (hidden_pre > 0.0)
-    d_f1_weight = np.outer(d_hidden_pre, mu)
-    d_f1_bias = d_hidden_pre.copy()
-    d_mu = f1.weight.T @ d_hidden_pre
-    return GradBundle(
-        d_mu,
-        {
-            "se_f1_weight": d_f1_weight,
-            "se_f1_bias": d_f1_bias,
-            "se_f2_weight": d_f2_weight,
-            "se_f2_bias": d_f2_bias,
-        },
-    )
-
-
-def gap_grad(d_mu, height: int, width: int) -> np.ndarray:
-    """Backward of the per-channel spatial mean: spread d_mu evenly over H*W."""
-    d_mu = _vector(d_mu)
-    if height < 1 or width < 1:
-        raise ShapeError(f"spatial dims must be >= 1, got {height} x {width}")
-    return np.broadcast_to(
-        d_mu[:, None, None] / (height * width), (d_mu.size, height, width)
-    ).copy()
 
 
 def central_difference(fn, point, step: float) -> np.ndarray:

@@ -404,15 +404,8 @@ class PoolingBlock:
     # -- parameter plumbing -------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
-        p = self.pool_params
-        out = {}
-        for name in self.kernel.trainable:
-            if name.startswith("se_"):
-                affine = p.se_f1 if "f1" in name else p.se_f2
-                out[name] = affine.weight if name.endswith("weight") else affine.bias
-            else:
-                out[name] = getattr(p, name)
-        return out
+        arrays = self.pool_params.arrays()
+        return {name: arrays[name] for name in self.kernel.trainable}
 
     def grads(self) -> dict[str, np.ndarray]:
         return self.grads_

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, WindowSpec, as_tensor, map_windows
+from .tensor import ShapeError, WindowSpec, as_tensor
 
 __all__ = [
     "ParameterError",
@@ -35,7 +35,6 @@ __all__ = [
     "METHODS",
     "HEADLINE_METHODS",
     "ACTIVE_PARAMS",
-    "GateValue",
     "Affine",
     "PoolSpec",
     "PoolParams",
@@ -54,7 +53,6 @@ __all__ = [
     "smooth_max_pool",
     "global_avg_pool",
     "se_temperatures",
-    "se_gated_max_pool",
     "fixed_temperatures",
 ]
 
@@ -137,30 +135,15 @@ _SIMPLEX_NEG_TOL = 1e-6
 def sigmoid(t):
     """Logistic function 1/(1+exp(-t)), clamped just inside the open interval (0, 1).
 
-    Evaluated branch-wise so large |t| never overflows.  Accepts scalars or
-    arrays; returns a float for scalar input.
+    Both branches exponentiate -|t|, so large |t| never overflows.  Accepts
+    scalars or arrays; returns a float for scalar input.
     """
-    arr = np.asarray(t, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    out = np.where(t >= 0, 1.0 / d, e / d)
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
-    return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class GateValue:
-    """Sigmoid gate retained from a gated-pool forward pass; 0 < g < 1."""
-
-    g: float
-
-    def __post_init__(self):
-        if not (0.0 < self.g < 1.0):
-            raise ParameterError(f"gate must lie strictly inside (0, 1), got {self.g}")
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,21 +217,28 @@ class PoolParams:
     se_f2: Affine | None = None             # excite branch: channels/ratio -> channels
     se_ratio: int | None = None             # reduction ratio, must divide channels
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The populated array fields by flat name, each SE affine map split
+        into its ``_weight`` and ``_bias``; the stored arrays, not copies."""
+        out = {
+            name: getattr(self, name)
+            for name in ("conv_w", "gate_w", "ordinal_w", "p_raw", "tau")
+            if getattr(self, name) is not None
+        }
+        for name in ("se_f1", "se_f2"):
+            affine = getattr(self, name)
+            if affine is not None:
+                out[f"{name}_weight"], out[f"{name}_bias"] = affine.weight, affine.bias
+        return out
+
     def snapshot(self) -> dict[str, list[float]]:
         """Flat copy of the populated fields, for serialization."""
-        out: dict[str, list[float]] = {}
-        for name in ("conv_w", "gate_w", "ordinal_w", "p_raw", "tau"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = [float(v) for v in np.asarray(value).reshape(-1)]
+        out = {
+            name: [float(v) for v in np.asarray(arr).reshape(-1)]
+            for name, arr in self.arrays().items()
+        }
         if self.sharpness is not None:
             out["sharpness"] = [float(self.sharpness)]
-        if self.se_f1 is not None:
-            out["se_f1_weight"] = [float(v) for v in self.se_f1.weight.reshape(-1)]
-            out["se_f1_bias"] = [float(v) for v in self.se_f1.bias.reshape(-1)]
-        if self.se_f2 is not None:
-            out["se_f2_weight"] = [float(v) for v in self.se_f2.weight.reshape(-1)]
-            out["se_f2_bias"] = [float(v) for v in self.se_f2.bias.reshape(-1)]
         return out
 
 
@@ -335,19 +325,17 @@ def conv_pool(x, weights) -> float:
     return float((w * x).sum())
 
 
-def gated_pool(x, gate_w) -> tuple[float, GateValue]:
+def gated_pool(x, gate_w) -> float:
     """Gate-blended average and max: g*avg(x) + (1-g)*max(x), g = sigmoid(w.x).
 
-    Returns the pooled value together with the gate, which the backward pass
-    reuses.  The gate weights are shared across channels.
+    The gate weights are shared across channels.
     """
     x = _window_vector(x)
     w = _window_vector(gate_w)
     if w.shape != x.shape:
         raise ShapeError(f"gate weights length {w.size} != window length {x.size}")
     g = sigmoid((w * x).sum())
-    gate = GateValue(g)
-    return float(g * x.mean() + (1.0 - g) * x.max()), gate
+    return float(g * x.mean() + (1.0 - g) * x.max())
 
 
 def ordinal_pool(x, weights) -> float:
@@ -475,19 +463,6 @@ def se_temperatures(mu, f1: Affine, f2: Affine, ratio: int) -> np.ndarray:
             f"f2 must map {hidden} -> {channels}, got {f2.in_dim} -> {f2.out_dim}"
         )
     return f2(np.maximum(f1(mu), 0.0))
-
-
-def se_gated_max_pool(x, f1: Affine, f2: Affine, ratio: int, window: WindowSpec) -> np.ndarray:
-    """Channel recalibration followed by max-pooling.
-
-    Each channel is scaled by s_c = sigmoid(branch output), with the branch
-    fed by the per-channel spatial means; max-pooling then downsamples the
-    rescaled tensor.
-    """
-    x = as_tensor(x)
-    mu = global_avg_pool(x)
-    scales = sigmoid(se_temperatures(mu, f1, f2, ratio))
-    return map_windows(x * scales[:, None, None], window, max_pool)
 
 
 def fixed_temperatures(channels: int) -> np.ndarray:

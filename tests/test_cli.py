@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poolbench import cli
+from poolbench import cli, gradcheck
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
 
@@ -188,6 +188,7 @@ class TestGradcheck:
             ["--trials", "-3"],
             ["--tolerance", "0"],
             ["--methods", "LSE", "--lse-r", "0"],
+            ["--tolerance", "inf"],  # would pass any gradient, right or wrong
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, flags):
@@ -196,6 +197,19 @@ class TestGradcheck:
         assert "PASS" not in captured.out
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_every_trial_makes_a_comparison_at_high_lse_sharpness(self, monkeypatch):
+        calls = []
+        real = gradcheck.fd_check
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gradcheck, "fd_check", counting)
+        result = gradcheck.check_method("LSE", trials=200, lse_sharpness=100.0)
+        assert len(calls) == 200
+        assert result.passed
 
 
 class TestParamsReport:

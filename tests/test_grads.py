@@ -6,18 +6,19 @@ import pytest
 from poolbench import (
     Affine,
     FDOracleConfig,
-    GateValue,
     OracleError,
-    StaleCacheError,
+    PoolParams,
+    PoolSpec,
+    WindowSpec,
     avg_pool,
     avg_pool_grad,
     central_difference,
     conv_pool,
     conv_pool_grad,
     fd_check,
-    gap_grad,
     gated_pool,
     gated_pool_grad,
+    global_avg_pool,
     learned_norm_pool,
     learned_norm_pool_grad,
     lse_pool,
@@ -29,11 +30,11 @@ from poolbench import (
     ordinal_pool_grad,
     project_to_simplex,
     relative_error,
-    se_branch_grad,
     se_temperatures,
     smooth_max_pool,
     smooth_max_pool_grad,
 )
+from poolbench.layers import PoolingBlock
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
 CFG = FDOracleConfig()
@@ -136,20 +137,10 @@ class TestGatedPoolGrad:
             x = spread_window(rng)
             w = rng.normal(size=4)
             bundle = gated_pool_grad(x, w)
-            err_x = fd_check(lambda v: gated_pool(v, w)[0], x, bundle.d_input, CFG)
-            err_w = fd_check(
-                lambda v: gated_pool(x, v)[0], w, bundle.d_params["gate_w"], CFG
-            )
+            err_x = fd_check(lambda v: gated_pool(v, w), x, bundle.d_input, CFG)
+            err_w = fd_check(lambda v: gated_pool(x, v), w, bundle.d_params["gate_w"], CFG)
             assert err_x < 1e-6
             assert err_w < 1e-6
-
-    def test_stale_cache_rejected(self):
-        with pytest.raises(StaleCacheError):
-            gated_pool_grad(X, np.zeros(4), gate=GateValue(0.25))
-
-    def test_valid_cache_accepted(self):
-        _, gate = gated_pool(X, np.zeros(4))
-        gated_pool_grad(X, np.zeros(4), gate=gate)
 
 
 class TestOrdinalPoolGrad:
@@ -176,10 +167,6 @@ class TestOrdinalPoolGrad:
             )
             assert err_x < 1e-6
             assert err_w < 1e-6
-
-    def test_stale_permutation_rejected(self):
-        with pytest.raises(StaleCacheError):
-            ordinal_pool_grad(X, self.W, order=np.array([0, 1, 2, 3]))
 
 
 class TestLearnedNormPoolGrad:
@@ -365,26 +352,41 @@ class TestConvexityWeights:
         assert d[0] < 0.0
 
 
+def se_block(method, f1, f2, ratio):
+    spec = PoolSpec(method, WindowSpec(2, 2, 2, 2), f1.in_dim)
+    return PoolingBlock(spec, PoolParams(se_f1=f1, se_f2=f2, se_ratio=ratio))
+
+
 class TestSeBranchGrad:
+    """The squeeze-and-excitation branch backward of the SE pooling blocks."""
+
     def test_zero_upstream_gives_zeros(self):
         rng = np.random.default_rng(16)
         f1 = Affine(rng.normal(size=(2, 4)), rng.normal(size=2))
         f2 = Affine(rng.normal(size=(4, 2)), rng.normal(size=4))
-        bundle = se_branch_grad(rng.normal(size=4), f1, f2, np.zeros(4))
-        assert not bundle.d_input.any()
-        assert not any(v.any() for v in bundle.d_params.values())
+        for method in ("SESMP", "SEMP"):
+            block = se_block(method, f1, f2, 2)
+            block.forward(rng.normal(size=(1, 4, 4, 4)))
+            assert not block.backward(np.zeros((1, 4, 2, 2))).any()
+            assert not any(v.any() for v in block.grads().values())
 
     def test_single_channel_hand_chain_rule(self):
-        # 1 channel, ratio 1: tau = w2 * relu(w1*mu + b1) + b2
+        # 1 channel, ratio 1, one 2x2 window: y = s * max(x), s = sigmoid(t),
+        # t = w2 * relu(w1*mu + b1) + b2 = 3 * 3.5 - 10.5 = 0, so s = 1/2 and
+        # dy/dt = s(1-s) * max(x) = 0.75
         f1 = Affine(np.array([[2.0]]), np.array([0.5]))
-        f2 = Affine(np.array([[3.0]]), np.array([0.0]))
-        mu = np.array([1.0])  # hidden_pre = 2.5 > 0
-        bundle = se_branch_grad(mu, f1, f2, np.array([1.0]))
-        assert bundle.d_input[0] == pytest.approx(3.0 * 2.0)
-        assert bundle.d_params["se_f2_weight"][0, 0] == pytest.approx(2.5)
-        assert bundle.d_params["se_f2_bias"][0] == 1.0
-        assert bundle.d_params["se_f1_weight"][0, 0] == pytest.approx(3.0 * 1.0)
-        assert bundle.d_params["se_f1_bias"][0] == pytest.approx(3.0)
+        f2 = Affine(np.array([[3.0]]), np.array([-10.5]))
+        block = se_block("SEMP", f1, f2, 1)
+        x = X.reshape(1, 1, 2, 2)  # mu = 1.5, hidden_pre = 3.5 > 0
+        assert block.forward(x)[0, 0, 0, 0] == 1.5
+        dx = block.backward(np.ones((1, 1, 1, 1)))
+        g = block.grads()
+        assert g["se_f2_weight"][0, 0] == pytest.approx(0.75 * 3.5)
+        assert g["se_f2_bias"][0] == pytest.approx(0.75)
+        assert g["se_f1_weight"][0, 0] == pytest.approx(0.75 * 3.0 * 1.5)
+        assert g["se_f1_bias"][0] == pytest.approx(0.75 * 3.0)
+        # s at the argmax, plus d_mu = 0.75 * 3 * 2 spread evenly over the 4 entries
+        np.testing.assert_allclose(dx.reshape(-1), [1.125, 1.625, 1.125, 1.125])
 
     def test_matches_fd(self):
         rng = np.random.default_rng(17)
@@ -392,32 +394,30 @@ class TestSeBranchGrad:
             channels, hidden = 6, 3
             f1 = Affine(rng.normal(size=(hidden, channels)), rng.normal(size=hidden))
             f2 = Affine(rng.normal(size=(channels, hidden)), rng.normal(size=channels))
-            mu = rng.normal(size=channels)
-            upstream = rng.normal(size=channels)
-            bundle = se_branch_grad(mu, f1, f2, upstream)
+            block = se_block("SESMP", f1, f2, 2)
+            x = rng.normal(size=(1, channels, 4, 4))
+            upstream = rng.normal(size=(1, channels))
+            block.forward(x)  # caches the branch activations and the input shape
+            d_x = block._branch_backward(upstream)
 
-            def scalar_out(m):
-                return float(upstream @ se_temperatures(m, f1, f2, 2))
+            def scalar_out(flat):
+                mu = global_avg_pool(flat.reshape(x.shape[1:]))
+                return float(upstream[0] @ se_temperatures(mu, f1, f2, 2))
 
-            assert fd_check(scalar_out, mu, bundle.d_input, CFG) < 1e-6
+            assert fd_check(scalar_out, x.reshape(-1), d_x.reshape(-1), CFG) < 1e-6
 
             def weight_out(flat):
                 probe = Affine(flat.reshape(hidden, channels), f1.bias)
-                return float(upstream @ se_temperatures(mu, probe, f2, 2))
+                mu = global_avg_pool(x[0])
+                return float(upstream[0] @ se_temperatures(mu, probe, f2, 2))
 
             err = fd_check(
                 weight_out,
                 f1.weight.reshape(-1),
-                bundle.d_params["se_f1_weight"].reshape(-1),
+                block.grads()["se_f1_weight"].reshape(-1),
                 CFG,
             )
             assert err < 1e-6
-
-    def test_gap_grad_spreads_uniformly(self):
-        out = gap_grad(np.array([2.0, -4.0]), 4, 4)
-        assert out.shape == (2, 4, 4)
-        np.testing.assert_allclose(out[0], np.full((4, 4), 2.0 / 16.0))
-        np.testing.assert_allclose(out[1], np.full((4, 4), -4.0 / 16.0))
 
 
 class TestFdOracle:

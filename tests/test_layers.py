@@ -91,7 +91,7 @@ def reference_forward(block, x):
             "AP": lambda c: avg_pool,
             "NN": lambda c: nearest_pool,
             "CONV": lambda c: (lambda w: conv_pool(w, p.conv_w)),
-            "GP": lambda c: (lambda w: gated_pool(w, p.gate_w)[0]),
+            "GP": lambda c: (lambda w: gated_pool(w, p.gate_w)),
             "OP": lambda c: (lambda w: ordinal_pool(w, p.ordinal_w)),
             "LNP": lambda c: (lambda w: learned_norm_pool(w, p.p_raw[0])),
             "LSE": lambda c: (lambda w: lse_pool(w, p.sharpness)),

@@ -25,12 +25,12 @@ from poolbench import (
     norm_exponent,
     ordinal_pool,
     project_to_simplex,
-    se_gated_max_pool,
     se_temperatures,
     sigmoid,
     smooth_max_pool,
     validate_pool_params,
 )
+from poolbench.layers import PoolingBlock
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
 POOL22 = WindowSpec(2, 2, 2, 2)
@@ -90,23 +90,57 @@ class TestConvPool:
             conv_pool(X, [1.0, 2.0])
 
 
+def two_branch_sigmoid(t):
+    """Reference: exp(-t) on t >= 0 and exp(t) on t < 0, each on its own subset."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return np.clip(out, 1e-308, np.nextafter(1.0, 0.0))
+
+
+class TestSigmoid:
+    def test_bit_identical_to_two_branch_formula(self):
+        rng = np.random.default_rng(18)
+        t = np.concatenate(
+            [
+                rng.normal(0.0, 5.0, size=10_000),
+                rng.uniform(-800.0, 800.0, size=10_000),
+                [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan],
+            ]
+        )
+        np.testing.assert_array_equal(sigmoid(t), two_branch_sigmoid(t))
+
+    def test_strictly_inside_unit_interval_when_saturated(self):
+        out = sigmoid(np.array([-1e4, 1e4]))
+        assert 0.0 < out[0] < out[1] < 1.0
+
+    def test_scalar_input_gives_float(self):
+        assert type(sigmoid(0.0)) is float and sigmoid(0.0) == 0.5
+
+
 class TestGatedPool:
     def test_zero_weights_blend_evenly(self):
-        value, gate = gated_pool(X, np.zeros(4))
-        assert gate.g == 0.5
+        w = np.zeros(4)
+        value = gated_pool(X, w)
+        assert sigmoid(np.dot(w, X)) == 0.5
         assert value == pytest.approx(0.5 * 1.5 + 0.5 * 3.0, abs=1e-15)
         assert value == pytest.approx(2.25)
 
     def test_saturated_gate_returns_average(self):
-        value, gate = gated_pool(X, [100.0, 100.0, 100.0, 100.0])
-        assert 0.0 < gate.g < 1.0
+        w = [100.0, 100.0, 100.0, 100.0]
+        value = gated_pool(X, w)
+        assert 0.0 < sigmoid(np.dot(w, X)) < 1.0
         assert value == pytest.approx(avg_pool(X), abs=1e-12)
 
     def test_single_active_weight(self):
         # scalar oracle: g = sigmoid(1), out = g*1.5 + (1-g)*3
         g = 1.0 / (1.0 + np.exp(-1.0))
-        value, gate = gated_pool(X, [1.0, 0.0, 0.0, 0.0])
-        assert gate.g == pytest.approx(g, abs=1e-15)
+        w = [1.0, 0.0, 0.0, 0.0]
+        value = gated_pool(X, w)
+        assert sigmoid(np.dot(w, X)) == pytest.approx(g, abs=1e-15)
         assert value == pytest.approx(1.9034121320549926, abs=1e-12)
 
     def test_shape_mismatch(self):
@@ -336,13 +370,20 @@ class TestGapAndBranch:
             se_temperatures(np.ones(8), f1, f2, ratio=3)
 
 
+def semp_forward(x, f1, f2):
+    """SEMP block output for one (C, H, W) sample at ratio 2 and 2x2 windows."""
+    params = PoolParams(se_f1=f1, se_f2=f2, se_ratio=2)
+    block = PoolingBlock(PoolSpec("SEMP", POOL22, x.shape[0]), params)
+    return block.forward(x[None])[0]
+
+
 class TestSeGatedMaxPool:
     def test_zero_branch_halves_max(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 1.0, size=(4, 4, 4))  # nonnegative inputs
         f1 = Affine(np.zeros((2, 4)), np.zeros(2))
         f2 = Affine(np.zeros((4, 2)), np.zeros(4))
-        out = se_gated_max_pool(x, f1, f2, 2, POOL22)
+        out = semp_forward(x, f1, f2)
         np.testing.assert_allclose(out, 0.5 * map_windows(x, POOL22, max_pool), atol=1e-14)
 
     def test_saturated_gate_is_plain_max(self):
@@ -350,7 +391,7 @@ class TestSeGatedMaxPool:
         x = rng.normal(size=(4, 4, 4))
         f1 = Affine(np.zeros((2, 4)), np.zeros(2))
         f2 = Affine(np.zeros((4, 2)), np.full(4, 60.0))  # sigmoid -> 1
-        out = se_gated_max_pool(x, f1, f2, 2, POOL22)
+        out = semp_forward(x, f1, f2)
         np.testing.assert_allclose(out, map_windows(x, POOL22, max_pool), atol=1e-12)
 
     def test_matches_scale_then_max_oracle(self):
@@ -360,7 +401,7 @@ class TestSeGatedMaxPool:
         f2 = Affine(rng.normal(size=(4, 2)), rng.normal(size=4))
         scales = sigmoid(se_temperatures(global_avg_pool(x), f1, f2, 2))
         expected = map_windows(x * scales[:, None, None], POOL22, max_pool)
-        np.testing.assert_allclose(se_gated_max_pool(x, f1, f2, 2, POOL22), expected)
+        np.testing.assert_allclose(semp_forward(x, f1, f2), expected)
 
 
 class TestFixedTemperatures:
@@ -388,8 +429,7 @@ class TestGatedOrdinalBounds:
             gw = rng.normal(size=4)
             lo, hi = x.min() - 1e-12, x.max() + 1e-12
             assert lo <= ordinal_pool(x, w) <= hi
-            value, _ = gated_pool(x, gw)
-            assert lo <= value <= hi
+            assert lo <= gated_pool(x, gw) <= hi
 
 
 class TestPoolParamsValidation:
@@ -411,3 +451,15 @@ class TestPoolParamsValidation:
         )
         with pytest.raises(ConfigurationError):
             validate_pool_params(spec, params)
+
+
+class TestPoolParamsArrays:
+    def test_stored_arrays_by_flat_name(self):
+        f1 = Affine(np.zeros((2, 4)), np.ones(2))
+        f2 = Affine(np.zeros((4, 2)), np.ones(4))
+        params = PoolParams(tau=np.zeros(4), sharpness=2.0, se_f1=f1, se_f2=f2, se_ratio=2)
+        arrays = params.arrays()
+        assert list(arrays) == ["tau", "se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"]
+        assert arrays["tau"] is params.tau  # the optimizer updates these in place
+        assert arrays["se_f1_bias"] is f1.bias and arrays["se_f2_weight"] is f2.weight
+        assert params.snapshot()["sharpness"] == [2.0]
