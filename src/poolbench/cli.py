@@ -9,6 +9,7 @@ worker processes a sweep may use (default 1).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +51,11 @@ def _check_methods(methods):
         raise UsageError(f"unknown method(s) {', '.join(unknown)}; valid: {', '.join(METHODS)}")
 
 
+def _check_seed(name, seed):
+    if seed < 0:  # numpy's generators take non-negative seeds only
+        raise UsageError(f"{name} must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A resolved sweep: which methods and seeds, training and data settings."""
@@ -68,6 +74,9 @@ class ExperimentConfig:
         _check_methods(self.methods)
         if not self.seeds:
             raise UsageError("seed list must not be empty")
+        for seed in self.seeds:
+            _check_seed("seed", seed)
+        _check_seed("data_seed", self.data_seed)
         check_data_args(self.classes, self.samples)
         self.net_config()  # validates the class count and LSE sharpness
 
@@ -247,6 +256,7 @@ def cmd_gradcheck(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     methods = tuple(_pick(args, file_cfg, "methods", _str_list, METHODS))
     _check_methods(methods)
+    _check_seed("seed", args.seed)
     trials = _pick(args, file_cfg, "trials", int, 1000)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -301,8 +311,9 @@ def cmd_params_report(args) -> int:
 
 def cmd_lr_sweep(args) -> int:
     _check_methods([args.method])
-    if not all(lr > 0 for lr in args.lrs):
-        raise UsageError("learning rates must be positive")
+    _check_seed("seed", args.seed)
+    if not all(0 < lr < math.inf for lr in args.lrs):
+        raise UsageError("learning rates must be positive and finite")
     config = _resolve_experiment(args, default_epochs=1)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     results = []

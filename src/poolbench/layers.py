@@ -3,11 +3,12 @@
 Everything operates on (B, C, H, W) float64 arrays with explicit forward and
 backward methods; each layer caches what its backward pass needs.
 
-A pooling block reads its windows through the window-offset views of its
-input (:func:`window_views`), never through copied windows, and runs one
-(forward, backward) kernel pair per method from :data:`KERNELS`.  The kernels
-share no code with the window-level operators in :mod:`poolbench.ops`, which
-the test suite uses as the independent reference for every method.
+Convolution and pooling read their windows through the window-offset views
+of their input (:func:`window_views`), never through copied windows, and add
+input gradients into the same views (:func:`_scatter`).  A pooling block runs
+one (forward, backward) kernel pair per method from :data:`KERNELS`.  The
+kernels share no code with the window-level operators in :mod:`poolbench.ops`,
+which the test suite uses as the independent reference for every method.
 
 Layers expose ``params()`` and ``grads()`` dicts of like-named arrays;
 gradients accumulate per backward call into ``grads()`` entries that the
@@ -35,6 +36,7 @@ from .tensor import WindowSpec, output_size
 
 __all__ = [
     "window_views",
+    "DivergedRunError",
     "Conv2D",
     "ReLU",
     "Flatten",
@@ -76,43 +78,56 @@ def _scatter(shape, spec: WindowSpec, parts) -> np.ndarray:
     return dx
 
 
-class Conv2D:
-    """Valid (unpadded) stride-1 convolution via im2col + matmul."""
+class DivergedRunError(RuntimeError, ValueError):
+    """A loss or a pooling input became non-finite; carries the offending step index.
 
-    def __init__(self, in_channels, out_channels, kernel=3, rng=None):
+    A ``ValueError`` too, since a pooling block rejects such an input.
+    """
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
+
+
+class Conv2D:
+    """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
+    views, then one matmul.  With ``input_grad=False``, backward returns None."""
+
+    def __init__(self, in_channels, out_channels, kernel=3, rng=None, input_grad=True):
         fan_in = in_channels * kernel * kernel
         rng = rng or np.random.default_rng()
         # He-normal initialization: std = sqrt(2 / fan_in)
         self.weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), (out_channels, in_channels, kernel, kernel))
         self.bias = np.zeros(out_channels)
-        self.kernel = kernel
+        self.window = WindowSpec(kernel, kernel, 1, 1)
+        self.input_grad = input_grad
         self.grads_ = {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
 
     def forward(self, x):
-        b, c, h, w = x.shape
-        k = self.kernel
-        patches = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        # (B, C, H', W', k, k) -> (B, H', W', C*k*k)
-        patches = np.ascontiguousarray(patches.transpose(0, 2, 3, 1, 4, 5))
+        b = x.shape[0]
         self._in_shape = x.shape
-        self._patches = patches.reshape(b, h - k + 1, w - k + 1, c * k * k)
-        flat = self.weight.reshape(self.weight.shape[0], -1)
-        out = self._patches @ flat.T + self.bias
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        # (B, C, k*k, H', W'): row c*k*k + u*k + v of the columns is view (u, v)
+        # of channel c, the order of weight.reshape(O, -1)
+        cols = np.stack(window_views(x, self.window), axis=2)
+        h_out, w_out = cols.shape[-2:]
+        self._cols = cols.reshape(b, -1, h_out * w_out)
+        out = self.weight.reshape(len(self.weight), -1) @ self._cols
+        out += self.bias[:, None]  # in place: no second output-sized buffer
+        return out.reshape(b, -1, h_out, w_out)
 
     def backward(self, dy):
         b, o, h_out, w_out = dy.shape
-        k = self.kernel
-        dyt = dy.transpose(0, 2, 3, 1).reshape(-1, o)
-        patches = self._patches.reshape(-1, self._patches.shape[-1])
-        self.grads_["weight"] += (dyt.T @ patches).reshape(self.weight.shape)
-        self.grads_["bias"] += dy.sum(axis=(0, 2, 3))
-        d_patches = (dyt @ self.weight.reshape(o, -1)).reshape(
-            b, h_out, w_out, self._in_shape[1], k * k
+        dy3 = dy.reshape(b, o, -1)
+        self.grads_["weight"] += (dy3 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+            self.weight.shape
         )
-        # col2im: kernel offset (u, v) is window entry u*k + v of a stride-1 grid
-        parts = d_patches.transpose(4, 0, 3, 1, 2)
-        return _scatter(self._in_shape, WindowSpec(k, k, 1, 1), parts)
+        self.grads_["bias"] += dy.sum(axis=(0, 2, 3))
+        if not self.input_grad:
+            return None
+        d_cols = self.weight.reshape(o, -1).T @ dy3
+        # col2im: column row (c, k) is view k of channel c
+        parts = d_cols.reshape(b, self._in_shape[1], self.window.n, h_out, w_out)
+        return _scatter(self._in_shape, self.window, parts.transpose(2, 0, 1, 3, 4))
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -414,7 +429,7 @@ class PoolingBlock:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
-            raise ValueError("pooling input contains non-finite values")
+            raise DivergedRunError("pooling input contains non-finite values")
         self._x_shape = x.shape
         self._cache = None  # free the last call's cache before building this one
         y, self._cache = self.kernel.forward(self, x)
@@ -544,7 +559,8 @@ class ToyNet:
             )
             return PoolingBlock(spec, params)
 
-        self.conv1 = Conv2D(config.in_channels, c1, config.conv_kernel, rng)
+        # nothing reads the image batch's gradient
+        self.conv1 = Conv2D(config.in_channels, c1, config.conv_kernel, rng, input_grad=False)
         self.pool1 = pool(c1)
         self.conv2 = Conv2D(c1, c2, config.conv_kernel, rng)
         self.pool2 = pool(c2)
@@ -564,10 +580,9 @@ class ToyNet:
             x = layer.forward(x)
         return x
 
-    def backward(self, d_logits):
+    def backward(self, d_logits) -> None:
         for _, layer in reversed(self._stack):
             d_logits = layer.backward(d_logits)
-        return d_logits
 
     def params(self) -> dict[str, np.ndarray]:
         return {f"{n}.{k}": v for n, layer in self._stack for k, v in layer.params().items()}

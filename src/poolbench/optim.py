@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class OptimConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
@@ -41,8 +42,10 @@ class Adam:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    Parameters named in ``simplex_names`` are re-projected onto the
-    probability simplex immediately after every update.
+    m and v are flat, one slice per parameter; every operation is elementwise,
+    so the result equals the per-parameter update bit for bit.  Parameters
+    named in ``simplex_names`` are re-projected onto the probability simplex
+    immediately after every update.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: OptimConfig, simplex_names=()):
@@ -53,22 +56,24 @@ class Adam:
         if unknown:
             raise ParameterError(f"simplex constraint on unknown parameters: {sorted(unknown)}")
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        offsets = np.cumsum([0] + [p.size for p in params.values()])
+        self._slices = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        self.m = np.zeros(offsets[-1])
+        self.v = np.zeros(offsets[-1])
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         lr, b1, b2 = self.config.lr, self.config.beta1, self.config.beta2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPSILON)
+        g = np.concatenate([grads[name] for name in self.params], axis=None)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPSILON)
+        for p, part in zip(self.params.values(), self._slices):
+            p -= update[part].reshape(p.shape)
         for name in self.simplex_names:
             self.params[name][...] = project_to_simplex(self.params[name])

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import SyntheticDataset, make_synthetic
-from .layers import ToyNet, ToyNetConfig, softmax_cross_entropy
+from .layers import DivergedRunError, ToyNet, ToyNetConfig, softmax_cross_entropy
 from .ops import DegenerateWeightsError, norm_exponent
 from .optim import Adam, OptimConfig
 
@@ -29,14 +29,6 @@ __all__ = [
     "train",
     "run_single",
 ]
-
-
-class DivergedRunError(RuntimeError):
-    """The loss became non-finite; carries the offending step index."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def forward_backward(net: ToyNet, images, labels):
     """One full forward/backward pass; returns (loss, accuracy, grads).
 
     Gradients cover every trainable parameter, pooling parameters included.
-    Raises :class:`DivergedRunError` on a non-finite loss.
+    Raises :class:`DivergedRunError` on a non-finite loss or pooling input.
     """
     net.zero_grads()
     logits = net.forward(images)
@@ -146,8 +138,9 @@ def train(
 
     ``step_hook(step_index, net)``, when given, runs after every optimizer
     step; the acceptance suite uses it to watch the ordinal weights.
-    A diverged or aborted run keeps the epochs finished so far and the
-    current parameter snapshots, with the failure recorded in ``note``.
+    A diverged (non-finite loss or activations) or aborted run keeps the
+    epochs finished so far and the current parameter snapshots, with the
+    failure recorded in ``note``.
     """
     net_config = net_config or ToyNetConfig()
     rng = np.random.default_rng(optim.seed)
@@ -180,7 +173,12 @@ def train(
             report.diverged = True
             report.note = f"aborted at step {step + 1}: {err}"
             break
-        test_loss, test_acc = evaluate(net, dataset.test_images, dataset.test_labels)
+        try:
+            test_loss, test_acc = evaluate(net, dataset.test_images, dataset.test_labels)
+        except DivergedRunError as err:
+            report.diverged = True
+            report.note = f"diverged after step {step}, in evaluation: {err}"
+            break
         report.epochs.append(
             EpochMetrics(
                 epoch=epoch,

@@ -94,6 +94,9 @@ class TestSweep:
             (["--batch-size", "0"], ""),
             ([], "classes = 9\n"),
             (["--methods", "LSE", "--lse-r", "0"], ""),
+            (["--seeds", "1", "-1"], ""),  # numpy would raise on the negative seed
+            ([], "data_seed = -2\n"),
+            (["--lr", "inf"], ""),
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags, config):
@@ -160,6 +163,19 @@ class TestSweep:
         assert np.isnan(rows[1]["mean_test_acc"])
         assert rows[0]["mean_test_acc"] == 0.8
 
+    def test_overflowing_runs_recorded_and_exit_code_3(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "results"
+        with np.errstate(all="ignore"):
+            code = run_cli(
+                "sweep", "--config", str(tiny_config), "--methods", "MP", "LNP", "GP",
+                "--lr", "1e300", "--out", str(out),
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        for method in ("MP", "LNP", "GP"):
+            assert f"DIVERGED: {method} seed 1" in err
+        assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "LNP", "GP"]
+
 
 class TestGradcheck:
     def test_linear_ops_at_machine_epsilon(self, capsys):
@@ -189,6 +205,7 @@ class TestGradcheck:
             ["--tolerance", "0"],
             ["--methods", "LSE", "--lse-r", "0"],
             ["--tolerance", "inf"],  # would pass any gradient, right or wrong
+            ["--seed", "-1"],
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, flags):
@@ -210,6 +227,11 @@ class TestGradcheck:
         result = gradcheck.check_method("LSE", trials=200, lse_sharpness=100.0)
         assert len(calls) == 200
         assert result.passed
+
+    def test_correct_lse_gradient_passes_at_high_sharpness(self, capsys):
+        # an FD step sized for O(1) inputs failed here: the draws shrink as 1 / r
+        assert run_cli("gradcheck", "--methods", "LSE", "--trials", "200", "--lse-r", "1000") == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestParamsReport:
@@ -297,6 +319,13 @@ class TestLrSweep:
         assert run_cli("lr-sweep", "--method", "MP", "--lrs", "0.0", "--out", str(tmp_path)) == 1
         assert run_cli("lr-sweep", "--method", "MP", "--lrs", "-1e-4", "--out", str(tmp_path)) == 1
         assert run_cli("lr-sweep", "--method", "MP", "--lrs", "nan", "--out", str(tmp_path)) == 1
+        assert run_cli("lr-sweep", "--method", "MP", "--lrs", "inf", "--out", str(tmp_path)) == 1
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        code = run_cli("lr-sweep", "--seed", "-3", "--lrs", "1e-3", "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_data_and_net_settings_from_config(self, tmp_path, monkeypatch):
         seen = []

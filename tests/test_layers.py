@@ -311,17 +311,59 @@ class TestConvAndHead:
     def test_conv_matches_direct_correlation(self):
         rng = np.random.default_rng(7)
         conv = Conv2D(2, 3, kernel=3, rng=rng)
-        x = rng.normal(size=(2, 2, 5, 5))
-        out = conv.forward(x)
-        # direct quadruple-loop oracle
-        expected = np.zeros_like(out)
-        for b in range(2):
-            for o in range(3):
-                for i in range(3):
-                    for j in range(3):
-                        patch = x[b, :, i : i + 3, j : j + 3]
-                        expected[b, o, i, j] = (patch * conv.weight[o]).sum() + conv.bias[o]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        for shape in [(2, 2, 5, 5), (3, 2, 6, 9), (1, 2, 5, 5)]:  # square, non-square, batch 1
+            x = rng.normal(size=shape)
+            out = conv.forward(x)
+            b, _, h, w = shape
+            # direct quadruple-loop oracle
+            expected = np.zeros((b, 3, h - 2, w - 2))
+            for n in range(b):
+                for o in range(3):
+                    for i in range(h - 2):
+                        for j in range(w - 2):
+                            patch = x[n, :, i : i + 3, j : j + 3]
+                            expected[n, o, i, j] = (patch * conv.weight[o]).sum() + conv.bias[o]
+            assert out.shape == expected.shape
+            np.testing.assert_allclose(out, expected, atol=1e-12)
+            conv.bias[...] = rng.normal(size=3)
+
+    def test_conv_bias_gradient_matches_fd(self):
+        rng = np.random.default_rng(18)
+        conv = Conv2D(2, 3, kernel=3, rng=rng)
+        x = rng.normal(size=(2, 2, 5, 7))
+        probe = rng.normal(size=conv.forward(x).shape)
+        conv.backward(probe)
+        h = 1e-6
+        for i in range(3):
+            saved = conv.bias[i]
+            conv.bias[i] = saved + h
+            hi = float((probe * conv.forward(x)).sum())
+            conv.bias[i] = saved - h
+            lo = float((probe * conv.forward(x)).sum())
+            conv.bias[i] = saved
+            assert (hi - lo) / (2 * h) == pytest.approx(conv.grads()["bias"][i], rel=1e-5, abs=1e-8)
+
+    def test_conv_without_input_grad_accumulates_the_same_parameter_grads(self):
+        rng = np.random.default_rng(19)
+        full = Conv2D(2, 3, kernel=3, rng=np.random.default_rng(5))
+        params_only = Conv2D(2, 3, kernel=3, rng=np.random.default_rng(5), input_grad=False)
+        for _ in range(2):  # gradients accumulate across calls
+            x = rng.normal(size=(2, 2, 6, 5))
+            dy = rng.normal(size=(2, 3, 4, 3))
+            full.forward(x)
+            params_only.forward(x)
+            assert full.backward(dy).shape == x.shape
+            assert params_only.backward(dy) is None
+        for name in ("weight", "bias"):
+            np.testing.assert_array_equal(params_only.grads()[name], full.grads()[name])
+
+    def test_toynet_first_conv_skips_its_input_gradient(self):
+        rng = np.random.default_rng(20)
+        net = ToyNet(ToyNetConfig(), "MP", rng)
+        assert not net.conv1.input_grad and net.conv2.input_grad
+        net.forward(rng.normal(size=(2, 1, 16, 16)))
+        assert net.backward(rng.normal(size=(2, 4)) / 2) is None
+        assert net.grads()["conv1.weight"].any()
 
     def test_conv_backward_matches_fd(self):
         rng = np.random.default_rng(8)

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from poolbench.ops import ParameterError
+from poolbench.ops import ParameterError, project_to_simplex
 from poolbench.optim import ADAM_EPSILON, Adam, OptimConfig
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
         OptimConfig(lr=0.0)
+    with pytest.raises(ParameterError):
+        OptimConfig(lr=float("inf"))
+    with pytest.raises(ParameterError):
+        OptimConfig(lr=float("nan"))
     with pytest.raises(ParameterError):
         OptimConfig(beta1=1.0)
     with pytest.raises(ParameterError):
@@ -64,6 +68,28 @@ def test_simplex_projection_after_every_step():
         adam.step({"w": rng.normal(size=4)})
         assert (p["w"] >= 0.0).all()
         assert abs(p["w"].sum() - 1.0) < 1e-12
+
+
+def test_flat_update_bit_identical_to_per_parameter_formula():
+    rng = np.random.default_rng(2)
+    lr, b1, b2 = 0.01, 0.9, 0.999
+    shapes = {"conv": (3, 2, 3, 3), "bias": (3,), "w": (4,), "p": (1,), "head": (2, 5)}
+    p = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    p["w"] = np.full(4, 0.25)
+    want = {name: arr.copy() for name, arr in p.items()}
+    m = {name: np.zeros_like(arr) for name, arr in p.items()}
+    v = {name: np.zeros_like(arr) for name, arr in p.items()}
+    adam = Adam(p, OptimConfig(lr=lr, beta1=b1, beta2=b2), simplex_names=("w",))
+    for t in range(1, 8):
+        grads = {name: rng.normal(size=arr.shape) * 10.0 ** rng.integers(-4, 3) for name, arr in p.items()}
+        adam.step(grads)
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            want[name] -= lr * (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + ADAM_EPSILON)
+        want["w"] = project_to_simplex(want["w"])
+        for name in p:
+            np.testing.assert_array_equal(p[name], want[name], err_msg=f"{name} at step {t}")
 
 
 def test_unknown_simplex_name_rejected():

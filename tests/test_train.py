@@ -183,6 +183,20 @@ class TestTraining:
         assert "step 4" in report.note
         assert report.snapshots  # snapshots still captured
 
+    def test_overflow_in_evaluation_recorded_as_divergence(self, dataset):
+        optim = OptimConfig(epochs=2, batch_size=100, seed=1)
+        last = -(-len(dataset.train_images) // optim.batch_size)  # steps in one epoch
+
+        def poison(step, net):
+            if step == last:  # after the last step of epoch 1, before its evaluation
+                net.conv2.weight[...] = np.inf
+
+        with np.errstate(all="ignore"):
+            report = train("MP", dataset, optim, step_hook=poison)
+        assert report.diverged
+        assert report.note.startswith(f"diverged after step {last}, in evaluation")
+        assert report.epochs == []
+
     def test_degenerate_projection_aborts_run(self, dataset):
         def poison(step, net):
             if step == 2:
