@@ -79,14 +79,11 @@ def _scatter(shape, spec: WindowSpec, parts) -> np.ndarray:
 
 
 class DivergedRunError(RuntimeError, ValueError):
-    """A loss or a pooling input became non-finite; carries the offending step index.
+    """A loss or a pooling input became non-finite.
 
-    A ``ValueError`` too, since a pooling block rejects such an input.
+    Also a ``ValueError``: :meth:`PoolingBlock.forward` rejects a non-finite
+    input with a ``ValueError``, and keeps doing so through this class.
     """
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 class Conv2D:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poolbench import cli, gradcheck
+from poolbench import cli, gradcheck, grads
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
 
@@ -228,10 +228,26 @@ class TestGradcheck:
         assert len(calls) == 200
         assert result.passed
 
-    def test_correct_lse_gradient_passes_at_high_sharpness(self, capsys):
+    @pytest.mark.parametrize("sharpness", ["1000", "1e8", "1e12"])
+    def test_correct_lse_gradient_passes_at_high_sharpness(self, capsys, sharpness):
         # an FD step sized for O(1) inputs failed here: the draws shrink as 1 / r
-        assert run_cli("gradcheck", "--methods", "LSE", "--trials", "200", "--lse-r", "1000") == 0
+        assert run_cli("gradcheck", "--methods", "LSE", "--trials", "200", "--lse-r", sharpness) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sharpness", [1.0, 1e8, 1e12])
+    def test_perturbed_lse_gradient_fails_at_any_sharpness(self, monkeypatch, sharpness):
+        # comparing gradients scaled by 1 / r would put them under the relative-error
+        # floor at high r and let a 1e-3 relative error pass
+        real = gradcheck.grads.lse_pool_grad
+
+        def perturbed(x, r):
+            bundle = real(x, r)
+            return grads.GradBundle(bundle.d_input * (1.0 + 1e-3), bundle.d_params)
+
+        monkeypatch.setattr(gradcheck.grads, "lse_pool_grad", perturbed)
+        result = gradcheck.check_method("LSE", trials=20, lse_sharpness=sharpness)
+        assert result.worst_error > 5e-4
+        assert not result.passed
 
 
 class TestParamsReport:
