@@ -227,22 +227,35 @@ def smooth_max_pool_grad(x, tau) -> GradBundle:
     return GradBundle(d_input, {"tau": np.array([d_tau])})
 
 
-def central_difference(fn, point, step: float) -> np.ndarray:
-    """Per-coordinate central differences (fn(x + h e_i) - fn(x - h e_i)) / 2h."""
+def central_difference(fn, point, step: float, batched: bool = False) -> np.ndarray:
+    """Per-coordinate central differences (fn(x + h e_i) - fn(x - h e_i)) / 2h.
+
+    The n coordinates give a (2n, n) stack of bumped points: rows x + h e_i,
+    then rows x - h e_i.  With ``batched`` ``fn`` maps the whole stack to its
+    2n values in one call; otherwise it is called once per row.
+    """
     point = np.asarray(point, dtype=np.float64).reshape(-1)
-    out = np.empty_like(point)
-    for i in range(point.size):
-        bumped = point.copy()
-        bumped[i] = point[i] + step
-        hi = fn(bumped)
-        bumped[i] = point[i] - step
-        lo = fn(bumped)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise OracleError(
-                f"non-finite function value near coordinate {i} (f+={hi}, f-={lo})"
-            )
-        out[i] = (hi - lo) / (2.0 * step)
-    return out
+    n = point.size
+    stack = np.empty((2 * n, n))
+    stack[:] = point
+    flat = stack.reshape(-1)
+    flat[: n * n : n + 1] = point + step  # the diagonal of each half
+    flat[n * n :: n + 1] = point - step
+    if batched:
+        values = np.asarray(fn(stack), dtype=np.float64)
+        if values.shape != (2 * n,):
+            raise ShapeError(f"batched fn returned shape {values.shape}, expected {(2 * n,)}")
+    else:
+        values = np.empty(2 * n)
+        for row in range(2 * n):
+            values[row] = fn(stack[row])
+    hi, lo = values[:n], values[n:]
+    if not np.isfinite(values).all():
+        i = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))[0]
+        raise OracleError(
+            f"non-finite function value near coordinate {i} (f+={hi[i]}, f-={lo[i]})"
+        )
+    return (hi - lo) / (2.0 * step)
 
 
 def relative_error(a, b, floor: float = 1e-8) -> float:
@@ -255,12 +268,15 @@ def relative_error(a, b, floor: float = 1e-8) -> float:
     return float((np.abs(a - b) / scale).max())
 
 
-def fd_check(fn, point, analytic, config: FDOracleConfig = FDOracleConfig()) -> float:
+def fd_check(
+    fn, point, analytic, config: FDOracleConfig = FDOracleConfig(), batched: bool = False
+) -> float:
     """Worst relative error of ``analytic`` against central differences of ``fn``.
 
-    ``fn`` maps a flat coordinate vector to a scalar; ``analytic`` is the
-    claimed gradient at ``point``.  The caller is responsible for keeping
+    ``fn`` maps a flat coordinate vector to a scalar (with ``batched``, a stack
+    of them to their values; see :func:`central_difference`); ``analytic`` is
+    the claimed gradient at ``point``.  The caller is responsible for keeping
     ``point`` away from non-differentiable sets (ties, |x| = 0 kinks).
     """
-    numeric = central_difference(fn, point, config.step)
+    numeric = central_difference(fn, point, config.step, batched)
     return relative_error(np.asarray(analytic, dtype=np.float64).reshape(-1), numeric)

@@ -127,6 +127,8 @@ def _snapshots(net: ToyNet) -> list[BlockSnapshot]:
     return out
 
 
+# overflow surfaces as a recorded divergence, not as numpy warnings; one scope per run
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     method: str,
     dataset: SyntheticDataset,

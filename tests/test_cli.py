@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from poolbench import cli, gradcheck, grads
+from poolbench import cli, gradcheck, grads, layers
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
 
@@ -165,15 +167,18 @@ class TestSweep:
 
     def test_overflowing_runs_recorded_and_exit_code_3(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "results"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli(
                 "sweep", "--config", str(tiny_config), "--methods", "MP", "LNP", "GP",
                 "--lr", "1e300", "--out", str(out),
             )
         assert code == 3
-        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []  # no overflow warnings from numpy
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["DIVERGED"] * 3
         for method in ("MP", "LNP", "GP"):
-            assert f"DIVERGED: {method} seed 1" in err
+            assert any(line.startswith(f"DIVERGED: {method} seed 1") for line in err)
         assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "LNP", "GP"]
 
 
@@ -215,17 +220,34 @@ class TestGradcheck:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_every_trial_makes_a_comparison_at_high_lse_sharpness(self, monkeypatch):
+    @pytest.fixture()
+    def fd_calls(self, monkeypatch):
+        """Every gradcheck.fd_check call of the test, as (args, kwargs)."""
         calls = []
         real = gradcheck.fd_check
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(gradcheck, "fd_check", counting)
+        return calls
+
+    def test_every_trial_makes_a_comparison_at_high_lse_sharpness(self, fd_calls):
         result = gradcheck.check_method("LSE", trials=200, lse_sharpness=100.0)
-        assert len(calls) == 200
+        assert len(fd_calls) == 200
+        assert result.passed
+
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    def test_every_trial_makes_a_comparison_in_se_blocks(self, fd_calls, method):
+        # per trial: every kept input coordinate in one batched call, then one direction
+        result = gradcheck.check_method(method, trials=50)
+        assert len(fd_calls) == 100
+        inputs, directions = fd_calls[::2], fd_calls[1::2]
+        assert all(kw == {"batched": True} and 1 <= args[1].size <= 64 for args, kw in inputs)
+        assert all(kw == {} and args[1].size == 1 and args[2][0] != 0.0 for args, kw in directions)
+        # SEMP's non-maximal entries get only d_mu / 16, under the guard in some channels
+        assert np.mean([args[1].size for args, _ in inputs]) > 48
         assert result.passed
 
     @pytest.mark.parametrize("sharpness", ["1000", "1e8", "1e12"])
@@ -248,6 +270,40 @@ class TestGradcheck:
         result = gradcheck.check_method("LSE", trials=20, lse_sharpness=sharpness)
         assert result.worst_error > 5e-4
         assert not result.passed
+
+
+    @pytest.mark.parametrize("coord", [0, 1])
+    @pytest.mark.parametrize("target", ["x", *layers.KERNELS["SEMP"].trainable])
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    def test_perturbed_se_gradient_fails(self, monkeypatch, method, target, coord):
+        # a 1e-3 relative error in one coordinate of the input or of one branch array
+        real = layers.PoolingBlock.backward
+
+        def perturbed(block, dy):
+            dx = real(block, dy)
+            (dx if target == "x" else block.grads()[target]).flat[coord] *= 1.0 + 1e-3
+            return dx
+
+        monkeypatch.setattr(layers.PoolingBlock, "backward", perturbed)
+        assert not gradcheck.check_method(method, trials=50).passed
+
+    def test_semp_backward_without_sigmoid_derivative_fails(self, monkeypatch):
+        def dropped_one_minus_s(block, cache, dy):
+            x, scales, first = cache
+            d_scaled = block._scatter(dy * first)
+            d_scales = (d_scaled * x).sum(axis=(2, 3))
+            return d_scaled * scales[:, :, None, None] + block._branch_backward(d_scales * scales)
+
+        kernel = layers.KERNELS["SEMP"]._replace(backward=dropped_one_minus_s)
+        monkeypatch.setitem(layers.KERNELS, "SEMP", kernel)
+        assert not gradcheck.check_method("SEMP", trials=50).passed
+
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    def test_doubled_squeeze_gradient_fails(self, monkeypatch, method):
+        real = layers.PoolingBlock._branch_backward
+        # the branch's input gradient is d_mu spread over H x W; doubling it doubles d_mu
+        monkeypatch.setattr(layers.PoolingBlock, "_branch_backward", lambda block, d: 2.0 * real(block, d))
+        assert not gradcheck.check_method(method, trials=50).passed
 
 
 class TestParamsReport:

@@ -30,6 +30,7 @@ from poolbench import (
     ordinal_pool_grad,
     project_to_simplex,
     relative_error,
+    ShapeError,
     se_temperatures,
     smooth_max_pool,
     smooth_max_pool_grad,
@@ -453,6 +454,64 @@ class TestFdOracle:
     def test_non_finite_forward_raises(self):
         with pytest.raises(OracleError):
             central_difference(lambda v: float("nan"), np.zeros(2), 1e-5)
+
+    def test_scalar_mode_matches_per_coordinate_loop(self):
+        def per_coordinate(fn, point, step):
+            out = np.empty_like(point)
+            for i in range(point.size):
+                bumped = point.copy()
+                bumped[i] = point[i] + step
+                hi = fn(bumped)
+                bumped[i] = point[i] - step
+                out[i] = (hi - fn(bumped)) / (2.0 * step)
+            return out
+
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            x, tau, r = rng.uniform(-2.0, 2.0, size=5), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+            for fn in (lambda v: smooth_max_pool(v, tau), lambda v: lse_pool(v, r), max_pool):
+                for step in (1e-3, 1e-5):
+                    np.testing.assert_array_equal(
+                        central_difference(fn, x, step), per_coordinate(fn, x, step)
+                    )
+
+    def test_batched_mode_is_bit_identical_to_scalar_mode(self):
+        rng = np.random.default_rng(21)
+        w = rng.normal(size=6)
+        for _ in range(50):
+            x = rng.uniform(-2.0, 2.0, size=6)
+            # a matrix product may sum in another order than a dot product, so w . v is
+            # an elementwise product summed along the row in both modes
+            for one, stack in (
+                (lambda v: float((v * w).sum()), lambda s: (s * w).sum(axis=1)),
+                (max_pool, lambda s: s.max(axis=1)),
+            ):
+                np.testing.assert_array_equal(
+                    central_difference(stack, x, 1e-5, batched=True),
+                    central_difference(one, x, 1e-5),
+                )
+        assert fd_check(lambda s: s @ w, x, w, CFG, batched=True) < 1e-8
+
+    def test_batched_mode_gets_the_bumped_stack(self):
+        seen = []
+        x = np.array([0.5, -1.0, 2.0])
+        central_difference(lambda s: seen.append(s.copy()) or s.sum(axis=1), x, 0.25, batched=True)
+        expected = np.vstack([x + 0.25 * np.eye(3), x - 0.25 * np.eye(3)])
+        np.testing.assert_array_equal(seen[0], expected)
+
+    @pytest.mark.parametrize("row", range(6))
+    def test_batched_non_finite_row_names_its_coordinate(self, row):
+        def fn(stack):
+            values = stack.sum(axis=1)
+            values[row] = np.inf if row % 2 else np.nan
+            return values
+
+        with pytest.raises(OracleError, match=f"coordinate {row % 3} "):
+            central_difference(fn, np.zeros(3), 1e-5, batched=True)
+
+    def test_batched_wrong_length_rejected(self):
+        with pytest.raises(ShapeError):
+            central_difference(lambda s: s.sum(), np.zeros(3), 1e-5, batched=True)
 
     def test_relative_error_floor(self):
         assert relative_error([0.0], [1e-12]) == pytest.approx(1e-4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolbench import (
     Affine,
@@ -463,3 +465,37 @@ class TestPoolParamsArrays:
         assert arrays["tau"] is params.tau  # the optimizer updates these in place
         assert arrays["se_f1_bias"] is f1.bias and arrays["se_f2_weight"] is f2.weight
         assert params.snapshot()["sharpness"] == [2.0]
+
+
+windows = st.lists(
+    st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False), min_size=1, max_size=9
+).map(np.array)
+
+
+class TestWindowProperties:
+    """Derandomized property tests of the window-level operators."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=windows, ordinal=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+           r=st.floats(1e-3, 1e3), tau=st.floats(-50.0, 50.0))
+    def test_bounded_by_window_min_and_max(self, x, ordinal, r, tau):
+        w = np.asarray(ordinal[: x.size]) + 1e-3
+        slack = 1e-12 * np.abs(x).max()  # rounding of a convex combination
+        for y in (avg_pool(x), ordinal_pool(x, w / w.sum()), smooth_max_pool(x, tau), lse_pool(x, r)):
+            assert x.min() - slack <= y <= x.max() + slack
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=windows, p_raw=st.floats(-10.0, 10.0), dp=st.floats(1e-6, 10.0))
+    def test_norm_pool_does_not_decrease_with_p(self, x, p_raw, dp):
+        # the power-mean inequality: ((1/n) sum |x|^p)^(1/p) is non-decreasing in p
+        assert norm_exponent(p_raw + dp) > norm_exponent(p_raw)
+        lo, hi = learned_norm_pool(x, p_raw), learned_norm_pool(x, p_raw + dp)
+        assert hi >= lo * (1.0 - 1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=windows, c=st.floats(-100.0, 100.0), tau=st.floats(-5.0, 5.0))
+    def test_smooth_max_is_shift_equivariant(self, x, c, tau):
+        scale = np.abs(x).max() + abs(c)
+        assert smooth_max_pool(x + c, tau) == pytest.approx(
+            smooth_max_pool(x, tau) + c, rel=1e-12, abs=1e-12 * scale
+        )
