@@ -2,8 +2,8 @@
 parameter-distribution reports, and learning-rate sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 gradient-check failure, 3 sweep
-finished but contains diverged run(s).  ``POOLBENCH_THREADS`` caps how many
-worker processes a sweep may use (default 1).
+finished but contains diverged or crashed run(s).  ``POOLBENCH_THREADS``
+caps how many worker processes a sweep may use (default 1).
 """
 
 from __future__ import annotations
@@ -224,8 +224,12 @@ def _run_sweep_tasks(config: ExperimentConfig) -> list[RunReport]:
 
 
 def _run_one(packed) -> RunReport:
+    """One sweep run; a crash becomes a failed (method, seed) row, not the sweep's end."""
     method, seed, data_kwargs, optim, net_config = packed
-    return run_single(method, seed, data_kwargs, optim, net_config)
+    try:
+        return run_single(method, seed, data_kwargs, optim, net_config)
+    except Exception as err:
+        return RunReport(method, seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}")
 
 
 def cmd_sweep(args) -> int:

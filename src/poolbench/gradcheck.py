@@ -173,7 +173,7 @@ def _check_se_block(method, trials, config, rng):
             )
             # keep the ReLU kink and window ties out of FD range
             hidden = params.se_f1(x[0].mean(axis=(1, 2)))
-            sorted_win = np.sort(np.stack(layers.window_views(x, _WINDOW)), axis=0)
+            sorted_win = np.sort(np.stack(layers.window_views(x.transpose(2, 3, 0, 1), _WINDOW)), axis=0)
             if np.abs(hidden).min() <= 1e-3 or (sorted_win[-1] - sorted_win[-2]).min() <= 1e-2:
                 continue
             block = layers.PoolingBlock(spec, params)

@@ -1,7 +1,12 @@
 """Batched layers for the toy classifier: convolution, pooling blocks, head.
 
-Everything operates on (B, C, H, W) float64 arrays with explicit forward and
-backward methods; each layer caches what its backward pass needs.
+Every layer takes and returns (B, C, H, W) float64 arrays at each public
+call, with explicit forward and backward methods; each layer caches what its
+backward pass needs.  Inside :class:`ToyNet` the activations are stored
+channels-last: each is a transposed view of a C-contiguous (H, W, B, C)
+buffer.  Convolution and pooling take ``x.transpose(2, 3, 0, 1)`` on entry,
+which is free for such an input (any other input is copied once), and compute
+in (H, W, B, C) coordinates, where every inner row is B*C contiguous floats.
 
 Convolution and pooling read their windows through the window-offset views
 of their input (:func:`window_views`), never through copied windows, and add
@@ -52,19 +57,19 @@ __all__ = [
 
 
 def window_views(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
-    """The k1*k2 window-offset views of a (..., H, W) array, each (..., H', W').
+    """The k1*k2 window-offset views of an (H, W, ...) array, each (H', W', ...).
 
-    View ``u*k2 + v`` is ``x[..., u::s1, v::s2]`` cut to the H' x W' window
-    grid: its (i, j) entry is entry (u, v) of window (i, j), so the views
-    list every window in the row-major order of ``extract_window``.  The
-    views share memory with ``x``; rows and columns that fit no complete
-    window appear in none of them.
+    View ``u*k2 + v`` is ``x[u::s1, v::s2]`` cut to the H' x W' window grid:
+    its (i, j) entry is entry (u, v) of window (i, j), so the views list
+    every window in the row-major order of ``extract_window``.  The views
+    share memory with ``x``; rows and columns that fit no complete window
+    appear in none of them.
     """
-    h_out, w_out = output_size(x.shape[-2], x.shape[-1], spec)
+    h_out, w_out = output_size(x.shape[0], x.shape[1], spec)
     rows = spec.s1 * (h_out - 1) + 1
     cols = spec.s2 * (w_out - 1) + 1
     return [
-        x[..., u : u + rows : spec.s1, v : v + cols : spec.s2]
+        x[u : u + rows : spec.s1, v : v + cols : spec.s2]
         for u in range(spec.k1)
         for v in range(spec.k2)
     ]
@@ -88,7 +93,7 @@ class DivergedRunError(RuntimeError, ValueError):
 
 class Conv2D:
     """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
-    views, then one matmul.  With ``input_grad=False``, backward returns None."""
+    views, then one 2-D GEMM.  With ``input_grad=False``, backward returns None."""
 
     def __init__(self, in_channels, out_channels, kernel=3, rng=None, input_grad=True):
         fan_in = in_channels * kernel * kernel
@@ -101,30 +106,31 @@ class Conv2D:
         self.grads_ = {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
 
     def forward(self, x):
-        b = x.shape[0]
-        self._in_shape = x.shape
-        # (B, C, k*k, H', W'): row c*k*k + u*k + v of the columns is view (u, v)
-        # of channel c, the order of weight.reshape(O, -1)
-        cols = np.stack(window_views(x, self.window), axis=2)
-        h_out, w_out = cols.shape[-2:]
-        self._cols = cols.reshape(b, -1, h_out * w_out)
-        out = self.weight.reshape(len(self.weight), -1) @ self._cols
-        out += self.bias[:, None]  # in place: no second output-sized buffer
-        return out.reshape(b, -1, h_out, w_out)
+        x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
+        self._in_shape = h, w, b, c = x.shape
+        h_out, w_out = output_size(h, w, self.window)
+        self._out_shape = (h_out, w_out, b, len(self.weight))
+        # (C*k*k, H'W'B): row c*k*k + u*k + v is view (u, v) of channel c, the
+        # order of weight.reshape(O, -1); the views are stacked straight into it
+        cols = np.empty((c, self.window.n, h_out, w_out, b))
+        np.stack(window_views(x, self.window), out=cols.transpose(1, 2, 3, 4, 0))
+        self._cols = cols.reshape(c * self.window.n, -1)
+        out = self._cols.T @ self.weight.reshape(len(self.weight), -1).T  # (H'W'B, O)
+        out += self.bias  # in place: no second output-sized buffer
+        return out.reshape(self._out_shape).transpose(2, 3, 0, 1)
 
     def backward(self, dy):
-        b, o, h_out, w_out = dy.shape
-        dy3 = dy.reshape(b, o, -1)
-        self.grads_["weight"] += (dy3 @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.weight.shape
-        )
-        self.grads_["bias"] += dy.sum(axis=(0, 2, 3))
+        dy = np.ascontiguousarray(dy.transpose(2, 3, 0, 1))
+        dy2 = dy.reshape(-1, len(self.weight))  # (H'W'B, O)
+        self.grads_["weight"] += (dy2.T @ self._cols.T).reshape(self.weight.shape)
+        self.grads_["bias"] += np.ones(len(dy2)) @ dy2
         if not self.input_grad:
             return None
-        d_cols = self.weight.reshape(o, -1).T @ dy3
-        # col2im: column row (c, k) is view k of channel c
-        parts = d_cols.reshape(b, self._in_shape[1], self.window.n, h_out, w_out)
-        return _scatter(self._in_shape, self.window, parts.transpose(2, 0, 1, 3, 4))
+        # col2im: the (H'W'B, C) gradient of view (u, v) is dy2 @ weight[:, :, u, v]
+        o, c = self.weight.shape[:2]
+        parts = dy2 @ self.weight.transpose(2, 3, 0, 1).reshape(self.window.n, o, c)
+        parts = parts.reshape((self.window.n,) + self._out_shape[:3] + (c,))
+        return _scatter(self._in_shape, self.window, parts).transpose(2, 3, 0, 1)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -192,8 +198,10 @@ class Linear:
 #
 # A forward kernel maps (block, x) to (y, cache); its backward maps (block,
 # cache, dy) to dx and adds parameter gradients into block.grads_.  Kernels
-# stack the views on a leading axis, (n, B, C, H', W'): one strided copy, after
-# which every fold over the window runs on contiguous planes in window order.
+# work in (H, W, B, C) coordinates on C-contiguous arrays, so per-channel
+# factors broadcast along the trailing axis.  They stack the views on a leading
+# axis, (n, H', W', B, C): one copy of contiguous B*C rows, after which every
+# fold over the window runs on contiguous planes in window order.
 
 
 def _stack(block, x):
@@ -253,7 +261,7 @@ def _op_forward(block, x):
             k_first = stacked[k] < stacked[j]
             ranks[j] += k_first
             ranks[k] += ~k_first
-    slot_w = block.pool_params.ordinal_w[ranks]
+    slot_w = block.pool_params.ordinal_w.take(ranks)
     return (stacked * slot_w).sum(axis=0), (stacked, ranks, slot_w)
 
 
@@ -317,11 +325,11 @@ def _smp(block, x, tau):
 
 
 def _smp_forward(block, x):
-    return _smp(block, x, block.pool_params.tau[None, :, None, None])
+    return _smp(block, x, block.pool_params.tau)
 
 
 def _sesmp_forward(block, x):
-    return _smp(block, x, block._branch(x)[:, :, None, None])
+    return _smp(block, x, block._branch(x))
 
 
 def _smp_parts(cache, dy):
@@ -334,26 +342,26 @@ def _smp_parts(cache, dy):
 def _smp_backward(block, cache, dy):
     d_stacked, d_tau_field = _smp_parts(cache, dy)
     if "tau" in block.grads_:  # SMP_trainable; SMP_fixed keeps its ladder
-        block.grads_["tau"] += d_tau_field.sum(axis=(0, 2, 3))
+        block.grads_["tau"] += d_tau_field.sum(axis=(0, 1, 2))
     return block._scatter(d_stacked)
 
 
 def _sesmp_backward(block, cache, dy):
     d_stacked, d_tau_field = _smp_parts(cache, dy)
-    return block._scatter(d_stacked) + block._branch_backward(d_tau_field.sum(axis=(2, 3)))
+    return block._scatter(d_stacked) + block._branch_backward(d_tau_field.sum(axis=(0, 1)))
 
 
 def _semp_forward(block, x):
     scales = sigmoid(block._branch(x))  # (B, C)
-    y, first = _first_max(_stack(block, x * scales[:, :, None, None]))
+    y, first = _first_max(_stack(block, x * scales))
     return y, (x, scales, first)
 
 
 def _semp_backward(block, cache, dy):
     x, scales, first = cache
     d_scaled = block._scatter(dy * first)
-    d_scales = (d_scaled * x).sum(axis=(2, 3))
-    return d_scaled * scales[:, :, None, None] + block._branch_backward(
+    d_scales = (d_scaled * x).sum(axis=(0, 1))
+    return d_scaled * scales + block._branch_backward(
         d_scales * scales * (1.0 - scales)
     )
 
@@ -427,13 +435,15 @@ class PoolingBlock:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise DivergedRunError("pooling input contains non-finite values")
+        x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
         self._x_shape = x.shape
         self._cache = None  # free the last call's cache before building this one
         y, self._cache = self.kernel.forward(self, x)
-        return y
+        return y.transpose(2, 3, 0, 1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return self.kernel.backward(self, self._cache, dy)
+        dy = np.ascontiguousarray(dy.transpose(2, 3, 0, 1))
+        return self.kernel.backward(self, self._cache, dy).transpose(2, 3, 0, 1)
 
     def _scatter(self, parts) -> np.ndarray:
         return _scatter(self._x_shape, self.window, parts)
@@ -441,7 +451,7 @@ class PoolingBlock:
     def _branch(self, x):
         # squeeze: per-channel spatial means; excite: affine-ReLU-affine
         p = self.pool_params
-        mu = x.mean(axis=(2, 3))
+        mu = x.mean(axis=(0, 1))
         hidden_pre = mu @ p.se_f1.weight.T + p.se_f1.bias
         hidden = np.maximum(hidden_pre, 0.0)
         out = hidden @ p.se_f2.weight.T + p.se_f2.bias
@@ -457,8 +467,8 @@ class PoolingBlock:
         self.grads_["se_f1_weight"] += d_hidden_pre.T @ self._mu
         self.grads_["se_f1_bias"] += d_hidden_pre.sum(axis=0)
         d_mu = d_hidden_pre @ p.se_f1.weight
-        b, c, h, w = self._x_shape
-        return d_mu[:, :, None, None] / (h * w) * np.ones((1, 1, h, w))
+        h, w = self._x_shape[:2]
+        return np.broadcast_to(d_mu / (h * w), self._x_shape)
 
 
 @dataclass(frozen=True)

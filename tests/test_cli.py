@@ -181,6 +181,34 @@ class TestSweep:
             assert any(line.startswith(f"DIVERGED: {method} seed 1") for line in err)
         assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "LNP", "GP"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_crashed_run_recorded_and_exit_code_3(self, tmp_path, tiny_config, capsys, monkeypatch, workers):
+        real = cli.run_single
+
+        def crash_ap_seed_2(method, seed, *args):
+            if (method, seed) == ("AP", 2):
+                raise KeyError("boom")
+            return real(method, seed, *args)
+
+        monkeypatch.setattr(cli, "run_single", crash_ap_seed_2)
+        monkeypatch.setenv("POOLBENCH_THREADS", workers)
+        out = tmp_path / "results"
+        code = run_cli(
+            "sweep", "--config", str(tiny_config), "--methods", "MP", "AP", "--seeds", "1", "2",
+            "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["DIVERGED: AP seed 2: crashed: KeyError: 'boom'"]
+        assert "Traceback" not in err
+        for method in ("MP", "AP"):
+            for seed in (1, 2):
+                assert (out / f"run_{method}_{seed}.csv").exists()
+        crashed = rep.read_params_json(out / "params_AP_2.json")
+        assert crashed["diverged"] and crashed["note"] == "crashed: KeyError: 'boom'"
+        assert not rep.read_params_json(out / "params_AP_1.json")["diverged"]
+        assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
+
 
 class TestGradcheck:
     def test_linear_ops_at_machine_epsilon(self, capsys):
@@ -291,8 +319,8 @@ class TestGradcheck:
         def dropped_one_minus_s(block, cache, dy):
             x, scales, first = cache
             d_scaled = block._scatter(dy * first)
-            d_scales = (d_scaled * x).sum(axis=(2, 3))
-            return d_scaled * scales[:, :, None, None] + block._branch_backward(d_scales * scales)
+            d_scales = (d_scaled * x).sum(axis=(0, 1))  # kernels work in (H, W, B, C)
+            return d_scaled * scales + block._branch_backward(d_scales * scales)
 
         kernel = layers.KERNELS["SEMP"]._replace(backward=dropped_one_minus_s)
         monkeypatch.setitem(layers.KERNELS, "SEMP", kernel)

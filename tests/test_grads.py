@@ -399,7 +399,8 @@ class TestSeBranchGrad:
             x = rng.normal(size=(1, channels, 4, 4))
             upstream = rng.normal(size=(1, channels))
             block.forward(x)  # caches the branch activations and the input shape
-            d_x = block._branch_backward(upstream)
+            # the branch backward works in the kernels' (H, W, B, C) frame
+            d_x = block._branch_backward(upstream).transpose(2, 3, 0, 1)
 
             def scalar_out(flat):
                 mu = global_avg_pool(flat.reshape(x.shape[1:]))

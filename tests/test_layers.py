@@ -167,9 +167,9 @@ ALL_METHODS = [
 class TestWindowViews:
     def test_round_trip_partition(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 6, 6))
+        x = rng.normal(size=(6, 6, 2, 3))  # views slice the two leading axes
         views = window_views(x, POOL22)
-        assert len(views) == 4 and all(v.shape == (2, 3, 3, 3) for v in views)
+        assert len(views) == 4 and all(v.shape == (3, 3, 2, 3) for v in views)
         # for s = k the views partition the grid: copying them back rebuilds x
         rebuilt = np.zeros_like(x)
         for dst, src in zip(window_views(rebuilt, POOL22), views):
@@ -177,24 +177,24 @@ class TestWindowViews:
         np.testing.assert_array_equal(rebuilt, x)
 
     def test_overlapping_scatter_accumulates(self):
-        counts = np.zeros((1, 1, 3, 3))
+        counts = np.zeros((3, 3, 1, 1))
         for view in window_views(counts, WindowSpec(2, 2, 1, 1)):
             view += 1.0
         np.testing.assert_array_equal(
-            counts[0, 0], [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]
+            counts[:, :, 0, 0], [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]
         )
 
     def test_windows_match_extraction(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 2, 5, 7))
+        x = rng.normal(size=(5, 7, 1, 2))
         spec = WindowSpec(2, 3, 1, 2)
         views = window_views(x, spec)
-        assert len(views) == spec.n and views[0].shape == (1, 2, 4, 3)
+        assert len(views) == spec.n and views[0].shape == (4, 3, 1, 2)
         for c in range(2):
             for i in range(4):
                 for j in range(3):
                     np.testing.assert_array_equal(
-                        [v[0, c, i, j] for v in views], extract_window(x[0, c], spec, i + 1, j + 1)
+                        [v[i, j, 0, c] for v in views], extract_window(x[:, :, 0, c], spec, i + 1, j + 1)
                     )
 
 
@@ -231,7 +231,7 @@ class TestPoolingBlockBackward:
         # keep clear of ties and ReLU kinks so FD is well-defined
         while True:
             x = rng.uniform(-1.0, 1.0, size=(2, 4, 4, 4))
-            win = np.sort(np.stack(window_views(x, POOL22)), axis=0)
+            win = np.sort(np.stack(window_views(x.transpose(2, 3, 0, 1), POOL22)), axis=0)
             if (win[-1] - win[-2]).min() > 1e-2:
                 break
         assert_backward_matches_fd(block, x, rng, input_coords=24)
@@ -266,6 +266,53 @@ class TestPoolingBlockBackward:
         block.forward(x)
         block.backward(dy)
         np.testing.assert_allclose(block.grads()["conv_w"], 2 * once)
+
+
+def channels_last(a):
+    """The same (B, C, H, W) values, stored as a C-contiguous (H, W, B, C) buffer."""
+    stored = np.ascontiguousarray(a.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+    assert stored.shape == a.shape and not stored.flags.c_contiguous
+    return stored
+
+
+class TestMemoryOrder:
+    """C-contiguous (B, C, H, W) and channels-last storage of the same values
+    give the same y, dx and parameter gradients.  Batch 3 differs from the
+    4 channels, so a per-channel factor broadcast along the batch axis fails."""
+
+    @staticmethod
+    def assert_same_for_both_orders(make_layer, x, dy):
+        results = []
+        for store in (np.ascontiguousarray, channels_last):
+            layer = make_layer()
+            y = layer.forward(store(x))
+            dx = layer.backward(store(dy))
+            results.append((y, dx, {k: v.copy() for k, v in layer.grads().items()}))
+        (y0, dx0, g0), (y1, dx1, g1) = results
+        np.testing.assert_allclose(y1, y0, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(dx1, dx0, rtol=1e-13, atol=0.0)
+        assert g1.keys() == g0.keys()
+        for name in g0:
+            np.testing.assert_allclose(g1[name], g0[name], rtol=1e-13, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_pooling_block(self, method):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(3, 4, 6, 6))
+        dy = rng.normal(size=(3, 4, 3, 3))
+        self.assert_same_for_both_orders(lambda: make_block(method, rng=np.random.default_rng(42)), x, dy)
+
+    def test_conv(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(3, 4, 7, 6))
+        dy = rng.normal(size=(3, 5, 5, 4))
+
+        def conv():
+            layer = Conv2D(4, 5, 3, np.random.default_rng(44))
+            layer.bias[...] = np.arange(5.0)
+            return layer
+
+        self.assert_same_for_both_orders(conv, x, dy)
 
 
 @st.composite
