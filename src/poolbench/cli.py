@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
     grad.add_argument("--methods", nargs="+")
     grad.add_argument("--trials", type=int)
     grad.add_argument("--tolerance", type=float)
-    grad.add_argument("--seed", type=int, default=0)
+    grad.add_argument("--seed", type=int)
     grad.add_argument("--lse-r", dest="lse_r", type=float)
 
     par = sub.add_parser("params-report", help="percentile tables from parameter snapshots")
@@ -260,7 +260,8 @@ def cmd_gradcheck(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     methods = tuple(_pick(args, file_cfg, "methods", _str_list, METHODS))
     _check_methods(methods)
-    _check_seed("seed", args.seed)
+    seed = _pick(args, file_cfg, "seed", int, 0)
+    _check_seed("seed", seed)
     trials = _pick(args, file_cfg, "trials", int, 1000)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -272,7 +273,7 @@ def cmd_gradcheck(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
     results = run_gradcheck(
-        methods, trials=trials, tolerance=tolerance, seed=args.seed, lse_sharpness=lse_r
+        methods, trials=trials, tolerance=tolerance, seed=seed, lse_sharpness=lse_r
     )
     print(f"{'method':<14} {'worst_rel_error':>16} {'tolerance':>12} verdict")
     failed = False

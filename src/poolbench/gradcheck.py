@@ -63,8 +63,7 @@ def _informative(*vectors) -> bool:
 def _spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
     while True:
         x = rng.uniform(lo, hi, size=n)
-        diffs = np.abs(np.subtract.outer(x, x))
-        if diffs[np.triu_indices(n, k=1)].min() > gap:
+        if np.diff(np.sort(x)).min() > gap:  # the closest pair is adjacent once sorted
             return x
 
 
@@ -131,16 +130,17 @@ def _check_window_method(method, trials, config, rng, lse_sharpness):
             bundle = grad(x, *params.values())
             if _informative(bundle.d_input, *bundle.d_params.values()):
                 break
+        # the operators reduce over the last axis, so each check evaluates its whole
+        # (2k, k) stack of bumped points in one call: a stack of windows for the input,
+        # of weight rows for a vector parameter, an (m, 1) column for a scalar one
         values = list(params.values())
-        worst = max(worst, fd_check(lambda v: op(v, *values), x, bundle.d_input, input_config))
+        worst = max(
+            worst, fd_check(lambda v: op(v, *values), x, bundle.d_input, input_config, batched=True)
+        )
         for param, value in params.items():
             if param in bundle.d_params:  # a fixed hyperparameter (LSE sharpness) has none
-
-                def at(v, shape=np.shape(value)):
-                    return op(x, v.reshape(shape))
-
-                point = np.atleast_1d(value)
-                worst = max(worst, fd_check(at, point, bundle.d_params[param], config))
+                point, analytic = np.atleast_1d(value), bundle.d_params[param]
+                worst = max(worst, fd_check(lambda v: op(x, v), point, analytic, config, batched=True))
     return worst
 
 

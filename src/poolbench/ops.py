@@ -1,9 +1,14 @@
 """Forward evaluation of the pooling operators.
 
-Every operator reduces one flat window vector ``x`` of length n to a scalar.
-Max- and average-pooling sit at the two ends of a spectrum; the remaining
-operators interpolate between them (and min-pooling) through a small number
-of parameters:
+Every window-level operator reduces over the last axis of ``x``: its n
+entries along that axis are one window.  A 1-D ``x`` is one window and gives
+a float; a 2-D ``x`` is a stack of windows, one per row, and gives one value
+per row.  Parameters broadcast against the windows the same way: a weight
+vector is (n,) or (m, n), one row per window, and a scalar parameter
+(``p_raw``, ``tau``) is a scalar or an (m, 1) column.  Every validation
+applies to every row.  Max- and average-pooling sit at the two ends of a
+spectrum; the remaining operators interpolate between them (and min-pooling)
+through a small number of parameters:
 
 * ``conv_pool``      -- weighted sum with free weights.
 * ``gated_pool``     -- sigmoid gate blending average and max.
@@ -143,7 +148,7 @@ def sigmoid(t):
     d = 1.0 + e
     out = np.where(t >= 0, 1.0 / d, e / d)
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +258,10 @@ def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
     if params.gate_w is not None and params.gate_w.shape != (n,):
         raise ShapeError(f"gate_w must have shape ({n},), got {params.gate_w.shape}")
     if params.ordinal_w is not None:
-        _check_ordinal_weights(np.asarray(params.ordinal_w), n)
+        ordinal_w = np.asarray(params.ordinal_w)
+        if ordinal_w.shape != (n,):
+            raise ShapeError(f"ordinal_w must have shape ({n},), got {ordinal_w.shape}")
+        _check_ordinal_weights(ordinal_w, n)
     if params.sharpness is not None and not params.sharpness > 0:
         raise ParameterError(f"sharpness must be > 0, got {params.sharpness}")
     if params.tau is not None and params.tau.shape != (spec.channels,):
@@ -279,76 +287,89 @@ def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
             )
 
 
-def _window_vector(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
+def _windows(x) -> np.ndarray:
+    """``x`` as float64 windows along the last axis; a scalar is a one-entry window."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.shape[-1] == 0:
         raise ShapeError("window must contain at least one entry")
     return arr
 
 
+def _float_or_array(out: np.ndarray) -> float | np.ndarray:
+    """A 0-d result as a Python float; anything else unchanged."""
+    return float(out) if out.ndim == 0 else out
+
+
 def _check_ordinal_weights(w: np.ndarray, n: int) -> None:
-    if w.shape != (n,):
-        raise ShapeError(f"ordinal weights must have shape ({n},), got {w.shape}")
-    if (w < -_SIMPLEX_NEG_TOL).any() or abs(w.sum() - 1.0) > _SIMPLEX_SUM_TOL:
+    """Every row of ``w`` (one row per window) must lie on the simplex, up to tolerance."""
+    if w.ndim == 0 or w.shape[-1] != n:
+        raise ShapeError(f"ordinal weights must have {n} entries per row, got shape {w.shape}")
+    rows = w.reshape(-1, n)
+    sums = rows.sum(axis=1)
+    off = (rows < -_SIMPLEX_NEG_TOL).any(axis=1) | (np.abs(sums - 1.0) > _SIMPLEX_SUM_TOL)
+    bad = np.flatnonzero(off)
+    if bad.size:
         raise ParameterError(
             "ordinal weights must be nonnegative and sum to 1 "
-            f"(got sum={w.sum():.6g}, min={w.min():.6g})"
+            f"(got sum={sums[bad[0]]:.6g}, min={rows[bad[0]].min():.6g})"
         )
 
 
-def max_pool(x) -> float:
+def max_pool(x) -> float | np.ndarray:
     """Largest window entry."""
-    return float(_window_vector(x).max())
+    return _float_or_array(_windows(x).max(axis=-1))
 
 
-def avg_pool(x) -> float:
+def avg_pool(x) -> float | np.ndarray:
     """Arithmetic mean of the window."""
-    return float(_window_vector(x).mean())
+    return _float_or_array(_windows(x).mean(axis=-1))
 
 
-def nearest_pool(x) -> float:
+def nearest_pool(x) -> float | np.ndarray:
     """First window entry, in row-major window order.
 
     This is nearest-neighbor downsampling: a fixed position is propagated
     and the rest of the window is ignored.  Applying it after a stride-1
     convolution reproduces a strided convolution.
     """
-    return float(_window_vector(x)[0])
+    return _float_or_array(_windows(x)[..., 0])
 
 
-def conv_pool(x, weights) -> float:
+def conv_pool(x, weights) -> float | np.ndarray:
     """Weighted sum of the window entries."""
-    x = _window_vector(x)
-    w = _window_vector(weights)
-    if w.shape != x.shape:
-        raise ShapeError(f"weights length {w.size} != window length {x.size}")
-    return float((w * x).sum())
+    x = _windows(x)
+    w = _windows(weights)
+    if w.shape[-1] != x.shape[-1]:
+        raise ShapeError(f"weights length {w.shape[-1]} != window length {x.shape[-1]}")
+    return _float_or_array((w * x).sum(axis=-1))
 
 
-def gated_pool(x, gate_w) -> float:
+def gated_pool(x, gate_w) -> float | np.ndarray:
     """Gate-blended average and max: g*avg(x) + (1-g)*max(x), g = sigmoid(w.x).
 
     The gate weights are shared across channels.
     """
-    x = _window_vector(x)
-    w = _window_vector(gate_w)
-    if w.shape != x.shape:
-        raise ShapeError(f"gate weights length {w.size} != window length {x.size}")
-    g = sigmoid((w * x).sum())
-    return float(g * x.mean() + (1.0 - g) * x.max())
+    x = _windows(x)
+    w = _windows(gate_w)
+    if w.shape[-1] != x.shape[-1]:
+        raise ShapeError(f"gate weights length {w.shape[-1]} != window length {x.shape[-1]}")
+    g = sigmoid((w * x).sum(axis=-1))
+    return _float_or_array(g * x.mean(axis=-1) + (1.0 - g) * x.max(axis=-1))
 
 
-def ordinal_pool(x, weights) -> float:
+def ordinal_pool(x, weights) -> float | np.ndarray:
     """Convex combination of the window's entries sorted in ascending order.
 
-    weights[0] multiplies the minimum and weights[-1] the maximum, so a
-    one-hot last (first) weight vector reproduces max- (min-) pooling.
+    weights[..., 0] multiplies the minimum and weights[..., -1] the maximum,
+    so a one-hot last (first) weight vector reproduces max- (min-) pooling.
     The weights are shared across channels.
     """
-    x = _window_vector(x)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    _check_ordinal_weights(w, x.size)
-    return float((w * np.sort(x)).sum())
+    x = _windows(x)
+    w = np.asarray(weights, dtype=np.float64)
+    _check_ordinal_weights(w, x.shape[-1])
+    return _float_or_array((w * np.sort(x, axis=-1)).sum(axis=-1))
 
 
 def project_to_simplex(weights) -> np.ndarray:
@@ -369,16 +390,17 @@ def project_to_simplex(weights) -> np.ndarray:
     return clipped / total
 
 
-def norm_exponent(p_raw: float) -> float:
+def norm_exponent(p_raw) -> float | np.ndarray:
     """Map the unconstrained parameter to the norm exponent: 1 + log(1 + exp(p_raw)).
 
     Keeps the exponent strictly inside (1, inf); evaluated via logaddexp so
-    large |p_raw| cannot overflow.
+    large |p_raw| cannot overflow.  Accepts a scalar (returns a float) or an
+    array (returns one exponent per entry).
     """
-    return float(1.0 + np.logaddexp(0.0, float(p_raw)))
+    return _float_or_array(1.0 + np.logaddexp(0.0, np.asarray(p_raw, dtype=np.float64)))
 
 
-def learned_norm_pool(x, p_raw) -> float:
+def learned_norm_pool(x, p_raw) -> float | np.ndarray:
     """Power mean of the absolute window entries: ((1/n) sum |x_i|^p)^(1/p).
 
     The mean (not the sum) is used, so a constant window is a fixed point.
@@ -386,33 +408,35 @@ def learned_norm_pool(x, p_raw) -> float:
     factors out max|x_i|, keeping every intermediate ratio in [0, 1] so that
     large exponents cannot overflow.  An all-zero window returns 0.
     """
-    x = _window_vector(x)
+    x = _windows(x)
     p = norm_exponent(p_raw)
     magnitudes = np.abs(x)
-    peak = magnitudes.max()
-    if peak == 0.0:
-        return 0.0
-    ratios = magnitudes / peak
-    return float(peak * (ratios**p).mean() ** (1.0 / p))
+    peak = magnitudes.max(axis=-1, keepdims=True)
+    # an all-zero window divides by 1 instead: its ratios, mean and result are all 0
+    ratios = magnitudes / np.where(peak > 0.0, peak, 1.0)
+    # float_power rounds as C's pow does, like the scalar arithmetic of the gradient;
+    # numpy's vectorised ** differs from it in the last bit for a few percent of inputs
+    root = np.float_power((ratios**p).mean(axis=-1, keepdims=True), 1.0 / p)
+    return _float_or_array((peak * root)[..., 0])
 
 
-def lse_pool(x, sharpness) -> float:
+def lse_pool(x, sharpness) -> float | np.ndarray:
     """Log-sum-exp mean: (1/r) log((1/n) sum exp(r*x_i)) with sharpness r > 0.
 
     Converges to the maximum as r grows and to the average as r shrinks.
     Evaluated with the max-shift trick so the exponentials never overflow;
     the backward pass reuses the same shifted weights.
     """
-    x = _window_vector(x)
+    x = _windows(x)
     r = float(sharpness)
     if not math.isfinite(r) or r <= 0.0:
         raise ParameterError(f"sharpness must be a positive finite number, got {r}")
     z = r * x
-    d = z.max()
-    return float((d + np.log(np.exp(z - d).mean())) / r)
+    d = z.max(axis=-1)
+    return _float_or_array((d + np.log(np.exp(z - d[..., None]).mean(axis=-1))) / r)
 
 
-def smooth_max_pool(x, tau) -> float:
+def smooth_max_pool(x, tau) -> float | np.ndarray:
     """Softmax-weighted average: sum_i x_i * exp(tau*x_i) / sum_j exp(tau*x_j).
 
     A convex combination of the window entries for every temperature tau:
@@ -423,13 +447,13 @@ def smooth_max_pool(x, tau) -> float:
     When several entries tie for the maximum their softmax weights split
     evenly, which the formula forces.
     """
-    x = _window_vector(x)
-    tau = float(tau)
-    if not math.isfinite(tau) or not np.isfinite(x).all():
+    x = _windows(x)
+    tau = np.asarray(tau, dtype=np.float64)
+    if not np.isfinite(tau).all() or not np.isfinite(x).all():
         raise ValueError("smooth max requires finite window entries and temperature")
     z = tau * x
-    s = np.exp(z - z.max())
-    return float((s * x).sum() / s.sum())
+    s = np.exp(z - z.max(axis=-1, keepdims=True))
+    return _float_or_array((s * x).sum(axis=-1) / s.sum(axis=-1))
 
 
 def global_avg_pool(x) -> np.ndarray:

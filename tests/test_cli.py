@@ -210,6 +210,16 @@ class TestSweep:
         assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
 
 
+WINDOW_METHODS = ("MP", "AP", "NN", "CONV", "GP", "OP", "LNP", "LSE", "SMP_fixed", "SMP_trainable")
+WINDOW_PARAMS = {"CONV": ("conv_w", 4), "GP": ("gate_w", 4), "OP": ("ordinal_w", 4),
+                 "LNP": ("p_raw", 1), "SMP_fixed": ("tau", 1), "SMP_trainable": ("tau", 1)}
+#: (method, "x" or parameter name, coordinate): every checked gradient coordinate
+#: of every window method, the input's first two
+WINDOW_PERTURBATIONS = [(m, "x", c) for m in WINDOW_METHODS for c in (0, 1)] + [
+    (m, param, c) for m, (param, size) in WINDOW_PARAMS.items() for c in range(size)
+]
+
+
 class TestGradcheck:
     def test_linear_ops_at_machine_epsilon(self, capsys):
         code = run_cli("gradcheck", "--methods", "AP", "NN", "CONV", "--trials", "40")
@@ -247,6 +257,42 @@ class TestGradcheck:
         assert "PASS" not in captured.out
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_config_file_seed_is_used_and_flag_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "gradcheck.cfg"
+        cfg.write_text("methods = GP OP\ntrials = 50\nseed = 5\n")
+        rows = {}
+        for name, flags in {
+            "file": ["--config", str(cfg)],
+            "flag5": ["--methods", "GP", "OP", "--trials", "50", "--seed", "5"],
+            "flag0": ["--methods", "GP", "OP", "--trials", "50", "--seed", "0"],
+            "flag_wins": ["--config", str(cfg), "--seed", "0"],
+        }.items():
+            assert run_cli("gradcheck", *flags) == 0
+            rows[name] = capsys.readouterr().out
+        assert rows["file"] == rows["flag5"]
+        assert rows["file"] != rows["flag0"]
+        assert rows["flag_wins"] == rows["flag0"]
+
+    def test_negative_config_file_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gradcheck.cfg"
+        cfg.write_text("seed = -2\n")
+        assert run_cli("gradcheck", "--config", str(cfg), "--methods", "AP", "--trials", "2") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_spread_window_draws_match_the_pairwise_predicate(self):
+        def pairwise(rng, n=4, gap=1e-2):
+            # every pair compared, as the sorted-neighbour test must reproduce
+            while True:
+                x = rng.uniform(-1.0, 1.0, size=n)
+                if np.abs(np.subtract.outer(x, x))[np.triu_indices(n, k=1)].min() > gap:
+                    return x
+
+        for n, gap in ((4, 1e-2), (4, 0.3), (9, 0.05)):
+            old, new = np.random.default_rng(17), np.random.default_rng(17)
+            for _ in range(500):
+                assert np.array_equal(gradcheck._spread_window(new, n, gap), pairwise(old, n, gap))
+            assert old.uniform() == new.uniform()  # the generators stay in step
 
     @pytest.fixture()
     def fd_calls(self, monkeypatch):
@@ -299,6 +345,25 @@ class TestGradcheck:
         assert result.worst_error > 5e-4
         assert not result.passed
 
+
+    @pytest.mark.parametrize("method, target, coord", WINDOW_PERTURBATIONS)
+    def test_perturbed_window_gradient_fails(self, monkeypatch, method, target, coord):
+        # a 1e-3 relative error in one coordinate of the input or parameter gradient;
+        # a coordinate that is exactly zero (off MP's argmax, NN's ignored entries)
+        # gets 1e-3 instead, where the central difference is exactly zero
+        name = f"{gradcheck._WINDOW_CHECKS[method][0]}_grad"
+        real = getattr(grads, name)
+
+        def perturbed(*args):
+            bundle = real(*args)
+            d = (bundle.d_input if target == "x" else bundle.d_params[target]).copy()
+            d[coord] = d[coord] * (1.0 + 1e-3) if d[coord] != 0.0 else 1e-3
+            if target == "x":
+                return grads.GradBundle(d, bundle.d_params)
+            return grads.GradBundle(bundle.d_input, {**bundle.d_params, target: d})
+
+        monkeypatch.setattr(grads, name, perturbed)
+        assert not gradcheck.check_method(method, trials=50).passed
 
     @pytest.mark.parametrize("coord", [0, 1])
     @pytest.mark.parametrize("target", ["x", *layers.KERNELS["SEMP"].trainable])

@@ -499,3 +499,88 @@ class TestWindowProperties:
         assert smooth_max_pool(x + c, tau) == pytest.approx(
             smooth_max_pool(x, tau) + c, rel=1e-12, abs=1e-12 * scale
         )
+
+
+def stacked_calls(rng, m, n):
+    """Each operator on an (m, n) stack: (call, stack), where call takes the stack
+    or one of its rows.  Windows are stacked for every operator, and each parameter
+    is stacked on a fixed window: weight rows as (m, n), scalars as an (m, 1) column."""
+    x = rng.uniform(-2.0, 2.0, size=(m, n))
+    w = rng.uniform(-1.0, 1.0, size=(m, n))
+    simplex = rng.dirichlet(np.full(n, 2.0), size=m)
+    column = rng.uniform(-3.0, 3.0, size=(m, 1))
+    x0, w0, s0, c0 = x[0], w[0], simplex[0], float(column[0, 0])
+    return {
+        "max_pool": (max_pool, x),
+        "avg_pool": (avg_pool, x),
+        "nearest_pool": (nearest_pool, x),
+        "conv_pool": (lambda v: conv_pool(v, w0), x),
+        "conv_pool/weights": (lambda v: conv_pool(x0, v), w),
+        "gated_pool": (lambda v: gated_pool(v, w0), x),
+        "gated_pool/gate_w": (lambda v: gated_pool(x0, v), w),
+        "ordinal_pool": (lambda v: ordinal_pool(v, s0), x),
+        "ordinal_pool/weights": (lambda v: ordinal_pool(x0, v), simplex),
+        "learned_norm_pool": (lambda v: learned_norm_pool(v, c0), x),
+        "learned_norm_pool/p_raw": (lambda v: learned_norm_pool(x0, v), column),
+        "lse_pool": (lambda v: lse_pool(v, abs(c0) + 0.1), x),
+        "smooth_max_pool": (lambda v: smooth_max_pool(v, c0), x),
+        "smooth_max_pool/tau": (lambda v: smooth_max_pool(x0, v), column),
+    }
+
+
+class TestStackedWindows:
+    """A 2-D input is a stack of windows, reduced over its last axis."""
+
+    @pytest.mark.parametrize("case", list(stacked_calls(np.random.default_rng(0), 1, 1)))
+    def test_each_row_matches_its_single_window_bit_for_bit(self, case):
+        rng = np.random.default_rng(21)
+        for n in range(1, 10):
+            for m in (1, 2, 7, 2 * n):
+                call, stack = stacked_calls(rng, m, n)[case]
+                out = call(stack)
+                assert isinstance(out, np.ndarray) and out.shape == (m,)
+                for i in range(m):
+                    one = call(stack[i])
+                    assert type(one) is float
+                    assert one == out[i], (n, m, i)
+
+    def test_zero_rows_of_a_norm_stack_give_zero(self):
+        x = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+        out = learned_norm_pool(x, 0.3)
+        assert out[0] == 0.0 and out[2] == 0.0
+        assert out[1] == learned_norm_pool(x[1], 0.3)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_one_stacked_ordinal_row_off_the_simplex_raises(self, row):
+        rng = np.random.default_rng(3)
+        weights = rng.dirichlet(np.full(4, 2.0), size=3)
+        ordinal_pool(X, weights)  # on the simplex: accepted
+        for bad in ([0.5, 0.5, 0.5, 0.5], [-0.5, 0.5, 0.5, 0.5]):
+            off = weights.copy()
+            off[row] = bad
+            with pytest.raises(ParameterError):
+                ordinal_pool(X, off)
+
+    def test_one_non_finite_row_raises_for_smooth_max(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, size=(5, 4))
+        smooth_max_pool(x, 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = x.copy()
+            stack[3, 1] = bad
+            with pytest.raises(ValueError):
+                smooth_max_pool(stack, 1.0)
+            column = np.ones((5, 1))
+            column[3, 0] = bad
+            with pytest.raises(ValueError):
+                smooth_max_pool(x[0], column)
+
+    def test_empty_windows_and_bad_sharpness_still_rejected(self):
+        for op in (max_pool, avg_pool, nearest_pool):
+            with pytest.raises(ShapeError):
+                op(np.empty((3, 0)))
+        with pytest.raises(ShapeError):
+            conv_pool(np.ones((3, 4)), np.ones(3))
+        for r in (0.0, -1.0, np.inf):
+            with pytest.raises(ParameterError):
+                lse_pool(np.ones((3, 4)), r)
