@@ -1,6 +1,11 @@
 """Command-line front end: seeded method sweeps, gradient verification,
 parameter-distribution reports, and learning-rate sweeps.
 
+Every setting is a flag of its command.  ``--config FILE`` holds them as
+``key = value`` lines (``batch_size = 10`` is ``--batch-size 10``; lists split
+on spaces or commas), parsed ahead of the command line, so its flags win.  A
+key no command has is a usage error; other commands' keys are skipped.
+
 Exit codes: 0 success, 1 usage error, 2 gradient-check failure, 3 sweep
 finished but contains diverged or crashed run(s).  ``POOLBENCH_THREADS``
 caps how many worker processes a sweep may use (default 1).
@@ -9,11 +14,10 @@ caps how many worker processes a sweep may use (default 1).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import check_data_args
@@ -31,9 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GRADCHECK = 2
 EXIT_DIVERGED = 3
-
-_DEFAULT_SEEDS = (1, 2, 3, 4)
-_DEFAULT_DATA_SEED = 777
 
 
 class UsageError(Exception):
@@ -64,11 +65,11 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     optim: OptimConfig
     out_dir: Path
-    samples: int = 1000
-    noise: float = 0.1
-    classes: int = 4
-    data_seed: int = _DEFAULT_DATA_SEED
-    lse_sharpness: float = 1.0
+    samples: int
+    noise: float
+    classes: int
+    data_seed: int
+    lse_sharpness: float
 
     def __post_init__(self):
         _check_methods(self.methods)
@@ -77,7 +78,7 @@ class ExperimentConfig:
         for seed in self.seeds:
             _check_seed("seed", seed)
         _check_seed("data_seed", self.data_seed)
-        check_data_args(self.classes, self.samples)
+        check_data_args(self.classes, self.samples, self.noise)
         self.net_config()  # validates the class count and LSE sharpness
 
     def data_kwargs(self) -> dict:
@@ -110,89 +111,83 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _pick(args, file_cfg, key, convert, default):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        raw = file_cfg[key]
-        try:
-            return convert(raw)
-        except (TypeError, ValueError) as err:
-            raise UsageError(f"config key {key}={raw!r}: {err}") from err
-    return default
-
-
-def _split_list(raw):
-    return raw.replace(",", " ").split()
-
-
-def _int_list(raw):
-    return tuple(int(v) for v in _split_list(raw))
-
-
-def _str_list(raw):
-    return tuple(_split_list(raw))
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="poolbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value config file; flags win")
-        p.add_argument("--out", help="output directory (default: results)")
-
+    parser.commands = sub.choices  # name -> subparser, for --config
     sweep = sub.add_parser("sweep", help="train every (method, seed) pair and summarize")
-    add_common(sweep)
-    sweep.add_argument("--methods", nargs="+", help=f"subset of: {' '.join(METHODS)}")
-    sweep.add_argument("--seeds", nargs="+", type=int)
-    sweep.add_argument("--epochs", type=int)
-    sweep.add_argument("--lr", type=float)
-    sweep.add_argument("--batch-size", dest="batch_size", type=int)
-    sweep.add_argument("--lse-r", dest="lse_r", type=float, help="fixed LSE sharpness")
-
     grad = sub.add_parser("gradcheck", help="verify analytic gradients against central differences")
-    add_common(grad)
-    grad.add_argument("--methods", nargs="+")
-    grad.add_argument("--trials", type=int)
-    grad.add_argument("--tolerance", type=float)
-    grad.add_argument("--seed", type=int)
-    grad.add_argument("--lse-r", dest="lse_r", type=float)
-
     par = sub.add_parser("params-report", help="percentile tables from parameter snapshots")
-    add_common(par)
-    par.add_argument("snapshots", nargs="*", help="params_*.json files (default: scan --out)")
-
     lrs = sub.add_parser("lr-sweep", help="short runs over a learning-rate list")
-    add_common(lrs)
+    for p in (sweep, grad, par, lrs):
+        p.add_argument("--config", metavar="FILE", help="key = value lines of this command's flags; flags win")
+    for p in (sweep, par, lrs):
+        p.add_argument("--out", type=Path, default="results", help="output directory")
+    for p in (sweep, grad, lrs):
+        p.add_argument("--lse-r", type=float, default=1.0, help="fixed LSE sharpness")
+    for p, epochs in ((sweep, 10), (lrs, 1)):
+        p.add_argument("--epochs", type=int, default=epochs)
+        p.add_argument("--batch-size", type=int, default=10)
+        p.add_argument("--samples", type=int, default=1000, help="dataset size")
+        p.add_argument("--noise", type=float, default=0.1, help="pixel noise standard deviation")
+        p.add_argument("--classes", type=int, default=4)
+        p.add_argument("--data-seed", type=int, default=777, help="seed of the dataset")
+
+    sweep.add_argument("--methods", nargs="+", default=HEADLINE_METHODS, help=f"subset of: {' '.join(METHODS)}")
+    sweep.add_argument("--seeds", nargs="+", type=int, default=(1, 2, 3, 4))
+    sweep.add_argument("--lr", type=float, default=1e-4)
+    grad.add_argument("--methods", nargs="+", default=METHODS)
+    grad.add_argument("--trials", type=int, default=1000)
+    grad.add_argument("--tolerance", type=float, default=1e-5)
+    grad.add_argument("--seed", type=int, default=0, help="seed of the first method; the next gets seed + 1")
+    par.add_argument("snapshots", nargs="*", help="params_*.json files (default: scan --out)")
     lrs.add_argument("--method", default="MP")
     lrs.add_argument("--lrs", nargs="+", type=float, required=True)
-    lrs.add_argument("--epochs", type=int)
     lrs.add_argument("--seed", type=int, default=1)
-    lrs.add_argument("--batch-size", dest="batch_size", type=int)
     return parser
 
 
-def _resolve_experiment(args, default_epochs=10) -> ExperimentConfig:
-    """Flags, then config file, then defaults; out-of-range values are usage errors."""
-    file_cfg = _read_config_file(args.config) if args.config else {}
+def _with_config_flags(parser, argv):
+    """argv with its --config file's lines as the command's own flags, ahead of its own."""
+    if not argv or argv[0] not in parser.commands:
+        return argv  # the real parse reports the missing or unknown command
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+
+    def flags(p):  # key -> its flag's action, for every flag but --help and --config
+        return {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
+
+    own = flags(parser.commands[argv[0]])
+    known = set().union(*(flags(p) for p in parser.commands.values()))
+    spliced = []
+    for key, value in _read_config_file(path).items():
+        if key not in known:
+            raise UsageError(f"unknown key {key!r} in config file {path}: no command has that flag")
+        if key in own:
+            flag = own[key].option_strings[0]
+            if own[key].nargs == "+":
+                spliced += [flag, *value.replace(",", " ").split()]
+            else:
+                spliced.append(f"{flag}={value}")  # keeps a negative value a value
+    return [argv[0], *spliced, *argv[1:]]
+
+
+def _experiment(args, methods, seeds, lr) -> ExperimentConfig:
+    """The command's settings as a validated sweep; out-of-range values are usage errors."""
     try:
         return ExperimentConfig(
-            methods=tuple(_pick(args, file_cfg, "methods", _str_list, HEADLINE_METHODS)),
-            seeds=tuple(_pick(args, file_cfg, "seeds", _int_list, _DEFAULT_SEEDS)),
-            optim=OptimConfig(
-                lr=_pick(args, file_cfg, "lr", float, 1e-4),
-                epochs=_pick(args, file_cfg, "epochs", int, default_epochs),
-                batch_size=_pick(args, file_cfg, "batch_size", int, 10),
-            ),
-            out_dir=Path(_pick(args, file_cfg, "out", str, "results")),
-            samples=_pick(args, file_cfg, "samples", int, 1000),
-            noise=_pick(args, file_cfg, "noise", float, 0.1),
-            classes=_pick(args, file_cfg, "classes", int, 4),
-            data_seed=_pick(args, file_cfg, "data_seed", int, _DEFAULT_DATA_SEED),
-            lse_sharpness=_pick(args, file_cfg, "lse_r", float, 1.0),
+            methods=tuple(methods),
+            seeds=tuple(seeds),
+            optim=OptimConfig(lr=lr, epochs=args.epochs, batch_size=args.batch_size),
+            out_dir=args.out,
+            samples=args.samples,
+            noise=args.noise,
+            classes=args.classes,
+            data_seed=args.data_seed,
+            lse_sharpness=args.lse_r,
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
@@ -233,7 +228,7 @@ def _run_one(packed) -> RunReport:
 
 
 def cmd_sweep(args) -> int:
-    config = _resolve_experiment(args)
+    config = _experiment(args, args.methods, args.seeds, args.lr)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     results = _run_sweep_tasks(config)
     for report in results:
@@ -257,23 +252,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    methods = tuple(_pick(args, file_cfg, "methods", _str_list, METHODS))
-    _check_methods(methods)
-    seed = _pick(args, file_cfg, "seed", int, 0)
-    _check_seed("seed", seed)
-    trials = _pick(args, file_cfg, "trials", int, 1000)
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    tolerance = _pick(args, file_cfg, "tolerance", float, 1e-5)
-    lse_r = _pick(args, file_cfg, "lse_r", float, 1.0)
+    _check_methods(args.methods)
+    _check_seed("seed", args.seed)
+    if args.trials < 1:
+        raise UsageError(f"trials must be >= 1, got {args.trials}")
     try:
-        FDOracleConfig(tolerance=tolerance)
-        ToyNetConfig(lse_sharpness=lse_r)
+        FDOracleConfig(tolerance=args.tolerance)
+        ToyNetConfig(lse_sharpness=args.lse_r)
     except ValueError as err:
         raise UsageError(str(err)) from err
     results = run_gradcheck(
-        methods, trials=trials, tolerance=tolerance, seed=seed, lse_sharpness=lse_r
+        args.methods, trials=args.trials, tolerance=args.tolerance, seed=args.seed, lse_sharpness=args.lse_r
     )
     print(f"{'method':<14} {'worst_rel_error':>16} {'tolerance':>12} verdict")
     failed = False
@@ -285,11 +274,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_params_report(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    out_dir = Path(_pick(args, file_cfg, "out", str, "results"))
-    paths = [Path(p) for p in args.snapshots] or sorted(out_dir.glob("params_*.json"))
+    paths = [Path(p) for p in args.snapshots] or sorted(args.out.glob("params_*.json"))
     if not paths:
-        raise UsageError(f"no snapshot files given and none found under {out_dir}")
+        raise UsageError(f"no snapshot files given and none found under {args.out}")
     payloads = []
     for path in paths:
         try:
@@ -297,8 +284,8 @@ def cmd_params_report(args) -> int:
         except (OSError, ValueError, KeyError) as err:
             raise UsageError(f"cannot read snapshot {path}: {err}") from err
     rows = rep.params_report_rows(payloads)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rep.write_params_report_csv(rows, out_dir / "params_report.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    rep.write_params_report_csv(rows, args.out / "params_report.csv")
     for row in rows:
         cells = " ".join(f"p{p}={row[f'p{p}']:+.4f}" for p in rep.PERCENTILES)
         print(
@@ -315,24 +302,19 @@ def cmd_params_report(args) -> int:
 
 
 def cmd_lr_sweep(args) -> int:
-    _check_methods([args.method])
-    _check_seed("seed", args.seed)
-    if not all(0 < lr < math.inf for lr in args.lrs):
-        raise UsageError("learning rates must be positive and finite")
-    config = _resolve_experiment(args, default_epochs=1)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    configs = [_experiment(args, [args.method], [args.seed], lr) for lr in args.lrs]
+    args.out.mkdir(parents=True, exist_ok=True)
     results = []
-    for lr in args.lrs:
-        optim = replace(config.optim, lr=lr)
-        report = run_single(args.method, args.seed, config.data_kwargs(), optim, config.net_config())
-        results.append((lr, report.final_train_loss, report.diverged))
+    for config in configs:
+        report = run_single(args.method, args.seed, config.data_kwargs(), config.optim, config.net_config())
+        results.append((config.optim.lr, report.final_train_loss, report.diverged))
     # ties break toward the smaller learning rate
     viable = [(loss, lr) for lr, loss, diverged in results if not diverged]
     print(f"{'lr':>10} {'final_train_loss':>18}")
     for lr, loss, diverged in results:
         note = " (diverged)" if diverged else ""
         print(f"{lr:>10.1e} {loss:>18.6f}{note}")
-    with open(config.out_dir / "lr_sweep.csv", "w", newline="") as fh:
+    with open(args.out / "lr_sweep.csv", "w", newline="") as fh:
         fh.write("lr,final_train_loss,diverged\n")
         for lr, loss, diverged in results:
             fh.write(f"{lr!r},{loss!r},{int(diverged)}\n")
@@ -346,8 +328,9 @@ def cmd_lr_sweep(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config_flags(parser, argv))
         handler = {
             "sweep": cmd_sweep,
             "gradcheck": cmd_gradcheck,

@@ -108,12 +108,14 @@ class SyntheticDataset:
         return self.labels[self.test_idx]
 
 
-def check_data_args(classes: int, samples: int) -> None:
+def check_data_args(classes: int, samples: int, noise: float) -> None:
     """Raise ValueError unless :func:`make_synthetic` can build this dataset."""
     if not 1 <= classes <= len(_PATTERNS):
         raise ValueError(f"classes must be in 1..{len(_PATTERNS)}, got {classes}")
     if samples < classes:
         raise ValueError(f"need at least one sample per class, got {samples}")
+    if not 0.0 <= noise < np.inf:  # a negative or nan noise would train noise-free
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
 
 def make_synthetic(
@@ -131,7 +133,7 @@ def make_synthetic(
     the only variation left is the shift/amplitude jitter, and a
     nearest-centroid classifier separates the classes perfectly.
     """
-    check_data_args(classes, samples)
+    check_data_args(classes, samples, noise)
     rng = np.random.default_rng(seed)
     bases = [fn(image_size) for fn in _PATTERNS[:classes]]
     counts = [samples // classes + (1 if k < samples % classes else 0) for k in range(classes)]

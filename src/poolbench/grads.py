@@ -81,7 +81,9 @@ class FDOracleConfig:
 
 
 def _vector(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))  # a scalar is a one-entry window
+    if arr.ndim > 1:  # ops read a 2-D input as a stack of windows
+        raise ShapeError(f"analytic gradients take one window, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError("window must contain at least one entry")
     return arr

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,10 @@ class TestSweep:
             (["--seeds", "1", "-1"], ""),  # numpy would raise on the negative seed
             ([], "data_seed = -2\n"),
             (["--lr", "inf"], ""),
+            # a negative or nan noise trained on the noise-free data; inf diverged every run
+            ([], "noise = -0.1\n"),
+            ([], "noise = nan\n"),
+            (["--noise", "inf"], ""),
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags, config):
@@ -543,3 +548,121 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs = soon\n")
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+
+#: key -> (file value, flag values, what the command gets from each)
+KEY_VALUES = {
+    "out": ("from_file", ["from_flag"], "from_file", "from_flag"),
+    "methods": ("MP, AP", ["NN"], ("MP", "AP"), ("NN",)),
+    "seeds": ("3 4", ["5"], (3, 4), (5,)),
+    "epochs": ("2", ["3"], 2, 3),
+    "lr": ("1e-3", ["2e-3"], 1e-3, 2e-3),
+    "batch_size": ("20", ["8"], 20, 8),
+    "lse_r": ("2.5", ["3.5"], 2.5, 3.5),
+    "samples": ("160", ["120"], 160, 120),
+    "noise": ("0.3", ["0.2"], 0.3, 0.2),
+    "classes": ("3", ["5"], 3, 5),
+    "data_seed": ("9", ["11"], 9, 11),
+    "method": ("AP", ["NN"], "AP", "NN"),
+    "seed": ("4", ["6"], 4, 6),
+    "lrs": ("1e-3, 2e-3", ["5e-4"], (1e-3, 2e-3), (5e-4,)),
+    "trials": ("7", ["9"], 7, 9),
+    "tolerance": ("1e-4", ["1e-3"], 1e-4, 1e-3),
+}
+OUTPUTS = ("summary.csv", "lr_sweep.csv", "params_report.csv")
+
+
+def command_keys():
+    """(command, key) for every flag a config file can set."""
+    commands = cli.build_parser().commands
+    return [
+        (name, action.dest)
+        for name, p in commands.items()
+        for action in p._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+def fake_report(method, seed):
+    report = RunReport(method=method, seed=seed)
+    report.epochs = [EpochMetrics(1, 0.5, 0.9, 0.6, 0.8)]
+    report.snapshots = [BlockSnapshot(0, {"p_raw": [1.85], "p": [3.0]}), BlockSnapshot(1, {})]
+    return report
+
+
+class TestConfigKeys:
+    @pytest.fixture()
+    def calls(self, monkeypatch, tmp_path):
+        """The settings of every run_single and run_gradcheck call, in a fresh directory."""
+        seen = []
+
+        def fake_run(method, seed, data_kwargs, optim, net_config):
+            seen.append({
+                "method": method, "seed": seed, "epochs": optim.epochs, "lr": optim.lr,
+                "batch_size": optim.batch_size, "lse_r": net_config.lse_sharpness,
+                "samples": data_kwargs["samples"], "noise": data_kwargs["noise"],
+                "classes": data_kwargs["classes"], "data_seed": data_kwargs["seed"],
+            })
+            return fake_report(method, seed)
+
+        def fake_gradcheck(methods, trials, tolerance, seed, lse_sharpness):
+            seen.append({"methods": tuple(methods), "trials": trials, "tolerance": tolerance,
+                         "seed": seed, "lse_r": lse_sharpness})
+            return []
+
+        monkeypatch.setattr(cli, "run_single", fake_run)
+        monkeypatch.setattr(cli, "run_gradcheck", fake_gradcheck)
+        monkeypatch.chdir(tmp_path)
+        return seen
+
+    @staticmethod
+    def observed(key, calls):
+        """What the command got for `key`: the output directory, or from the recorded calls."""
+        if key == "out":
+            (out,) = {path.parent.name for name in OUTPUTS for path in Path().glob(f"*/{name}")}
+            return out
+        if key in calls[0]:
+            return calls[0][key]
+        column = {"methods": "method", "seeds": "seed", "lrs": "lr"}[key]
+        return tuple(dict.fromkeys(c[column] for c in calls))
+
+    @pytest.mark.parametrize("command, key", command_keys())
+    def test_file_value_reaches_the_command_and_the_flag_wins(self, calls, command, key):
+        file_value, flag_values, from_file, from_flag = KEY_VALUES[key]
+        Path("cfg").write_text(f"{key} = {file_value}\n")
+        for name in ("results", "from_file", "from_flag"):  # what params-report reads
+            Path(name).mkdir()
+            rep.write_params_json(fake_report("LNP", 1), Path(name) / "params_LNP_1.json")
+        # lrs = ... in the file satisfies lr-sweep's required --lrs
+        required = ["--lrs", "1e-3"] if command == "lr-sweep" and key != "lrs" else []
+        flag = "--" + key.replace("_", "-")
+        for extra, expected in (([], from_file), ([flag, *flag_values], from_flag)):
+            for old in [path for name in OUTPUTS for path in Path().glob(f"*/{name}")]:
+                old.unlink()
+            calls.clear()
+            assert run_cli(command, "--config", "cfg", *required, *extra) == 0
+            assert self.observed(key, calls) == expected
+
+    @pytest.mark.parametrize("command", ["sweep", "gradcheck", "params-report", "lr-sweep"])
+    def test_unknown_key_is_one_error_line(self, calls, capsys, command):
+        Path("cfg").write_text("trial = 3\n")  # gradcheck's flag is --trials
+        required = ["--lrs", "1e-3"] if command == "lr-sweep" else []
+        assert run_cli(command, "--config", "cfg", *required) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'trial'" in err[0] and "cfg" in err[0]
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["method = NOPE\nseed = -5\n", "seed = -5\n", "noise = -0.1\n"])
+    def test_bad_lr_sweep_value_in_file_is_one_error_line(self, calls, capsys, text):
+        # a file's method and seed were once ignored: MP ran at seed 1 and the command exited 0
+        Path("cfg").write_text(text)
+        assert run_cli("lr-sweep", "--config", "cfg", "--lrs", "1e-3") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert calls == []
+
+    def test_other_commands_keys_are_skipped(self, calls):
+        Path("cfg").write_text("seeds = 7 8\ntrials = 3\nmethod = AP\n")
+        assert run_cli("lr-sweep", "--config", "cfg", "--lrs", "1e-3") == 0
+        assert [(c["method"], c["seed"]) for c in calls] == [("AP", 1)]

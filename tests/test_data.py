@@ -30,6 +30,12 @@ class TestBalanceAndSplit:
         with pytest.raises(ValueError):
             make_synthetic(classes=0)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        # a negative or nan noise would build the noise-free dataset; inf, non-finite images
+        with pytest.raises(ValueError):
+            make_synthetic(classes=4, samples=40, noise=noise)
+
 
 class TestDeterminism:
     def test_same_seed_identical(self):

@@ -56,6 +56,28 @@ def interior_simplex(rng, n=4, floor=0.05):
     return (1.0 - n * floor) * w + floor
 
 
+#: each analytic window gradient, with its parameters for an n-entry window
+WINDOW_GRADS = [
+    (max_pool_grad, lambda n: ()),
+    (avg_pool_grad, lambda n: ()),
+    (nearest_pool_grad, lambda n: ()),
+    (conv_pool_grad, lambda n: (np.full(n, 1.0 / n),)),
+    (gated_pool_grad, lambda n: (np.linspace(-0.5, 0.5, n),)),
+    (ordinal_pool_grad, lambda n: (np.full(n, 1.0 / n),)),
+    (learned_norm_pool_grad, lambda n: (0.5,)),
+    (lse_pool_grad, lambda n: (1.0,)),
+    (smooth_max_pool_grad, lambda n: (0.5,)),
+]
+
+
+@pytest.mark.parametrize("grad, params", WINDOW_GRADS, ids=[g.__name__ for g, _ in WINDOW_GRADS])
+def test_gradients_take_one_window(grad, params):
+    # ops.* read a 2-D input as a stack of windows; flattening it would mix two windows
+    with pytest.raises(ShapeError):
+        grad(X.reshape(2, 2), *params(4))
+    assert grad(3.0, *params(1)).d_input.shape == (1,)  # a scalar is a one-entry window
+
+
 class TestMaxPoolGrad:
     def test_one_hot_at_argmax(self):
         np.testing.assert_array_equal(max_pool_grad(X).d_input, [0.0, 1.0, 0.0, 0.0])
