@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,6 +43,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus then a digit is a value, also in exponent form: argparse's own
+        # pattern reads `--lrs -1e-4` as an unknown option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
 
@@ -167,9 +174,18 @@ def _with_config_flags(parser, argv):
         if key not in known:
             raise UsageError(f"unknown key {key!r} in config file {path}: no command has that flag")
         if key in own:
-            flag = own[key].option_strings[0]
-            if own[key].nargs == "+":
-                spliced += [flag, *value.replace(",", " ").split()]
+            action = own[key]
+            tokens = value.replace(",", " ").split() if action.nargs == "+" else [value]
+            for token in tokens:
+                try:
+                    (action.type or str)(token)
+                except ValueError:
+                    raise UsageError(
+                        f"invalid {action.type.__name__} value {token!r} for key {key!r} in config file {path}"
+                    ) from None
+            flag = action.option_strings[0]
+            if action.nargs == "+":
+                spliced += [flag, *tokens]
             else:
                 spliced.append(f"{flag}={value}")  # keeps a negative value a value
     return [argv[0], *spliced, *argv[1:]]

@@ -274,31 +274,42 @@ def _op_backward(block, cache, dy):
 
 
 def _lnp_forward(block, x):
+    # Every power is an exp of one of two logs: log r per entry (r = |x| / peak)
+    # and the log of the window's mean r^p.  Adding a 0/1 mask before each log
+    # is exact: a zero entry and an all-zero window log to 0, with no select.
+    # The window copy becomes log r in place; only it and two masks are cached.
     p = norm_exponent(block.pool_params.p_raw[0])
-    stacked = _stack(block, x)
-    magnitudes = np.abs(stacked)
-    peak = magnitudes.max(axis=0)
-    safe = peak > 0.0
-    ratios = magnitudes / np.where(safe, peak, 1.0)
-    powered = ratios**p
-    mean_pow = powered.mean(axis=0)
-    y = np.where(safe, peak * mean_pow ** (1.0 / p), 0.0)
-    return y, (p, stacked, y, safe, ratios, powered, mean_pow)
+    log_r = _stack(block, x)
+    negative = log_r < 0.0
+    np.abs(log_r, out=log_r)
+    peak = log_r.max(axis=0)
+    empty = peak == 0.0
+    log_r /= peak + empty
+    zero = log_r == 0.0  # also a ratio that underflowed to 0
+    log_r += zero
+    np.log(log_r, out=log_r)
+    powered = np.multiply(log_r, p)
+    np.exp(powered, out=powered)
+    powered -= zero  # exp(0) - 1: exactly 0 at a zero entry
+    total = powered.sum(axis=0)
+    log_mean = np.log(total / len(log_r) + empty)
+    y = peak * np.exp(log_mean / p)
+    # the r^p-weighted mean of log r, with 0 log 0 = 0: dy/dp needs only it
+    weighted_log = np.einsum("k...,k...->...", powered, log_r)
+    weighted_log /= total + empty
+    return y, (p, negative, zero, log_r, y, log_mean, weighted_log)
 
 
 def _lnp_backward(block, cache, dy):
-    p, stacked, y, safe, ratios, powered, mean_pow = cache
-    safe_mean = np.where(safe, mean_pow, 1.0)
-    d_stacked = dy * safe * np.sign(stacked) * ratios ** (p - 1.0)
-    d_stacked *= safe_mean ** (1.0 / p - 1.0) / len(stacked)
-    log_ratios = np.where(ratios > 0.0, np.log(np.where(ratios > 0.0, ratios, 1.0)), 0.0)
-    weighted = (powered * log_ratios).sum(axis=0)
-    dy_dp = np.where(
-        safe,
-        y * (weighted / (p * np.where(safe, powered.sum(axis=0), 1.0)) - np.log(safe_mean) / p**2),
-        0.0,
-    )
-    d_p = (dy * dy_dp).sum()
+    p, negative, zero, log_r, y, log_mean, weighted_log = cache
+    # dy/dx = sign(x) r^(p-1) mean^(1/p - 1) / n; the mask zeroes a zero entry's exp(0)
+    d_stacked = np.multiply(log_r, p - 1.0)
+    np.exp(d_stacked, out=d_stacked)
+    d_stacked -= zero
+    np.copysign(d_stacked, 0.5 - negative, out=d_stacked)  # 0.5 - True < 0: sign(x)
+    d_stacked *= dy * np.exp(log_mean * (1.0 / p - 1.0)) / len(log_r)
+    # dy/dp = y (weighted_log / p - log_mean / p^2); 0 for an all-zero window (y = 0)
+    d_p = (dy * y * (weighted_log / p - log_mean / p**2)).sum()
     block.grads_["p_raw"] += d_p * sigmoid(float(block.pool_params.p_raw[0]))
     return block._scatter(d_stacked)
 

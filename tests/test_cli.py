@@ -83,6 +83,22 @@ class TestSweep:
         for path1 in sorted(out1.iterdir()):
             assert path1.read_bytes() == (out2 / path1.name).read_bytes()
 
+    def test_lnp_reports_byte_identical_across_reruns_and_workers(
+        self, tmp_path, tiny_config, monkeypatch
+    ):
+        outs = []
+        for workers in ("1", "1", "2"):
+            monkeypatch.setenv("POOLBENCH_THREADS", workers)
+            outs.append(tmp_path / f"run{len(outs)}_threads{workers}")
+            args = ["--methods", "LNP", "--seeds", "1", "2", "--epochs", "2"]
+            assert run_cli("sweep", "--config", str(tiny_config), *args, "--out", str(outs[-1])) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "params_LNP_2.json" in names and len(names) == 5
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
+
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         code = run_cli("sweep", "--methods", "MAXIMUMPOOL", "--out", str(tmp_path))
         assert code == 1
@@ -548,6 +564,57 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs = soon\n")
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize(
+        "command, text, key, token",
+        [
+            ("lr-sweep", "epochs = soon\n", "epochs", "soon"),
+            ("sweep", "seeds = 1, two\n", "seeds", "two"),
+            ("lr-sweep", "lrs = 1e-3 fast\n", "lrs", "fast"),
+            ("gradcheck", "tolerance = tight\n", "tolerance", "tight"),
+        ],
+    )
+    def test_wrong_type_value_names_file_and_key(self, tmp_path, capsys, command, text, key, token):
+        # once reported as if it were the flag: "argument --epochs: invalid int value"
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(text)
+        required = ["--lrs", "1e-3"] if command == "lr-sweep" and key != "lrs" else []
+        assert run_cli(command, "--config", str(cfg), *required, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(cfg) in err[0] and repr(key) in err[0] and repr(token) in err[0]
+        assert "argument --" not in err[0]
+
+
+class TestNegativeExponentForm:
+    """A negative number in exponent form is a value, as -0.0001 is: it gets
+    the learning-rate range error, not an argparse option error."""
+
+    @pytest.fixture()
+    def no_run(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a run started before the settings were validated")
+
+        monkeypatch.setattr(cli, "run_single", fail)
+
+    def range_error(self, capsys, *argv):
+        assert run_cli("lr-sweep", *argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    def test_flag(self, tmp_path, capsys, no_run):
+        expected = self.range_error(capsys, "--lrs", "-0.0001", "--out", str(tmp_path))
+        assert expected == "error: lr must be finite and > 0, got -0.0001"
+        assert self.range_error(capsys, "--lrs", "-1e-4", "--out", str(tmp_path)) == expected
+        assert self.range_error(capsys, "--lrs", "1e-3", "-1E-4", "--out", str(tmp_path)) == expected
+
+    def test_config_file(self, tmp_path, capsys, no_run):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("lrs = 1e-3 -1e-4\n")
+        assert self.range_error(capsys, "--config", str(cfg), "--out", str(tmp_path)) == (
+            "error: lr must be finite and > 0, got -0.0001"
+        )
 
 
 #: key -> (file value, flag values, what the command gets from each)

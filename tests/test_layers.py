@@ -23,7 +23,12 @@ from poolbench import (
     sigmoid,
     smooth_max_pool,
 )
-from poolbench.grads import gated_pool_grad, max_pool_grad, ordinal_pool_grad
+from poolbench.grads import (
+    gated_pool_grad,
+    learned_norm_pool_grad,
+    max_pool_grad,
+    ordinal_pool_grad,
+)
 from poolbench.layers import (
     Conv2D,
     Linear,
@@ -35,6 +40,7 @@ from poolbench.layers import (
     softmax_cross_entropy,
     window_views,
 )
+from poolbench.ops import norm_exponent
 
 POOL22 = WindowSpec(2, 2, 2, 2)
 
@@ -266,6 +272,50 @@ class TestPoolingBlockBackward:
         block.forward(x)
         block.backward(dy)
         np.testing.assert_allclose(block.grads()["conv_w"], 2 * once)
+
+
+
+class TestLearnedNormZeros:
+    """The LNP block on exact zeros: windows with some zero entries and one
+    all-zero window, against the window-level value and gradient.  p = 3
+    exactly is an integer power; the other exponents are not."""
+
+    @pytest.mark.parametrize("p", [3.0, 1.05, 2.5, 7.5])
+    def test_matches_window_reference(self, p):
+        rng = np.random.default_rng(17)
+        block = make_block("LNP", channels=2, rng=rng)
+        p_raw = float(np.log(np.expm1(p - 1.0)))
+        assert norm_exponent(p_raw) == p
+        block.pool_params.p_raw[0] = p_raw
+        x = rng.uniform(-2.0, 2.0, size=(2, 2, 4, 4))
+        x[rng.random(x.shape) < 0.4] = 0.0
+        x[0, 1, :2, 2:] = 0.0  # one all-zero window
+        x[1, 0, 2:, :2] = [[0.0, 1.5], [0.0, 0.0]]  # one non-zero entry
+        windows = np.stack(window_views(x.transpose(2, 3, 0, 1), POOL22))  # (4, 2, 2, B, C)
+        windows = np.moveaxis(windows, 0, -1)
+        assert (windows == 0.0).any(axis=-1).sum() >= 4
+        dy = rng.normal(size=(2, 2, 2, 2))
+
+        y = block.forward(x)
+        dx = block.backward(dy)
+
+        expected_y = np.zeros_like(y)
+        expected_dx = np.zeros_like(windows)
+        expected_dp = 0.0
+        for i, j, b, c in np.ndindex(windows.shape[:-1]):
+            window = windows[i, j, b, c]
+            expected_y[b, c, i, j] = learned_norm_pool(window, p_raw)
+            bundle = learned_norm_pool_grad(window, p_raw)
+            expected_dx[i, j, b, c] = dy[b, c, i, j] * bundle.d_input
+            expected_dp += dy[b, c, i, j] * bundle.d_params["p_raw"][0]
+        assert expected_y[0, 1, 0, 1] == 0.0
+        np.testing.assert_allclose(y, expected_y, rtol=1e-13, atol=0.0)
+        dx_windows = np.moveaxis(
+            np.stack(window_views(dx.transpose(2, 3, 0, 1), POOL22)), 0, -1
+        )
+        np.testing.assert_allclose(dx_windows, expected_dx, rtol=1e-13, atol=0.0)
+        assert (dx_windows[windows == 0.0] == 0.0).all()
+        np.testing.assert_allclose(block.grads()["p_raw"], [expected_dp], rtol=1e-12, atol=0.0)
 
 
 def channels_last(a):
