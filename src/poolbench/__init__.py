@@ -15,7 +15,6 @@ from .tensor import (
     output_size,
 )
 from .ops import (
-    ACTIVE_PARAMS,
     HEADLINE_METHODS,
     METHODS,
     Affine,

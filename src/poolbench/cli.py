@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,13 +226,22 @@ def _run_sweep_tasks(config: ExperimentConfig) -> list[RunReport]:
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, args))
+            futures = [pool.submit(_run_one, a) for a in args]
+            results = [_result(future, m, s) for future, (m, s) in zip(futures, tasks)]
     else:
         results = [_run_one(a) for a in args]
     # deterministic assembly regardless of completion order
     order = {m: i for i, m in enumerate(config.methods)}
     results.sort(key=lambda r: (order[r.method], r.seed))
     return results
+
+
+def _result(future, method, seed) -> RunReport:
+    """A worker's run; if the pool broke first (a worker killed by a signal), a failed row."""
+    try:
+        return future.result()
+    except BrokenProcessPool as err:
+        return RunReport(method, seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}")
 
 
 def _run_one(packed) -> RunReport:

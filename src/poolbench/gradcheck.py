@@ -1,14 +1,17 @@
 """Gradient verification driver: every pooling method against the FD oracle.
 
-For the window-level operators each method is one table entry: the name of
-its operator and a draw of random (window, parameter) points.  The check
-redraws until a point is informative, evaluates the analytic bundle, and
+Every check runs the kernel pair that trains (:data:`poolbench.ops.POOLING`).
+For the window methods a draw of random (window, parameter) points is the
+only per-method entry.  The analytic gradients of a whole block of candidate
+points come from one backward-kernel call; the informative points are kept
+in draw order, and more are drawn for any shortfall.  Each trial then
 compares the input gradient and every parameter gradient coordinate by
-coordinate with central differences, so every trial makes at least one
-comparison.  For the squeeze-and-excitation blocks (SESMP, SEMP) the check
-runs at block level through the batched layer, probing a random linear
-functional of the block output: every input coordinate in one batched
-forward, and the branch parameters along one random direction.
+coordinate with central differences of the forward kernel, so every trial
+makes at least one comparison.  For the squeeze-and-excitation blocks
+(SESMP, SEMP) the check runs at block level through the batched layer,
+probing a random linear functional of the block output: every input
+coordinate in one batched forward, and the branch parameters along one
+random direction.
 
 Sampling keeps points where the comparison is informative:
 
@@ -35,6 +38,7 @@ __all__ = ["GradCheckResult", "check_method", "run_gradcheck"]
 
 _WINDOW = WindowSpec(2, 2, 2, 2)
 _MIN_COORD = 1e-3  # oracle resolution guard; see module docstring
+_BLOCK = 128  # candidate points per analytic-gradient call; a larger block holds more memory
 
 
 @dataclass(frozen=True)
@@ -49,15 +53,6 @@ class GradCheckResult:
     @property
     def passed(self) -> bool:
         return self.worst_error < self.tolerance
-
-
-def _informative(*vectors) -> bool:
-    for v in vectors:
-        v = np.abs(np.asarray(v, dtype=np.float64).reshape(-1))
-        small = (v > 0.0) & (v < _MIN_COORD)
-        if small.any():
-            return False
-    return True
 
 
 def _spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
@@ -87,60 +82,70 @@ def _smp_draw(rng, lse_r):
     return rng.uniform(-2.0, 2.0, size=4), {"tau": rng.uniform(-3.0, 3.0)}
 
 
-#: method -> (window operator name in ops, draw(rng, lse_r) -> (window, {param: value}));
-#: every operator takes at most one parameter, FD-checked when the analytic bundle has
-#: a gradient of that name
-_WINDOW_CHECKS = {
-    "MP": ("max_pool", lambda rng, r: (_spread_window(rng), {})),
-    "AP": ("avg_pool", lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {})),
-    "NN": ("nearest_pool", lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {})),
-    "CONV": (
-        "conv_pool",
-        lambda rng, r: (_away_from_zero(rng), {"conv_w": _away_from_zero(rng)}),
-    ),
-    "GP": ("gated_pool", _gp_draw),
-    "OP": (
-        "ordinal_pool",
-        lambda rng, r: (_spread_window(rng), {"ordinal_w": _interior_simplex(rng)}),
-    ),
-    "LNP": (
-        "learned_norm_pool",
-        lambda rng, r: (_away_from_zero(rng, lo=0.1, hi=1.5), {"p_raw": rng.uniform(-1.0, 2.0)}),
-    ),
+#: method -> draw(rng, lse_r) -> (window, {field: value}): one candidate point of each
+#: window method, a weight per window entry as a vector and any other field as a float
+_DRAWS = {
+    "MP": lambda rng, r: (_spread_window(rng), {}),
+    "AP": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
+    "NN": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
+    "CONV": lambda rng, r: (_away_from_zero(rng), {"conv_w": _away_from_zero(rng)}),
+    "GP": _gp_draw,
+    "OP": lambda rng, r: (_spread_window(rng), {"ordinal_w": _interior_simplex(rng)}),
+    "LNP": lambda rng, r: (_away_from_zero(rng, lo=0.1, hi=1.5), {"p_raw": rng.uniform(-1.0, 2.0)}),
     # x = u / r keeps r*x, and so the softmax gradient, at the same spread for every r
-    "LSE": ("lse_pool", lambda rng, r: (rng.uniform(-1.0, 1.0, size=4) / r, {"sharpness": r})),
-    "SMP_fixed": ("smooth_max_pool", _smp_draw),
-    "SMP_trainable": ("smooth_max_pool", _smp_draw),
+    "LSE": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4) / r, {"sharpness": r}),
+    "SMP_fixed": _smp_draw,
+    "SMP_trainable": _smp_draw,
 }
 
 
+def _informative_points(method, candidates):
+    """The candidates whose analytic gradients the oracle resolves, in draw order,
+    each as (window, params, GradBundle).
+
+    One kernel call gives every candidate's gradients: the windows are the rows
+    of a stack, with one parameter row per window (a column for a scalar).
+    """
+    params = {}
+    for name in candidates[0][1]:
+        values = np.array([p[name] for _, p in candidates])
+        params[name] = values if values.ndim == 2 else values[:, None]
+    bundle = grads.pool_grads(method, np.array([x for x, _ in candidates]), **params)
+    small = np.zeros(len(candidates), dtype=bool)
+    for d in (bundle.d_input, *bundle.d_params.values()):
+        d = np.abs(d)
+        small |= ((d > 0.0) & (d < _MIN_COORD)).any(axis=1)
+    for i in np.flatnonzero(~small):
+        x, p = candidates[i]
+        yield x, p, grads.GradBundle(bundle.d_input[i], {k: d[i] for k, d in bundle.d_params.items()})
+
+
 def _check_window_method(method, trials, config, rng, lse_sharpness):
-    name, draw = _WINDOW_CHECKS[method]
-    # looked up per check, not bound at import, so wrappers patched onto ops/grads see every call
-    op, grad = getattr(ops, name), getattr(grads, f"{name}_grad")
-    r = float(lse_sharpness)
-    # LSE draws x = u / r with u of the same spread at every r; a step of h / r in x is
-    # the oracle's step h in u, and the gradient is compared unscaled, so the relative-
-    # error floor stays far below it (at r = 1 the step is the oracle's own)
-    input_config = replace(config, step=config.step / (r if method == "LSE" else 1.0))
-    worst = 0.0
-    for _ in range(trials):
-        while True:
-            x, params = draw(rng, r)
-            bundle = grad(x, *params.values())
-            if _informative(bundle.d_input, *bundle.d_params.values()):
-                break
-        # the operators reduce over the last axis, so each check evaluates its whole
-        # (2k, k) stack of bumped points in one call: a stack of windows for the input,
-        # of weight rows for a vector parameter, an (m, 1) column for a scalar one
-        values = list(params.values())
-        worst = max(
-            worst, fd_check(lambda v: op(v, *values), x, bundle.d_input, input_config, batched=True)
-        )
-        for param, value in params.items():
-            if param in bundle.d_params:  # a fixed hyperparameter (LSE sharpness) has none
-                point, analytic = np.atleast_1d(value), bundle.d_params[param]
-                worst = max(worst, fd_check(lambda v: op(x, v), point, analytic, config, batched=True))
+    draw, r = _DRAWS[method], float(lse_sharpness)
+    worst, checked = 0.0, 0
+    # the draws do not depend on the gradients, so drawing the shortfall in blocks checks
+    # the points that redrawing each trial until it is informative would
+    while checked < trials:
+        block = [draw(rng, r) for _ in range(min(trials - checked, _BLOCK))]
+        for x, params, bundle in _informative_points(method, block):
+            checked += 1
+            # LSE draws x = u / r with u of the same spread at every r; a step of h / r in x
+            # is the oracle's step h in u, and the gradient is compared unscaled, so the
+            # relative-error floor stays far below it (at r = 1 the step is the oracle's own)
+            input_config = config
+            if "sharpness" in params:
+                input_config = replace(config, step=config.step / params["sharpness"])
+            # each check evaluates its whole (2k, k) stack of bumped points in one call: a
+            # stack of windows for the input, of weight rows for a vector parameter, an
+            # (m, 1) column for a scalar one
+            worst = max(
+                worst,
+                fd_check(lambda v: ops.pool(method, v, **params), x, bundle.d_input, input_config, batched=True),
+            )
+            for name, analytic in bundle.d_params.items():  # a fixed hyperparameter has none
+                point = np.atleast_1d(params[name])
+                fn = lambda v: ops.pool(method, x, **{**params, name: v})  # noqa: E731
+                worst = max(worst, fd_check(fn, point, analytic, config, batched=True))
     return worst
 
 
@@ -225,7 +230,7 @@ def check_method(
         )
     rng = np.random.default_rng(seed)
     config = FDOracleConfig(tolerance=tolerance)
-    if method in ("SESMP", "SEMP"):
+    if ops.POOLING[method].se:
         worst = _check_se_block(method, trials, config, rng)
     else:
         worst = _check_window_method(method, trials, config, rng, lse_sharpness)

@@ -1,9 +1,12 @@
-"""Exact analytic backward passes for the pooling operators, plus the
-finite-difference oracle the test suite uses as ground truth.
+"""Analytic gradients of the window-level operators, plus the
+finite-difference (FD) oracle that checks them.
 
-Each ``*_grad`` function returns a :class:`GradBundle` holding the gradient
-with respect to the window entries (``d_input``) and, where the operator has
-trainable state, the gradient with respect to each parameter (``d_params``).
+Each ``*_grad`` function takes one window and returns a :class:`GradBundle`
+holding the gradient with respect to the window entries (``d_input``) and,
+where the operator has trainable state, the gradient with respect to each
+parameter (``d_params``).  Like the operators of :mod:`poolbench.ops`, they
+are adapters over the method's kernel pair in :data:`poolbench.ops.POOLING`,
+the code that trains; :func:`pool_grads` evaluates it for many windows at once.
 
 Non-smooth points are handled with fixed, documented conventions:
 
@@ -20,13 +23,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ParameterError, norm_exponent, sigmoid
+from .ops import (
+    POOLING,
+    ParameterError,
+    check_sharpness,
+    check_smooth_max_args,
+    check_window_length,
+    window_stack,
+)
 from .tensor import ShapeError
 
 __all__ = [
     "OracleError",
     "GradBundle",
     "FDOracleConfig",
+    "pool_grads",
     "max_pool_grad",
     "avg_pool_grad",
     "nearest_pool_grad",
@@ -89,144 +100,77 @@ def _vector(x) -> np.ndarray:
     return arr
 
 
+def pool_grads(method: str, x, **params) -> GradBundle:
+    """Analytic gradients of ``method`` at every window along the last axis of ``x``.
+
+    Parameters are as for :func:`poolbench.ops.window_stack`.  ``d_input``
+    has the broadcast windows' shape (..., n); each parameter gradient has
+    one row per window: (..., n) for a weight per entry, an (..., 1) column
+    for a scalar.  The kernel pair runs once for all the windows.
+    """
+    stack, fields, batch = window_stack(x, params, per_window=True)
+    pooling = POOLING[method]
+    _, cache = pooling.forward(stack, fields)
+    d_stack, d_fields = pooling.backward(cache, np.ones(stack.shape[1:]))
+
+    def rows(d):  # window-first (n, M) or (M,) to window-last rows over the batch
+        return np.asarray(d).T.reshape(batch + (-1,))
+
+    return GradBundle(rows(d_stack), {name: rows(d) for name, d in d_fields.items()})
+
+
 def max_pool_grad(x) -> GradBundle:
     """One-hot at the argmax; ties send the whole gradient to the first maximizer."""
-    x = _vector(x)
-    d = np.zeros_like(x)
-    d[int(np.argmax(x))] = 1.0
-    return GradBundle(d)
+    return pool_grads("MP", _vector(x))
 
 
 def avg_pool_grad(x) -> GradBundle:
     """Uniform 1/n into every window entry, independent of the values."""
-    x = _vector(x)
-    return GradBundle(np.full(x.size, 1.0 / x.size))
+    return pool_grads("AP", _vector(x))
 
 
 def nearest_pool_grad(x) -> GradBundle:
     """One-hot at the fixed propagated position (the first entry)."""
-    x = _vector(x)
-    d = np.zeros_like(x)
-    d[0] = 1.0
-    return GradBundle(d)
+    return pool_grads("NN", _vector(x))
 
 
 def conv_pool_grad(x, weights) -> GradBundle:
     """Bilinear: dy/dx = w and dy/dw = x."""
-    x = _vector(x)
-    w = _vector(weights)
-    if w.shape != x.shape:
-        raise ShapeError(f"weights length {w.size} != window length {x.size}")
-    return GradBundle(w.copy(), {"conv_w": x.copy()})
+    x, w = _vector(x), _vector(weights)
+    check_window_length(x, w, "weights")
+    return pool_grads("CONV", x, conv_w=w)
 
 
 def gated_pool_grad(x, gate_w) -> GradBundle:
-    """Chain rule through g*avg + (1-g)*max with g = sigmoid(w.x).
-
-    dy/dx_i = g/n + (1-g)*[i = argmax] + g(1-g) w_i (avg - max)
-    dy/dw_i = g(1-g) x_i (avg - max)
-    """
-    x = _vector(x)
-    w = _vector(gate_w)
-    if w.shape != x.shape:
-        raise ShapeError(f"gate weights length {w.size} != window length {x.size}")
-    g = sigmoid((w * x).sum())
-    n = x.size
-    mean = x.mean()
-    peak = x.max()
-    swing = g * (1.0 - g) * (mean - peak)
-    d_input = np.full(n, g / n)
-    d_input[int(np.argmax(x))] += 1.0 - g
-    d_input += swing * w
-    return GradBundle(d_input, {"gate_w": swing * x})
+    """Chain rule through g*avg + (1-g)*max with g = sigmoid(w.x)."""
+    x, w = _vector(x), _vector(gate_w)
+    check_window_length(x, w, "gate weights")
+    return pool_grads("GP", x, gate_w=w)
 
 
 def ordinal_pool_grad(x, weights) -> GradBundle:
-    """Chain rule through the sorting permutation, treated as locally constant.
-
-    With the ascending argsort of x (stable, so ties resolve to the first
-    index in window order), dy/dx_i is the weight of the slot entry i was
-    sorted into, and dy/dw_slot is the slot's sorted value.
-    """
-    x = _vector(x)
-    w = _vector(weights)
-    if w.shape != x.shape:
-        raise ShapeError(f"weights length {w.size} != window length {x.size}")
-    order = np.argsort(x, kind="stable")
-    d_input = np.empty_like(x)
-    d_input[order] = w
-    return GradBundle(d_input, {"ordinal_w": x[order].copy()})
+    """dy/dx_i is the weight of the slot entry i sorts into (stable ranks: ties keep
+    window order), dy/dw_slot the slot's sorted value."""
+    x, w = _vector(x), _vector(weights)
+    check_window_length(x, w, "weights")
+    return pool_grads("OP", x, ordinal_w=w)
 
 
 def learned_norm_pool_grad(x, p_raw) -> GradBundle:
-    """Gradient of the power mean y = ((1/n) sum |x_i|^p)^(1/p).
-
-    dy/dx_i = y |x_i|^(p-1) sign(x_i) / (n * (1/n sum |x_j|^p)), with the
-    convention that the derivative is 0 wherever x_i = 0.  The parameter
-    gradient chains dy/dp through dp/dp_raw = sigmoid(p_raw), using
-    0*log(0) = 0.  Both are evaluated in ratio form (|x_i| / max|x|) so no
-    intermediate can overflow for large exponents.
-    """
-    x = _vector(x)
-    p = norm_exponent(p_raw)
-    magnitudes = np.abs(x)
-    peak = magnitudes.max()
-    if peak == 0.0:
-        return GradBundle(np.zeros_like(x), {"p_raw": np.zeros(1)})
-    ratios = magnitudes / peak
-    powered = ratios**p
-    mean_pow = powered.mean()
-    y = peak * mean_pow ** (1.0 / p)
-    d_input = np.sign(x) * ratios ** (p - 1.0) * mean_pow ** (1.0 / p - 1.0) / x.size
-    log_ratios = np.where(ratios > 0.0, np.log(np.where(ratios > 0.0, ratios, 1.0)), 0.0)
-    weighted_logs = (powered * log_ratios).sum()
-    dy_dp = y * (weighted_logs / (p * powered.sum()) - np.log(mean_pow) / p**2)
-    d_p_raw = dy_dp * sigmoid(float(p_raw))
-    return GradBundle(d_input, {"p_raw": np.array([d_p_raw])})
+    """Gradient of the power mean, 0 wherever x_i = 0; dy/dp_raw = dy/dp * sigmoid(p_raw)."""
+    return pool_grads("LNP", _vector(x), p_raw=p_raw)
 
 
 def lse_pool_grad(x, sharpness) -> GradBundle:
-    """Input gradient of log-sum-exp pooling: the softmax of r*x.
-
-    Computed with the max-shift trick, so the entries are positive, sum to
-    one, and never overflow regardless of the input magnitude.  The
-    sharpness r is a fixed hyperparameter and carries no gradient.
-    """
-    x = _vector(x)
-    r = float(sharpness)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ParameterError(f"sharpness must be a positive finite number, got {r}")
-    z = r * x
-    s = np.exp(z - z.max())
-    return GradBundle(s / s.sum())
+    """The softmax of r*x; the fixed sharpness r carries no gradient."""
+    return pool_grads("LSE", _vector(x), sharpness=check_sharpness(sharpness))
 
 
 def smooth_max_pool_grad(x, tau) -> GradBundle:
-    """Exact gradients of the softmax-weighted average.
-
-    With shift-stabilized weights s_i = softmax(tau * x)_i and output y:
-
-        dy/dx_i  = s_i * (1 + tau * (x_i - y))
-        dy/dtau  = sum_i s_i * (x_i - y)^2
-
-    The input gradient uses the factored form (one fewer division than the
-    raw quotient, and safe under the shift); the temperature gradient is the
-    variance of the window under the softmax weights, evaluated in centered
-    form so it is nonnegative by construction.  The input gradient always
-    sums to 1 but its entries may be negative.
-    """
+    """dy/dx_i = s_i (1 + tau (x_i - y)) and dy/dtau = sum_i s_i (x_i - y)^2, s = softmax(tau x)."""
     x = _vector(x)
-    tau = float(tau)
-    if not math.isfinite(tau) or not np.isfinite(x).all():
-        raise ValueError("smooth max requires finite window entries and temperature")
-    z = tau * x
-    s = np.exp(z - z.max())
-    s /= s.sum()
-    y = (s * x).sum()
-    centered = x - y
-    d_input = s * (1.0 + tau * centered)
-    d_tau = (s * centered**2).sum()
-    return GradBundle(d_input, {"tau": np.array([d_tau])})
+    check_smooth_max_args(x, tau)
+    return pool_grads("SMP_trainable", x, tau=tau)
 
 
 def central_difference(fn, point, step: float, batched: bool = False) -> np.ndarray:

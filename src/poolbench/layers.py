@@ -11,9 +11,9 @@ in (H, W, B, C) coordinates, where every inner row is B*C contiguous floats.
 Convolution and pooling read their windows through the window-offset views
 of their input (:func:`window_views`), never through copied windows, and add
 input gradients into the same views (:func:`_scatter`).  A pooling block runs
-one (forward, backward) kernel pair per method from :data:`KERNELS`.  The
-kernels share no code with the window-level operators in :mod:`poolbench.ops`,
-which the test suite uses as the independent reference for every method.
+its method's kernel pair from :data:`poolbench.ops.POOLING` on the stack of
+those views; the window-level operators of :mod:`poolbench.ops` and the
+gradients of :mod:`poolbench.grads` run the same kernels.
 
 Layers expose ``params()`` and ``grads()`` dicts of like-named arrays;
 gradients accumulate per backward call into ``grads()`` entries that the
@@ -23,17 +23,15 @@ optimizer reads and the trainer zeroes between steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ops import (
-    Affine,
+    ENTRY_WEIGHTS,
+    POOLING,
     ConfigurationError,
     PoolParams,
     PoolSpec,
-    fixed_temperatures,
-    norm_exponent,
     sigmoid,
     validate_pool_params,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "ReLU",
     "Flatten",
     "Linear",
-    "Kernel",
-    "KERNELS",
     "PoolingBlock",
     "ToyNetConfig",
     "ToyNet",
@@ -194,234 +190,13 @@ class Linear:
         return self.grads_
 
 
-# -- pooling kernels ------------------------------------------------------------
-#
-# A forward kernel maps (block, x) to (y, cache); its backward maps (block,
-# cache, dy) to dx and adds parameter gradients into block.grads_.  Kernels
-# work in (H, W, B, C) coordinates on C-contiguous arrays, so per-channel
-# factors broadcast along the trailing axis.  They stack the views on a leading
-# axis, (n, H', W', B, C): one copy of contiguous B*C rows, after which every
-# fold over the window runs on contiguous planes in window order.
-
-
-def _stack(block, x):
-    return np.stack(window_views(x, block.window))
-
-
-def _first_max(stacked):
-    """Window maximum and a one-hot mask of its first maximizer (argmax's tie rule)."""
-    peak = stacked.max(axis=0)
-    first = stacked == peak
-    seen = first[0].copy()
-    for mask in first[1:]:
-        mask &= ~seen
-        seen |= mask
-    return peak, first
-
-
-def _entry_sums(stacked, field):
-    """Per window entry k: the sum of stacked[k] * field over every window."""
-    return (stacked * field).reshape(len(stacked), -1).sum(axis=1)
-
-
-def _conv_forward(block, x):
-    stacked = _stack(block, x)
-    w = block.pool_params.conv_w[:, None, None, None, None]
-    return (stacked * w).sum(axis=0), stacked
-
-
-def _conv_backward(block, stacked, dy):
-    block.grads_["conv_w"] += _entry_sums(stacked, dy)
-    return block._scatter(dy * block.pool_params.conv_w[:, None, None, None, None])
-
-
-def _gp_forward(block, x):
-    stacked = _stack(block, x)
-    w = block.pool_params.gate_w[:, None, None, None, None]
-    g = sigmoid((stacked * w).sum(axis=0))
-    peak, first = _first_max(stacked)
-    mean = stacked.mean(axis=0)
-    return g * mean + (1.0 - g) * peak, (stacked, g, first, mean, peak)
-
-
-def _gp_backward(block, cache, dy):
-    stacked, g, first, mean, peak = cache
-    w = block.pool_params.gate_w[:, None, None, None, None]
-    swing = g * (1.0 - g) * (mean - peak)
-    block.grads_["gate_w"] += _entry_sums(stacked, dy * swing)
-    return block._scatter(dy * (g / len(stacked) + swing * w) + first * ((1.0 - g) * dy))
-
-
-def _op_forward(block, x):
-    stacked = _stack(block, x)
-    # stable ascending rank of every entry: tied entries keep window order
-    ranks = np.zeros(stacked.shape, dtype=np.min_scalar_type(len(stacked)))
-    for j in range(len(stacked)):
-        for k in range(j + 1, len(stacked)):
-            k_first = stacked[k] < stacked[j]
-            ranks[j] += k_first
-            ranks[k] += ~k_first
-    slot_w = block.pool_params.ordinal_w.take(ranks)
-    return (stacked * slot_w).sum(axis=0), (stacked, ranks, slot_w)
-
-
-def _op_backward(block, cache, dy):
-    stacked, ranks, slot_w = cache
-    block.grads_["ordinal_w"] += np.bincount(
-        ranks.reshape(-1), weights=(stacked * dy).reshape(-1), minlength=len(stacked)
-    )
-    return block._scatter(slot_w * dy)
-
-
-def _lnp_forward(block, x):
-    # Every power is an exp of one of two logs: log r per entry (r = |x| / peak)
-    # and the log of the window's mean r^p.  Adding a 0/1 mask before each log
-    # is exact: a zero entry and an all-zero window log to 0, with no select.
-    # The window copy becomes log r in place; only it and two masks are cached.
-    p = norm_exponent(block.pool_params.p_raw[0])
-    log_r = _stack(block, x)
-    negative = log_r < 0.0
-    np.abs(log_r, out=log_r)
-    peak = log_r.max(axis=0)
-    empty = peak == 0.0
-    log_r /= peak + empty
-    zero = log_r == 0.0  # also a ratio that underflowed to 0
-    log_r += zero
-    np.log(log_r, out=log_r)
-    powered = np.multiply(log_r, p)
-    np.exp(powered, out=powered)
-    powered -= zero  # exp(0) - 1: exactly 0 at a zero entry
-    total = powered.sum(axis=0)
-    log_mean = np.log(total / len(log_r) + empty)
-    y = peak * np.exp(log_mean / p)
-    # the r^p-weighted mean of log r, with 0 log 0 = 0: dy/dp needs only it
-    weighted_log = np.einsum("k...,k...->...", powered, log_r)
-    weighted_log /= total + empty
-    return y, (p, negative, zero, log_r, y, log_mean, weighted_log)
-
-
-def _lnp_backward(block, cache, dy):
-    p, negative, zero, log_r, y, log_mean, weighted_log = cache
-    # dy/dx = sign(x) r^(p-1) mean^(1/p - 1) / n; the mask zeroes a zero entry's exp(0)
-    d_stacked = np.multiply(log_r, p - 1.0)
-    np.exp(d_stacked, out=d_stacked)
-    d_stacked -= zero
-    np.copysign(d_stacked, 0.5 - negative, out=d_stacked)  # 0.5 - True < 0: sign(x)
-    d_stacked *= dy * np.exp(log_mean * (1.0 / p - 1.0)) / len(log_r)
-    # dy/dp = y (weighted_log / p - log_mean / p^2); 0 for an all-zero window (y = 0)
-    d_p = (dy * y * (weighted_log / p - log_mean / p**2)).sum()
-    block.grads_["p_raw"] += d_p * sigmoid(float(block.pool_params.p_raw[0]))
-    return block._scatter(d_stacked)
-
-
-def _softmax_weights(z):
-    """Max-shifted exponentials of stacked logits and their sum over the window."""
-    e = np.exp(z - z.max(axis=0))
-    return e, e.sum(axis=0)
-
-
-def _lse_forward(block, x):
-    r = block.pool_params.sharpness
-    z = r * _stack(block, x)
-    e, total = _softmax_weights(z)
-    return (z.max(axis=0) + np.log(total / len(z))) / r, e / total
-
-
-def _smp(block, x, tau):
-    """Softmax-weighted window average under the temperature field ``tau``."""
-    stacked = _stack(block, x)
-    e, total = _softmax_weights(tau * stacked)
-    y = (e * stacked).sum(axis=0) / total
-    return y, (stacked, tau, e / total, y)
-
-
-def _smp_forward(block, x):
-    return _smp(block, x, block.pool_params.tau)
-
-
-def _sesmp_forward(block, x):
-    return _smp(block, x, block._branch(x))
-
-
-def _smp_parts(cache, dy):
-    """Window-entry gradients and the temperature-field gradient of :func:`_smp`."""
-    stacked, tau, s, y = cache
-    centered = stacked - y
-    return dy * s * (1.0 + tau * centered), dy * (s * centered**2).sum(axis=0)
-
-
-def _smp_backward(block, cache, dy):
-    d_stacked, d_tau_field = _smp_parts(cache, dy)
-    if "tau" in block.grads_:  # SMP_trainable; SMP_fixed keeps its ladder
-        block.grads_["tau"] += d_tau_field.sum(axis=(0, 1, 2))
-    return block._scatter(d_stacked)
-
-
-def _sesmp_backward(block, cache, dy):
-    d_stacked, d_tau_field = _smp_parts(cache, dy)
-    return block._scatter(d_stacked) + block._branch_backward(d_tau_field.sum(axis=(0, 1)))
-
-
-def _semp_forward(block, x):
-    scales = sigmoid(block._branch(x))  # (B, C)
-    y, first = _first_max(_stack(block, x * scales))
-    return y, (x, scales, first)
-
-
-def _semp_backward(block, cache, dy):
-    x, scales, first = cache
-    d_scaled = block._scatter(dy * first)
-    d_scales = (d_scaled * x).sum(axis=(0, 1))
-    return d_scaled * scales + block._branch_backward(
-        d_scales * scales * (1.0 - scales)
-    )
-
-
-class Kernel(NamedTuple):
-    """A method's trainable parameter names and batched kernel pair (LSE
-    sharpness and the fixed temperature ladder are hyperparameters)."""
-
-    trainable: tuple[str, ...]
-    forward: Callable
-    backward: Callable
-
-
-_SE_PARAMS = ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias")
-
-#: every pooling method's kernel pair, keyed by method name
-KERNELS = {
-    "MP": Kernel(
-        (),
-        lambda block, x: _first_max(_stack(block, x)),
-        lambda block, first, dy: block._scatter(dy * first),
-    ),
-    "AP": Kernel(
-        (),
-        lambda block, x: (_stack(block, x).mean(axis=0), None),
-        lambda block, _, dy: block._scatter([dy / block.window.n] * block.window.n),
-    ),
-    "NN": Kernel(
-        (),
-        lambda block, x: (window_views(x, block.window)[0].copy(), None),
-        lambda block, _, dy: block._scatter([dy]),  # view 0 only
-    ),
-    "CONV": Kernel(("conv_w",), _conv_forward, _conv_backward),
-    "GP": Kernel(("gate_w",), _gp_forward, _gp_backward),
-    "OP": Kernel(("ordinal_w",), _op_forward, _op_backward),
-    "LNP": Kernel(("p_raw",), _lnp_forward, _lnp_backward),
-    "LSE": Kernel((), _lse_forward, lambda block, s, dy: block._scatter(dy * s)),
-    "SMP_fixed": Kernel((), _smp_forward, _smp_backward),
-    "SMP_trainable": Kernel(("tau",), _smp_forward, _smp_backward),
-    "SESMP": Kernel(_SE_PARAMS, _sesmp_forward, _sesmp_backward),
-    "SEMP": Kernel(_SE_PARAMS, _semp_forward, _semp_backward),
-}
-
-
 class PoolingBlock:
     """One downsampling stage evaluating any of the pooling methods.
 
-    Parameters shared across channels (conv/gate/ordinal weights, the norm
-    exponent) are single vectors per block; temperatures are per channel.
+    The block runs its method's kernel pair (:data:`~poolbench.ops.POOLING`)
+    on the stack of its input's window views, scatters the stack's gradient
+    back and adds each field gradient to its parameter.  The squeeze-and-
+    excitation (SE) methods add a branch on the input's per-channel means.
     """
 
     def __init__(self, spec: PoolSpec, pool_params: PoolParams):
@@ -429,14 +204,25 @@ class PoolingBlock:
         self.window = spec.window
         self.method = spec.method
         self.pool_params = pool_params
-        self.kernel = KERNELS[spec.method]
+        self.pooling = POOLING[spec.method]
         self.grads_ = {name: np.zeros_like(arr) for name, arr in self.params().items()}
+        # Views (they follow the optimizer's in-place updates) shaped for (n, H', W', B, C):
+        # an entry weight gets the window axis first, and a one-entry parameter is a
+        # scalar, as a (1,) array would cut every elementwise loop into C-long pieces.
+        self._fields = {}
+        for name in self.pooling.fields:
+            value = getattr(pool_params, name)
+            if name in ENTRY_WEIGHTS:
+                value = value.reshape(-1, 1, 1, 1, 1)
+            elif np.size(value) == 1:
+                value = np.reshape(value, ())
+            self._fields[name] = value
 
     # -- parameter plumbing -------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
         arrays = self.pool_params.arrays()
-        return {name: arrays[name] for name in self.kernel.trainable}
+        return {name: arrays[name] for name in self.pooling.trainable}
 
     def grads(self) -> dict[str, np.ndarray]:
         return self.grads_
@@ -448,16 +234,43 @@ class PoolingBlock:
             raise DivergedRunError("pooling input contains non-finite values")
         x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
         self._x_shape = x.shape
-        self._cache = None  # free the last call's cache before building this one
-        y, self._cache = self.kernel.forward(self, x)
+        self._cache = self._scaled = None  # free the last call's cache before building this one
+        fields = dict(self._fields)
+        scaled = self._se_forward(x, fields) if self.pooling.se else x
+        stack = np.array(window_views(scaled, self.window)[: self.pooling.entries])
+        del scaled  # SEMP's scaled input: free it before the kernel allocates
+        y, self._cache = self.pooling.forward(stack, fields)
         return y.transpose(2, 3, 0, 1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = np.ascontiguousarray(dy.transpose(2, 3, 0, 1))
-        return self.kernel.backward(self, self._cache, dy).transpose(2, 3, 0, 1)
+        d_stack, d_fields = self.pooling.backward(self._cache, dy)
+        dx = _scatter(self._x_shape, self.window, d_stack)
+        del d_stack  # free it before the SE branch allocates
+        for name, grad in self.grads_.items():
+            if name in d_fields:
+                grad += d_fields[name].reshape(grad.shape)
+        if self.pooling.se:
+            dx = self._se_backward(dx, d_fields)
+        return dx.transpose(2, 3, 0, 1)
 
-    def _scatter(self, parts) -> np.ndarray:
-        return _scatter(self._x_shape, self.window, parts)
+    def _se_forward(self, x, fields):
+        """The kernel input; the SE branch drives SESMP's tau field or SEMP's input scale."""
+        out = self._branch(x)  # (B, C)
+        if self.pooling.se == "tau":
+            fields["tau"] = out
+            return x
+        scales = sigmoid(out)
+        self._scaled = (x, scales)
+        return x * scales
+
+    def _se_backward(self, dx, d_fields):
+        """The input gradient ``dx`` of the kernel input, carried through the SE branch."""
+        if self.pooling.se == "tau":
+            return dx + self._branch_backward(d_fields["tau"])
+        x, scales = self._scaled
+        d_scales = (dx * x).sum(axis=(0, 1))
+        return dx * scales + self._branch_backward(d_scales * scales * (1.0 - scales))
 
     def _branch(self, x):
         # squeeze: per-channel spatial means; excite: affine-ReLU-affine
@@ -523,43 +336,8 @@ class ToyNetConfig:
 
 
 def init_pool_params(spec: PoolSpec, rng, se_ratio=4, lse_sharpness=1.0) -> PoolParams:
-    """Initial trainable state for one pooling block.
-
-    Gate weights start at zero (an unbiased average/max blend), conv and
-    ordinal weights start uniform (exactly average-pooling), the norm
-    exponent starts at p = 3, trainable temperatures are standard normal,
-    fixed temperatures follow the log(c/C) ladder, and the branch affines
-    use He-uniform weights with zero biases.
-    """
-    n = spec.window.n
-    c = spec.channels
-    method = spec.method
-    if method == "CONV":
-        return PoolParams(conv_w=np.full(n, 1.0 / n))
-    if method == "GP":
-        return PoolParams(gate_w=np.zeros(n))
-    if method == "OP":
-        return PoolParams(ordinal_w=np.full(n, 1.0 / n))
-    if method == "LNP":
-        return PoolParams(p_raw=np.array([np.log(np.expm1(2.0))]))  # p = 3
-    if method == "LSE":
-        return PoolParams(sharpness=lse_sharpness)
-    if method == "SMP_trainable":
-        return PoolParams(tau=rng.standard_normal(c))
-    if method == "SMP_fixed":
-        return PoolParams(tau=fixed_temperatures(c))
-    if method in ("SESMP", "SEMP"):
-        if c % se_ratio != 0:
-            raise ConfigurationError(f"se_ratio {se_ratio} must divide channels {c}")
-        hidden = c // se_ratio
-        bound1 = np.sqrt(6.0 / c)
-        bound2 = np.sqrt(6.0 / hidden)
-        return PoolParams(
-            se_f1=Affine(rng.uniform(-bound1, bound1, (hidden, c)), np.zeros(hidden)),
-            se_f2=Affine(rng.uniform(-bound2, bound2, (c, hidden)), np.zeros(c)),
-            se_ratio=se_ratio,
-        )
-    return PoolParams()
+    """Initial trainable state for one pooling block, from the method's table row."""
+    return POOLING[spec.method].init(spec.window.n, spec.channels, rng, se_ratio, lse_sharpness)
 
 
 class ToyNet:
@@ -615,9 +393,8 @@ class ToyNet:
 
     def simplex_params(self) -> tuple[str, ...]:
         """Names of parameters the optimizer must re-project onto the simplex."""
-        if self.method != "OP":
-            return ()
-        return ("pool1.ordinal_w", "pool2.ordinal_w")
+        simplex = POOLING[self.method].simplex
+        return tuple(f"{slot}.{name}" for slot in ("pool1", "pool2") for name in simplex)
 
 
 def softmax_cross_entropy(logits, labels):

@@ -1,33 +1,36 @@
-"""Forward evaluation of the pooling operators.
+"""Pooling methods: one table row each, and their window-level operators.
 
-Every window-level operator reduces over the last axis of ``x``: its n
-entries along that axis are one window.  A 1-D ``x`` is one window and gives
-a float; a 2-D ``x`` is a stack of windows, one per row, and gives one value
-per row.  Parameters broadcast against the windows the same way: a weight
-vector is (n,) or (m, n), one row per window, and a scalar parameter
-(``p_raw``, ``tau``) is a scalar or an (m, 1) column.  Every validation
-applies to every row.  Max- and average-pooling sit at the two ends of a
-spectrum; the remaining operators interpolate between them (and min-pooling)
-through a small number of parameters:
+:data:`POOLING` has one row per method: the :class:`PoolParams` fields it
+reads, its trainable arrays, its initial parameters and its kernel pair, the
+only implementation of the method's window formula.  The pooling blocks of
+:mod:`poolbench.layers` train through the kernels; the operators below and
+the gradients of :mod:`poolbench.grads` are thin adapters over them.  CONV,
+GP, OP, LNP, LSE and SMP interpolate between max- and average-pooling (and
+min-pooling) through a few parameters.
 
-* ``conv_pool``      -- weighted sum with free weights.
-* ``gated_pool``     -- sigmoid gate blending average and max.
-* ``ordinal_pool``   -- convex combination of the *sorted* window.
-* ``learned_norm_pool`` -- power mean of |x| with exponent p in (1, inf).
-* ``lse_pool``       -- log-sum-exp quasi-arithmetic mean with sharpness r.
-* ``smooth_max_pool``-- softmax-weighted average with temperature tau.
+Kernels.  ``forward(stack, fields)`` returns ``(y, cache)`` and
+``backward(cache, dy)`` returns ``(d_stack, {name: gradient})``, where
+``d_stack`` may also be a list of its n entries.  ``stack``
+holds the windows along its first axis, with any trailing shape: (n, H', W',
+B, C) in a pooling block, (n, m) for m windows in the adapters; the forward
+may overwrite it.  A field of one weight per window entry
+(:data:`ENTRY_WEIGHTS`) has the window axis first; any other field, and
+``dy``, broadcasts against the stack without its window axis.  Each gradient
+is summed to its field's shape: over the windows that share a field, or per
+window for one field row per window.
 
-``smooth_max_pool`` and ``lse_pool`` are evaluated with the max-shift trick
-(subtract the largest exponent argument before exponentiating), so they stay
-finite for inputs and temperatures far beyond the overflow threshold of a
-naive implementation.  The same shifted weights are reused by the backward
-passes in :mod:`poolbench.grads`.
+Operators.  Each reduces over the last axis of ``x``: a 1-D ``x`` is one
+window and gives a float, a 2-D ``x`` is a stack of windows, one per row, and
+gives one value per row.  A weight vector is (n,) or (m, n), one row per
+window; a scalar parameter (``p_raw``, ``tau``) is a scalar or an (m, 1)
+column.  Every validation applies to every row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,14 +40,18 @@ __all__ = [
     "ParameterError",
     "ConfigurationError",
     "DegenerateWeightsError",
+    "ENTRY_WEIGHTS",
+    "Pooling",
+    "POOLING",
     "METHODS",
     "HEADLINE_METHODS",
-    "ACTIVE_PARAMS",
     "Affine",
     "PoolSpec",
     "PoolParams",
     "validate_pool_params",
     "sigmoid",
+    "window_stack",
+    "pool",
     "max_pool",
     "avg_pool",
     "nearest_pool",
@@ -74,55 +81,11 @@ class DegenerateWeightsError(ParameterError):
     """Simplex projection received weights with no positive entry."""
 
 
-#: All supported pooling method identifiers.
-METHODS = (
-    "MP",
-    "AP",
-    "NN",
-    "CONV",
-    "GP",
-    "OP",
-    "LNP",
-    "LSE",
-    "SMP_fixed",
-    "SMP_trainable",
-    "SESMP",
-    "SEMP",
-)
+#: PoolParams fields holding one weight per window entry, shared across channels
+ENTRY_WEIGHTS = ("conv_w", "gate_w", "ordinal_w")
 
-#: The ten methods entering the headline benchmark sweep.  CONV is covered
-#: by NN preceded by a full convolution stage (a strided convolution equals
-#: a stride-1 convolution followed by nearest-neighbor downsampling), and
-#: LSE is kept out of the comparison because its sharpness is a fixed,
-#: hand-chosen hyperparameter rather than a trained one.
-HEADLINE_METHODS = (
-    "MP",
-    "AP",
-    "NN",
-    "GP",
-    "OP",
-    "LNP",
-    "SMP_trainable",
-    "SMP_fixed",
-    "SESMP",
-    "SEMP",
-)
-
-#: Which PoolParams fields each method reads.
-ACTIVE_PARAMS = {
-    "MP": (),
-    "AP": (),
-    "NN": (),
-    "CONV": ("conv_w",),
-    "GP": ("gate_w",),
-    "OP": ("ordinal_w",),
-    "LNP": ("p_raw",),
-    "LSE": ("sharpness",),
-    "SMP_fixed": ("tau",),
-    "SMP_trainable": ("tau",),
-    "SESMP": ("se_f1", "se_f2", "se_ratio"),
-    "SEMP": ("se_f1", "se_f2", "se_ratio"),
-}
+#: PoolParams fields of the squeeze-and-excitation branch
+SE_FIELDS = ("se_f1", "se_f2", "se_ratio")
 
 # Sigmoid saturation bounds: one subnormal above 0 and one ulp below 1, so
 # gate values always satisfy the strict open-interval invariant.
@@ -149,6 +112,16 @@ def sigmoid(t):
     out = np.where(t >= 0, 1.0 / d, e / d)
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
     return _float_or_array(out)
+
+
+def norm_exponent(p_raw) -> float | np.ndarray:
+    """Map the unconstrained parameter to the norm exponent: 1 + log(1 + exp(p_raw)).
+
+    Keeps the exponent strictly inside (1, inf); evaluated via logaddexp so
+    large |p_raw| cannot overflow.  Accepts a scalar (returns a float) or an
+    array (returns one exponent per entry).
+    """
+    return _float_or_array(1.0 + np.logaddexp(0.0, np.asarray(p_raw, dtype=np.float64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,27 +154,6 @@ class Affine:
         if v.shape != (self.in_dim,):
             raise ShapeError(f"expected input of shape ({self.in_dim},), got {v.shape}")
         return self.weight @ v + self.bias
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """A pooling method plus its window geometry and channel count."""
-
-    method: str
-    window: WindowSpec
-    channels: int
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown pooling method {self.method!r}; valid: {', '.join(METHODS)}"
-            )
-        if self.channels < 1:
-            raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
-
-    @property
-    def active_params(self) -> tuple[str, ...]:
-        return ACTIVE_PARAMS[self.method]
 
 
 @dataclass
@@ -237,14 +189,320 @@ class PoolParams:
         return out
 
     def snapshot(self) -> dict[str, list[float]]:
-        """Flat copy of the populated fields, for serialization."""
+        """Flat copy of the populated fields, for serialization; with ``p_raw``
+        also the exponent ``p`` it maps to."""
         out = {
             name: [float(v) for v in np.asarray(arr).reshape(-1)]
             for name, arr in self.arrays().items()
         }
+        if self.p_raw is not None:
+            out["p"] = [norm_exponent(self.p_raw[0])]
         if self.sharpness is not None:
             out["sharpness"] = [float(self.sharpness)]
         return out
+
+
+# -- kernels ---------------------------------------------------------------------
+#
+# Every fold over the window runs along axis 0 of the stack.  A pooling block
+# stacks C-contiguous (H', W', B, C) views, so each fold adds contiguous planes
+# in window order.
+
+
+def _sum_to(grad, field):
+    """``grad`` summed over the axes along which ``field`` was broadcast."""
+    shape = np.shape(field)
+    if grad.shape == shape:
+        return grad
+    lead = grad.ndim - len(shape)
+    axes = [i for i in range(grad.ndim) if i < lead or (shape[i - lead] == 1 and grad.shape[i] != 1)]
+    return grad.sum(axis=tuple(axes)).reshape(shape)
+
+
+def _first_max(stack, fields=None):
+    """Window maximum and a one-hot mask of its first maximizer (argmax's tie rule)."""
+    peak = stack.max(axis=0)
+    first = stack == peak
+    seen = first[0].copy()
+    for mask in first[1:]:
+        mask &= ~seen
+        seen |= mask
+    return peak, first
+
+
+def _times_dy(d_stack, dy):
+    """Backward of a kernel whose cache is its input gradient (MP's mask, LSE's softmax)."""
+    return dy * d_stack, {}
+
+
+def _conv_forward(stack, fields):
+    w = fields["conv_w"]
+    return (stack * w).sum(axis=0), (stack, w)
+
+
+def _conv_backward(cache, dy):
+    stack, w = cache
+    d_w = _sum_to(stack * dy, w)  # first: one window-sized temporary at a time
+    return dy * w, {"conv_w": d_w}
+
+
+def _gp_forward(stack, fields):
+    w = fields["gate_w"]  # g * avg + (1 - g) * max with the gate g = sigmoid(w . x)
+    g = sigmoid((stack * w).sum(axis=0))
+    peak, first = _first_max(stack)
+    mean = stack.mean(axis=0)
+    return g * mean + (1.0 - g) * peak, (stack, w, g, first, mean, peak)
+
+
+def _gp_backward(cache, dy):
+    # dy/dx_i = g/n + (1-g)[i = argmax] + swing w_i, dy/dw_i = swing x_i,
+    # swing = g (1-g) (avg - max)
+    stack, w, g, first, mean, peak = cache
+    swing = g * (1.0 - g) * (mean - peak)
+    d_w = _sum_to(stack * (dy * swing), w)
+    return dy * (g / len(stack) + swing * w) + first * ((1.0 - g) * dy), {"gate_w": d_w}
+
+
+def _op_forward(stack, fields):
+    w = fields["ordinal_w"]  # weights of the ascending window, minimum first
+    n = len(stack)
+    # stable ascending rank of every entry: tied entries keep window order
+    ranks = np.zeros(stack.shape, dtype=np.min_scalar_type(n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            k_first = stack[k] < stack[j]
+            ranks[j] += k_first
+            ranks[k] += ~k_first
+    # each entry's slot weight by its index in w.ravel(): rank * rows + row
+    rows = w[0].size
+    slots = ranks if rows == 1 else ranks.astype(np.intp) * rows + np.arange(rows).reshape(w.shape[1:])
+    # an explicit out keeps the stack's memory order; ranks are in range, so clip never acts
+    slot_w = np.take(w.reshape(-1), slots, out=np.empty_like(stack), mode="clip")
+    return (stack * slot_w).sum(axis=0), (stack, w, slots, slot_w)
+
+
+def _op_backward(cache, dy):
+    # dy/dx_i is the weight of the slot entry i sorts into; dy/dw_slot is the
+    # slot's value, a scatter by slot
+    stack, w, slots, slot_w = cache
+    d_w = np.bincount(slots.reshape(-1), weights=(stack * dy).reshape(-1), minlength=w.size)
+    return slot_w * dy, {"ordinal_w": d_w.reshape(w.shape)}
+
+
+def _lnp_forward(stack, fields):
+    # y = ((1/n) sum |x_i|^p)^(1/p), p = norm_exponent(p_raw), factored by the
+    # window's peak |x|, so every ratio r = |x| / peak lies in [0, 1].  Every
+    # power is an exp of one of two logs: log r per entry and the log of the
+    # window's mean r^p.  Adding a 0/1 mask before each log is exact: a zero
+    # entry and an all-zero window log to 0, with no select.  The stack becomes
+    # log r in place; only it and two masks are cached.
+    p_raw = fields["p_raw"]
+    p = norm_exponent(p_raw)
+    log_r = stack
+    negative = log_r < 0.0
+    np.abs(log_r, out=log_r)
+    peak = log_r.max(axis=0)
+    empty = peak == 0.0
+    log_r /= peak + empty
+    zero = log_r == 0.0  # also a ratio that underflowed to 0
+    log_r += zero
+    np.log(log_r, out=log_r)
+    powered = np.multiply(log_r, p)
+    np.exp(powered, out=powered)
+    powered -= zero  # exp(0) - 1: exactly 0 at a zero entry
+    total = powered.sum(axis=0)
+    log_mean = np.log(total / len(log_r) + empty)
+    y = peak * np.exp(log_mean / p)
+    # the r^p-weighted mean of log r, with 0 log 0 = 0: dy/dp needs only it
+    weighted_log = np.einsum("k...,k...->...", powered, log_r)
+    weighted_log /= total + empty
+    return y, (p_raw, p, negative, zero, log_r, y, log_mean, weighted_log)
+
+
+def _lnp_backward(cache, dy):
+    p_raw, p, negative, zero, log_r, y, log_mean, weighted_log = cache
+    # dy/dx = sign(x) r^(p-1) mean^(1/p - 1) / n; the mask zeroes a zero entry's exp(0),
+    # which is the derivative 0 that |x| gets at 0
+    d_stack = np.multiply(log_r, p - 1.0)
+    np.exp(d_stack, out=d_stack)
+    d_stack -= zero
+    np.copysign(d_stack, 0.5 - negative, out=d_stack)  # 0.5 - True < 0: sign(x)
+    d_stack *= dy * np.exp(log_mean * (1.0 / p - 1.0)) / len(log_r)
+    # dy/dp = y (weighted_log / p - log_mean / p^2), 0 for an all-zero window (y = 0),
+    # then dp/dp_raw = sigmoid(p_raw); float_power rounds p^2 as C's pow does, for a
+    # scalar p and an array alike (** squares an array, which rounds differently)
+    d_p = _sum_to(dy * y * (weighted_log / p - log_mean / np.float_power(p, 2.0)), p_raw)
+    return d_stack, {"p_raw": d_p * sigmoid(p_raw)}
+
+
+def _softmax_weights(z):
+    """Max-shifted exponentials of stacked logits and their sum over the window."""
+    e = np.exp(z - z.max(axis=0))
+    return e, e.sum(axis=0)
+
+
+def _lse_forward(stack, fields):
+    # (1/r) log((1/n) sum exp(r x_i)): the maximum as r grows, the average as r
+    # shrinks.  Its input gradient is the softmax of r x; the sharpness r is a
+    # fixed hyperparameter.  Shifted by the largest r x_i, no exp overflows.
+    r = fields["sharpness"]
+    z = r * stack
+    e, total = _softmax_weights(z)
+    return (z.max(axis=0) + np.log(total / len(z))) / r, e / total
+
+
+def _smp_forward(stack, fields):
+    # sum_i x_i exp(tau x_i) / sum_j exp(tau x_j): a convex combination of the
+    # window for every tau; tau = 0 is the average exactly, tau -> +inf the
+    # maximum, tau -> -inf the minimum.  Shifted by the largest tau x_i.
+    tau = fields["tau"]
+    e, total = _softmax_weights(tau * stack)
+    y = (e * stack).sum(axis=0) / total
+    return y, (stack, tau, e / total, y)
+
+
+def _smp_backward(cache, dy):
+    # with s = softmax(tau x): dy/dx_i = s_i (1 + tau (x_i - y)), which sums to 1 but
+    # may be negative, and dy/dtau = sum_i s_i (x_i - y)^2, the softmax variance
+    stack, tau, s, y = cache
+    centered = stack - y
+    d_stack = dy * s * (1.0 + tau * centered)
+    return d_stack, {"tau": _sum_to(dy * (s * centered**2).sum(axis=0), tau)}
+
+
+# -- the method table ------------------------------------------------------------
+
+
+class Pooling(NamedTuple):
+    """One pooling method: its kernel pair, the PoolParams ``fields`` the kernel
+    reads, the flat names (:meth:`PoolParams.arrays`) of its ``trainable``
+    arrays, and ``init(n, channels, rng, se_ratio, lse_sharpness)``, a block's
+    initial PoolParams.  ``se`` is what the squeeze-and-excitation branch
+    drives: the temperature field (``"tau"``) or, through a sigmoid, a
+    per-channel input scale (``"scale"``).  ``simplex`` names the arrays the
+    optimizer re-projects onto the simplex; ``report`` the snapshot entries
+    that ``params-report`` summarizes.  A kernel that reads only the first
+    ``entries`` entries of each window may get a stack of just those."""
+
+    forward: Callable
+    backward: Callable
+    fields: tuple[str, ...] = ()
+    trainable: tuple[str, ...] = ()
+    init: Callable = lambda n, c, rng, se_ratio, lse_r: PoolParams()
+    se: str = ""
+    simplex: tuple[str, ...] = ()
+    report: tuple[str, ...] = ()
+    entries: int | None = None
+
+
+def _init_se(n, channels, rng, se_ratio, lse_sharpness) -> PoolParams:
+    """He-uniform branch weights with zero biases."""
+    if channels % se_ratio != 0:
+        raise ConfigurationError(f"se_ratio {se_ratio} must divide channels {channels}")
+    hidden = channels // se_ratio
+    bound1, bound2 = np.sqrt(6.0 / channels), np.sqrt(6.0 / hidden)
+    return PoolParams(
+        se_f1=Affine(rng.uniform(-bound1, bound1, (hidden, channels)), np.zeros(hidden)),
+        se_f2=Affine(rng.uniform(-bound2, bound2, (channels, hidden)), np.zeros(channels)),
+        se_ratio=se_ratio,
+    )
+
+
+_SE_PARAMS = ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias")
+
+#: every pooling method by name.  Initial state: conv and ordinal weights
+#: uniform (exactly average-pooling), gate weights zero (an unbiased
+#: average/max blend), the norm exponent p = 3, trainable temperatures standard
+#: normal, fixed ones the log(c/C) ladder.  NN propagates the first entry in
+#: row-major window order (nearest-neighbor downsampling).
+POOLING = {
+    "MP": Pooling(_first_max, _times_dy),
+    "AP": Pooling(
+        lambda stack, fields: (stack.mean(axis=0), len(stack)),
+        lambda n, dy: ([dy / n] * n, {}),  # one array for all n entries
+    ),
+    "NN": Pooling(
+        lambda stack, fields: (stack[0], len(stack)),
+        lambda n, dy: (np.concatenate([dy[None], np.zeros((n - 1,) + dy.shape)]), {}),
+        entries=1,
+    ),
+    "CONV": Pooling(
+        _conv_forward, _conv_backward, ("conv_w",), ("conv_w",),
+        lambda n, c, rng, se_ratio, lse_r: PoolParams(conv_w=np.full(n, 1.0 / n)), report=("conv_w",),
+    ),
+    "GP": Pooling(
+        _gp_forward, _gp_backward, ("gate_w",), ("gate_w",),
+        lambda n, c, rng, se_ratio, lse_r: PoolParams(gate_w=np.zeros(n)), report=("gate_w",),
+    ),
+    "OP": Pooling(
+        _op_forward, _op_backward, ("ordinal_w",), ("ordinal_w",),
+        lambda n, c, rng, se_ratio, lse_r: PoolParams(ordinal_w=np.full(n, 1.0 / n)),
+        simplex=("ordinal_w",), report=("ordinal_w",),
+    ),
+    "LNP": Pooling(
+        _lnp_forward, _lnp_backward, ("p_raw",), ("p_raw",),
+        lambda n, c, rng, se_ratio, lse_r: PoolParams(p_raw=np.array([np.log(np.expm1(2.0))])),
+        report=("p",),
+    ),
+    "LSE": Pooling(
+        _lse_forward, _times_dy, ("sharpness",),
+        init=lambda n, c, rng, se_ratio, lse_r: PoolParams(sharpness=lse_r),
+    ),
+    "SMP_fixed": Pooling(
+        _smp_forward, _smp_backward, ("tau",),
+        init=lambda n, c, rng, se_ratio, lse_r: PoolParams(tau=fixed_temperatures(c)), report=("tau",),
+    ),
+    "SMP_trainable": Pooling(
+        _smp_forward, _smp_backward, ("tau",), ("tau",),
+        lambda n, c, rng, se_ratio, lse_r: PoolParams(tau=rng.standard_normal(c)), report=("tau",),
+    ),
+    "SESMP": Pooling(_smp_forward, _smp_backward, (), _SE_PARAMS, _init_se, "tau", report=("se_f2_bias",)),
+    "SEMP": Pooling(_first_max, _times_dy, (), _SE_PARAMS, _init_se, "scale"),
+}
+
+#: All supported pooling method identifiers.
+METHODS = tuple(POOLING)
+
+#: The ten methods entering the headline benchmark sweep.  CONV is covered
+#: by NN preceded by a full convolution stage (a strided convolution equals
+#: a stride-1 convolution followed by nearest-neighbor downsampling), and
+#: LSE is kept out of the comparison because its sharpness is a fixed,
+#: hand-chosen hyperparameter rather than a trained one.
+HEADLINE_METHODS = (
+    "MP",
+    "AP",
+    "NN",
+    "GP",
+    "OP",
+    "LNP",
+    "SMP_trainable",
+    "SMP_fixed",
+    "SESMP",
+    "SEMP",
+)
+
+
+@dataclass(frozen=True)
+class PoolSpec:
+    """A pooling method plus its window geometry and channel count."""
+
+    method: str
+    window: WindowSpec
+    channels: int
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigurationError(
+                f"unknown pooling method {self.method!r}; valid: {', '.join(METHODS)}"
+            )
+        if self.channels < 1:
+            raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
+
+    @property
+    def active_params(self) -> tuple[str, ...]:
+        """Every PoolParams field the method reads."""
+        pooling = POOLING[self.method]
+        return pooling.fields + (SE_FIELDS if pooling.se else ())
 
 
 def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
@@ -253,22 +511,19 @@ def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
     for name in spec.active_params:
         if getattr(params, name) is None:
             raise ConfigurationError(f"{spec.method} requires parameter {name!r}")
-    if params.conv_w is not None and params.conv_w.shape != (n,):
-        raise ShapeError(f"conv_w must have shape ({n},), got {params.conv_w.shape}")
-    if params.gate_w is not None and params.gate_w.shape != (n,):
-        raise ShapeError(f"gate_w must have shape ({n},), got {params.gate_w.shape}")
+    for name in ENTRY_WEIGHTS:
+        w = getattr(params, name)
+        if w is not None and np.shape(w) != (n,):
+            raise ShapeError(f"{name} must have shape ({n},), got {np.shape(w)}")
     if params.ordinal_w is not None:
-        ordinal_w = np.asarray(params.ordinal_w)
-        if ordinal_w.shape != (n,):
-            raise ShapeError(f"ordinal_w must have shape ({n},), got {ordinal_w.shape}")
-        _check_ordinal_weights(ordinal_w, n)
+        _check_ordinal_weights(np.asarray(params.ordinal_w), n)
     if params.sharpness is not None and not params.sharpness > 0:
         raise ParameterError(f"sharpness must be > 0, got {params.sharpness}")
     if params.tau is not None and params.tau.shape != (spec.channels,):
         raise ShapeError(
             f"tau must have shape ({spec.channels},), got {params.tau.shape}"
         )
-    if spec.method in ("SESMP", "SEMP"):
+    if POOLING[spec.method].se:
         ratio = params.se_ratio
         if ratio is None or ratio < 1 or spec.channels % ratio != 0:
             raise ConfigurationError(
@@ -285,6 +540,9 @@ def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
                 f"se_f2 must map {hidden} -> {spec.channels}, got "
                 f"{params.se_f2.in_dim} -> {params.se_f2.out_dim}"
             )
+
+
+# -- window-level operators ------------------------------------------------------
 
 
 def _windows(x) -> np.ndarray:
@@ -317,46 +575,97 @@ def _check_ordinal_weights(w: np.ndarray, n: int) -> None:
         )
 
 
+def check_window_length(x, weights, what: str) -> None:
+    """A weight vector must have one entry per window entry."""
+    x, w = _windows(x), _windows(weights)
+    if w.shape[-1] != x.shape[-1]:
+        raise ShapeError(f"{what} length {w.shape[-1]} != window length {x.shape[-1]}")
+
+
+def check_sharpness(sharpness) -> float:
+    """The LSE sharpness as a float; it must be positive and finite."""
+    r = float(sharpness)
+    if not math.isfinite(r) or r <= 0.0:
+        raise ParameterError(f"sharpness must be a positive finite number, got {r}")
+    return r
+
+
+def check_smooth_max_args(x, tau) -> None:
+    """Smooth max needs finite window entries and temperatures."""
+    if not np.isfinite(tau).all() or not np.isfinite(x).all():
+        raise ValueError("smooth max requires finite window entries and temperature")
+
+
+def window_stack(x, params, per_window=False):
+    """Kernel arguments for the windows along the last axis of ``x``.
+
+    ``params`` maps field names to values: a weight per window entry
+    (:data:`ENTRY_WEIGHTS`) is (n,) or (..., n), any other field a scalar or
+    an (..., 1) column, and all broadcast over the windows' batch shape.
+    Returns ``(stack, fields, batch)``: the (n, M) stack of the M windows, a
+    fresh copy, each entry weight as (n, M) and each other field as (M,).  A
+    field without batch axes stays one (n, 1) column or scalar shared by every
+    window, unless ``per_window`` asks for its gradient per window.  Every
+    (n, M) array is the transpose of a C-ordered (M, n) one, the memory order
+    of a stack of rows, so a window's result does not depend on which other
+    windows share the call.
+    """
+    x = _windows(x)
+    n = x.shape[-1:]
+    values, batch = {}, x.shape[:-1]
+    for name, value in params.items():
+        v = np.asarray(value, dtype=np.float64)
+        width = n if name in ENTRY_WEIGHTS else ()
+        values[name] = v = v if width or v.ndim == 0 else v[..., 0]
+        if v.shape[: v.ndim - len(width)] != batch:
+            batch = np.broadcast_shapes(batch, v.shape[: v.ndim - len(width)])
+
+    def window_first(a, width, copy=False):
+        if a.ndim == len(width) and not (copy or per_window):
+            return a.reshape(width + (1,)) if width else a
+        if copy or a.shape != batch + width:
+            a, full = np.empty(batch + width), a
+            a[...] = full
+        return np.ascontiguousarray(a).reshape((-1,) + width).T
+
+    fields = {name: window_first(v, n if name in ENTRY_WEIGHTS else ()) for name, v in values.items()}
+    return window_first(x, n, copy=True), fields, batch
+
+
+def pool(method: str, x, **params) -> float | np.ndarray:
+    """``method``'s forward kernel on the windows along the last axis of ``x``,
+    with parameters as for :func:`window_stack`; a float for one window."""
+    stack, fields, batch = window_stack(x, params)
+    y, _ = POOLING[method].forward(stack, fields)
+    return _float_or_array(y.reshape(batch))
+
+
 def max_pool(x) -> float | np.ndarray:
     """Largest window entry."""
-    return _float_or_array(_windows(x).max(axis=-1))
+    return pool("MP", x)
 
 
 def avg_pool(x) -> float | np.ndarray:
     """Arithmetic mean of the window."""
-    return _float_or_array(_windows(x).mean(axis=-1))
+    return pool("AP", x)
 
 
 def nearest_pool(x) -> float | np.ndarray:
-    """First window entry, in row-major window order.
-
-    This is nearest-neighbor downsampling: a fixed position is propagated
-    and the rest of the window is ignored.  Applying it after a stride-1
-    convolution reproduces a strided convolution.
-    """
-    return _float_or_array(_windows(x)[..., 0])
+    """First window entry, in row-major window order: after a stride-1
+    convolution, the output of a strided convolution."""
+    return pool("NN", x)
 
 
 def conv_pool(x, weights) -> float | np.ndarray:
     """Weighted sum of the window entries."""
-    x = _windows(x)
-    w = _windows(weights)
-    if w.shape[-1] != x.shape[-1]:
-        raise ShapeError(f"weights length {w.shape[-1]} != window length {x.shape[-1]}")
-    return _float_or_array((w * x).sum(axis=-1))
+    check_window_length(x, weights, "weights")
+    return pool("CONV", x, conv_w=weights)
 
 
 def gated_pool(x, gate_w) -> float | np.ndarray:
-    """Gate-blended average and max: g*avg(x) + (1-g)*max(x), g = sigmoid(w.x).
-
-    The gate weights are shared across channels.
-    """
-    x = _windows(x)
-    w = _windows(gate_w)
-    if w.shape[-1] != x.shape[-1]:
-        raise ShapeError(f"gate weights length {w.shape[-1]} != window length {x.shape[-1]}")
-    g = sigmoid((w * x).sum(axis=-1))
-    return _float_or_array(g * x.mean(axis=-1) + (1.0 - g) * x.max(axis=-1))
+    """Gate-blended average and max: g*avg(x) + (1-g)*max(x), g = sigmoid(w.x)."""
+    check_window_length(x, gate_w, "gate weights")
+    return pool("GP", x, gate_w=gate_w)
 
 
 def ordinal_pool(x, weights) -> float | np.ndarray:
@@ -364,12 +673,10 @@ def ordinal_pool(x, weights) -> float | np.ndarray:
 
     weights[..., 0] multiplies the minimum and weights[..., -1] the maximum,
     so a one-hot last (first) weight vector reproduces max- (min-) pooling.
-    The weights are shared across channels.
     """
     x = _windows(x)
-    w = np.asarray(weights, dtype=np.float64)
-    _check_ordinal_weights(w, x.shape[-1])
-    return _float_or_array((w * np.sort(x, axis=-1)).sum(axis=-1))
+    _check_ordinal_weights(np.asarray(weights, dtype=np.float64), x.shape[-1])
+    return pool("OP", x, ordinal_w=weights)
 
 
 def project_to_simplex(weights) -> np.ndarray:
@@ -390,70 +697,25 @@ def project_to_simplex(weights) -> np.ndarray:
     return clipped / total
 
 
-def norm_exponent(p_raw) -> float | np.ndarray:
-    """Map the unconstrained parameter to the norm exponent: 1 + log(1 + exp(p_raw)).
-
-    Keeps the exponent strictly inside (1, inf); evaluated via logaddexp so
-    large |p_raw| cannot overflow.  Accepts a scalar (returns a float) or an
-    array (returns one exponent per entry).
-    """
-    return _float_or_array(1.0 + np.logaddexp(0.0, np.asarray(p_raw, dtype=np.float64)))
-
-
 def learned_norm_pool(x, p_raw) -> float | np.ndarray:
     """Power mean of the absolute window entries: ((1/n) sum |x_i|^p)^(1/p).
 
     The mean (not the sum) is used, so a constant window is a fixed point.
-    The exponent p = 1 + log(1 + exp(p_raw)) stays in (1, inf).  Evaluation
-    factors out max|x_i|, keeping every intermediate ratio in [0, 1] so that
-    large exponents cannot overflow.  An all-zero window returns 0.
+    The exponent p = 1 + log(1 + exp(p_raw)) stays in (1, inf).  Large
+    exponents cannot overflow, and an all-zero window returns 0.
     """
-    x = _windows(x)
-    p = norm_exponent(p_raw)
-    magnitudes = np.abs(x)
-    peak = magnitudes.max(axis=-1, keepdims=True)
-    # an all-zero window divides by 1 instead: its ratios, mean and result are all 0
-    ratios = magnitudes / np.where(peak > 0.0, peak, 1.0)
-    # float_power rounds as C's pow does, like the scalar arithmetic of the gradient;
-    # numpy's vectorised ** differs from it in the last bit for a few percent of inputs
-    root = np.float_power((ratios**p).mean(axis=-1, keepdims=True), 1.0 / p)
-    return _float_or_array((peak * root)[..., 0])
+    return pool("LNP", x, p_raw=p_raw)
 
 
 def lse_pool(x, sharpness) -> float | np.ndarray:
-    """Log-sum-exp mean: (1/r) log((1/n) sum exp(r*x_i)) with sharpness r > 0.
-
-    Converges to the maximum as r grows and to the average as r shrinks.
-    Evaluated with the max-shift trick so the exponentials never overflow;
-    the backward pass reuses the same shifted weights.
-    """
-    x = _windows(x)
-    r = float(sharpness)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ParameterError(f"sharpness must be a positive finite number, got {r}")
-    z = r * x
-    d = z.max(axis=-1)
-    return _float_or_array((d + np.log(np.exp(z - d[..., None]).mean(axis=-1))) / r)
+    """Log-sum-exp mean: (1/r) log((1/n) sum exp(r*x_i)) with sharpness r > 0."""
+    return pool("LSE", x, sharpness=check_sharpness(sharpness))
 
 
 def smooth_max_pool(x, tau) -> float | np.ndarray:
-    """Softmax-weighted average: sum_i x_i * exp(tau*x_i) / sum_j exp(tau*x_j).
-
-    A convex combination of the window entries for every temperature tau:
-    tau = 0 gives the plain average exactly, tau -> +inf the maximum, and
-    tau -> -inf the minimum.  The shifted evaluation subtracts
-    d = max_i tau*x_i from every exponent argument (exact, because adding a
-    scalar distributes over this operator), so no exponential can overflow.
-    When several entries tie for the maximum their softmax weights split
-    evenly, which the formula forces.
-    """
-    x = _windows(x)
-    tau = np.asarray(tau, dtype=np.float64)
-    if not np.isfinite(tau).all() or not np.isfinite(x).all():
-        raise ValueError("smooth max requires finite window entries and temperature")
-    z = tau * x
-    s = np.exp(z - z.max(axis=-1, keepdims=True))
-    return _float_or_array((s * x).sum(axis=-1) / s.sum(axis=-1))
+    """Softmax-weighted average: sum_i x_i * exp(tau*x_i) / sum_j exp(tau*x_j)."""
+    check_smooth_max_args(x, tau)
+    return pool("SMP_trainable", x, tau=tau)
 
 
 def global_avg_pool(x) -> np.ndarray:

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .ops import ENTRY_WEIGHTS, POOLING
 from .train import EpochMetrics, RunReport
 
 __all__ = [
@@ -102,11 +103,23 @@ def write_params_json(report: RunReport, path) -> None:
 
 
 def read_params_json(path) -> dict:
+    """A params_*.json payload; ``ValueError`` says how a malformed one is off."""
     with open(path) as fh:
         payload = json.load(fh)
-    payload["blocks"] = [
-        {"block": b["block"], "params": b["params"]} for b in payload["blocks"]
-    ]
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    for key, kind in (("method", str), ("seed", int), ("diverged", bool), ("blocks", list)):
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {payload.get(key)!r}")
+    if not payload["blocks"] and not payload["diverged"]:
+        raise ValueError("a run that did not diverge must have parameter blocks")
+    for b in payload["blocks"]:
+        if not (isinstance(b, dict) and isinstance(b.get("block"), int) and isinstance(b.get("params"), dict)):
+            raise ValueError(f"each block needs an integer 'block' and a 'params' object, got {b!r}")
+        for name, values in b["params"].items():
+            if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+                raise ValueError(f"parameter {name!r} must be a list of numbers, got {values!r}")
+    payload["blocks"] = [{"block": b["block"], "params": b["params"]} for b in payload["blocks"]]
     return payload
 
 
@@ -172,37 +185,26 @@ def percentile_summary(values) -> dict[str, float]:
     return {f"p{p}": v for p, v in zip(PERCENTILES, points)}
 
 
-# Parameters worth a distribution table, per method: for the norm exponent
-# report the effective p, for the temperature variants tau per channel, for
-# ordinal/gate/conv pooling the raw weight vectors (echoed exactly).
-_REPORTED_PARAMS = {
-    "LNP": ("p",),
-    "SMP_fixed": ("tau",),
-    "SMP_trainable": ("tau",),
-    "SESMP": ("se_f2_bias",),
-    "OP": ("ordinal_w",),
-    "GP": ("gate_w",),
-    "CONV": ("conv_w",),
-}
-
-
 def params_report_rows(snapshots: list[dict]) -> list[dict]:
     """Percentile table rows from params_*.json payloads.
 
-    For vector parameters the percentiles run over the vector entries; for
-    scalars and for the ordinal/gate/conv weight slots every percentile
-    equals the value itself, so the slot values are echoed exactly.
+    Each method's table row names the parameters worth a distribution
+    table (its ``report``): the effective LNP exponent p, the temperatures
+    per channel, the raw ordinal/gate/conv weight vectors.  For vector
+    parameters the percentiles run over the vector entries; for scalars and
+    for the weight slots every percentile equals the value itself, so the
+    slot values are echoed exactly.
     """
     rows = []
     for payload in snapshots:
         method = payload["method"]
-        names = _REPORTED_PARAMS.get(method, ())
+        names = POOLING[method].report if method in POOLING else ()
         for block in payload["blocks"]:
             for name in names:
                 if name not in block["params"]:
                     continue
                 values = block["params"][name]
-                if method in ("OP", "GP", "CONV"):
+                if name in ENTRY_WEIGHTS:
                     for slot, value in enumerate(values, start=1):
                         rows.append(
                             {

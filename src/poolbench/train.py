@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import SyntheticDataset, make_synthetic
 from .layers import DivergedRunError, ToyNet, ToyNetConfig, softmax_cross_entropy
-from .ops import DegenerateWeightsError, norm_exponent
+from .ops import DegenerateWeightsError
 from .optim import Adam, OptimConfig
 
 __all__ = [
@@ -118,13 +118,10 @@ def evaluate(net: ToyNet, images, labels, batch_size: int = 100):
 
 
 def _snapshots(net: ToyNet) -> list[BlockSnapshot]:
-    out = []
-    for index, block in enumerate(net.pooling_blocks):
-        values = block.pool_params.snapshot()
-        if block.method == "LNP":
-            values["p"] = [norm_exponent(block.pool_params.p_raw[0])]
-        out.append(BlockSnapshot(block=index, params=values))
-    return out
+    return [
+        BlockSnapshot(block=index, params=block.pool_params.snapshot())
+        for index, block in enumerate(net.pooling_blocks)
+    ]
 
 
 # overflow surfaces as a recorded divergence, not as numpy warnings; one scope per run

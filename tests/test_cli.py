@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
+import os
+import signal
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poolbench import cli, gradcheck, grads, layers
+from poolbench import cli, gradcheck, layers, ops
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
 
@@ -231,6 +233,37 @@ class TestSweep:
         assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
 
 
+    def test_killed_worker_loses_only_its_runs(self, tmp_path, tiny_config, capsys, monkeypatch):
+        # a worker killed by a signal breaks the pool: the runs it did not return become
+        # failed rows, every report is written and the sweep exits 3
+        real = cli.run_single
+
+        def killed_on_ap(method, seed, *args):
+            if method == "AP":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(method, seed, *args)
+
+        monkeypatch.setattr(cli, "run_single", killed_on_ap)
+        monkeypatch.setenv("POOLBENCH_THREADS", "2")
+        out = tmp_path / "results"
+        code = run_cli(
+            "sweep", "--config", str(tiny_config), "--methods", "MP", "AP", "--seeds", "1", "2",
+            "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failed = {line.split(":")[1].strip() for line in err.splitlines()}
+        assert {"AP seed 1", "AP seed 2"} <= failed
+        assert all(": crashed: BrokenProcessPool: " in line for line in err.splitlines())
+        for method in ("MP", "AP"):
+            for seed in (1, 2):
+                payload = rep.read_params_json(out / f"params_{method}_{seed}.json")
+                assert (out / f"run_{method}_{seed}.csv").exists()
+                assert payload["diverged"] == (f"{method} seed {seed}" in failed)
+        assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
+
+
 WINDOW_METHODS = ("MP", "AP", "NN", "CONV", "GP", "OP", "LNP", "LSE", "SMP_fixed", "SMP_trainable")
 WINDOW_PARAMS = {"CONV": ("conv_w", 4), "GP": ("gate_w", 4), "OP": ("ordinal_w", 4),
                  "LNP": ("p_raw", 1), "SMP_fixed": ("tau", 1), "SMP_trainable": ("tau", 1)}
@@ -355,13 +388,13 @@ class TestGradcheck:
     def test_perturbed_lse_gradient_fails_at_any_sharpness(self, monkeypatch, sharpness):
         # comparing gradients scaled by 1 / r would put them under the relative-error
         # floor at high r and let a 1e-3 relative error pass
-        real = gradcheck.grads.lse_pool_grad
+        lse = ops.POOLING["LSE"]
 
-        def perturbed(x, r):
-            bundle = real(x, r)
-            return grads.GradBundle(bundle.d_input * (1.0 + 1e-3), bundle.d_params)
+        def perturbed(cache, dy):
+            d_stack, d_fields = lse.backward(cache, dy)
+            return d_stack * (1.0 + 1e-3), d_fields
 
-        monkeypatch.setattr(gradcheck.grads, "lse_pool_grad", perturbed)
+        monkeypatch.setitem(ops.POOLING, "LSE", lse._replace(backward=perturbed))
         result = gradcheck.check_method("LSE", trials=20, lse_sharpness=sharpness)
         assert result.worst_error > 5e-4
         assert not result.passed
@@ -369,25 +402,27 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("method, target, coord", WINDOW_PERTURBATIONS)
     def test_perturbed_window_gradient_fails(self, monkeypatch, method, target, coord):
-        # a 1e-3 relative error in one coordinate of the input or parameter gradient;
-        # a coordinate that is exactly zero (off MP's argmax, NN's ignored entries)
-        # gets 1e-3 instead, where the central difference is exactly zero
-        name = f"{gradcheck._WINDOW_CHECKS[method][0]}_grad"
-        real = getattr(grads, name)
+        # a 1e-3 relative error in one coordinate of the kernel pair's input or parameter
+        # gradient; a coordinate that is exactly zero (off MP's argmax, NN's ignored
+        # entries) gets 1e-3 instead, where the central difference is exactly zero
+        pooling = ops.POOLING[method]
 
-        def perturbed(*args):
-            bundle = real(*args)
-            d = (bundle.d_input if target == "x" else bundle.d_params[target]).copy()
-            d[coord] = d[coord] * (1.0 + 1e-3) if d[coord] != 0.0 else 1e-3
+        def perturbed(cache, dy):
+            d_stack, d_fields = pooling.backward(cache, dy)
+            d = np.array(d_stack if target == "x" else d_fields[target])
+            # the kernel sees the windows along axis 0: coordinate `coord` of every window
+            # is row `coord`; a scalar parameter has one entry per window
+            part = d[coord] if d.ndim == 2 else d
+            part[...] = np.where(part != 0.0, part * (1.0 + 1e-3), 1e-3)
             if target == "x":
-                return grads.GradBundle(d, bundle.d_params)
-            return grads.GradBundle(bundle.d_input, {**bundle.d_params, target: d})
+                return d, d_fields
+            return d_stack, {**d_fields, target: d}
 
-        monkeypatch.setattr(grads, name, perturbed)
+        monkeypatch.setitem(ops.POOLING, method, pooling._replace(backward=perturbed))
         assert not gradcheck.check_method(method, trials=50).passed
 
     @pytest.mark.parametrize("coord", [0, 1])
-    @pytest.mark.parametrize("target", ["x", *layers.KERNELS["SEMP"].trainable])
+    @pytest.mark.parametrize("target", ["x", *ops.POOLING["SEMP"].trainable])
     @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
     def test_perturbed_se_gradient_fails(self, monkeypatch, method, target, coord):
         # a 1e-3 relative error in one coordinate of the input or of one branch array
@@ -402,14 +437,12 @@ class TestGradcheck:
         assert not gradcheck.check_method(method, trials=50).passed
 
     def test_semp_backward_without_sigmoid_derivative_fails(self, monkeypatch):
-        def dropped_one_minus_s(block, cache, dy):
-            x, scales, first = cache
-            d_scaled = block._scatter(dy * first)
-            d_scales = (d_scaled * x).sum(axis=(0, 1))  # kernels work in (H, W, B, C)
-            return d_scaled * scales + block._branch_backward(d_scales * scales)
+        def dropped_one_minus_s(block, dx, d_fields):
+            x, scales = block._scaled
+            d_scales = (dx * x).sum(axis=(0, 1))  # blocks compute in (H, W, B, C)
+            return dx * scales + block._branch_backward(d_scales * scales)
 
-        kernel = layers.KERNELS["SEMP"]._replace(backward=dropped_one_minus_s)
-        monkeypatch.setitem(layers.KERNELS, "SEMP", kernel)
+        monkeypatch.setattr(layers.PoolingBlock, "_se_backward", dropped_one_minus_s)
         assert not gradcheck.check_method("SEMP", trials=50).passed
 
     @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
@@ -448,6 +481,24 @@ class TestParamsReport:
 
     def test_missing_snapshots_usage_error(self, tmp_path):
         assert run_cli("params-report", "--out", str(tmp_path / "empty")) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[]",
+            '{"method": "OP", "seed": 1, "diverged": false, "note": "", "blocks": []}',
+            '{"seed": 1, "diverged": false, "note": "", "blocks": [{"block": 0, "params": {}}]}',
+            '{"method": "LNP", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": 0, "params": {"p": ["abc"]}}]}',
+        ],
+        ids=["top-level-list", "op-without-blocks", "no-method", "text-value"],
+    )
+    def test_malformed_snapshot_is_one_error_line(self, tmp_path, capsys, payload):
+        path = tmp_path / "params_X_1.json"
+        path.write_text(payload)
+        assert run_cli("params-report", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read snapshot {path}: ")
 
 
 class TestLrSweep:

@@ -1,33 +1,19 @@
-"""Batched layers against the per-window reference path and the FD oracle."""
+"""Batched layers against the test-only window formulas and the FD oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import window_reference as ref
 from poolbench import (
     PoolSpec,
     WindowSpec,
-    avg_pool,
-    conv_pool,
     extract_window,
-    gated_pool,
     global_avg_pool,
-    learned_norm_pool,
-    lse_pool,
     map_windows,
-    max_pool,
-    nearest_pool,
-    ordinal_pool,
     se_temperatures,
     sigmoid,
-    smooth_max_pool,
-)
-from poolbench.grads import (
-    gated_pool_grad,
-    learned_norm_pool_grad,
-    max_pool_grad,
-    ordinal_pool_grad,
 )
 from poolbench.layers import (
     Conv2D,
@@ -66,7 +52,7 @@ def make_block(method, channels=4, rng=None, window=POOL22):
 
 
 def reference_forward(block, x):
-    """Oracle: one sample and channel at a time through the window-level ops."""
+    """Oracle: one sample and channel at a time through the test-only window formulas."""
     p = block.pool_params
     method = block.method
     outs = []
@@ -78,7 +64,7 @@ def reference_forward(block, x):
             )
             planes = [
                 map_windows(
-                    sample[c][None], block.window, lambda w, t=tau[c]: smooth_max_pool(w, t)
+                    sample[c][None], block.window, lambda w, t=tau[c]: ref.smooth_max_pool(w, t)
                 )[0]
                 for c in range(sample.shape[0])
             ]
@@ -89,20 +75,20 @@ def reference_forward(block, x):
                 se_temperatures(global_avg_pool(sample), p.se_f1, p.se_f2, p.se_ratio)
             )
             outs.append(
-                map_windows(sample * scales[:, None, None], block.window, max_pool)
+                map_windows(sample * scales[:, None, None], block.window, ref.max_pool)
             )
             continue
         per_channel = {
-            "MP": lambda c: max_pool,
-            "AP": lambda c: avg_pool,
-            "NN": lambda c: nearest_pool,
-            "CONV": lambda c: (lambda w: conv_pool(w, p.conv_w)),
-            "GP": lambda c: (lambda w: gated_pool(w, p.gate_w)),
-            "OP": lambda c: (lambda w: ordinal_pool(w, p.ordinal_w)),
-            "LNP": lambda c: (lambda w: learned_norm_pool(w, p.p_raw[0])),
-            "LSE": lambda c: (lambda w: lse_pool(w, p.sharpness)),
-            "SMP_fixed": lambda c: (lambda w: smooth_max_pool(w, p.tau[c])),
-            "SMP_trainable": lambda c: (lambda w: smooth_max_pool(w, p.tau[c])),
+            "MP": lambda c: ref.max_pool,
+            "AP": lambda c: ref.avg_pool,
+            "NN": lambda c: ref.nearest_pool,
+            "CONV": lambda c: (lambda w: ref.conv_pool(w, p.conv_w)),
+            "GP": lambda c: (lambda w: ref.gated_pool(w, p.gate_w)),
+            "OP": lambda c: (lambda w: ref.ordinal_pool(w, p.ordinal_w)),
+            "LNP": lambda c: (lambda w: ref.learned_norm_pool(w, p.p_raw[0])),
+            "LSE": lambda c: (lambda w: ref.lse_pool(w, p.sharpness)),
+            "SMP_fixed": lambda c: (lambda w: ref.smooth_max_pool(w, p.tau[c])),
+            "SMP_trainable": lambda c: (lambda w: ref.smooth_max_pool(w, p.tau[c])),
         }[method]
         planes = [
             map_windows(sample[c][None], block.window, per_channel(c))[0]
@@ -253,13 +239,13 @@ class TestPoolingBlockBackward:
         block.forward(x)
         dx = block.backward(np.ones((1, 1, 1, 1)))
         p = block.pool_params
-        bundle = {
-            "MP": lambda: max_pool_grad(window),
-            "GP": lambda: gated_pool_grad(window, p.gate_w),
-            "OP": lambda: ordinal_pool_grad(window, p.ordinal_w),
+        d_input, d_params = {
+            "MP": lambda: ref.max_pool_grad(window),
+            "GP": lambda: ref.gated_pool_grad(window, p.gate_w),
+            "OP": lambda: ref.ordinal_pool_grad(window, p.ordinal_w),
         }[method]()
-        np.testing.assert_allclose(dx.reshape(-1), bundle.d_input, rtol=1e-14, atol=1e-15)
-        for name, grad in bundle.d_params.items():
+        np.testing.assert_allclose(dx.reshape(-1), d_input, rtol=1e-14, atol=1e-15)
+        for name, grad in d_params.items():
             np.testing.assert_allclose(block.grads()[name], grad, rtol=1e-14, atol=1e-15)
 
     def test_gradients_accumulate_until_zeroed(self):
@@ -277,7 +263,7 @@ class TestPoolingBlockBackward:
 
 class TestLearnedNormZeros:
     """The LNP block on exact zeros: windows with some zero entries and one
-    all-zero window, against the window-level value and gradient.  p = 3
+    all-zero window, against the reference window value and gradient.  p = 3
     exactly is an integer power; the other exponents are not."""
 
     @pytest.mark.parametrize("p", [3.0, 1.05, 2.5, 7.5])
@@ -304,10 +290,10 @@ class TestLearnedNormZeros:
         expected_dp = 0.0
         for i, j, b, c in np.ndindex(windows.shape[:-1]):
             window = windows[i, j, b, c]
-            expected_y[b, c, i, j] = learned_norm_pool(window, p_raw)
-            bundle = learned_norm_pool_grad(window, p_raw)
-            expected_dx[i, j, b, c] = dy[b, c, i, j] * bundle.d_input
-            expected_dp += dy[b, c, i, j] * bundle.d_params["p_raw"][0]
+            expected_y[b, c, i, j] = ref.learned_norm_pool(window, p_raw)
+            d_input, d_params = ref.learned_norm_pool_grad(window, p_raw)
+            expected_dx[i, j, b, c] = dy[b, c, i, j] * d_input
+            expected_dp += dy[b, c, i, j] * d_params["p_raw"][0]
         assert expected_y[0, 1, 0, 1] == 0.0
         np.testing.assert_allclose(y, expected_y, rtol=1e-13, atol=0.0)
         dx_windows = np.moveaxis(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import window_reference as ref
 from poolbench import (
     Affine,
     ConfigurationError,
@@ -386,7 +387,7 @@ class TestSeGatedMaxPool:
         f1 = Affine(np.zeros((2, 4)), np.zeros(2))
         f2 = Affine(np.zeros((4, 2)), np.zeros(4))
         out = semp_forward(x, f1, f2)
-        np.testing.assert_allclose(out, 0.5 * map_windows(x, POOL22, max_pool), atol=1e-14)
+        np.testing.assert_allclose(out, 0.5 * map_windows(x, POOL22, ref.max_pool), atol=1e-14)
 
     def test_saturated_gate_is_plain_max(self):
         rng = np.random.default_rng(12)
@@ -394,7 +395,7 @@ class TestSeGatedMaxPool:
         f1 = Affine(np.zeros((2, 4)), np.zeros(2))
         f2 = Affine(np.zeros((4, 2)), np.full(4, 60.0))  # sigmoid -> 1
         out = semp_forward(x, f1, f2)
-        np.testing.assert_allclose(out, map_windows(x, POOL22, max_pool), atol=1e-12)
+        np.testing.assert_allclose(out, map_windows(x, POOL22, ref.max_pool), atol=1e-12)
 
     def test_matches_scale_then_max_oracle(self):
         rng = np.random.default_rng(13)
@@ -402,7 +403,7 @@ class TestSeGatedMaxPool:
         f1 = Affine(rng.normal(size=(2, 4)), rng.normal(size=2))
         f2 = Affine(rng.normal(size=(4, 2)), rng.normal(size=4))
         scales = sigmoid(se_temperatures(global_avg_pool(x), f1, f2, 2))
-        expected = map_windows(x * scales[:, None, None], POOL22, max_pool)
+        expected = map_windows(x * scales[:, None, None], POOL22, ref.max_pool)
         np.testing.assert_allclose(semp_forward(x, f1, f2), expected)
 
 

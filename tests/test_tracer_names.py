@@ -1,0 +1,64 @@
+"""The names that perfbench's tracer patches exist where it patches them.
+
+The tracer (``perfbench/tracing.py``) replaces module attributes through
+``vars(module)[name]``, so each must stay a module-level name of its module.
+This reads the tracer's own lists; it does not change the tracer.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from poolbench import gradcheck, grads, layers, ops, optim, reports, train
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = load_tracing()
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (ops, TRACED.WINDOW_OPS),
+        (grads, TRACED.WINDOW_GRADS),
+        (reports, TRACED.REPORT_WRITERS),
+        (gradcheck, ("fd_check", "check_method")),
+        (grads, ("fd_check",)),
+        (train, ("make_synthetic", "forward_backward", "evaluate")),
+    ],
+    ids=["ops", "grads", "reports", "gradcheck", "grads-fd", "train"],
+)
+def test_patched_module_names_exist(module, names):
+    assert names
+    missing = [name for name in names if not callable(vars(module).get(name))]
+    assert not missing, f"{module.__name__} lacks {missing}"
+
+
+@pytest.mark.parametrize(
+    "cls, attr",
+    [
+        (layers.Conv2D, "forward"),
+        (layers.Conv2D, "backward"),
+        (layers.Linear, "forward"),
+        (layers.Linear, "backward"),
+        (layers.PoolingBlock, "forward"),
+        (layers.PoolingBlock, "backward"),
+        (layers.ToyNet, "__init__"),
+        (optim.Adam, "step"),
+    ],
+)
+def test_patched_class_attributes_exist(cls, attr):
+    assert callable(vars(cls).get(attr))
+
+
+def test_tracer_lists_every_method():
+    assert TRACED.METHODS == ops.METHODS
