@@ -5,15 +5,7 @@ maximum, a finite-difference oracle, and a desk-scale training benchmark
 comparing the methods on synthetic data.
 """
 
-from .tensor import (
-    ShapeError,
-    WindowMapError,
-    WindowSpec,
-    as_tensor,
-    extract_window,
-    map_windows,
-    output_size,
-)
+from .tensor import ShapeError, WindowSpec, output_size
 from .ops import (
     HEADLINE_METHODS,
     METHODS,
@@ -27,7 +19,6 @@ from .ops import (
     conv_pool,
     fixed_temperatures,
     gated_pool,
-    global_avg_pool,
     learned_norm_pool,
     lse_pool,
     max_pool,
@@ -35,7 +26,6 @@ from .ops import (
     norm_exponent,
     ordinal_pool,
     project_to_simplex,
-    se_temperatures,
     sigmoid,
     smooth_max_pool,
     validate_pool_params,

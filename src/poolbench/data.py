@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SyntheticDataset", "check_data_args", "make_synthetic", "nearest_centroid_accuracy"]
+__all__ = ["SyntheticDataset", "check_data_args", "make_synthetic"]
 
 
 def _vertical_stripes(size):
@@ -163,14 +163,3 @@ def make_synthetic(
         test_idx=np.concatenate(test_parts),
     )
 
-
-def nearest_centroid_accuracy(dataset: SyntheticDataset) -> float:
-    """Accuracy of a nearest-centroid classifier fit on the training split."""
-    classes = int(dataset.labels.max()) + 1
-    flat_train = dataset.train_images.reshape(len(dataset.train_idx), -1)
-    centroids = np.stack(
-        [flat_train[dataset.train_labels == k].mean(axis=0) for k in range(classes)]
-    )
-    flat_test = dataset.test_images.reshape(len(dataset.test_idx), -1)
-    distances = ((flat_test[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-    return float((distances.argmin(axis=1) == dataset.test_labels).mean())

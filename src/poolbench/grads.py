@@ -1,12 +1,13 @@
 """Analytic gradients of the window-level operators, plus the
 finite-difference (FD) oracle that checks them.
 
-Each ``*_grad`` function takes one window and returns a :class:`GradBundle`
-holding the gradient with respect to the window entries (``d_input``) and,
-where the operator has trainable state, the gradient with respect to each
-parameter (``d_params``).  Like the operators of :mod:`poolbench.ops`, they
-are adapters over the method's kernel pair in :data:`poolbench.ops.POOLING`,
-the code that trains; :func:`pool_grads` evaluates it for many windows at once.
+Each ``*_grad`` function takes one window, with one value of a scalar
+parameter, and returns a :class:`GradBundle` holding the gradient with
+respect to the window entries (``d_input``) and, where the operator has
+trainable state, the gradient with respect to each parameter (``d_params``).
+Like the operators of :mod:`poolbench.ops`, they are adapters over the
+method's kernel pair in :data:`poolbench.ops.POOLING`, the code that trains;
+:func:`pool_grads` evaluates it for many windows at once.
 
 Non-smooth points are handled with fixed, documented conventions:
 
@@ -26,6 +27,7 @@ import numpy as np
 from .ops import (
     POOLING,
     ParameterError,
+    check_ordinal_weights,
     check_sharpness,
     check_smooth_max_args,
     check_window_length,
@@ -152,13 +154,13 @@ def ordinal_pool_grad(x, weights) -> GradBundle:
     """dy/dx_i is the weight of the slot entry i sorts into (stable ranks: ties keep
     window order), dy/dw_slot the slot's sorted value."""
     x, w = _vector(x), _vector(weights)
-    check_window_length(x, w, "weights")
+    check_ordinal_weights(w, x.size)
     return pool_grads("OP", x, ordinal_w=w)
 
 
 def learned_norm_pool_grad(x, p_raw) -> GradBundle:
     """Gradient of the power mean, 0 wherever x_i = 0; dy/dp_raw = dy/dp * sigmoid(p_raw)."""
-    return pool_grads("LNP", _vector(x), p_raw=p_raw)
+    return pool_grads("LNP", _vector(x), p_raw=_vector(p_raw))
 
 
 def lse_pool_grad(x, sharpness) -> GradBundle:
@@ -168,7 +170,7 @@ def lse_pool_grad(x, sharpness) -> GradBundle:
 
 def smooth_max_pool_grad(x, tau) -> GradBundle:
     """dy/dx_i = s_i (1 + tau (x_i - y)) and dy/dtau = sum_i s_i (x_i - y)^2, s = softmax(tau x)."""
-    x = _vector(x)
+    x, tau = _vector(x), _vector(tau)
     check_smooth_max_args(x, tau)
     return pool_grads("SMP_trainable", x, tau=tau)
 

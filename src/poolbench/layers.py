@@ -47,7 +47,6 @@ __all__ = [
     "PoolingBlock",
     "ToyNetConfig",
     "ToyNet",
-    "init_pool_params",
     "softmax_cross_entropy",
 ]
 
@@ -57,9 +56,9 @@ def window_views(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
 
     View ``u*k2 + v`` is ``x[u::s1, v::s2]`` cut to the H' x W' window grid:
     its (i, j) entry is entry (u, v) of window (i, j), so the views list
-    every window in the row-major order of ``extract_window``.  The views
-    share memory with ``x``; rows and columns that fit no complete window
-    appear in none of them.
+    every window's entries in row-major order.  The views share memory with
+    ``x``; rows and columns that fit no complete window appear in none of
+    them.
     """
     h_out, w_out = output_size(x.shape[0], x.shape[1], spec)
     rows = spec.s1 * (h_out - 1) + 1
@@ -335,11 +334,6 @@ class ToyNetConfig:
         return self.stage_channels[-1] * size * size
 
 
-def init_pool_params(spec: PoolSpec, rng, se_ratio=4, lse_sharpness=1.0) -> PoolParams:
-    """Initial trainable state for one pooling block, from the method's table row."""
-    return POOLING[spec.method].init(spec.window.n, spec.channels, rng, se_ratio, lse_sharpness)
-
-
 class ToyNet:
     """conv-ReLU-pool, conv-ReLU-pool, flatten, affine logits."""
 
@@ -349,10 +343,8 @@ class ToyNet:
         c1, c2 = config.stage_channels
 
         def pool(channels):
-            spec = PoolSpec(method, config.window, channels)
-            params = init_pool_params(
-                spec, rng, se_ratio=config.se_ratio, lse_sharpness=config.lse_sharpness
-            )
+            spec = PoolSpec(method, config.window, channels)  # rejects an unknown method
+            params = POOLING[method].init(spec.window.n, channels, rng, config.se_ratio, config.lse_sharpness)
             return PoolingBlock(spec, params)
 
         # nothing reads the image batch's gradient

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import ShapeError, WindowSpec, as_tensor
+from .tensor import ShapeError, WindowSpec
 
 __all__ = [
     "ParameterError",
@@ -63,8 +63,6 @@ __all__ = [
     "learned_norm_pool",
     "lse_pool",
     "smooth_max_pool",
-    "global_avg_pool",
-    "se_temperatures",
     "fixed_temperatures",
 ]
 
@@ -516,7 +514,7 @@ def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
         if w is not None and np.shape(w) != (n,):
             raise ShapeError(f"{name} must have shape ({n},), got {np.shape(w)}")
     if params.ordinal_w is not None:
-        _check_ordinal_weights(np.asarray(params.ordinal_w), n)
+        check_ordinal_weights(np.asarray(params.ordinal_w), n)
     if params.sharpness is not None and not params.sharpness > 0:
         raise ParameterError(f"sharpness must be > 0, got {params.sharpness}")
     if params.tau is not None and params.tau.shape != (spec.channels,):
@@ -560,7 +558,7 @@ def _float_or_array(out: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _check_ordinal_weights(w: np.ndarray, n: int) -> None:
+def check_ordinal_weights(w: np.ndarray, n: int) -> None:
     """Every row of ``w`` (one row per window) must lie on the simplex, up to tolerance."""
     if w.ndim == 0 or w.shape[-1] != n:
         raise ShapeError(f"ordinal weights must have {n} entries per row, got shape {w.shape}")
@@ -616,7 +614,11 @@ def window_stack(x, params, per_window=False):
     for name, value in params.items():
         v = np.asarray(value, dtype=np.float64)
         width = n if name in ENTRY_WEIGHTS else ()
-        values[name] = v = v if width or v.ndim == 0 else v[..., 0]
+        if not width and v.ndim:
+            if v.shape[-1] != 1:  # never cut a vector down to its first entry
+                raise ShapeError(f"{name} must be a scalar or an (..., 1) column, got shape {v.shape}")
+            v = v[..., 0]
+        values[name] = v
         if v.shape[: v.ndim - len(width)] != batch:
             batch = np.broadcast_shapes(batch, v.shape[: v.ndim - len(width)])
 
@@ -675,7 +677,7 @@ def ordinal_pool(x, weights) -> float | np.ndarray:
     so a one-hot last (first) weight vector reproduces max- (min-) pooling.
     """
     x = _windows(x)
-    _check_ordinal_weights(np.asarray(weights, dtype=np.float64), x.shape[-1])
+    check_ordinal_weights(np.asarray(weights, dtype=np.float64), x.shape[-1])
     return pool("OP", x, ordinal_w=weights)
 
 
@@ -716,39 +718,6 @@ def smooth_max_pool(x, tau) -> float | np.ndarray:
     """Softmax-weighted average: sum_i x_i * exp(tau*x_i) / sum_j exp(tau*x_j)."""
     check_smooth_max_args(x, tau)
     return pool("SMP_trainable", x, tau=tau)
-
-
-def global_avg_pool(x) -> np.ndarray:
-    """Per-channel spatial mean of a (C, H, W) tensor; returns a length-C vector."""
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"expected a (C, H, W) tensor, got shape {x.shape}")
-    return x.mean(axis=(1, 2))
-
-
-def se_temperatures(mu, f1: Affine, f2: Affine, ratio: int) -> np.ndarray:
-    """Squeeze-and-excitation branch: f2(relu(f1(mu))) on channel means mu.
-
-    ``ratio`` is the reduction ratio: f1 maps C channel means down to
-    C/ratio hidden units and f2 maps them back up, one output per channel.
-    The outputs drive one temperature (or gate) per channel.
-    """
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    channels = mu.size
-    if ratio < 1 or channels % ratio != 0:
-        raise ConfigurationError(
-            f"reduction ratio {ratio} must divide the channel count {channels}"
-        )
-    hidden = channels // ratio
-    if f1.in_dim != channels or f1.out_dim != hidden:
-        raise ConfigurationError(
-            f"f1 must map {channels} -> {hidden}, got {f1.in_dim} -> {f1.out_dim}"
-        )
-    if f2.in_dim != hidden or f2.out_dim != channels:
-        raise ConfigurationError(
-            f"f2 must map {hidden} -> {channels}, got {f2.in_dim} -> {f2.out_dim}"
-        )
-    return f2(np.maximum(f1(mu), 0.0))
 
 
 def fixed_temperatures(channels: int) -> np.ndarray:

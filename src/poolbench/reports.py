@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .ops import ENTRY_WEIGHTS, POOLING
-from .train import EpochMetrics, RunReport
+from .train import RunReport
 
 __all__ = [
     "RUN_FIELDS",
@@ -22,12 +22,10 @@ __all__ = [
     "run_csv_name",
     "params_json_name",
     "write_run_csv",
-    "read_run_csv",
     "write_params_json",
     "read_params_json",
     "summarize",
     "write_summary_csv",
-    "read_summary_csv",
     "percentile_summary",
     "params_report_rows",
     "write_params_report_csv",
@@ -69,22 +67,6 @@ def write_run_csv(report: RunReport, path) -> None:
             writer.writerow(
                 [em.epoch, _fmt(em.train_loss), _fmt(em.train_acc), _fmt(em.test_loss), _fmt(em.test_acc)]
             )
-
-
-def read_run_csv(path) -> list[EpochMetrics]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                EpochMetrics(
-                    epoch=int(row["epoch"]),
-                    train_loss=float(row["train_loss"]),
-                    train_acc=float(row["train_acc"]),
-                    test_loss=float(row["test_loss"]),
-                    test_acc=float(row["test_acc"]),
-                )
-            )
-    return out
 
 
 def write_params_json(report: RunReport, path) -> None:
@@ -164,17 +146,6 @@ def write_summary_csv(rows: list[dict], path) -> None:
         writer.writerow(SUMMARY_FIELDS)
         for row in rows:
             writer.writerow([row["method"]] + [_fmt(row[k]) for k in SUMMARY_FIELDS[1:]])
-
-
-def read_summary_csv(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    for row in csv.DictReader(lines):
-        rows.append(
-            {"method": row["method"], **{k: float(row[k]) for k in SUMMARY_FIELDS[1:]}}
-        )
-    return rows
 
 
 def percentile_summary(values) -> dict[str, float]:

@@ -1,14 +1,11 @@
-"""Dense float64 feature maps, window geometry, and sliding-window evaluation.
+"""Window geometry of the sliding-window layers.
 
-Feature maps are plain C-contiguous numpy arrays of 64-bit floats, shaped
-(H, W) for a single plane or (C, H, W) for a channel stack.  Window
-*placement* indices are 1-based, matching the usual sliding-window formulas;
-array storage stays 0-based.  ``extract_window`` pins the mapping between
-the two conventions and everything downstream builds on it.
-
-All functions here are pure: window placements are independent of each
-other, results are written per placement (never accumulated), so any
-evaluation order -- including a parallel one -- produces identical output.
+A :class:`WindowSpec` is a window's size (k1 x k2) and stride (s1 x s2), and
+:func:`output_size` counts its complete placements along each axis.  There is
+no padding: trailing rows and columns that fit no complete window are dropped.
+Window (i, j), counted from 0, covers rows s1*i .. s1*i + k1 - 1 and columns
+s2*j .. s2*j + k2 - 1 of its input, its entries in row-major order;
+:func:`poolbench.layers.window_views` reads every window that way.
 """
 
 from __future__ import annotations
@@ -17,45 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "WindowMapError",
-    "WindowSpec",
-    "as_tensor",
-    "output_size",
-    "extract_window",
-    "map_windows",
-]
+__all__ = ["ShapeError", "WindowSpec", "output_size"]
 
 
 class ShapeError(ValueError):
     """A tensor's dimensions are incompatible with the requested operation."""
-
-
-class WindowMapError(RuntimeError):
-    """A window function failed; the message carries the (channel, i, j) placement."""
-
-
-def as_tensor(values, shape=None) -> np.ndarray:
-    """Coerce ``values`` to a C-contiguous float64 array, optionally reshaped.
-
-    Guarantees the two storage invariants: the element count matches the
-    product of the dimension sizes, and every dimension size is >= 1.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        size = int(np.prod(shape, dtype=np.int64))
-        if arr.size != size:
-            raise ShapeError(
-                f"cannot view {arr.size} elements as shape {tuple(shape)}"
-            )
-        arr = arr.reshape(shape)
-    if arr.ndim == 0:
-        raise ShapeError("tensor must have at least one dimension")
-    arr = np.ascontiguousarray(arr)
-    if min(arr.shape) < 1:
-        raise ShapeError(f"all dimension sizes must be >= 1, got {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -90,52 +53,3 @@ def output_size(h: int, w: int, spec: WindowSpec) -> tuple[int, int]:
     if w < spec.k2:
         raise ShapeError(f"width {w} is smaller than window width k2={spec.k2}")
     return (h - spec.k1) // spec.s1 + 1, (w - spec.k2) // spec.s2 + 1
-
-
-def extract_window(x, spec: WindowSpec, i: int, j: int) -> np.ndarray:
-    """Entries of the (i, j)-th window of a 2-D map, flattened row-major.
-
-    ``i`` and ``j`` are 1-based placement indices (1 <= i <= H', 1 <= j <= W');
-    placement (i, j) starts at 0-based array offset (s1*(i-1), s2*(j-1)).
-    Pure read: the input is never modified and the result owns its data.
-    """
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2-D (H, W) map, got shape {x.shape}")
-    h_out, w_out = output_size(x.shape[0], x.shape[1], spec)
-    if not (1 <= i <= h_out and 1 <= j <= w_out):
-        raise IndexError(
-            f"window index ({i}, {j}) outside valid range 1..{h_out} x 1..{w_out}"
-        )
-    r0 = spec.s1 * (i - 1)
-    c0 = spec.s2 * (j - 1)
-    return x[r0 : r0 + spec.k1, c0 : c0 + spec.k2].reshape(-1).copy()
-
-
-def map_windows(x, spec: WindowSpec, fn) -> np.ndarray:
-    """Reduce every window of every channel: out[c, i, j] = fn(window).
-
-    ``x`` is a (C, H, W) stack; ``fn`` maps a flat window vector to a scalar
-    and is applied to each channel independently.  Errors raised by ``fn``
-    are re-raised as :class:`WindowMapError` annotated with the failing
-    (channel, i, j) placement, chaining the original exception.
-    """
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"expected a (C, H, W) tensor, got shape {x.shape}")
-    channels, h, w = x.shape
-    h_out, w_out = output_size(h, w, spec)
-    out = np.empty((channels, h_out, w_out))
-    for c in range(channels):
-        plane = x[c]
-        for i in range(1, h_out + 1):
-            for j in range(1, w_out + 1):
-                window = extract_window(plane, spec, i, j)
-                try:
-                    out[c, i - 1, j - 1] = fn(window)
-                except Exception as err:
-                    raise WindowMapError(
-                        f"window function failed at channel {c}, "
-                        f"placement ({i}, {j}): {err}"
-                    ) from err
-    return out

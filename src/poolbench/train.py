@@ -23,7 +23,6 @@ __all__ = [
     "BlockSnapshot",
     "RunReport",
     "build_net",
-    "init_weights",
     "forward_backward",
     "evaluate",
     "train",
@@ -80,12 +79,6 @@ class RunReport:
 
 def build_net(method: str, net_config: ToyNetConfig, rng) -> ToyNet:
     return ToyNet(net_config, method, rng)
-
-
-def init_weights(method: str, net_config: ToyNetConfig, seed: int) -> dict[str, np.ndarray]:
-    """Freshly initialized parameter store; bit-identical for identical seeds."""
-    net = build_net(method, net_config, np.random.default_rng(seed))
-    return net.params()
 
 
 def forward_backward(net: ToyNet, images, labels):

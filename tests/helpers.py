@@ -1,0 +1,71 @@
+"""Test-only helpers: report readers, initial weights, a data baseline and
+perfbench's tracer.
+
+The program writes its reports and never reads back a run or summary CSV;
+the tests read them through these functions.
+"""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from poolbench.data import SyntheticDataset
+from poolbench.layers import ToyNetConfig
+from poolbench.reports import SUMMARY_FIELDS
+from poolbench.train import EpochMetrics, build_net
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def read_run_csv(path) -> list[EpochMetrics]:
+    out = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.append(
+                EpochMetrics(
+                    epoch=int(row["epoch"]),
+                    train_loss=float(row["train_loss"]),
+                    train_acc=float(row["train_acc"]),
+                    test_loss=float(row["test_loss"]),
+                    test_acc=float(row["test_acc"]),
+                )
+            )
+    return out
+
+
+def read_summary_csv(path) -> list[dict]:
+    rows = []
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    for row in csv.DictReader(lines):
+        rows.append(
+            {"method": row["method"], **{k: float(row[k]) for k in SUMMARY_FIELDS[1:]}}
+        )
+    return rows
+
+
+def init_weights(method: str, net_config: ToyNetConfig, seed: int) -> dict[str, np.ndarray]:
+    """Freshly initialized parameter store; bit-identical for identical seeds."""
+    return build_net(method, net_config, np.random.default_rng(seed)).params()
+
+
+def nearest_centroid_accuracy(dataset: SyntheticDataset) -> float:
+    """Accuracy of a nearest-centroid classifier fit on the training split."""
+    classes = int(dataset.labels.max()) + 1
+    flat_train = dataset.train_images.reshape(len(dataset.train_idx), -1)
+    centroids = np.stack(
+        [flat_train[dataset.train_labels == k].mean(axis=0) for k in range(classes)]
+    )
+    flat_test = dataset.test_images.reshape(len(dataset.test_idx), -1)
+    distances = ((flat_test[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    return float((distances.argmin(axis=1) == dataset.test_labels).mean())
+
+
+def load_tracing():
+    """perfbench's tracer module, loaded from its file; it lists the names it patches."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -22,6 +22,7 @@ from poolbench import (
     smooth_max_pool_grad,
 )
 from poolbench import cli
+from helpers import read_summary_csv
 from poolbench import reports as rep
 from poolbench.data import make_synthetic
 from poolbench.gradcheck import run_gradcheck
@@ -170,7 +171,7 @@ def test_criterion_4_ordinal_projection_every_step():
 
 def test_criterion_5_toy_scale_comparison(sweep_dir):
     out, code, elapsed = sweep_dir
-    rows = rep.read_summary_csv(out / "summary.csv")
+    rows = read_summary_csv(out / "summary.csv")
     by_method = {r["method"]: r for r in rows}
     assert set(by_method) == set(HEADLINE_METHODS)
     finite = {m: r for m, r in by_method.items() if np.isfinite(r["mean_test_acc"])}

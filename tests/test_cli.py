@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from poolbench import cli, gradcheck, layers, ops
+from helpers import read_run_csv, read_summary_csv
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
 
@@ -40,7 +41,7 @@ class TestSweep:
         assert (out / "run_MP_1.csv").exists()
         assert (out / "params_MP_1.json").exists()
         assert len(list(out.glob("run_*.csv"))) == 1
-        rows = rep.read_summary_csv(out / "summary.csv")
+        rows = read_summary_csv(out / "summary.csv")
         assert [r["method"] for r in rows] == ["MP"]
 
     def test_run_count_and_summary_rows(self, tmp_path, tiny_config):
@@ -63,7 +64,7 @@ class TestSweep:
         assert code == 0
         assert len(list(out.glob("run_*.csv"))) == 8
         assert len(list(out.glob("params_*.json"))) == 8
-        rows = rep.read_summary_csv(out / "summary.csv")
+        rows = read_summary_csv(out / "summary.csv")
         assert [r["method"] for r in rows] == ["MP", "AP"]
 
     def test_rerun_is_byte_identical(self, tmp_path, tiny_config):
@@ -150,9 +151,9 @@ class TestSweep:
             "--out",
             str(out),
         )
-        rows = rep.read_summary_csv(out / "summary.csv")
+        rows = read_summary_csv(out / "summary.csv")
         finals = [
-            rep.read_run_csv(out / f"run_AP_{seed}.csv")[-1] for seed in (1, 2)
+            read_run_csv(out / f"run_AP_{seed}.csv")[-1] for seed in (1, 2)
         ]
         mean_test = np.mean([e.test_acc for e in finals])
         sd_test = np.std([e.test_acc for e in finals], ddof=1)
@@ -184,7 +185,7 @@ class TestSweep:
         assert "DIVERGED: AP seed 1" in capsys.readouterr().err
         # the diverged run is still recorded on disk, and the sweep continued
         assert (out / "run_AP_1.csv").exists()
-        rows = rep.read_summary_csv(out / "summary.csv")
+        rows = read_summary_csv(out / "summary.csv")
         assert np.isnan(rows[1]["mean_test_acc"])
         assert rows[0]["mean_test_acc"] == 0.8
 
@@ -202,7 +203,7 @@ class TestSweep:
         assert [line.split(":")[0] for line in err] == ["DIVERGED"] * 3
         for method in ("MP", "LNP", "GP"):
             assert any(line.startswith(f"DIVERGED: {method} seed 1") for line in err)
-        assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "LNP", "GP"]
+        assert [r["method"] for r in read_summary_csv(out / "summary.csv")] == ["MP", "LNP", "GP"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_crashed_run_recorded_and_exit_code_3(self, tmp_path, tiny_config, capsys, monkeypatch, workers):
@@ -230,7 +231,7 @@ class TestSweep:
         crashed = rep.read_params_json(out / "params_AP_2.json")
         assert crashed["diverged"] and crashed["note"] == "crashed: KeyError: 'boom'"
         assert not rep.read_params_json(out / "params_AP_1.json")["diverged"]
-        assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
+        assert [r["method"] for r in read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
 
 
     def test_killed_worker_loses_only_its_runs(self, tmp_path, tiny_config, capsys, monkeypatch):
@@ -261,7 +262,7 @@ class TestSweep:
                 payload = rep.read_params_json(out / f"params_{method}_{seed}.json")
                 assert (out / f"run_{method}_{seed}.csv").exists()
                 assert payload["diverged"] == (f"{method} seed {seed}" in failed)
-        assert [r["method"] for r in rep.read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
+        assert [r["method"] for r in read_summary_csv(out / "summary.csv")] == ["MP", "AP"]
 
 
 WINDOW_METHODS = ("MP", "AP", "NN", "CONV", "GP", "OP", "LNP", "LSE", "SMP_fixed", "SMP_trainable")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from poolbench.data import make_synthetic, nearest_centroid_accuracy
+from helpers import nearest_centroid_accuracy
+from poolbench.data import make_synthetic
 
 
 class TestBalanceAndSplit:

@@ -7,6 +7,7 @@ from poolbench import (
     Affine,
     FDOracleConfig,
     OracleError,
+    ParameterError,
     PoolParams,
     PoolSpec,
     WindowSpec,
@@ -18,7 +19,6 @@ from poolbench import (
     fd_check,
     gated_pool,
     gated_pool_grad,
-    global_avg_pool,
     learned_norm_pool,
     learned_norm_pool_grad,
     lse_pool,
@@ -31,11 +31,11 @@ from poolbench import (
     project_to_simplex,
     relative_error,
     ShapeError,
-    se_temperatures,
     smooth_max_pool,
     smooth_max_pool_grad,
 )
 from poolbench.layers import PoolingBlock
+from window_reference import global_avg_pool, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
 CFG = FDOracleConfig()
@@ -76,6 +76,10 @@ def test_gradients_take_one_window(grad, params):
     with pytest.raises(ShapeError):
         grad(X.reshape(2, 2), *params(4))
     assert grad(3.0, *params(1)).d_input.shape == (1,)  # a scalar is a one-entry window
+    if grad in (learned_norm_pool_grad, smooth_max_pool_grad):
+        # an (m, 1) column is m windows' values of the scalar parameter
+        with pytest.raises(ShapeError):
+            grad(X, np.full((2, 1), 0.5))
 
 
 class TestMaxPoolGrad:
@@ -190,6 +194,13 @@ class TestOrdinalPoolGrad:
             )
             assert err_x < 1e-6
             assert err_w < 1e-6
+
+    def test_weights_the_forward_rejects_are_rejected(self):
+        for bad in ([2.0, -1.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]):
+            with pytest.raises(ParameterError):
+                ordinal_pool(X, bad)
+            with pytest.raises(ParameterError):
+                ordinal_pool_grad(X, bad)
 
 
 class TestLearnedNormPoolGrad:

@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import window_reference as ref
-from poolbench import (
-    PoolSpec,
-    WindowSpec,
-    extract_window,
-    global_avg_pool,
-    map_windows,
-    se_temperatures,
-    sigmoid,
-)
+from poolbench import PoolSpec, WindowSpec, sigmoid
 from poolbench.layers import (
     Conv2D,
     Linear,
@@ -22,11 +14,11 @@ from poolbench.layers import (
     ReLU,
     ToyNet,
     ToyNetConfig,
-    init_pool_params,
     softmax_cross_entropy,
     window_views,
 )
-from poolbench.ops import norm_exponent
+from poolbench.ops import POOLING, norm_exponent
+from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures
 
 POOL22 = WindowSpec(2, 2, 2, 2)
 
@@ -34,7 +26,7 @@ POOL22 = WindowSpec(2, 2, 2, 2)
 def make_block(method, channels=4, rng=None, window=POOL22):
     rng = rng or np.random.default_rng(0)
     spec = PoolSpec(method, window, channels)
-    params = init_pool_params(spec, rng, se_ratio=2)
+    params = POOLING[method].init(window.n, channels, rng, 2, 1.0)
     # move trainable state off its symmetric initial point
     if method == "CONV":
         params.conv_w += rng.uniform(-0.1, 0.4, size=params.conv_w.shape)

@@ -19,21 +19,19 @@ from poolbench import (
     conv_pool,
     fixed_temperatures,
     gated_pool,
-    global_avg_pool,
     learned_norm_pool,
     lse_pool,
-    map_windows,
     max_pool,
     nearest_pool,
     norm_exponent,
     ordinal_pool,
     project_to_simplex,
-    se_temperatures,
     sigmoid,
     smooth_max_pool,
     validate_pool_params,
 )
 from poolbench.layers import PoolingBlock
+from window_reference import global_avg_pool, map_windows, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
 POOL22 = WindowSpec(2, 2, 2, 2)
@@ -575,6 +573,20 @@ class TestStackedWindows:
             column[3, 0] = bad
             with pytest.raises(ValueError):
                 smooth_max_pool(x[0], column)
+
+    def test_scalar_parameter_given_as_a_vector_raises(self):
+        # p_raw and tau are a scalar or an (m, 1) column, never cut to a first entry
+        x = np.linspace(-1.0, 1.0, 4)
+        for call in (
+            lambda: smooth_max_pool(x, [1.0, 99.0, 5.0]),
+            lambda: learned_norm_pool(x, [0.3, 7.0]),
+            lambda: smooth_max_pool(np.ones((3, 4)), np.ones((3, 2))),
+            lambda: learned_norm_pool(np.ones((3, 4)), np.full(3, 0.3)),
+        ):
+            with pytest.raises(ShapeError):
+                call()
+        assert smooth_max_pool(x, [2.0]) == smooth_max_pool(x, 2.0)
+        assert learned_norm_pool(x, np.full(1, 0.3)) == learned_norm_pool(x, 0.3)
 
     def test_empty_windows_and_bad_sharpness_still_rejected(self):
         for op in (max_pool, avg_pool, nearest_pool):

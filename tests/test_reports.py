@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import read_run_csv, read_summary_csv
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
 
@@ -28,7 +29,7 @@ class TestRoundTrips:
         report = sample_report()
         path = tmp_path / "run.csv"
         rep.write_run_csv(report, path)
-        assert rep.read_run_csv(path) == report.epochs
+        assert read_run_csv(path) == report.epochs
 
     def test_params_json_exact(self, tmp_path):
         report = sample_report()
@@ -50,7 +51,7 @@ class TestRoundTrips:
         rebuilt = RunReport(
             method=payload["method"],
             seed=payload["seed"],
-            epochs=rep.read_run_csv(tmp_path / "run.csv"),
+            epochs=read_run_csv(tmp_path / "run.csv"),
             snapshots=[BlockSnapshot(b["block"], b["params"]) for b in payload["blocks"]],
             diverged=payload["diverged"],
             note=payload["note"],
@@ -63,7 +64,7 @@ class TestRoundTrips:
         rows = rep.summarize(reports, ["SMP_trainable"])
         path = tmp_path / "summary.csv"
         rep.write_summary_csv(rows, path)
-        parsed = rep.read_summary_csv(path)
+        parsed = read_summary_csv(path)
         assert parsed == rows
         # recompute the statistics from the per-run values
         train_accs = [r.final_train_acc for r in reports]

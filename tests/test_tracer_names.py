@@ -5,22 +5,10 @@ The tracer (``perfbench/tracing.py``) replaces module attributes through
 This reads the tracer's own lists; it does not change the tracer.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
+from helpers import load_tracing
 from poolbench import gradcheck, grads, layers, ops, optim, reports, train
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 TRACED = load_tracing()
 

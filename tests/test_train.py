@@ -8,11 +8,11 @@ from poolbench.data import make_synthetic
 from poolbench.layers import ToyNetConfig
 from poolbench.ops import HEADLINE_METHODS, norm_exponent
 from poolbench.optim import OptimConfig
+from helpers import init_weights
 from poolbench.train import (
     build_net,
     evaluate,
     forward_backward,
-    init_weights,
     run_single,
     train,
 )

@@ -1,10 +1,17 @@
-"""Test-only reference: every window formula written out directly.
+"""Test-only references: window extraction, every window formula, the SE branch.
 
 The program evaluates each pooling method through one kernel pair
-(``poolbench.ops.POOLING``).  These functions are a second, independent
-implementation that the tests compare the kernels with.  Each forward
-reduces over the last axis of ``x`` (a stack of windows, one per row, or one
-window); each ``*_grad`` takes one window and returns ``(d_input, d_params)``.
+(``poolbench.ops.POOLING``), on windows read through
+``poolbench.layers.window_views``.  The functions here are a second,
+independent implementation that the tests compare the program with:
+
+* ``extract_window`` and ``map_windows`` read windows one placement at a
+  time, with 1-based placement indices;
+* each window forward reduces over the last axis of ``x`` (a stack of
+  windows, one per row, or one window); each ``*_grad`` takes one window and
+  returns ``(d_input, d_params)``;
+* ``global_avg_pool`` and ``se_temperatures`` are the squeeze-and-excitation
+  branch of one (C, H, W) sample.
 
 Non-smooth points follow the program's conventions: max- and ordinal-pooling
 break ties toward the first index in window order, and the learned norm
@@ -13,7 +20,116 @@ treats the derivative of |x| at 0 as 0.
 
 import numpy as np
 
-from poolbench.ops import norm_exponent, sigmoid
+from poolbench.ops import Affine, ConfigurationError, norm_exponent, sigmoid
+from poolbench.tensor import ShapeError, WindowSpec, output_size
+
+
+class WindowMapError(RuntimeError):
+    """A window function failed; the message carries the (channel, i, j) placement."""
+
+
+def as_tensor(values, shape=None) -> np.ndarray:
+    """Coerce ``values`` to a C-contiguous float64 array, optionally reshaped.
+
+    Guarantees the two storage invariants: the element count matches the
+    product of the dimension sizes, and every dimension size is >= 1.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if shape is not None:
+        size = int(np.prod(shape, dtype=np.int64))
+        if arr.size != size:
+            raise ShapeError(
+                f"cannot view {arr.size} elements as shape {tuple(shape)}"
+            )
+        arr = arr.reshape(shape)
+    if arr.ndim == 0:
+        raise ShapeError("tensor must have at least one dimension")
+    arr = np.ascontiguousarray(arr)
+    if min(arr.shape) < 1:
+        raise ShapeError(f"all dimension sizes must be >= 1, got {arr.shape}")
+    return arr
+
+
+def extract_window(x, spec: WindowSpec, i: int, j: int) -> np.ndarray:
+    """Entries of the (i, j)-th window of a 2-D map, flattened row-major.
+
+    ``i`` and ``j`` are 1-based placement indices (1 <= i <= H', 1 <= j <= W');
+    placement (i, j) starts at 0-based array offset (s1*(i-1), s2*(j-1)).
+    Pure read: the input is never modified and the result owns its data.
+    """
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"expected a 2-D (H, W) map, got shape {x.shape}")
+    h_out, w_out = output_size(x.shape[0], x.shape[1], spec)
+    if not (1 <= i <= h_out and 1 <= j <= w_out):
+        raise IndexError(
+            f"window index ({i}, {j}) outside valid range 1..{h_out} x 1..{w_out}"
+        )
+    r0 = spec.s1 * (i - 1)
+    c0 = spec.s2 * (j - 1)
+    return x[r0 : r0 + spec.k1, c0 : c0 + spec.k2].reshape(-1).copy()
+
+
+def map_windows(x, spec: WindowSpec, fn) -> np.ndarray:
+    """Reduce every window of every channel: out[c, i, j] = fn(window).
+
+    ``x`` is a (C, H, W) stack; ``fn`` maps a flat window vector to a scalar
+    and is applied to each channel independently.  Errors raised by ``fn``
+    are re-raised as :class:`WindowMapError` annotated with the failing
+    (channel, i, j) placement, chaining the original exception.
+    """
+    x = as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"expected a (C, H, W) tensor, got shape {x.shape}")
+    channels, h, w = x.shape
+    h_out, w_out = output_size(h, w, spec)
+    out = np.empty((channels, h_out, w_out))
+    for c in range(channels):
+        plane = x[c]
+        for i in range(1, h_out + 1):
+            for j in range(1, w_out + 1):
+                window = extract_window(plane, spec, i, j)
+                try:
+                    out[c, i - 1, j - 1] = fn(window)
+                except Exception as err:
+                    raise WindowMapError(
+                        f"window function failed at channel {c}, "
+                        f"placement ({i}, {j}): {err}"
+                    ) from err
+    return out
+
+
+def global_avg_pool(x) -> np.ndarray:
+    """Per-channel spatial mean of a (C, H, W) tensor; returns a length-C vector."""
+    x = as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"expected a (C, H, W) tensor, got shape {x.shape}")
+    return x.mean(axis=(1, 2))
+
+
+def se_temperatures(mu, f1: Affine, f2: Affine, ratio: int) -> np.ndarray:
+    """Squeeze-and-excitation branch: f2(relu(f1(mu))) on channel means mu.
+
+    ``ratio`` is the reduction ratio: f1 maps C channel means down to
+    C/ratio hidden units and f2 maps them back up, one output per channel.
+    The outputs drive one temperature (or gate) per channel.
+    """
+    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
+    channels = mu.size
+    if ratio < 1 or channels % ratio != 0:
+        raise ConfigurationError(
+            f"reduction ratio {ratio} must divide the channel count {channels}"
+        )
+    hidden = channels // ratio
+    if f1.in_dim != channels or f1.out_dim != hidden:
+        raise ConfigurationError(
+            f"f1 must map {channels} -> {hidden}, got {f1.in_dim} -> {f1.out_dim}"
+        )
+    if f2.in_dim != hidden or f2.out_dim != channels:
+        raise ConfigurationError(
+            f"f2 must map {hidden} -> {channels}, got {f2.in_dim} -> {f2.out_dim}"
+        )
+    return f2(np.maximum(f1(mu), 0.0))
 
 
 def _windows(x):
