@@ -9,11 +9,9 @@ from .tensor import ShapeError, WindowSpec, output_size
 from .ops import (
     HEADLINE_METHODS,
     METHODS,
-    Affine,
     ConfigurationError,
     DegenerateWeightsError,
     ParameterError,
-    PoolParams,
     PoolSpec,
     avg_pool,
     conv_pool,

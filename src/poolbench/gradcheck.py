@@ -158,28 +158,23 @@ def _check_se_block(method, trials, config, rng):
     random unit direction v, <grad, v> against the central difference of
     t -> f(theta + t v).
     """
-    channels, ratio, size = 4, 2, 4
+    channels, hidden, size = 4, 2, 4
     worst = 0.0
     spec = ops.PoolSpec(method, _WINDOW, channels)
     probe_shape = (1, channels, *output_size(size, size, _WINDOW))
     for _ in range(trials):
         while True:
             x = rng.uniform(-1.0, 1.0, size=(1, channels, size, size))
-            params = ops.PoolParams(
-                se_f1=ops.Affine(
-                    rng.uniform(-1.0, 1.0, size=(channels // ratio, channels)),
-                    rng.uniform(-0.5, 0.5, size=channels // ratio),
-                ),
-                se_f2=ops.Affine(
-                    rng.uniform(-1.0, 1.0, size=(channels, channels // ratio)),
-                    rng.uniform(-0.5, 0.5, size=channels),
-                ),
-                se_ratio=ratio,
-            )
+            params = {
+                "se_f1_weight": rng.uniform(-1.0, 1.0, size=(hidden, channels)),
+                "se_f1_bias": rng.uniform(-0.5, 0.5, size=hidden),
+                "se_f2_weight": rng.uniform(-1.0, 1.0, size=(channels, hidden)),
+                "se_f2_bias": rng.uniform(-0.5, 0.5, size=channels),
+            }
             # keep the ReLU kink and window ties out of FD range
-            hidden = params.se_f1(x[0].mean(axis=(1, 2)))
+            hidden_pre = params["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + params["se_f1_bias"]
             sorted_win = np.sort(np.stack(layers.window_views(x.transpose(2, 3, 0, 1), _WINDOW)), axis=0)
-            if np.abs(hidden).min() <= 1e-3 or (sorted_win[-1] - sorted_win[-2]).min() <= 1e-2:
+            if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[-1] - sorted_win[-2]).min() <= 1e-2:
                 continue
             block = layers.PoolingBlock(spec, params)
             probe = rng.uniform(-1.0, 1.0, size=probe_shape)

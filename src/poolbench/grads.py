@@ -4,7 +4,8 @@ finite-difference (FD) oracle that checks them.
 Each ``*_grad`` function takes one window, with one value of a scalar
 parameter, and returns a :class:`GradBundle` holding the gradient with
 respect to the window entries (``d_input``) and, where the operator has
-trainable state, the gradient with respect to each parameter (``d_params``).
+trainable state, the gradient with respect to each parameter (``d_params``,
+keyed by the flat name a pooling block stores the parameter under).
 Like the operators of :mod:`poolbench.ops`, they are adapters over the
 method's kernel pair in :data:`poolbench.ops.POOLING`, the code that trains;
 :func:`pool_grads` evaluates it for many windows at once.
@@ -165,7 +166,7 @@ def learned_norm_pool_grad(x, p_raw) -> GradBundle:
 
 def lse_pool_grad(x, sharpness) -> GradBundle:
     """The softmax of r*x; the fixed sharpness r carries no gradient."""
-    return pool_grads("LSE", _vector(x), sharpness=check_sharpness(sharpness))
+    return pool_grads("LSE", _vector(x), sharpness=check_sharpness(_vector(sharpness)))
 
 
 def smooth_max_pool_grad(x, tau) -> GradBundle:

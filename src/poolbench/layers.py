@@ -17,7 +17,10 @@ gradients of :mod:`poolbench.grads` run the same kernels.
 
 Layers expose ``params()`` and ``grads()`` dicts of like-named arrays;
 gradients accumulate per backward call into ``grads()`` entries that the
-optimizer reads and the trainer zeroes between steps.
+optimizer reads and the trainer zeroes between steps.  A pooling block keeps
+all its parameters, trained or fixed, in one dict (``pool_params``) keyed by
+the same flat names (``conv_w``, ``tau``, ``se_f1_weight``, ...); its
+``params()`` is the trainable part, in the method's ``trainable`` order.
 """
 
 from __future__ import annotations
@@ -26,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (
-    ENTRY_WEIGHTS,
-    POOLING,
-    ConfigurationError,
-    PoolParams,
-    PoolSpec,
-    sigmoid,
-    validate_pool_params,
-)
+from .ops import ENTRY_WEIGHTS, POOLING, ConfigurationError, PoolSpec, sigmoid, validate_pool_params
 from .tensor import WindowSpec, output_size
 
 __all__ = [
@@ -196,21 +191,23 @@ class PoolingBlock:
     on the stack of its input's window views, scatters the stack's gradient
     back and adds each field gradient to its parameter.  The squeeze-and-
     excitation (SE) methods add a branch on the input's per-channel means.
+    ``pool_params`` holds the block's arrays by flat name, as the method's
+    ``init`` returns them; the block reads and trains them in place.
     """
 
-    def __init__(self, spec: PoolSpec, pool_params: PoolParams):
+    def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray]):
         validate_pool_params(spec, pool_params)
         self.window = spec.window
         self.method = spec.method
         self.pool_params = pool_params
         self.pooling = POOLING[spec.method]
-        self.grads_ = {name: np.zeros_like(arr) for name, arr in self.params().items()}
+        self.grads_ = {name: np.zeros(arr.shape) for name, arr in self.params().items()}
         # Views (they follow the optimizer's in-place updates) shaped for (n, H', W', B, C):
         # an entry weight gets the window axis first, and a one-entry parameter is a
         # scalar, as a (1,) array would cut every elementwise loop into C-long pieces.
         self._fields = {}
         for name in self.pooling.fields:
-            value = getattr(pool_params, name)
+            value = pool_params[name]
             if name in ENTRY_WEIGHTS:
                 value = value.reshape(-1, 1, 1, 1, 1)
             elif np.size(value) == 1:
@@ -220,8 +217,7 @@ class PoolingBlock:
     # -- parameter plumbing -------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
-        arrays = self.pool_params.arrays()
-        return {name: arrays[name] for name in self.pooling.trainable}
+        return {name: self.pool_params[name] for name in self.pooling.trainable}
 
     def grads(self) -> dict[str, np.ndarray]:
         return self.grads_
@@ -275,9 +271,9 @@ class PoolingBlock:
         # squeeze: per-channel spatial means; excite: affine-ReLU-affine
         p = self.pool_params
         mu = x.mean(axis=(0, 1))
-        hidden_pre = mu @ p.se_f1.weight.T + p.se_f1.bias
+        hidden_pre = mu @ p["se_f1_weight"].T + p["se_f1_bias"]
         hidden = np.maximum(hidden_pre, 0.0)
-        out = hidden @ p.se_f2.weight.T + p.se_f2.bias
+        out = hidden @ p["se_f2_weight"].T + p["se_f2_bias"]
         self._mu, self._hidden_pre, self._hidden = mu, hidden_pre, hidden
         return out
 
@@ -285,11 +281,11 @@ class PoolingBlock:
         p = self.pool_params
         self.grads_["se_f2_weight"] += d_out.T @ self._hidden
         self.grads_["se_f2_bias"] += d_out.sum(axis=0)
-        d_hidden = d_out @ p.se_f2.weight
+        d_hidden = d_out @ p["se_f2_weight"]
         d_hidden_pre = d_hidden * (self._hidden_pre > 0.0)
         self.grads_["se_f1_weight"] += d_hidden_pre.T @ self._mu
         self.grads_["se_f1_bias"] += d_hidden_pre.sum(axis=0)
-        d_mu = d_hidden_pre @ p.se_f1.weight
+        d_mu = d_hidden_pre @ p["se_f1_weight"]
         h, w = self._x_shape[:2]
         return np.broadcast_to(d_mu / (h * w), self._x_shape)
 

@@ -1,8 +1,13 @@
 """Pooling methods: one table row each, and their window-level operators.
 
-:data:`POOLING` has one row per method: the :class:`PoolParams` fields it
-reads, its trainable arrays, its initial parameters and its kernel pair, the
-only implementation of the method's window formula.  The pooling blocks of
+:data:`POOLING` has one row per method: the parameters its kernel reads, its
+trainable arrays, its initial parameters and its kernel pair, the only
+implementation of the method's window formula.  A pooling block's
+parameters are one dict keyed by the flat names that the optimizer and the
+reports use: ``conv_w``, ``gate_w``, ``ordinal_w``, ``p_raw``, ``sharpness``,
+``tau`` and the squeeze-and-excitation (SE) branch's ``se_f1_weight``,
+``se_f1_bias``, ``se_f2_weight`` and ``se_f2_bias``;
+:func:`validate_pool_params` checks it.  The pooling blocks of
 :mod:`poolbench.layers` train through the kernels; the operators below and
 the gradients of :mod:`poolbench.grads` are thin adapters over them.  CONV,
 GP, OP, LNP, LSE and SMP interpolate between max- and average-pooling (and
@@ -22,8 +27,8 @@ window for one field row per window.
 Operators.  Each reduces over the last axis of ``x``: a 1-D ``x`` is one
 window and gives a float, a 2-D ``x`` is a stack of windows, one per row, and
 gives one value per row.  A weight vector is (n,) or (m, n), one row per
-window; a scalar parameter (``p_raw``, ``tau``) is a scalar or an (m, 1)
-column.  Every validation applies to every row.
+window; a scalar parameter (``p_raw``, ``sharpness``, ``tau``) is a scalar or
+an (m, 1) column.  Every validation applies to every row.
 """
 
 from __future__ import annotations
@@ -45,9 +50,7 @@ __all__ = [
     "POOLING",
     "METHODS",
     "HEADLINE_METHODS",
-    "Affine",
     "PoolSpec",
-    "PoolParams",
     "validate_pool_params",
     "sigmoid",
     "window_stack",
@@ -79,11 +82,8 @@ class DegenerateWeightsError(ParameterError):
     """Simplex projection received weights with no positive entry."""
 
 
-#: PoolParams fields holding one weight per window entry, shared across channels
+#: parameters holding one weight per window entry, shared across channels
 ENTRY_WEIGHTS = ("conv_w", "gate_w", "ordinal_w")
-
-#: PoolParams fields of the squeeze-and-excitation branch
-SE_FIELDS = ("se_f1", "se_f2", "se_ratio")
 
 # Sigmoid saturation bounds: one subnormal above 0 and one ulp below 1, so
 # gate values always satisfy the strict open-interval invariant.
@@ -120,84 +120,6 @@ def norm_exponent(p_raw) -> float | np.ndarray:
     array (returns one exponent per entry).
     """
     return _float_or_array(1.0 + np.logaddexp(0.0, np.asarray(p_raw, dtype=np.float64)))
-
-
-@dataclass(frozen=True, eq=False)
-class Affine:
-    """Affine map v -> weight @ v + bias, weight shaped (out_dim, in_dim)."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
-        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError("affine map needs a 2-D weight and a 1-D bias")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight rows {self.weight.shape[0]} != bias length {self.bias.shape[0]}"
-            )
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.in_dim,):
-            raise ShapeError(f"expected input of shape ({self.in_dim},), got {v.shape}")
-        return self.weight @ v + self.bias
-
-
-@dataclass
-class PoolParams:
-    """Trainable state of one pooling block; only the method's fields are set.
-
-    Scalar parameters (``p_raw``) are stored as shape-(1,) arrays so the
-    optimizer can update every parameter in place through one interface.
-    """
-
-    conv_w: np.ndarray | None = None        # (n,) weights, shared across channels
-    gate_w: np.ndarray | None = None        # (n,) gate weights, shared across channels
-    ordinal_w: np.ndarray | None = None     # (n,) simplex weights over sorted slots
-    p_raw: np.ndarray | None = None         # (1,) unconstrained norm exponent
-    sharpness: float | None = None          # fixed log-sum-exp sharpness r > 0
-    tau: np.ndarray | None = None           # (C,) per-channel temperatures
-    se_f1: Affine | None = None             # squeeze branch: channels -> channels/ratio
-    se_f2: Affine | None = None             # excite branch: channels/ratio -> channels
-    se_ratio: int | None = None             # reduction ratio, must divide channels
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The populated array fields by flat name, each SE affine map split
-        into its ``_weight`` and ``_bias``; the stored arrays, not copies."""
-        out = {
-            name: getattr(self, name)
-            for name in ("conv_w", "gate_w", "ordinal_w", "p_raw", "tau")
-            if getattr(self, name) is not None
-        }
-        for name in ("se_f1", "se_f2"):
-            affine = getattr(self, name)
-            if affine is not None:
-                out[f"{name}_weight"], out[f"{name}_bias"] = affine.weight, affine.bias
-        return out
-
-    def snapshot(self) -> dict[str, list[float]]:
-        """Flat copy of the populated fields, for serialization; with ``p_raw``
-        also the exponent ``p`` it maps to."""
-        out = {
-            name: [float(v) for v in np.asarray(arr).reshape(-1)]
-            for name, arr in self.arrays().items()
-        }
-        if self.p_raw is not None:
-            out["p"] = [norm_exponent(self.p_raw[0])]
-        if self.sharpness is not None:
-            out["sharpness"] = [float(self.sharpness)]
-        return out
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -372,38 +294,41 @@ def _smp_backward(cache, dy):
 
 
 class Pooling(NamedTuple):
-    """One pooling method: its kernel pair, the PoolParams ``fields`` the kernel
-    reads, the flat names (:meth:`PoolParams.arrays`) of its ``trainable``
-    arrays, and ``init(n, channels, rng, se_ratio, lse_sharpness)``, a block's
-    initial PoolParams.  ``se`` is what the squeeze-and-excitation branch
-    drives: the temperature field (``"tau"``) or, through a sigmoid, a
-    per-channel input scale (``"scale"``).  ``simplex`` names the arrays the
-    optimizer re-projects onto the simplex; ``report`` the snapshot entries
-    that ``params-report`` summarizes.  A kernel that reads only the first
-    ``entries`` entries of each window may get a stack of just those."""
+    """One pooling method: its kernel pair, the parameters its kernel reads
+    (``fields``) and its ``trainable`` arrays, and ``init(n, channels, rng,
+    se_ratio, lse_sharpness)``, a block's initial parameters: a dict holding
+    exactly the names in ``fields`` and ``trainable``.  ``trainable`` is in
+    the order the optimizer flattens.  ``se`` is what the squeeze-and-
+    excitation branch drives: the temperature field (``"tau"``) or, through a
+    sigmoid, a per-channel input scale (``"scale"``).  ``simplex`` names the
+    arrays the optimizer re-projects onto the simplex; ``report`` the
+    snapshot entries that ``params-report`` summarizes.  A kernel that reads
+    only the first ``entries`` entries of each window may get a stack of just
+    those."""
 
     forward: Callable
     backward: Callable
     fields: tuple[str, ...] = ()
     trainable: tuple[str, ...] = ()
-    init: Callable = lambda n, c, rng, se_ratio, lse_r: PoolParams()
+    init: Callable = lambda n, c, rng, se_ratio, lse_r: {}
     se: str = ""
     simplex: tuple[str, ...] = ()
     report: tuple[str, ...] = ()
     entries: int | None = None
 
 
-def _init_se(n, channels, rng, se_ratio, lse_sharpness) -> PoolParams:
-    """He-uniform branch weights with zero biases."""
+def _init_se(n, channels, rng, se_ratio, lse_sharpness) -> dict[str, np.ndarray]:
+    """He-uniform branch weights with zero biases; the hidden width is channels / se_ratio."""
     if channels % se_ratio != 0:
         raise ConfigurationError(f"se_ratio {se_ratio} must divide channels {channels}")
     hidden = channels // se_ratio
     bound1, bound2 = np.sqrt(6.0 / channels), np.sqrt(6.0 / hidden)
-    return PoolParams(
-        se_f1=Affine(rng.uniform(-bound1, bound1, (hidden, channels)), np.zeros(hidden)),
-        se_f2=Affine(rng.uniform(-bound2, bound2, (channels, hidden)), np.zeros(channels)),
-        se_ratio=se_ratio,
-    )
+    return {
+        "se_f1_weight": rng.uniform(-bound1, bound1, (hidden, channels)),
+        "se_f1_bias": np.zeros(hidden),
+        "se_f2_weight": rng.uniform(-bound2, bound2, (channels, hidden)),
+        "se_f2_bias": np.zeros(channels),
+    }
 
 
 _SE_PARAMS = ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias")
@@ -426,33 +351,33 @@ POOLING = {
     ),
     "CONV": Pooling(
         _conv_forward, _conv_backward, ("conv_w",), ("conv_w",),
-        lambda n, c, rng, se_ratio, lse_r: PoolParams(conv_w=np.full(n, 1.0 / n)), report=("conv_w",),
+        lambda n, c, rng, se_ratio, lse_r: {"conv_w": np.full(n, 1.0 / n)}, report=("conv_w",),
     ),
     "GP": Pooling(
         _gp_forward, _gp_backward, ("gate_w",), ("gate_w",),
-        lambda n, c, rng, se_ratio, lse_r: PoolParams(gate_w=np.zeros(n)), report=("gate_w",),
+        lambda n, c, rng, se_ratio, lse_r: {"gate_w": np.zeros(n)}, report=("gate_w",),
     ),
     "OP": Pooling(
         _op_forward, _op_backward, ("ordinal_w",), ("ordinal_w",),
-        lambda n, c, rng, se_ratio, lse_r: PoolParams(ordinal_w=np.full(n, 1.0 / n)),
+        lambda n, c, rng, se_ratio, lse_r: {"ordinal_w": np.full(n, 1.0 / n)},
         simplex=("ordinal_w",), report=("ordinal_w",),
     ),
     "LNP": Pooling(
         _lnp_forward, _lnp_backward, ("p_raw",), ("p_raw",),
-        lambda n, c, rng, se_ratio, lse_r: PoolParams(p_raw=np.array([np.log(np.expm1(2.0))])),
+        lambda n, c, rng, se_ratio, lse_r: {"p_raw": np.array([np.log(np.expm1(2.0))])},
         report=("p",),
     ),
     "LSE": Pooling(
         _lse_forward, _times_dy, ("sharpness",),
-        init=lambda n, c, rng, se_ratio, lse_r: PoolParams(sharpness=lse_r),
+        init=lambda n, c, rng, se_ratio, lse_r: {"sharpness": lse_r},
     ),
     "SMP_fixed": Pooling(
         _smp_forward, _smp_backward, ("tau",),
-        init=lambda n, c, rng, se_ratio, lse_r: PoolParams(tau=fixed_temperatures(c)), report=("tau",),
+        init=lambda n, c, rng, se_ratio, lse_r: {"tau": fixed_temperatures(c)}, report=("tau",),
     ),
     "SMP_trainable": Pooling(
         _smp_forward, _smp_backward, ("tau",), ("tau",),
-        lambda n, c, rng, se_ratio, lse_r: PoolParams(tau=rng.standard_normal(c)), report=("tau",),
+        lambda n, c, rng, se_ratio, lse_r: {"tau": rng.standard_normal(c)}, report=("tau",),
     ),
     "SESMP": Pooling(_smp_forward, _smp_backward, (), _SE_PARAMS, _init_se, "tau", report=("se_f2_bias",)),
     "SEMP": Pooling(_first_max, _times_dy, (), _SE_PARAMS, _init_se, "scale"),
@@ -496,48 +421,41 @@ class PoolSpec:
         if self.channels < 1:
             raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
 
-    @property
-    def active_params(self) -> tuple[str, ...]:
-        """Every PoolParams field the method reads."""
-        pooling = POOLING[self.method]
-        return pooling.fields + (SE_FIELDS if pooling.se else ())
 
-
-def validate_pool_params(spec: PoolSpec, params: PoolParams) -> None:
-    """Check that exactly the method's fields are populated and well-formed."""
-    n = spec.window.n
-    for name in spec.active_params:
-        if getattr(params, name) is None:
-            raise ConfigurationError(f"{spec.method} requires parameter {name!r}")
-    for name in ENTRY_WEIGHTS:
-        w = getattr(params, name)
-        if w is not None and np.shape(w) != (n,):
-            raise ShapeError(f"{name} must have shape ({n},), got {np.shape(w)}")
-    if params.ordinal_w is not None:
-        check_ordinal_weights(np.asarray(params.ordinal_w), n)
-    if params.sharpness is not None and not params.sharpness > 0:
-        raise ParameterError(f"sharpness must be > 0, got {params.sharpness}")
-    if params.tau is not None and params.tau.shape != (spec.channels,):
-        raise ShapeError(
-            f"tau must have shape ({spec.channels},), got {params.tau.shape}"
-        )
-    if POOLING[spec.method].se:
-        ratio = params.se_ratio
-        if ratio is None or ratio < 1 or spec.channels % ratio != 0:
-            raise ConfigurationError(
-                f"reduction ratio {ratio!r} must divide channels={spec.channels}"
-            )
-        hidden = spec.channels // ratio
-        if params.se_f1.in_dim != spec.channels or params.se_f1.out_dim != hidden:
-            raise ConfigurationError(
-                f"se_f1 must map {spec.channels} -> {hidden}, got "
-                f"{params.se_f1.in_dim} -> {params.se_f1.out_dim}"
-            )
-        if params.se_f2.in_dim != hidden or params.se_f2.out_dim != spec.channels:
-            raise ConfigurationError(
-                f"se_f2 must map {hidden} -> {spec.channels}, got "
-                f"{params.se_f2.in_dim} -> {params.se_f2.out_dim}"
-            )
+def validate_pool_params(spec: PoolSpec, params: dict) -> None:
+    """Check that ``params`` holds exactly the method's parameters, each finite and
+    shaped as its ``init`` shapes it: (n,) for an entry weight, (1,) for ``p_raw``,
+    (C,) for ``tau``, a scalar sharpness, and the SE branch maps C -> hidden -> C
+    for a hidden width that divides C.  Ordinal weights must lie on the simplex
+    and the sharpness must be positive."""
+    pooling = POOLING[spec.method]
+    keys = set(pooling.fields) | set(pooling.trainable)
+    if params.keys() != keys:
+        raise ConfigurationError(f"{spec.method} takes parameters {sorted(keys)}, got {sorted(params)}")
+    c = spec.channels
+    hidden = np.shape(params.get("se_f1_weight"))[:1]  # () without an SE branch
+    if hidden and (hidden[0] < 1 or c % hidden[0]):
+        raise ConfigurationError(f"the SE hidden width {hidden[0]} must divide channels={c}")
+    shapes = {
+        **dict.fromkeys(ENTRY_WEIGHTS, (spec.window.n,)),
+        "p_raw": (1,),
+        "sharpness": (),
+        "tau": (c,),
+        "se_f1_weight": hidden + (c,),
+        "se_f1_bias": hidden,
+        "se_f2_weight": (c,) + hidden,
+        "se_f2_bias": (c,),
+    }
+    for name, value in params.items():
+        value = np.asarray(value)
+        if value.shape != shapes[name]:
+            raise ShapeError(f"{name} must have shape {shapes[name]}, got {value.shape}")
+        if np.count_nonzero(np.isfinite(value)) < value.size:  # as .all(), at a third of the cost
+            raise ParameterError(f"{name} must be finite")
+    if "ordinal_w" in params:
+        check_ordinal_weights(np.asarray(params["ordinal_w"]), spec.window.n)
+    if "sharpness" in params:
+        check_sharpness(params["sharpness"])
 
 
 # -- window-level operators ------------------------------------------------------
@@ -580,10 +498,11 @@ def check_window_length(x, weights, what: str) -> None:
         raise ShapeError(f"{what} length {w.shape[-1]} != window length {x.shape[-1]}")
 
 
-def check_sharpness(sharpness) -> float:
-    """The LSE sharpness as a float; it must be positive and finite."""
-    r = float(sharpness)
-    if not math.isfinite(r) or r <= 0.0:
+def check_sharpness(sharpness) -> np.ndarray:
+    """The LSE sharpness as float64, a scalar or a column with one row per window;
+    every row must be positive and finite."""
+    r = np.asarray(sharpness, dtype=np.float64)
+    if not ((r > 0.0) & (r < math.inf)).all():
         raise ParameterError(f"sharpness must be a positive finite number, got {r}")
     return r
 

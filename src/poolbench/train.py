@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import SyntheticDataset, make_synthetic
 from .layers import DivergedRunError, ToyNet, ToyNetConfig, softmax_cross_entropy
-from .ops import DegenerateWeightsError
+from .ops import DegenerateWeightsError, norm_exponent
 from .optim import Adam, OptimConfig
 
 __all__ = [
@@ -111,10 +111,15 @@ def evaluate(net: ToyNet, images, labels, batch_size: int = 100):
 
 
 def _snapshots(net: ToyNet) -> list[BlockSnapshot]:
-    return [
-        BlockSnapshot(block=index, params=block.pool_params.snapshot())
-        for index, block in enumerate(net.pooling_blocks)
-    ]
+    """Every pooling block's parameters as flat float lists, with LNP's exponent
+    ``p`` next to ``p_raw``."""
+    snapshots = []
+    for index, block in enumerate(net.pooling_blocks):
+        params = {name: [float(v) for v in np.reshape(arr, -1)] for name, arr in block.pool_params.items()}
+        if "p_raw" in params:
+            params["p"] = [norm_exponent(block.pool_params["p_raw"][0])]
+        snapshots.append(BlockSnapshot(block=index, params=params))
+    return snapshots
 
 
 # overflow surfaces as a recorded divergence, not as numpy warnings; one scope per run

@@ -154,7 +154,7 @@ def test_criterion_4_ordinal_projection_every_step():
 
     def watch(step, net):
         for name in ("pool1", "pool2"):
-            w = getattr(net, name).pool_params.ordinal_w
+            w = getattr(net, name).pool_params["ordinal_w"]
             if (w < 0.0).any() or abs(w.sum() - 1.0) > 1e-12:
                 violations.append((step, name, w.copy()))
 

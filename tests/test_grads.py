@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from poolbench import (
-    Affine,
     FDOracleConfig,
     OracleError,
     ParameterError,
-    PoolParams,
     PoolSpec,
     WindowSpec,
     avg_pool,
@@ -35,7 +33,7 @@ from poolbench import (
     smooth_max_pool_grad,
 )
 from poolbench.layers import PoolingBlock
-from window_reference import global_avg_pool, se_temperatures
+from window_reference import global_avg_pool, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
 CFG = FDOracleConfig()
@@ -386,9 +384,9 @@ class TestConvexityWeights:
         assert d[0] < 0.0
 
 
-def se_block(method, f1, f2, ratio):
-    spec = PoolSpec(method, WindowSpec(2, 2, 2, 2), f1.in_dim)
-    return PoolingBlock(spec, PoolParams(se_f1=f1, se_f2=f2, se_ratio=ratio))
+def se_block(method, se):
+    spec = PoolSpec(method, WindowSpec(2, 2, 2, 2), se["se_f1_weight"].shape[1])
+    return PoolingBlock(spec, se)
 
 
 class TestSeBranchGrad:
@@ -396,10 +394,9 @@ class TestSeBranchGrad:
 
     def test_zero_upstream_gives_zeros(self):
         rng = np.random.default_rng(16)
-        f1 = Affine(rng.normal(size=(2, 4)), rng.normal(size=2))
-        f2 = Affine(rng.normal(size=(4, 2)), rng.normal(size=4))
+        se = se_params(rng.normal(size=(2, 4)), rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=4))
         for method in ("SESMP", "SEMP"):
-            block = se_block(method, f1, f2, 2)
+            block = se_block(method, se)
             block.forward(rng.normal(size=(1, 4, 4, 4)))
             assert not block.backward(np.zeros((1, 4, 2, 2))).any()
             assert not any(v.any() for v in block.grads().values())
@@ -408,9 +405,7 @@ class TestSeBranchGrad:
         # 1 channel, ratio 1, one 2x2 window: y = s * max(x), s = sigmoid(t),
         # t = w2 * relu(w1*mu + b1) + b2 = 3 * 3.5 - 10.5 = 0, so s = 1/2 and
         # dy/dt = s(1-s) * max(x) = 0.75
-        f1 = Affine(np.array([[2.0]]), np.array([0.5]))
-        f2 = Affine(np.array([[3.0]]), np.array([-10.5]))
-        block = se_block("SEMP", f1, f2, 1)
+        block = se_block("SEMP", se_params([[2.0]], [0.5], [[3.0]], [-10.5]))
         x = X.reshape(1, 1, 2, 2)  # mu = 1.5, hidden_pre = 3.5 > 0
         assert block.forward(x)[0, 0, 0, 0] == 1.5
         dx = block.backward(np.ones((1, 1, 1, 1)))
@@ -426,9 +421,11 @@ class TestSeBranchGrad:
         rng = np.random.default_rng(17)
         for _ in range(50):
             channels, hidden = 6, 3
-            f1 = Affine(rng.normal(size=(hidden, channels)), rng.normal(size=hidden))
-            f2 = Affine(rng.normal(size=(channels, hidden)), rng.normal(size=channels))
-            block = se_block("SESMP", f1, f2, 2)
+            se = se_params(
+                rng.normal(size=(hidden, channels)), rng.normal(size=hidden),
+                rng.normal(size=(channels, hidden)), rng.normal(size=channels),
+            )
+            block = se_block("SESMP", se)
             x = rng.normal(size=(1, channels, 4, 4))
             upstream = rng.normal(size=(1, channels))
             block.forward(x)  # caches the branch activations and the input shape
@@ -437,18 +434,18 @@ class TestSeBranchGrad:
 
             def scalar_out(flat):
                 mu = global_avg_pool(flat.reshape(x.shape[1:]))
-                return float(upstream[0] @ se_temperatures(mu, f1, f2, 2))
+                return float(upstream[0] @ se_temperatures(mu, se, 2))
 
             assert fd_check(scalar_out, x.reshape(-1), d_x.reshape(-1), CFG) < 1e-6
 
             def weight_out(flat):
-                probe = Affine(flat.reshape(hidden, channels), f1.bias)
+                probe = {**se, "se_f1_weight": flat.reshape(hidden, channels)}
                 mu = global_avg_pool(x[0])
-                return float(upstream[0] @ se_temperatures(mu, probe, f2, 2))
+                return float(upstream[0] @ se_temperatures(mu, probe, 2))
 
             err = fd_check(
                 weight_out,
-                f1.weight.reshape(-1),
+                se["se_f1_weight"].reshape(-1),
                 block.grads()["se_f1_weight"].reshape(-1),
                 CFG,
             )

@@ -21,25 +21,26 @@ from poolbench.ops import POOLING, norm_exponent
 from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures
 
 POOL22 = WindowSpec(2, 2, 2, 2)
+SE_RATIO = 2  # the reduction ratio of make_block's SE branches
 
 
 def make_block(method, channels=4, rng=None, window=POOL22):
     rng = rng or np.random.default_rng(0)
     spec = PoolSpec(method, window, channels)
-    params = POOLING[method].init(window.n, channels, rng, 2, 1.0)
+    params = POOLING[method].init(window.n, channels, rng, SE_RATIO, 1.0)
     # move trainable state off its symmetric initial point
     if method == "CONV":
-        params.conv_w += rng.uniform(-0.1, 0.4, size=params.conv_w.shape)
+        params["conv_w"] += rng.uniform(-0.1, 0.4, size=params["conv_w"].shape)
     if method == "GP":
-        params.gate_w += rng.normal(0.0, 0.7, size=params.gate_w.shape)
+        params["gate_w"] += rng.normal(0.0, 0.7, size=params["gate_w"].shape)
     if method == "OP":
         w = rng.dirichlet(np.full(window.n, 3.0))
-        params.ordinal_w[...] = w
+        params["ordinal_w"][...] = w
     if method == "LNP":
-        params.p_raw += rng.uniform(-0.5, 0.5)
+        params["p_raw"] += rng.uniform(-0.5, 0.5)
     if method in ("SESMP", "SEMP"):
-        params.se_f1.bias[...] = rng.uniform(-0.3, 0.3, size=params.se_f1.bias.shape)
-        params.se_f2.bias[...] = rng.uniform(-0.3, 0.3, size=params.se_f2.bias.shape)
+        params["se_f1_bias"][...] = rng.uniform(-0.3, 0.3, size=params["se_f1_bias"].shape)
+        params["se_f2_bias"][...] = rng.uniform(-0.3, 0.3, size=params["se_f2_bias"].shape)
     return PoolingBlock(spec, params)
 
 
@@ -51,9 +52,7 @@ def reference_forward(block, x):
     for b in range(x.shape[0]):
         sample = x[b]
         if method == "SESMP":
-            tau = se_temperatures(
-                global_avg_pool(sample), p.se_f1, p.se_f2, p.se_ratio
-            )
+            tau = se_temperatures(global_avg_pool(sample), p, SE_RATIO)
             planes = [
                 map_windows(
                     sample[c][None], block.window, lambda w, t=tau[c]: ref.smooth_max_pool(w, t)
@@ -64,7 +63,7 @@ def reference_forward(block, x):
             continue
         if method == "SEMP":
             scales = sigmoid(
-                se_temperatures(global_avg_pool(sample), p.se_f1, p.se_f2, p.se_ratio)
+                se_temperatures(global_avg_pool(sample), p, SE_RATIO)
             )
             outs.append(
                 map_windows(sample * scales[:, None, None], block.window, ref.max_pool)
@@ -74,13 +73,13 @@ def reference_forward(block, x):
             "MP": lambda c: ref.max_pool,
             "AP": lambda c: ref.avg_pool,
             "NN": lambda c: ref.nearest_pool,
-            "CONV": lambda c: (lambda w: ref.conv_pool(w, p.conv_w)),
-            "GP": lambda c: (lambda w: ref.gated_pool(w, p.gate_w)),
-            "OP": lambda c: (lambda w: ref.ordinal_pool(w, p.ordinal_w)),
-            "LNP": lambda c: (lambda w: ref.learned_norm_pool(w, p.p_raw[0])),
-            "LSE": lambda c: (lambda w: ref.lse_pool(w, p.sharpness)),
-            "SMP_fixed": lambda c: (lambda w: ref.smooth_max_pool(w, p.tau[c])),
-            "SMP_trainable": lambda c: (lambda w: ref.smooth_max_pool(w, p.tau[c])),
+            "CONV": lambda c: (lambda w: ref.conv_pool(w, p["conv_w"])),
+            "GP": lambda c: (lambda w: ref.gated_pool(w, p["gate_w"])),
+            "OP": lambda c: (lambda w: ref.ordinal_pool(w, p["ordinal_w"])),
+            "LNP": lambda c: (lambda w: ref.learned_norm_pool(w, p["p_raw"][0])),
+            "LSE": lambda c: (lambda w: ref.lse_pool(w, p["sharpness"])),
+            "SMP_fixed": lambda c: (lambda w: ref.smooth_max_pool(w, p["tau"][c])),
+            "SMP_trainable": lambda c: (lambda w: ref.smooth_max_pool(w, p["tau"][c])),
         }[method]
         planes = [
             map_windows(sample[c][None], block.window, per_channel(c))[0]
@@ -233,8 +232,8 @@ class TestPoolingBlockBackward:
         p = block.pool_params
         d_input, d_params = {
             "MP": lambda: ref.max_pool_grad(window),
-            "GP": lambda: ref.gated_pool_grad(window, p.gate_w),
-            "OP": lambda: ref.ordinal_pool_grad(window, p.ordinal_w),
+            "GP": lambda: ref.gated_pool_grad(window, p["gate_w"]),
+            "OP": lambda: ref.ordinal_pool_grad(window, p["ordinal_w"]),
         }[method]()
         np.testing.assert_allclose(dx.reshape(-1), d_input, rtol=1e-14, atol=1e-15)
         for name, grad in d_params.items():
@@ -264,7 +263,7 @@ class TestLearnedNormZeros:
         block = make_block("LNP", channels=2, rng=rng)
         p_raw = float(np.log(np.expm1(p - 1.0)))
         assert norm_exponent(p_raw) == p
-        block.pool_params.p_raw[0] = p_raw
+        block.pool_params["p_raw"][0] = p_raw
         x = rng.uniform(-2.0, 2.0, size=(2, 2, 4, 4))
         x[rng.random(x.shape) < 0.4] = 0.0
         x[0, 1, :2, 2:] = 0.0  # one all-zero window
@@ -358,8 +357,8 @@ def window_geometry(draw):
 
 def clear_of_se_kink(block, x):
     """True unless a squeeze-and-excitation ReLU input lies within FD range of 0."""
-    f1 = block.pool_params.se_f1
-    return f1 is None or np.abs(x.mean(axis=(2, 3)) @ f1.weight.T + f1.bias).min() > 1e-3
+    p = block.pool_params
+    return "se_f1_weight" not in p or np.abs(x.mean(axis=(2, 3)) @ p["se_f1_weight"].T + p["se_f1_bias"]).min() > 1e-3
 
 
 class TestRandomGeometry:

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 import window_reference as ref
 from poolbench import (
-    Affine,
     ConfigurationError,
     DegenerateWeightsError,
     ParameterError,
-    PoolParams,
     PoolSpec,
     ShapeError,
     WindowSpec,
@@ -30,8 +28,9 @@ from poolbench import (
     smooth_max_pool,
     validate_pool_params,
 )
-from poolbench.layers import PoolingBlock
-from window_reference import global_avg_pool, map_windows, se_temperatures
+from poolbench.layers import PoolingBlock, ToyNet, ToyNetConfig
+from poolbench.train import _snapshots
+from window_reference import global_avg_pool, map_windows, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
 POOL22 = WindowSpec(2, 2, 2, 2)
@@ -343,16 +342,14 @@ class TestGapAndBranch:
 
     def test_hidden_width(self):
         rng = np.random.default_rng(9)
-        f1 = Affine(rng.normal(size=(2, 32)), np.zeros(2))
-        f2 = Affine(rng.normal(size=(32, 2)), np.zeros(32))
-        out = se_temperatures(rng.normal(size=32), f1, f2, ratio=16)
+        se = se_params(rng.normal(size=(2, 32)), np.zeros(2), rng.normal(size=(32, 2)), np.zeros(32))
+        out = se_temperatures(rng.normal(size=32), se, ratio=16)
         assert out.shape == (32,)
 
     def test_zero_maps_give_bias(self):
-        f1 = Affine(np.zeros((2, 8)), np.zeros(2))
-        f2 = Affine(np.zeros((8, 2)), np.zeros(8))
+        se = se_params(np.zeros((2, 8)), np.zeros(2), np.zeros((8, 2)), np.zeros(8))
         np.testing.assert_array_equal(
-            se_temperatures(np.ones(8), f1, f2, ratio=4), np.zeros(8)
+            se_temperatures(np.ones(8), se, ratio=4), np.zeros(8)
         )
 
     def test_matches_matrix_oracle(self):
@@ -361,20 +358,18 @@ class TestGapAndBranch:
         w2, b2 = rng.normal(size=(8, 4)), rng.normal(size=8)
         mu = rng.normal(size=8)
         expected = w2 @ np.maximum(w1 @ mu + b1, 0.0) + b2
-        got = se_temperatures(mu, Affine(w1, b1), Affine(w2, b2), ratio=2)
+        got = se_temperatures(mu, se_params(w1, b1, w2, b2), ratio=2)
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_ratio_must_divide(self):
-        f1 = Affine(np.zeros((3, 8)), np.zeros(3))
-        f2 = Affine(np.zeros((8, 3)), np.zeros(8))
+        se = se_params(np.zeros((3, 8)), np.zeros(3), np.zeros((8, 3)), np.zeros(8))
         with pytest.raises(ConfigurationError):
-            se_temperatures(np.ones(8), f1, f2, ratio=3)
+            se_temperatures(np.ones(8), se, ratio=3)
 
 
-def semp_forward(x, f1, f2):
+def semp_forward(x, se):
     """SEMP block output for one (C, H, W) sample at ratio 2 and 2x2 windows."""
-    params = PoolParams(se_f1=f1, se_f2=f2, se_ratio=2)
-    block = PoolingBlock(PoolSpec("SEMP", POOL22, x.shape[0]), params)
+    block = PoolingBlock(PoolSpec("SEMP", POOL22, x.shape[0]), se)
     return block.forward(x[None])[0]
 
 
@@ -382,27 +377,24 @@ class TestSeGatedMaxPool:
     def test_zero_branch_halves_max(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 1.0, size=(4, 4, 4))  # nonnegative inputs
-        f1 = Affine(np.zeros((2, 4)), np.zeros(2))
-        f2 = Affine(np.zeros((4, 2)), np.zeros(4))
-        out = semp_forward(x, f1, f2)
+        se = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
+        out = semp_forward(x, se)
         np.testing.assert_allclose(out, 0.5 * map_windows(x, POOL22, ref.max_pool), atol=1e-14)
 
     def test_saturated_gate_is_plain_max(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 4, 4))
-        f1 = Affine(np.zeros((2, 4)), np.zeros(2))
-        f2 = Affine(np.zeros((4, 2)), np.full(4, 60.0))  # sigmoid -> 1
-        out = semp_forward(x, f1, f2)
+        se = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.full(4, 60.0))  # sigmoid -> 1
+        out = semp_forward(x, se)
         np.testing.assert_allclose(out, map_windows(x, POOL22, ref.max_pool), atol=1e-12)
 
     def test_matches_scale_then_max_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(4, 6, 6))
-        f1 = Affine(rng.normal(size=(2, 4)), rng.normal(size=2))
-        f2 = Affine(rng.normal(size=(4, 2)), rng.normal(size=4))
-        scales = sigmoid(se_temperatures(global_avg_pool(x), f1, f2, 2))
+        se = se_params(rng.normal(size=(2, 4)), rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=4))
+        scales = sigmoid(se_temperatures(global_avg_pool(x), se, 2))
         expected = map_windows(x * scales[:, None, None], POOL22, ref.max_pool)
-        np.testing.assert_allclose(semp_forward(x, f1, f2), expected)
+        np.testing.assert_allclose(semp_forward(x, se), expected)
 
 
 class TestFixedTemperatures:
@@ -434,36 +426,119 @@ class TestGatedOrdinalBounds:
 
 
 class TestPoolParamsValidation:
+    """A pooling block's parameter dict: exactly the method's keys, each shaped as
+    the method's ``init`` shapes it, finite and in range."""
+
     def test_missing_field(self):
         spec = PoolSpec("CONV", POOL22, channels=2)
         with pytest.raises(ConfigurationError):
-            validate_pool_params(spec, PoolParams())
+            validate_pool_params(spec, {})
+
+    def test_extra_field(self):
+        spec = PoolSpec("SMP_trainable", POOL22, channels=2)
+        with pytest.raises(ConfigurationError):
+            validate_pool_params(spec, {"tau": np.zeros(2), "sharpness": 2.0})
+        with pytest.raises(ConfigurationError):
+            PoolingBlock(PoolSpec("MP", POOL22, channels=2), {"conv_w": np.full(4, 0.25)})
 
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError, match="MP, AP"):
             PoolSpec("WAT", POOL22, channels=2)
 
     def test_se_ratio_checked(self):
+        # a hidden width of 4 does not divide 6 channels
         spec = PoolSpec("SESMP", POOL22, channels=6)
-        params = PoolParams(
-            se_f1=Affine(np.zeros((2, 6)), np.zeros(2)),
-            se_f2=Affine(np.zeros((6, 2)), np.zeros(6)),
-            se_ratio=4,
-        )
+        params = se_params(np.zeros((4, 6)), np.zeros(4), np.zeros((6, 4)), np.zeros(6))
         with pytest.raises(ConfigurationError):
             validate_pool_params(spec, params)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("se_f1_weight", (2,)),  # an affine map needs a 2-D weight
+        ("se_f1_bias", (3,)),  # weight rows != bias length
+        ("se_f1_weight", (2, 6)),  # f1 must take the 4 channel means
+        ("se_f2_weight", (4, 3)),  # f2 must map the hidden width 2 back to 4 channels
+        ("se_f2_bias", (2,)),
+    ])
+    def test_se_shapes_checked(self, name, shape):
+        params = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
+        params[name] = np.zeros(shape)
+        for method in ("SESMP", "SEMP"):
+            with pytest.raises(ShapeError):
+                PoolingBlock(PoolSpec(method, POOL22, channels=4), params)
+
+    @pytest.mark.parametrize("method, name", [("CONV", "conv_w"), ("GP", "gate_w"), ("OP", "ordinal_w")])
+    def test_entry_weights_need_one_weight_per_window_entry(self, method, name):
+        spec = PoolSpec(method, POOL22, channels=2)
+        PoolingBlock(spec, {name: np.full(4, 0.25)})
+        for shape in ((3,), (2, 4), ()):
+            with pytest.raises(ShapeError):
+                PoolingBlock(spec, {name: np.full(shape, 0.25)})
+
+    def test_ordinal_weights_on_the_simplex(self):
+        spec = PoolSpec("OP", POOL22, channels=2)
+        with pytest.raises(ParameterError):
+            PoolingBlock(spec, {"ordinal_w": np.full(4, 0.5)})
+
+    def test_p_raw_is_one_exponent(self):
+        # a (2,) p_raw would train one exponent per channel while the snapshot reports one
+        spec = PoolSpec("LNP", POOL22, channels=2)
+        PoolingBlock(spec, {"p_raw": np.array([0.3])})
+        for shape in ((2,), (), (1, 1)):
+            with pytest.raises(ShapeError):
+                PoolingBlock(spec, {"p_raw": np.full(shape, 0.3)})
+
+    @pytest.mark.parametrize("method", ["SMP_fixed", "SMP_trainable"])
+    def test_tau_is_finite_and_one_per_channel(self, method):
+        spec = PoolSpec(method, POOL22, channels=2)
+        PoolingBlock(spec, {"tau": np.array([-1.0, 1.0])})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError):
+                PoolingBlock(spec, {"tau": np.array([bad, 1.0])})
+        with pytest.raises(ShapeError):
+            PoolingBlock(spec, {"tau": np.zeros(3)})
+
+    def test_sharpness_is_positive_and_finite(self):
+        # the rule of check_sharpness and ToyNetConfig: an infinite sharpness would pool to NaN
+        spec = PoolSpec("LSE", POOL22, channels=2)
+        PoolingBlock(spec, {"sharpness": 2.0})
+        for bad in (np.inf, np.nan, 0.0, -1.0):
+            with pytest.raises(ParameterError):
+                PoolingBlock(spec, {"sharpness": bad})
+
+    def test_non_finite_entries_rejected(self):
+        params = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
+        params["se_f2_bias"][1] = np.nan
+        with pytest.raises(ParameterError):
+            PoolingBlock(PoolSpec("SEMP", POOL22, channels=4), params)
+        with pytest.raises(ParameterError):
+            PoolingBlock(PoolSpec("GP", POOL22, channels=4), {"gate_w": np.array([0.0, np.inf, 0.0, 0.0])})
 
 
 class TestPoolParamsArrays:
     def test_stored_arrays_by_flat_name(self):
-        f1 = Affine(np.zeros((2, 4)), np.ones(2))
-        f2 = Affine(np.zeros((4, 2)), np.ones(4))
-        params = PoolParams(tau=np.zeros(4), sharpness=2.0, se_f1=f1, se_f2=f2, se_ratio=2)
-        arrays = params.arrays()
-        assert list(arrays) == ["tau", "se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"]
-        assert arrays["tau"] is params.tau  # the optimizer updates these in place
-        assert arrays["se_f1_bias"] is f1.bias and arrays["se_f2_weight"] is f2.weight
-        assert params.snapshot()["sharpness"] == [2.0]
+        params = se_params(np.zeros((2, 4)), np.ones(2), np.zeros((4, 2)), np.ones(4))
+        block = PoolingBlock(PoolSpec("SESMP", POOL22, channels=4), params)
+        arrays = block.params()
+        # the method's trainable order: it fixes the optimizer's flat vector
+        assert list(arrays) == ["se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"]
+        assert block.pool_params is params
+        for name, arr in arrays.items():
+            assert arr is params[name]  # the optimizer updates these in place
+        tau = np.zeros(4)
+        assert PoolingBlock(PoolSpec("SMP_trainable", POOL22, channels=4), {"tau": tau}).params()["tau"] is tau
+        assert PoolingBlock(PoolSpec("LSE", POOL22, channels=4), {"sharpness": 2.0}).params() == {}
+
+    def test_snapshot_reports_every_stored_parameter(self):
+        config = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2, lse_sharpness=2.0)
+        rng = np.random.default_rng(0)
+        (lse, _), (lnp, _), (se, _) = (
+            _snapshots(ToyNet(config, method, rng)) for method in ("LSE", "LNP", "SESMP")
+        )
+        assert lse.params == {"sharpness": [2.0]}
+        assert lnp.params == {"p_raw": [float(np.log(np.expm1(2.0)))], "p": [norm_exponent(np.log(np.expm1(2.0)))]}
+        assert lnp.params["p"][0] == pytest.approx(3.0)
+        assert sorted(se.params) == ["se_f1_bias", "se_f1_weight", "se_f2_bias", "se_f2_weight"]
+        assert len(se.params["se_f1_weight"]) == 2 * 4  # row-major (hidden, channels)
 
 
 windows = st.lists(
@@ -522,6 +597,7 @@ def stacked_calls(rng, m, n):
         "learned_norm_pool": (lambda v: learned_norm_pool(v, c0), x),
         "learned_norm_pool/p_raw": (lambda v: learned_norm_pool(x0, v), column),
         "lse_pool": (lambda v: lse_pool(v, abs(c0) + 0.1), x),
+        "lse_pool/sharpness": (lambda v: lse_pool(x0, v), np.abs(column) + 0.1),
         "smooth_max_pool": (lambda v: smooth_max_pool(v, c0), x),
         "smooth_max_pool/tau": (lambda v: smooth_max_pool(x0, v), column),
     }
@@ -575,18 +651,22 @@ class TestStackedWindows:
                 smooth_max_pool(x[0], column)
 
     def test_scalar_parameter_given_as_a_vector_raises(self):
-        # p_raw and tau are a scalar or an (m, 1) column, never cut to a first entry
+        # p_raw, sharpness and tau are a scalar or an (m, 1) column, never cut to a first entry
         x = np.linspace(-1.0, 1.0, 4)
         for call in (
             lambda: smooth_max_pool(x, [1.0, 99.0, 5.0]),
             lambda: learned_norm_pool(x, [0.3, 7.0]),
+            lambda: lse_pool(x, [1.0, 2.0]),
             lambda: smooth_max_pool(np.ones((3, 4)), np.ones((3, 2))),
             lambda: learned_norm_pool(np.ones((3, 4)), np.full(3, 0.3)),
+            lambda: lse_pool(np.ones((3, 4)), np.full(3, 2.0)),
         ):
             with pytest.raises(ShapeError):
                 call()
         assert smooth_max_pool(x, [2.0]) == smooth_max_pool(x, 2.0)
         assert learned_norm_pool(x, np.full(1, 0.3)) == learned_norm_pool(x, 0.3)
+        assert lse_pool(x, [2.0]) == lse_pool(x, 2.0)
+        np.testing.assert_array_equal(lse_pool(np.ones((3, 4)), np.ones((3, 1))), np.ones(3))
 
     def test_empty_windows_and_bad_sharpness_still_rejected(self):
         for op in (max_pool, avg_pool, nearest_pool):
@@ -594,6 +674,7 @@ class TestStackedWindows:
                 op(np.empty((3, 0)))
         with pytest.raises(ShapeError):
             conv_pool(np.ones((3, 4)), np.ones(3))
-        for r in (0.0, -1.0, np.inf):
-            with pytest.raises(ParameterError):
-                lse_pool(np.ones((3, 4)), r)
+        for r in (0.0, -1.0, np.inf, np.nan):
+            for sharpness in (r, np.array([[1.0], [r], [1.0]])):  # every row of a column is checked
+                with pytest.raises(ParameterError):
+                    lse_pool(np.ones((3, 4)), sharpness)

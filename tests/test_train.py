@@ -55,7 +55,7 @@ class TestInitWeights:
         rng = np.random.default_rng(0)
         net = build_net("SMP_fixed", ToyNetConfig(stage_channels=(4, 8), se_ratio=2), rng)
         np.testing.assert_allclose(
-            net.pool1.pool_params.tau,
+            net.pool1.pool_params["tau"],
             [np.log(0.25), np.log(0.5), np.log(0.75), 0.0],
             atol=1e-12,
         )
@@ -200,7 +200,7 @@ class TestTraining:
     def test_degenerate_projection_aborts_run(self, dataset):
         def poison(step, net):
             if step == 2:
-                net.pool1.pool_params.ordinal_w[...] = -1.0
+                net.pool1.pool_params["ordinal_w"][...] = -1.0
 
         report = train("OP", dataset, OptimConfig(epochs=1, seed=1), step_hook=poison)
         assert report.diverged

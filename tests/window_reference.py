@@ -11,7 +11,8 @@ independent implementation that the tests compare the program with:
   windows, one per row, or one window); each ``*_grad`` takes one window and
   returns ``(d_input, d_params)``;
 * ``global_avg_pool`` and ``se_temperatures`` are the squeeze-and-excitation
-  branch of one (C, H, W) sample.
+  branch of one (C, H, W) sample; ``se_params`` names its four arrays as a
+  pooling block stores them.
 
 Non-smooth points follow the program's conventions: max- and ordinal-pooling
 break ties toward the first index in window order, and the learned norm
@@ -20,7 +21,7 @@ treats the derivative of |x| at 0 as 0.
 
 import numpy as np
 
-from poolbench.ops import Affine, ConfigurationError, norm_exponent, sigmoid
+from poolbench.ops import ConfigurationError, norm_exponent, sigmoid
 from poolbench.tensor import ShapeError, WindowSpec, output_size
 
 
@@ -107,12 +108,20 @@ def global_avg_pool(x) -> np.ndarray:
     return x.mean(axis=(1, 2))
 
 
-def se_temperatures(mu, f1: Affine, f2: Affine, ratio: int) -> np.ndarray:
+def se_params(w1, b1, w2, b2) -> dict:
+    """The four SE branch arrays of a pooling block, by their flat names."""
+    arrays = (np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2))
+    return dict(zip(("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"), arrays))
+
+
+def se_temperatures(mu, se: dict, ratio: int) -> np.ndarray:
     """Squeeze-and-excitation branch: f2(relu(f1(mu))) on channel means mu.
 
-    ``ratio`` is the reduction ratio: f1 maps C channel means down to
-    C/ratio hidden units and f2 maps them back up, one output per channel.
-    The outputs drive one temperature (or gate) per channel.
+    ``se`` holds the affine maps by flat name: f1(v) = se_f1_weight @ v +
+    se_f1_bias, and f2 likewise.  ``ratio`` is the reduction ratio: f1 maps C
+    channel means down to C/ratio hidden units and f2 maps them back up, one
+    output per channel.  The outputs drive one temperature (or gate) per
+    channel.
     """
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     channels = mu.size
@@ -121,15 +130,19 @@ def se_temperatures(mu, f1: Affine, f2: Affine, ratio: int) -> np.ndarray:
             f"reduction ratio {ratio} must divide the channel count {channels}"
         )
     hidden = channels // ratio
-    if f1.in_dim != channels or f1.out_dim != hidden:
+    w1, b1, w2, b2 = (
+        np.asarray(se[name], dtype=np.float64)
+        for name in ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias")
+    )
+    if w1.shape != (hidden, channels) or b1.shape != (hidden,):
         raise ConfigurationError(
-            f"f1 must map {channels} -> {hidden}, got {f1.in_dim} -> {f1.out_dim}"
+            f"f1 must map {channels} -> {hidden}, got weight {w1.shape} and bias {b1.shape}"
         )
-    if f2.in_dim != hidden or f2.out_dim != channels:
+    if w2.shape != (channels, hidden) or b2.shape != (channels,):
         raise ConfigurationError(
-            f"f2 must map {hidden} -> {channels}, got {f2.in_dim} -> {f2.out_dim}"
+            f"f2 must map {hidden} -> {channels}, got weight {w2.shape} and bias {b2.shape}"
         )
-    return f2(np.maximum(f1(mu), 0.0))
+    return w2 @ np.maximum(w1 @ mu + b1, 0.0) + b2
 
 
 def _windows(x):
