@@ -87,6 +87,12 @@ class ExperimentConfig:
             _check_seed("seed", seed)
         _check_seed("data_seed", self.data_seed)
         check_data_args(self.classes, self.samples, self.noise)
+        # the 80/20 split gives a class a test sample only from 3 samples on
+        if self.samples <= 2 * self.classes:
+            raise UsageError(
+                f"{self.samples} samples over {self.classes} classes leave no test sample; "
+                f"need at least {2 * self.classes + 1}"
+            )
         self.net_config()  # validates the class count and LSE sharpness
 
     def data_kwargs(self) -> dict:

@@ -15,11 +15,14 @@ min-pooling) through a few parameters.
 
 Kernels.  ``forward(stack, fields)`` returns ``(y, cache)`` and
 ``backward(cache, dy)`` returns ``(d_stack, {name: gradient})``, where
-``d_stack`` may also be a list of its n entries.  ``stack``
-holds the windows along its first axis, with any trailing shape: (n, H', W',
-B, C) in a pooling block, (n, m) for m windows in the adapters; the forward
-may overwrite it.  A field of one weight per window entry
-(:data:`ENTRY_WEIGHTS`) has the window axis first; any other field, and
+``d_stack`` may also be a list of its n entries.  ``stack`` holds the windows
+along its first axis, with any trailing shape: (n, H', W', B, C) in a pooling
+block, (n, m) for m windows in the adapters; the forward may overwrite it.  A
+forward builds no state that only its backward reads, except LNP's weighted
+log mean (rebuilding it would take a window-sized array): the first-maximizer
+mask and the softmax weights ``e / total`` are formed in the backward, so a
+forward-only pass does not pay for them.  A field of one weight per window
+entry (:data:`ENTRY_WEIGHTS`) has the window axis first; any other field, and
 ``dy``, broadcasts against the stack without its window axis.  Each gradient
 is summed to its field's shape: over the windows that share a field, or per
 window for one field row per window.
@@ -139,20 +142,20 @@ def _sum_to(grad, field):
     return grad.sum(axis=tuple(axes)).reshape(shape)
 
 
-def _first_max(stack, fields=None):
-    """Window maximum and a one-hot mask of its first maximizer (argmax's tie rule)."""
+def _max_forward(stack, fields):
     peak = stack.max(axis=0)
+    return peak, (stack, peak)
+
+
+def _max_backward(cache, dy):
+    """``dy`` sent to each window's first maximizer only (argmax's tie rule)."""
+    stack, peak = cache
     first = stack == peak
     seen = first[0].copy()
     for mask in first[1:]:
         mask &= ~seen
         seen |= mask
-    return peak, first
-
-
-def _times_dy(d_stack, dy):
-    """Backward of a kernel whose cache is its input gradient (MP's mask, LSE's softmax)."""
-    return dy * d_stack, {}
+    return dy * first, {}
 
 
 def _conv_forward(stack, fields):
@@ -169,18 +172,19 @@ def _conv_backward(cache, dy):
 def _gp_forward(stack, fields):
     w = fields["gate_w"]  # g * avg + (1 - g) * max with the gate g = sigmoid(w . x)
     g = sigmoid((stack * w).sum(axis=0))
-    peak, first = _first_max(stack)
+    peak = stack.max(axis=0)
     mean = stack.mean(axis=0)
-    return g * mean + (1.0 - g) * peak, (stack, w, g, first, mean, peak)
+    return g * mean + (1.0 - g) * peak, (stack, w, g, mean, peak)
 
 
 def _gp_backward(cache, dy):
     # dy/dx_i = g/n + (1-g)[i = argmax] + swing w_i, dy/dw_i = swing x_i,
     # swing = g (1-g) (avg - max)
-    stack, w, g, first, mean, peak = cache
+    stack, w, g, mean, peak = cache
     swing = g * (1.0 - g) * (mean - peak)
     d_w = _sum_to(stack * (dy * swing), w)
-    return dy * (g / len(stack) + swing * w) + first * ((1.0 - g) * dy), {"gate_w": d_w}
+    d_max, _ = _max_backward((stack, peak), (1.0 - g) * dy)
+    return dy * (g / len(stack) + swing * w) + d_max, {"gate_w": d_w}
 
 
 def _op_forward(stack, fields):
@@ -268,7 +272,7 @@ def _lse_forward(stack, fields):
     r = fields["sharpness"]
     z = r * stack
     e, total = _softmax_weights(z)
-    return (z.max(axis=0) + np.log(total / len(z))) / r, e / total
+    return (z.max(axis=0) + np.log(total / len(z))) / r, (e, total)
 
 
 def _smp_forward(stack, fields):
@@ -278,13 +282,14 @@ def _smp_forward(stack, fields):
     tau = fields["tau"]
     e, total = _softmax_weights(tau * stack)
     y = (e * stack).sum(axis=0) / total
-    return y, (stack, tau, e / total, y)
+    return y, (stack, tau, e, total, y)
 
 
 def _smp_backward(cache, dy):
     # with s = softmax(tau x): dy/dx_i = s_i (1 + tau (x_i - y)), which sums to 1 but
     # may be negative, and dy/dtau = sum_i s_i (x_i - y)^2, the softmax variance
-    stack, tau, s, y = cache
+    stack, tau, e, total, y = cache
+    s = e / total
     centered = stack - y
     d_stack = dy * s * (1.0 + tau * centered)
     return d_stack, {"tau": _sum_to(dy * (s * centered**2).sum(axis=0), tau)}
@@ -339,7 +344,7 @@ _SE_PARAMS = ("se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias")
 #: normal, fixed ones the log(c/C) ladder.  NN propagates the first entry in
 #: row-major window order (nearest-neighbor downsampling).
 POOLING = {
-    "MP": Pooling(_first_max, _times_dy),
+    "MP": Pooling(_max_forward, _max_backward),
     "AP": Pooling(
         lambda stack, fields: (stack.mean(axis=0), len(stack)),
         lambda n, dy: ([dy / n] * n, {}),  # one array for all n entries
@@ -368,7 +373,7 @@ POOLING = {
         report=("p",),
     ),
     "LSE": Pooling(
-        _lse_forward, _times_dy, ("sharpness",),
+        _lse_forward, lambda cache, dy: (dy * (cache[0] / cache[1]), {}), ("sharpness",),
         init=lambda n, c, rng, se_ratio, lse_r: {"sharpness": lse_r},
     ),
     "SMP_fixed": Pooling(
@@ -380,7 +385,7 @@ POOLING = {
         lambda n, c, rng, se_ratio, lse_r: {"tau": rng.standard_normal(c)}, report=("tau",),
     ),
     "SESMP": Pooling(_smp_forward, _smp_backward, (), _SE_PARAMS, _init_se, "tau", report=("se_f2_bias",)),
-    "SEMP": Pooling(_first_max, _times_dy, (), _SE_PARAMS, _init_se, "scale"),
+    "SEMP": Pooling(_max_forward, _max_backward, (), _SE_PARAMS, _init_se, "scale"),
 }
 
 #: All supported pooling method identifiers.
@@ -426,8 +431,9 @@ def validate_pool_params(spec: PoolSpec, params: dict) -> None:
     """Check that ``params`` holds exactly the method's parameters, each finite and
     shaped as its ``init`` shapes it: (n,) for an entry weight, (1,) for ``p_raw``,
     (C,) for ``tau``, a scalar sharpness, and the SE branch maps C -> hidden -> C
-    for a hidden width that divides C.  Ordinal weights must lie on the simplex
-    and the sharpness must be positive."""
+    for a hidden width that divides C.  A trainable array must be of floating
+    dtype, ordinal weights must lie on the simplex and the sharpness must be
+    positive."""
     pooling = POOLING[spec.method]
     keys = set(pooling.fields) | set(pooling.trainable)
     if params.keys() != keys:
@@ -450,6 +456,8 @@ def validate_pool_params(spec: PoolSpec, params: dict) -> None:
         value = np.asarray(value)
         if value.shape != shapes[name]:
             raise ShapeError(f"{name} must have shape {shapes[name]}, got {value.shape}")
+        if value.dtype.kind != "f" and name in pooling.trainable:  # the optimizer updates it in place
+            raise ParameterError(f"{name} must be a floating-point array, got {value.dtype}")
         if np.count_nonzero(np.isfinite(value)) < value.size:  # as .all(), at a third of the cost
             raise ParameterError(f"{name} must be finite")
     if "ordinal_w" in params:

@@ -97,16 +97,24 @@ def forward_backward(net: ToyNet, images, labels):
 
 
 def evaluate(net: ToyNet, images, labels, batch_size: int = 100):
-    """Mean loss and accuracy over a held-out set, without touching gradients."""
+    """Mean loss and accuracy over a held-out set, without touching gradients.
+
+    Forwards slices of ``batch_size`` images (:func:`train` passes its
+    training batch) and sums the loss per 100 samples at any slice size.
+    Raises ``ValueError`` on an empty set.
+    """
+    if len(images) == 0:
+        raise ValueError("cannot evaluate on zero images")
+    logits = np.empty((len(images), net.config.classes))
+    for start in range(0, len(images), batch_size):
+        logits[start : start + batch_size] = net.forward(images[start : start + batch_size])
     total_loss = 0.0
     correct = 0.0
-    for start in range(0, len(images), batch_size):
-        batch = images[start : start + batch_size]
-        batch_labels = labels[start : start + batch_size]
-        logits = net.forward(batch)
-        loss, _, acc = softmax_cross_entropy(logits, batch_labels)
-        total_loss += loss * len(batch)
-        correct += acc * len(batch)
+    for start in range(0, len(images), 100):
+        group = logits[start : start + 100]
+        loss, _, acc = softmax_cross_entropy(group, labels[start : start + 100])
+        total_loss += loss * len(group)
+        correct += acc * len(group)
     return total_loss / len(images), correct / len(images)
 
 
@@ -171,7 +179,7 @@ def train(
             report.note = f"aborted at step {step + 1}: {err}"
             break
         try:
-            test_loss, test_acc = evaluate(net, dataset.test_images, dataset.test_labels)
+            test_loss, test_acc = evaluate(net, dataset.test_images, dataset.test_labels, optim.batch_size)
         except DivergedRunError as err:
             report.diverged = True
             report.note = f"diverged after step {step}, in evaluation: {err}"

@@ -102,6 +102,12 @@ class TestSweep:
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
 
+    def test_fewest_samples_with_a_test_split(self, tmp_path):
+        # 9 samples over 4 classes: the class of 3 puts one sample in the test split
+        args = ["--methods", "MP", "--seeds", "1", "--samples", "9", "--epochs", "1"]
+        assert run_cli("sweep", *args, "--out", str(tmp_path / "r")) == 0
+        assert len(read_run_csv(tmp_path / "r" / "run_MP_1.csv")) == 1
+
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         code = run_cli("sweep", "--methods", "MAXIMUMPOOL", "--out", str(tmp_path))
         assert code == 1
@@ -123,6 +129,9 @@ class TestSweep:
             ([], "noise = -0.1\n"),
             ([], "noise = nan\n"),
             (["--noise", "inf"], ""),
+            # the 80/20 split of 2 samples per class holds no test sample, and every run crashed
+            (["--samples", "8"], ""),
+            ([], "samples = 10\nclasses = 5\n"),
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags, config):

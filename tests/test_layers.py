@@ -239,6 +239,31 @@ class TestPoolingBlockBackward:
         for name, grad in d_params.items():
             np.testing.assert_allclose(block.grads()[name], grad, rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("method", ["MP", "GP", "SEMP"])
+    def test_tied_maxima_send_the_max_path_to_the_first_maximizer(self, method):
+        # the backward builds the first-maximizer mask from the forward's cache
+        rng = np.random.default_rng(8)
+        block = make_block(method, rng=rng)
+        if method == "GP":
+            block.pool_params["gate_w"][...] = 0.0  # g = 1/2, and dx has no gate-weight term
+        x = rng.integers(0, 3, size=(3, 4, 4, 4)).astype(float)  # entries in {0, 1, 2}
+        dy = rng.uniform(0.5, 1.5, size=block.forward(x).shape)
+        dx = block.backward(dy)
+        # window entries on the last axis: (H', W', B, C, n)
+        win, d_win = (np.moveaxis(np.stack(window_views(a.transpose(2, 3, 0, 1), POOL22)), 0, -1) for a in (x, dx))
+        assert ((win == win.max(axis=-1, keepdims=True)).sum(axis=-1) > 1).mean() > 0.3  # many ties
+        first = np.arange(4) == win.argmax(axis=-1)[..., None]  # argmax's tie rule
+        # every other entry, tied or not, gets one gradient without the max path
+        others = d_win[~first].reshape(win.shape[:-1] + (3,))
+        np.testing.assert_array_equal(others, np.broadcast_to(others[..., :1], others.shape))
+        max_path = dy.transpose(2, 3, 0, 1)
+        if method == "GP":
+            max_path = 0.5 * max_path  # (1 - g) dy
+        if method == "SEMP":  # the SE branch scales each channel's input
+            p = block.pool_params
+            max_path = max_path * sigmoid([se_temperatures(global_avg_pool(s), p, SE_RATIO) for s in x])
+        np.testing.assert_allclose(d_win[first].reshape(win.shape[:-1]) - others[..., 0], max_path, rtol=1e-12)
+
     def test_gradients_accumulate_until_zeroed(self):
         rng = np.random.default_rng(6)
         block = make_block("CONV", rng=rng)

@@ -505,6 +505,15 @@ class TestPoolParamsValidation:
             with pytest.raises(ParameterError):
                 PoolingBlock(spec, {"sharpness": bad})
 
+    def test_trainable_arrays_must_be_floating(self):
+        # the optimizer updates a trainable array in place: an integer one failed at the first step
+        with pytest.raises(ParameterError, match="conv_w"):
+            PoolingBlock(PoolSpec("CONV", POOL22, channels=2), {"conv_w": np.array([1, 0, 0, 0])})
+        params = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
+        params["se_f2_bias"] = np.zeros(4, dtype=bool)
+        with pytest.raises(ParameterError, match="se_f2_bias"):
+            PoolingBlock(PoolSpec("SEMP", POOL22, channels=4), params)
+
     def test_non_finite_entries_rejected(self):
         params = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
         params["se_f2_bias"][1] = np.nan

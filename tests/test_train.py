@@ -5,7 +5,7 @@ import pytest
 
 from poolbench import train as train_module
 from poolbench.data import make_synthetic
-from poolbench.layers import ToyNetConfig
+from poolbench.layers import ToyNetConfig, softmax_cross_entropy
 from poolbench.ops import HEADLINE_METHODS, norm_exponent
 from poolbench.optim import OptimConfig
 from helpers import init_weights
@@ -206,12 +206,29 @@ class TestTraining:
         assert report.diverged
         assert "aborted" in report.note
 
-    def test_evaluate_matches_training_metrics_shape(self, dataset):
+    def test_evaluate_sums_100_sample_groups_of_sliced_forwards(self, dataset):
         rng = np.random.default_rng(6)
-        net = build_net("AP", ToyNetConfig(), rng)
-        loss, acc = evaluate(net, dataset.test_images, dataset.test_labels)
-        assert np.isfinite(loss)
-        assert 0.0 <= acc <= 1.0
+        net = build_net("GP", ToyNetConfig(), rng)
+        images, labels = dataset.images[:230], dataset.labels[:230]
+        forward_backward(net, images[:10], labels[:10])  # gradients the call must leave alone
+        grads = {name: grad.copy() for name, grad in net.grads().items()}
+        # 230 samples in slices of 7: neither divides the other, nor 100
+        loss, acc = evaluate(net, images, labels, batch_size=7)
+        for name, grad in net.grads().items():
+            np.testing.assert_array_equal(grad, grads[name])
+        # by hand: one forward of the whole set, loss and accuracy per group of 100
+        logits = net.forward(images)
+        groups = [softmax_cross_entropy(logits[s : s + 100], labels[s : s + 100]) for s in (0, 100, 200)]
+        sizes = (100, 100, 30)
+        want_loss = sum(size * group[0] for size, group in zip(sizes, groups)) / 230
+        want_acc = sum(size * group[2] for size, group in zip(sizes, groups)) / 230
+        assert abs(loss - want_loss) <= 1e-12
+        assert abs(acc - want_acc) <= 1e-12
+
+    def test_evaluate_rejects_an_empty_set(self, dataset):
+        net = build_net("MP", ToyNetConfig(), np.random.default_rng(6))
+        with pytest.raises(ValueError, match="zero images"):
+            evaluate(net, dataset.test_images[:0], dataset.test_labels[:0])
 
 
 def test_run_single_builds_each_dataset_once(monkeypatch):
