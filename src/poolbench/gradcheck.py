@@ -219,13 +219,9 @@ def check_method(
     lse_sharpness: float = 1.0,
 ) -> GradCheckResult:
     """Worst relative FD error for one method over `trials` random points."""
-    if method not in ops.METHODS:
-        raise ops.ConfigurationError(
-            f"unknown pooling method {method!r}; valid: {', '.join(ops.METHODS)}"
-        )
     rng = np.random.default_rng(seed)
     config = FDOracleConfig(tolerance=tolerance)
-    if ops.POOLING[method].se:
+    if ops.pooling_row(method).se:
         worst = _check_se_block(method, trials, config, rng)
     else:
         worst = _check_window_method(method, trials, config, rng, lse_sharpness)

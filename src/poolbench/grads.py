@@ -25,15 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import (
-    POOLING,
-    ParameterError,
-    check_ordinal_weights,
-    check_sharpness,
-    check_smooth_max_args,
-    check_window_length,
-    window_stack,
-)
+from .ops import POOLING, ParameterError, window_stack
 from .tensor import ShapeError
 
 __all__ = [
@@ -94,13 +86,12 @@ class FDOracleConfig:
             )
 
 
-def _vector(x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))  # a scalar is a one-entry window
-    if arr.ndim > 1:  # ops read a 2-D input as a stack of windows
-        raise ShapeError(f"analytic gradients take one window, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ShapeError("window must contain at least one entry")
-    return arr
+def _vector(x):
+    """``x``, which must be one window's input or parameter: a 2-D input (a stack
+    of windows) or a column parameter (a value per window) is a ShapeError."""
+    if np.ndim(x) > 1:
+        raise ShapeError(f"analytic gradients take one window, got shape {np.shape(x)}")
+    return x
 
 
 def pool_grads(method: str, x, **params) -> GradBundle:
@@ -111,7 +102,7 @@ def pool_grads(method: str, x, **params) -> GradBundle:
     one row per window: (..., n) for a weight per entry, an (..., 1) column
     for a scalar.  The kernel pair runs once for all the windows.
     """
-    stack, fields, batch = window_stack(x, params, per_window=True)
+    stack, fields, batch = window_stack(method, x, params, per_window=True)
     pooling = POOLING[method]
     _, cache = pooling.forward(stack, fields)
     d_stack, d_fields = pooling.backward(cache, np.ones(stack.shape[1:]))
@@ -139,24 +130,18 @@ def nearest_pool_grad(x) -> GradBundle:
 
 def conv_pool_grad(x, weights) -> GradBundle:
     """Bilinear: dy/dx = w and dy/dw = x."""
-    x, w = _vector(x), _vector(weights)
-    check_window_length(x, w, "weights")
-    return pool_grads("CONV", x, conv_w=w)
+    return pool_grads("CONV", _vector(x), conv_w=_vector(weights))
 
 
 def gated_pool_grad(x, gate_w) -> GradBundle:
     """Chain rule through g*avg + (1-g)*max with g = sigmoid(w.x)."""
-    x, w = _vector(x), _vector(gate_w)
-    check_window_length(x, w, "gate weights")
-    return pool_grads("GP", x, gate_w=w)
+    return pool_grads("GP", _vector(x), gate_w=_vector(gate_w))
 
 
 def ordinal_pool_grad(x, weights) -> GradBundle:
     """dy/dx_i is the weight of the slot entry i sorts into (stable ranks: ties keep
     window order), dy/dw_slot the slot's sorted value."""
-    x, w = _vector(x), _vector(weights)
-    check_ordinal_weights(w, x.size)
-    return pool_grads("OP", x, ordinal_w=w)
+    return pool_grads("OP", _vector(x), ordinal_w=_vector(weights))
 
 
 def learned_norm_pool_grad(x, p_raw) -> GradBundle:
@@ -166,14 +151,12 @@ def learned_norm_pool_grad(x, p_raw) -> GradBundle:
 
 def lse_pool_grad(x, sharpness) -> GradBundle:
     """The softmax of r*x; the fixed sharpness r carries no gradient."""
-    return pool_grads("LSE", _vector(x), sharpness=check_sharpness(_vector(sharpness)))
+    return pool_grads("LSE", _vector(x), sharpness=_vector(sharpness))
 
 
 def smooth_max_pool_grad(x, tau) -> GradBundle:
     """dy/dx_i = s_i (1 + tau (x_i - y)) and dy/dtau = sum_i s_i (x_i - y)^2, s = softmax(tau x)."""
-    x, tau = _vector(x), _vector(tau)
-    check_smooth_max_args(x, tau)
-    return pool_grads("SMP_trainable", x, tau=tau)
+    return pool_grads("SMP_trainable", _vector(x), tau=_vector(tau))
 
 
 def central_difference(fn, point, step: float, batched: bool = False) -> np.ndarray:

@@ -29,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ENTRY_WEIGHTS, POOLING, ConfigurationError, PoolSpec, sigmoid, validate_pool_params
+from .ops import (
+    ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, sigmoid,
+    validate_pool_params,
+)
 from .tensor import WindowSpec, output_size
 
 __all__ = [
@@ -71,14 +74,6 @@ def _scatter(shape, spec: WindowSpec, parts) -> np.ndarray:
     for view, part in zip(window_views(dx, spec), parts):
         view += part
     return dx
-
-
-class DivergedRunError(RuntimeError, ValueError):
-    """A loss or a pooling input became non-finite.
-
-    Also a ``ValueError``: :meth:`PoolingBlock.forward` rejects a non-finite
-    input with a ``ValueError``, and keeps doing so through this class.
-    """
 
 
 class Conv2D:
@@ -225,8 +220,7 @@ class PoolingBlock:
     # -- forward and backward -----------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not np.isfinite(x).all():
-            raise DivergedRunError("pooling input contains non-finite values")
+        check_input(x)
         x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
         self._x_shape = x.shape
         self._cache = self._scaled = None  # free the last call's cache before building this one
@@ -314,8 +308,7 @@ class ToyNetConfig:
             raise ConfigurationError("pooling stages must halve resolution: 2x2 windows, stride 2")
         if self.classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.classes}")
-        if not 0 < self.lse_sharpness < float("inf"):
-            raise ConfigurationError(f"LSE sharpness must be > 0, got {self.lse_sharpness}")
+        check_field("sharpness", np.asarray(self.lse_sharpness))
         for c in self.stage_channels:
             if c % self.se_ratio != 0:
                 raise ConfigurationError(

@@ -6,12 +6,12 @@ implementation of the method's window formula.  A pooling block's
 parameters are one dict keyed by the flat names that the optimizer and the
 reports use: ``conv_w``, ``gate_w``, ``ordinal_w``, ``p_raw``, ``sharpness``,
 ``tau`` and the squeeze-and-excitation (SE) branch's ``se_f1_weight``,
-``se_f1_bias``, ``se_f2_weight`` and ``se_f2_bias``;
-:func:`validate_pool_params` checks it.  The pooling blocks of
-:mod:`poolbench.layers` train through the kernels; the operators below and
-the gradients of :mod:`poolbench.grads` are thin adapters over them.  CONV,
-GP, OP, LNP, LSE and SMP interpolate between max- and average-pooling (and
-min-pooling) through a few parameters.
+``se_f1_bias``, ``se_f2_weight`` and ``se_f2_bias``; :data:`FIELD_RULES`
+states the rules of each.  The pooling blocks of :mod:`poolbench.layers`
+train through the kernels; the operators below and the gradients of
+:mod:`poolbench.grads` are thin adapters over them.  CONV, GP, OP, LNP, LSE
+and SMP interpolate between max- and average-pooling (and min-pooling)
+through a few parameters.
 
 Kernels.  ``forward(stack, fields)`` returns ``(y, cache)`` and
 ``backward(cache, dy)`` returns ``(d_stack, {name: gradient})``, where
@@ -31,7 +31,12 @@ Operators.  Each reduces over the last axis of ``x``: a 1-D ``x`` is one
 window and gives a float, a 2-D ``x`` is a stack of windows, one per row, and
 gives one value per row.  A weight vector is (n,) or (m, n), one row per
 window; a scalar parameter (``p_raw``, ``sharpness``, ``tau``) is a scalar or
-an (m, 1) column.  Every validation applies to every row.
+an (m, 1) column.  Operators and blocks share one input rule
+(:func:`check_input`): an input with a NaN or an infinite entry raises
+:class:`DivergedRunError`, so no NaN is pooled into a result or a zero
+gradient.  Parameters follow :data:`FIELD_RULES`: a missing or extra key
+raises :class:`ConfigurationError`, a wrong shape ``ShapeError`` and a value
+out of range :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -48,11 +53,16 @@ __all__ = [
     "ParameterError",
     "ConfigurationError",
     "DegenerateWeightsError",
+    "DivergedRunError",
     "ENTRY_WEIGHTS",
     "Pooling",
     "POOLING",
     "METHODS",
     "HEADLINE_METHODS",
+    "pooling_row",
+    "FIELD_RULES",
+    "check_field",
+    "check_input",
     "PoolSpec",
     "validate_pool_params",
     "sigmoid",
@@ -85,8 +95,14 @@ class DegenerateWeightsError(ParameterError):
     """Simplex projection received weights with no positive entry."""
 
 
-#: parameters holding one weight per window entry, shared across channels
-ENTRY_WEIGHTS = ("conv_w", "gate_w", "ordinal_w")
+class DivergedRunError(RuntimeError, ValueError):
+    """A loss or a pooling input became non-finite.
+
+    Also a ``ValueError``: the pooling input rule (:func:`check_input`)
+    rejects a non-finite input with a ``ValueError``, and keeps doing so
+    through this class.
+    """
+
 
 # Sigmoid saturation bounds: one subnormal above 0 and one ulp below 1, so
 # gate values always satisfy the strict open-interval invariant.
@@ -410,6 +426,74 @@ HEADLINE_METHODS = (
 )
 
 
+def pooling_row(method: str) -> Pooling:
+    """``method``'s row of :data:`POOLING`; an unknown name is a :class:`ConfigurationError`."""
+    if method not in POOLING:
+        raise ConfigurationError(f"unknown pooling method {method!r}; valid: {', '.join(METHODS)}")
+    return POOLING[method]
+
+
+# -- the parameter and input rules -------------------------------------------------
+
+#: name -> (shape in a pooling block, value rule) of every pooling parameter.  In
+#: the shapes "n" is the window size, "C" the channels and "h" the SE hidden width;
+#: the window operators take an ("n",) field as (n,) or (m, n) rows and the others
+#: as a scalar or an (m, 1) column.  Every value must be finite; "simplex" rows are
+#: also nonnegative and sum to 1 (within the FD slack) and "positive" ones are > 0.
+#: A trainable array must be of floating dtype, and a dict holds exactly its
+#: method's ``fields | trainable``.
+FIELD_RULES = {
+    "conv_w": (("n",), "finite"),
+    "gate_w": (("n",), "finite"),
+    "ordinal_w": (("n",), "simplex"),
+    "p_raw": ((1,), "finite"),
+    "sharpness": ((), "positive"),
+    "tau": (("C",), "finite"),
+    "se_f1_weight": (("h", "C"), "finite"),
+    "se_f1_bias": (("h",), "finite"),
+    "se_f2_weight": (("C", "h"), "finite"),
+    "se_f2_bias": (("C",), "finite"),
+}
+
+#: parameters holding one weight per window entry, shared across channels
+ENTRY_WEIGHTS = tuple(name for name, (shape, _) in FIELD_RULES.items() if shape == ("n",))
+
+
+#: method -> the exact key set of its parameters
+_KEYS = {method: set(pooling.fields) | set(pooling.trainable) for method, pooling in POOLING.items()}
+
+
+def _check_keys(method: str, params) -> None:
+    if params.keys() != _KEYS[method]:
+        raise ConfigurationError(f"{method} takes parameters {sorted(_KEYS[method])}, got {sorted(params)}")
+
+
+def check_field(name: str, value: np.ndarray) -> None:
+    """``value`` against the value rule of ``name`` in :data:`FIELD_RULES`; a
+    simplex is checked per row along the last axis."""
+    rule = FIELD_RULES[name][1]
+    if rule == "simplex":  # each comparison is false at a non-finite entry
+        sums = value.sum(axis=-1)
+        if not (value.min() >= -_SIMPLEX_NEG_TOL and np.abs(sums - 1.0).max() <= _SIMPLEX_SUM_TOL):
+            raise ParameterError(
+                f"{name} must be finite, nonnegative and sum to 1 per row; got min={value.min():.6g}, sums {sums}"
+            )
+    elif rule == "positive":
+        if not ((value > 0.0) & (value < math.inf)).all():
+            raise ParameterError(f"{name} must be a positive finite number, got {value}")
+    elif np.count_nonzero(np.isfinite(value)) < value.size:  # as .all(), at a third of the cost
+        raise ParameterError(f"{name} must be finite")
+
+
+def check_input(x: np.ndarray) -> None:
+    """The one input rule of pooling blocks and window operators: at least one
+    entry, and every entry finite (else :class:`DivergedRunError`)."""
+    if x.size == 0:
+        raise ShapeError("pooling input must contain at least one entry")
+    if np.count_nonzero(np.isfinite(x)) < x.size:  # one pass, as .all() at a third of the cost
+        raise DivergedRunError("pooling input contains non-finite values")
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """A pooling method plus its window geometry and channel count."""
@@ -419,64 +503,34 @@ class PoolSpec:
     channels: int
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown pooling method {self.method!r}; valid: {', '.join(METHODS)}"
-            )
+        pooling_row(self.method)
         if self.channels < 1:
             raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
 
 
 def validate_pool_params(spec: PoolSpec, params: dict) -> None:
-    """Check that ``params`` holds exactly the method's parameters, each finite and
-    shaped as its ``init`` shapes it: (n,) for an entry weight, (1,) for ``p_raw``,
-    (C,) for ``tau``, a scalar sharpness, and the SE branch maps C -> hidden -> C
-    for a hidden width that divides C.  A trainable array must be of floating
-    dtype, ordinal weights must lie on the simplex and the sharpness must be
-    positive."""
+    """Check ``params`` against :data:`FIELD_RULES` at the exact shapes that the
+    method's ``init`` builds: exactly the method's keys, each shaped for the
+    spec's n and C, and the SE branch mapping C -> hidden -> C for a hidden
+    width that divides C."""
     pooling = POOLING[spec.method]
-    keys = set(pooling.fields) | set(pooling.trainable)
-    if params.keys() != keys:
-        raise ConfigurationError(f"{spec.method} takes parameters {sorted(keys)}, got {sorted(params)}")
+    _check_keys(spec.method, params)
     c = spec.channels
     hidden = np.shape(params.get("se_f1_weight"))[:1]  # () without an SE branch
     if hidden and (hidden[0] < 1 or c % hidden[0]):
         raise ConfigurationError(f"the SE hidden width {hidden[0]} must divide channels={c}")
-    shapes = {
-        **dict.fromkeys(ENTRY_WEIGHTS, (spec.window.n,)),
-        "p_raw": (1,),
-        "sharpness": (),
-        "tau": (c,),
-        "se_f1_weight": hidden + (c,),
-        "se_f1_bias": hidden,
-        "se_f2_weight": (c,) + hidden,
-        "se_f2_bias": (c,),
-    }
+    sizes = {"n": spec.window.n, "C": c, "h": hidden[0] if hidden else None}
     for name, value in params.items():
         value = np.asarray(value)
-        if value.shape != shapes[name]:
-            raise ShapeError(f"{name} must have shape {shapes[name]}, got {value.shape}")
+        shape = tuple(sizes.get(d, d) for d in FIELD_RULES[name][0])
+        if value.shape != shape:
+            raise ShapeError(f"{name} must have shape {shape}, got {value.shape}")
         if value.dtype.kind != "f" and name in pooling.trainable:  # the optimizer updates it in place
             raise ParameterError(f"{name} must be a floating-point array, got {value.dtype}")
-        if np.count_nonzero(np.isfinite(value)) < value.size:  # as .all(), at a third of the cost
-            raise ParameterError(f"{name} must be finite")
-    if "ordinal_w" in params:
-        check_ordinal_weights(np.asarray(params["ordinal_w"]), spec.window.n)
-    if "sharpness" in params:
-        check_sharpness(params["sharpness"])
+        check_field(name, value)
 
 
 # -- window-level operators ------------------------------------------------------
-
-
-def _windows(x) -> np.ndarray:
-    """``x`` as float64 windows along the last axis; a scalar is a one-entry window."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape[-1] == 0:
-        raise ShapeError("window must contain at least one entry")
-    return arr
 
 
 def _float_or_array(out: np.ndarray) -> float | np.ndarray:
@@ -484,70 +538,46 @@ def _float_or_array(out: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def check_ordinal_weights(w: np.ndarray, n: int) -> None:
-    """Every row of ``w`` (one row per window) must lie on the simplex, up to tolerance."""
-    if w.ndim == 0 or w.shape[-1] != n:
-        raise ShapeError(f"ordinal weights must have {n} entries per row, got shape {w.shape}")
-    rows = w.reshape(-1, n)
-    sums = rows.sum(axis=1)
-    off = (rows < -_SIMPLEX_NEG_TOL).any(axis=1) | (np.abs(sums - 1.0) > _SIMPLEX_SUM_TOL)
-    bad = np.flatnonzero(off)
-    if bad.size:
-        raise ParameterError(
-            "ordinal weights must be nonnegative and sum to 1 "
-            f"(got sum={sums[bad[0]]:.6g}, min={rows[bad[0]].min():.6g})"
-        )
-
-
-def check_window_length(x, weights, what: str) -> None:
-    """A weight vector must have one entry per window entry."""
-    x, w = _windows(x), _windows(weights)
-    if w.shape[-1] != x.shape[-1]:
-        raise ShapeError(f"{what} length {w.shape[-1]} != window length {x.shape[-1]}")
-
-
-def check_sharpness(sharpness) -> np.ndarray:
-    """The LSE sharpness as float64, a scalar or a column with one row per window;
-    every row must be positive and finite."""
-    r = np.asarray(sharpness, dtype=np.float64)
-    if not ((r > 0.0) & (r < math.inf)).all():
-        raise ParameterError(f"sharpness must be a positive finite number, got {r}")
-    return r
-
-
-def check_smooth_max_args(x, tau) -> None:
-    """Smooth max needs finite window entries and temperatures."""
-    if not np.isfinite(tau).all() or not np.isfinite(x).all():
-        raise ValueError("smooth max requires finite window entries and temperature")
-
-
-def window_stack(x, params, per_window=False):
-    """Kernel arguments for the windows along the last axis of ``x``.
-
-    ``params`` maps field names to values: a weight per window entry
-    (:data:`ENTRY_WEIGHTS`) is (n,) or (..., n), any other field a scalar or
-    an (..., 1) column, and all broadcast over the windows' batch shape.
-    Returns ``(stack, fields, batch)``: the (n, M) stack of the M windows, a
-    fresh copy, each entry weight as (n, M) and each other field as (M,).  A
-    field without batch axes stays one (n, 1) column or scalar shared by every
-    window, unless ``per_window`` asks for its gradient per window.  Every
-    (n, M) array is the transpose of a C-ordered (M, n) one, the memory order
-    of a stack of rows, so a window's result does not depend on which other
-    windows share the call.
+def window_stack(method: str, x, params, per_window=False):
+    """``method``'s kernel arguments for the windows along the last axis of ``x``
+    (a scalar is a one-entry window), with ``params`` checked against
+    :data:`FIELD_RULES`; the rows of all broadcast over the windows' batch
+    shape.  Returns ``(stack, fields, batch)``: the (n, M) stack of the M
+    windows, a fresh copy, each entry weight as (n, M) and each other field as
+    (M,).  A field without batch axes stays one (n, 1) column or scalar shared
+    by every window, unless ``per_window`` asks for its gradient per window.
+    Every (n, M) array is the transpose of a C-ordered (M, n) one, the memory
+    order of a stack of rows, so a window's result does not depend on which
+    other windows share the call.  The SE methods have no window form: their
+    branch needs a block.
     """
-    x = _windows(x)
+    if pooling_row(method).se:
+        raise ConfigurationError(f"{method} pools through its SE branch, in a PoolingBlock only")
+    _check_keys(method, params)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    check_input(x)
     n = x.shape[-1:]
     values, batch = {}, x.shape[:-1]
     for name, value in params.items():
         v = np.asarray(value, dtype=np.float64)
         width = n if name in ENTRY_WEIGHTS else ()
-        if not width and v.ndim:
+        if width:
+            if v.shape[-1:] != n:
+                raise ShapeError(f"{name} must be rows of {n[0]} entries, got shape {v.shape}")
+        elif v.ndim:
             if v.shape[-1] != 1:  # never cut a vector down to its first entry
                 raise ShapeError(f"{name} must be a scalar or an (..., 1) column, got shape {v.shape}")
             v = v[..., 0]
+        check_field(name, v)
         values[name] = v
-        if v.shape[: v.ndim - len(width)] != batch:
-            batch = np.broadcast_shapes(batch, v.shape[: v.ndim - len(width)])
+        rows = v.shape[: v.ndim - len(width)]
+        if rows and rows != batch:  # np.broadcast_shapes costs about 2 us a call
+            try:
+                batch = np.broadcast_shapes(batch, rows) if batch else rows
+            except ValueError:
+                raise ShapeError(f"{name} rows {rows} do not broadcast against windows {batch}") from None
 
     def window_first(a, width, copy=False):
         if a.ndim == len(width) and not (copy or per_window):
@@ -564,7 +594,7 @@ def window_stack(x, params, per_window=False):
 def pool(method: str, x, **params) -> float | np.ndarray:
     """``method``'s forward kernel on the windows along the last axis of ``x``,
     with parameters as for :func:`window_stack`; a float for one window."""
-    stack, fields, batch = window_stack(x, params)
+    stack, fields, batch = window_stack(method, x, params)
     y, _ = POOLING[method].forward(stack, fields)
     return _float_or_array(y.reshape(batch))
 
@@ -587,13 +617,11 @@ def nearest_pool(x) -> float | np.ndarray:
 
 def conv_pool(x, weights) -> float | np.ndarray:
     """Weighted sum of the window entries."""
-    check_window_length(x, weights, "weights")
     return pool("CONV", x, conv_w=weights)
 
 
 def gated_pool(x, gate_w) -> float | np.ndarray:
     """Gate-blended average and max: g*avg(x) + (1-g)*max(x), g = sigmoid(w.x)."""
-    check_window_length(x, gate_w, "gate weights")
     return pool("GP", x, gate_w=gate_w)
 
 
@@ -603,8 +631,6 @@ def ordinal_pool(x, weights) -> float | np.ndarray:
     weights[..., 0] multiplies the minimum and weights[..., -1] the maximum,
     so a one-hot last (first) weight vector reproduces max- (min-) pooling.
     """
-    x = _windows(x)
-    check_ordinal_weights(np.asarray(weights, dtype=np.float64), x.shape[-1])
     return pool("OP", x, ordinal_w=weights)
 
 
@@ -638,12 +664,11 @@ def learned_norm_pool(x, p_raw) -> float | np.ndarray:
 
 def lse_pool(x, sharpness) -> float | np.ndarray:
     """Log-sum-exp mean: (1/r) log((1/n) sum exp(r*x_i)) with sharpness r > 0."""
-    return pool("LSE", x, sharpness=check_sharpness(sharpness))
+    return pool("LSE", x, sharpness=sharpness)
 
 
 def smooth_max_pool(x, tau) -> float | np.ndarray:
     """Softmax-weighted average: sum_i x_i * exp(tau*x_i) / sum_j exp(tau*x_j)."""
-    check_smooth_max_args(x, tau)
     return pool("SMP_trainable", x, tau=tau)
 
 

@@ -311,6 +311,8 @@ class TestGradcheck:
             ["--trials", "-3"],
             ["--tolerance", "0"],
             ["--methods", "LSE", "--lse-r", "0"],
+            ["--methods", "LSE", "--lse-r", "inf"],  # pooled to NaN
+            ["--methods", "LSE", "--lse-r", "nan"],
             ["--tolerance", "inf"],  # would pass any gradient, right or wrong
             ["--seed", "-1"],
         ],

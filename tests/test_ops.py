@@ -28,7 +28,10 @@ from poolbench import (
     smooth_max_pool,
     validate_pool_params,
 )
+from poolbench import grads, ops
+from poolbench.gradcheck import check_method
 from poolbench.layers import PoolingBlock, ToyNet, ToyNetConfig
+from poolbench.ops import DivergedRunError
 from poolbench.train import _snapshots
 from window_reference import global_avg_pool, map_windows, se_params, se_temperatures
 
@@ -319,11 +322,11 @@ class TestSmoothMaxPool:
             assert np.isfinite(smooth_max_pool(x, tau))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DivergedRunError):
             smooth_max_pool([np.nan, 0.0], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DivergedRunError):
             smooth_max_pool([np.inf, 0.0], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             smooth_max_pool(X, np.nan)
 
 
@@ -498,12 +501,14 @@ class TestPoolParamsValidation:
             PoolingBlock(spec, {"tau": np.zeros(3)})
 
     def test_sharpness_is_positive_and_finite(self):
-        # the rule of check_sharpness and ToyNetConfig: an infinite sharpness would pool to NaN
+        # the sharpness rule of ops.FIELD_RULES: an infinite sharpness would pool to NaN
         spec = PoolSpec("LSE", POOL22, channels=2)
         PoolingBlock(spec, {"sharpness": 2.0})
         for bad in (np.inf, np.nan, 0.0, -1.0):
             with pytest.raises(ParameterError):
                 PoolingBlock(spec, {"sharpness": bad})
+            with pytest.raises(ParameterError, match="positive finite"):  # the CLI's --lse-r too
+                ToyNetConfig(lse_sharpness=bad)
 
     def test_trainable_arrays_must_be_floating(self):
         # the optimizer updates a trainable array in place: an integer one failed at the first step
@@ -652,11 +657,11 @@ class TestStackedWindows:
         for bad in (np.nan, np.inf, -np.inf):
             stack = x.copy()
             stack[3, 1] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(DivergedRunError):
                 smooth_max_pool(stack, 1.0)
             column = np.ones((5, 1))
             column[3, 0] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(ParameterError):
                 smooth_max_pool(x[0], column)
 
     def test_scalar_parameter_given_as_a_vector_raises(self):
@@ -687,3 +692,64 @@ class TestStackedWindows:
             for sharpness in (r, np.array([[1.0], [r], [1.0]])):  # every row of a column is checked
                 with pytest.raises(ParameterError):
                     lse_pool(np.ones((3, 4)), sharpness)
+
+
+#: every window operator by name, with valid parameters for a 4-entry window
+OPERATOR_PARAMS = {
+    "max_pool": (),
+    "avg_pool": (),
+    "nearest_pool": (),
+    "conv_pool": (np.full(4, 0.25),),
+    "gated_pool": (np.linspace(-0.5, 0.5, 4),),
+    "ordinal_pool": (np.full(4, 0.25),),
+    "learned_norm_pool": (0.5,),
+    "lse_pool": (1.0,),
+    "smooth_max_pool": (0.5,),
+}
+ADAPTERS = [(getattr(ops, name), params) for name, params in OPERATOR_PARAMS.items()] + [
+    (getattr(grads, f"{name}_grad"), params) for name, params in OPERATOR_PARAMS.items()
+]
+
+
+class TestValidationContract:
+    """Every window operator and gradient applies the one input rule and the
+    parameter rules of ``ops.FIELD_RULES``."""
+
+    @pytest.mark.parametrize("adapter, params", ADAPTERS, ids=[a.__name__ for a, _ in ADAPTERS])
+    def test_non_finite_window_or_parameter_raises(self, adapter, params):
+        adapter(X, *params)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = X.copy()
+            x[2] = bad
+            with pytest.raises(DivergedRunError):
+                adapter(x, *params)
+            for i in range(len(params)):
+                param = np.array(params[i], dtype=np.float64)
+                param.flat[-1] = bad
+                with pytest.raises(ParameterError):
+                    adapter(X, *params[:i], param, *params[i + 1 :])
+
+    @pytest.mark.parametrize("entry", [ops.pool, grads.pool_grads], ids=["pool", "pool_grads"])
+    @pytest.mark.parametrize(
+        "method, x, params, error",
+        [
+            ("CONV", X, {}, ConfigurationError),  # a missing key: was a bare KeyError
+            ("MP", X, {"tau": 1.0}, ConfigurationError),  # a key MP does not take
+            ("CONV", [1.0, 2.0, 3.0], {"conv_w": [1.0, 1.0]}, ShapeError),  # a short weight row
+            ("OP", [1.0, 2.0], {"ordinal_w": [3.0, 3.0]}, ParameterError),  # pooled to 9.0
+            ("LSE", [1.0, 2.0], {"sharpness": -1.0}, ParameterError),
+            ("CONV", np.ones((3, 2)), {"conv_w": np.ones((2, 2))}, ShapeError),  # 3 windows, 2 rows
+            ("WAT", X, {}, ConfigurationError),
+            ("SESMP", X, {"tau": 1.0}, ConfigurationError),  # pools through its block's branch
+        ],
+    )
+    def test_pool_applies_the_rule_table(self, entry, method, x, params, error):
+        with pytest.raises(error):
+            entry(method, x, **params)
+
+    def test_one_unknown_method_rule(self):
+        with pytest.raises(ConfigurationError) as spec_error:
+            PoolSpec("WAT", POOL22, channels=2)
+        with pytest.raises(ConfigurationError) as check_error:
+            check_method("WAT")
+        assert str(check_error.value) == str(spec_error.value)

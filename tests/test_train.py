@@ -206,6 +206,15 @@ class TestTraining:
         assert report.diverged
         assert "aborted" in report.note
 
+    def test_epoch_metrics_score_the_held_out_split(self, dataset):
+        # after a 1-epoch run the captured net is the one its evaluation scored
+        seen = {}
+        optim = OptimConfig(epochs=1, seed=3)
+        report = train("AP", dataset, optim, step_hook=lambda step, net: seen.update(net=net))
+        (epoch,) = report.epochs
+        want = evaluate(seen["net"], dataset.test_images, dataset.test_labels, optim.batch_size)
+        assert (epoch.test_loss, epoch.test_acc) == want
+
     def test_evaluate_sums_100_sample_groups_of_sliced_forwards(self, dataset):
         rng = np.random.default_rng(6)
         net = build_net("GP", ToyNetConfig(), rng)
