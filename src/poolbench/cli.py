@@ -7,8 +7,9 @@ on spaces or commas), parsed ahead of the command line, so its flags win.  A
 key no command has is a usage error; other commands' keys are skipped.
 
 Exit codes: 0 success, 1 usage error, 2 gradient-check failure, 3 sweep
-finished but contains diverged or crashed run(s).  ``POOLBENCH_THREADS``
-caps how many worker processes a sweep may use (default 1).
+finished but contains diverged or crashed run(s).  A sweep trains each
+method's seeds in lock-step, as one task; ``POOLBENCH_THREADS`` caps how many
+worker processes share out those tasks (default 1).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .data import check_data_args
 from .gradcheck import run_gradcheck
 from .grads import FDOracleConfig
 from .layers import ToyNetConfig
-from .ops import HEADLINE_METHODS, METHODS
+from .ops import HEADLINE_METHODS, METHODS, ConfigurationError, pooling_row
 from .optim import OptimConfig
 from . import reports as rep
-from .train import RunReport, run_single
+from .train import RunReport, run_seeds, run_single
 
 __all__ = ["ExperimentConfig", "UsageError", "build_parser", "main"]
 
@@ -55,9 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_methods(methods):
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise UsageError(f"unknown method(s) {', '.join(unknown)}; valid: {', '.join(METHODS)}")
+    for method in methods:
+        try:
+            pooling_row(method)
+        except ConfigurationError as err:
+            raise UsageError(str(err)) from None
 
 
 def _check_seed(name, seed):
@@ -225,38 +228,40 @@ def _worker_count() -> int:
 
 
 def _run_sweep_tasks(config: ExperimentConfig) -> list[RunReport]:
-    tasks = [(m, s) for m in config.methods for s in config.seeds]
-    workers = min(_worker_count(), len(tasks))
-    args = [
-        (m, s, config.data_kwargs(), config.optim, config.net_config()) for m, s in tasks
-    ]
+    """Every (method, seed) run: one task per method, which trains its seeds in lock-step."""
+    workers = min(_worker_count(), len(config.methods))
+    settings = (config.data_kwargs(), config.optim, config.net_config())
+    args = [(m, config.seeds, *settings) for m in config.methods]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, a) for a in args]
-            results = [_result(future, m, s) for future, (m, s) in zip(futures, tasks)]
+            results = [r for future, m in zip(futures, config.methods) for r in _result(future, m, config.seeds)]
     else:
-        results = [_run_one(a) for a in args]
+        results = [r for a in args for r in _run_one(a)]
     # deterministic assembly regardless of completion order
     order = {m: i for i, m in enumerate(config.methods)}
     results.sort(key=lambda r: (order[r.method], r.seed))
     return results
 
 
-def _result(future, method, seed) -> RunReport:
-    """A worker's run; if the pool broke first (a worker killed by a signal), a failed row."""
+def _result(future, method, seeds) -> list[RunReport]:
+    """A worker's runs; if the pool broke first (a worker killed by a signal), failed rows."""
     try:
         return future.result()
     except BrokenProcessPool as err:
-        return RunReport(method, seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}")
+        return [RunReport(method, seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}") for seed in seeds]
 
 
-def _run_one(packed) -> RunReport:
-    """One sweep run; a crash becomes a failed (method, seed) row, not the sweep's end."""
-    method, seed, data_kwargs, optim, net_config = packed
+def _run_one(packed) -> list[RunReport]:
+    """One method's runs.  A crash reruns its seeds one at a time, so that each
+    crash becomes a failed row of its own (method, seed), not the sweep's end."""
+    method, seeds, *settings = packed
     try:
-        return run_single(method, seed, data_kwargs, optim, net_config)
+        return run_seeds(method, seeds, *settings)
     except Exception as err:
-        return RunReport(method, seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}")
+        if len(seeds) == 1:
+            return [RunReport(method, seeds[0], diverged=True, note=f"crashed: {type(err).__name__}: {err}")]
+        return [report for seed in seeds for report in _run_one((method, (seed,), *settings))]
 
 
 def cmd_sweep(args) -> int:

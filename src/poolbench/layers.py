@@ -8,6 +8,13 @@ buffer.  Convolution and pooling take ``x.transpose(2, 3, 0, 1)`` on entry,
 which is free for such an input (any other input is copied once), and compute
 in (H, W, B, C) coordinates, where every inner row is B*C contiguous floats.
 
+A stacked layer holds S replicas of its parameters along a leading axis and
+takes (S, B, C, H, W) arrays (the head (S, B, F)); it computes in
+(S, H, W, B, C) coordinates, so each replica's activations are laid out as a
+single layer's, and each product is one stacked GEMM whose slices are the
+single layer's GEMMs.  Every replica's result equals, bit for bit, what a
+single layer with that replica's parameters gives.
+
 Convolution and pooling read their windows through the window-offset views
 of their input (:func:`window_views`), never through copied windows, and add
 input gradients into the same views (:func:`_scatter`).  A pooling block runs
@@ -26,6 +33,7 @@ the same flat names (``conv_w``, ``tau``, ``se_f1_weight``, ...); its
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +41,7 @@ from .ops import (
     ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, sigmoid,
     validate_pool_params,
 )
-from .tensor import WindowSpec, output_size
+from .tensor import ShapeError, WindowSpec, output_size
 
 __all__ = [
     "window_views",
@@ -49,8 +57,9 @@ __all__ = [
 ]
 
 
-def window_views(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
-    """The k1*k2 window-offset views of an (H, W, ...) array, each (H', W', ...).
+def window_views(x: np.ndarray, spec: WindowSpec, axis: int = 0) -> list[np.ndarray]:
+    """The k1*k2 window-offset views of an (H, W, ...) array, each (H', W', ...);
+    with ``axis`` = a, of an (..., H, W, ...) array whose H is axis a.
 
     View ``u*k2 + v`` is ``x[u::s1, v::s2]`` cut to the H' x W' window grid:
     its (i, j) entry is entry (u, v) of window (i, j), so the views list
@@ -58,64 +67,102 @@ def window_views(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
     ``x``; rows and columns that fit no complete window appear in none of
     them.
     """
-    h_out, w_out = output_size(x.shape[0], x.shape[1], spec)
+    return [x[index] for index in _window_index(x.shape[axis], x.shape[axis + 1], spec, axis)]
+
+
+@lru_cache(maxsize=64)
+def _window_index(h: int, w: int, spec: WindowSpec, axis: int) -> tuple[tuple[slice, ...], ...]:
+    """The index of each view of :func:`window_views` into an input of height h and width w."""
+    h_out, w_out = output_size(h, w, spec)
     rows = spec.s1 * (h_out - 1) + 1
     cols = spec.s2 * (w_out - 1) + 1
-    return [
-        x[u : u + rows : spec.s1, v : v + cols : spec.s2]
+    lead = (slice(None),) * axis
+    return tuple(
+        lead + (slice(u, u + rows, spec.s1), slice(v, v + cols, spec.s2))
         for u in range(spec.k1)
         for v in range(spec.k2)
-    ]
+    )
 
 
-def _scatter(shape, spec: WindowSpec, parts) -> np.ndarray:
+def _scatter(shape, spec: WindowSpec, parts, axis: int = 0) -> np.ndarray:
     """Adjoint of :func:`window_views`: add parts[k] into view k of a zeroed array."""
     dx = np.zeros(shape)
-    for view, part in zip(window_views(dx, spec), parts):
+    for view, part in zip(window_views(dx, spec, axis), parts):
         view += part
     return dx
 
 
+#: the permutation between the public (B, C, H, W) and the computing (H, W, B, C)
+#: order, by the rank of the array; (S, B, C, H, W) <-> (S, H, W, B, C) for a
+#: stack, the replica axis first.  Each is its own inverse.
+_SWAP = {4: (2, 3, 0, 1), 5: (0, 3, 4, 1, 2)}
+
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(_SWAP[x.ndim]))
+
+
+def _channels_first(x: np.ndarray) -> np.ndarray:
+    return x.transpose(_SWAP[x.ndim])
+
+
+def _draw(rng, draw):
+    """``draw(rng)``, or for a sequence of generators one draw each, stacked
+    along a leading replica axis."""
+    if isinstance(rng, (list, tuple)):
+        return np.stack([draw(g) for g in rng])
+    return draw(rng or np.random.default_rng())
+
+
 class Conv2D:
     """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
-    views, then one 2-D GEMM.  With ``input_grad=False``, backward returns None."""
+    views, then one GEMM per replica.  With ``input_grad=False``, backward
+    returns None.  ``rng``, a sequence of generators, makes a stacked layer
+    with one weight draw per generator."""
 
     def __init__(self, in_channels, out_channels, kernel=3, rng=None, input_grad=True):
         fan_in = in_channels * kernel * kernel
-        rng = rng or np.random.default_rng()
         # He-normal initialization: std = sqrt(2 / fan_in)
-        self.weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), (out_channels, in_channels, kernel, kernel))
-        self.bias = np.zeros(out_channels)
+        shape = (out_channels, in_channels, kernel, kernel)
+        self.weight = _draw(rng, lambda g: g.normal(0.0, np.sqrt(2.0 / fan_in), shape))
+        self.bias = np.zeros(self.weight.shape[:-3])
         self.window = WindowSpec(kernel, kernel, 1, 1)
         self.input_grad = input_grad
         self.grads_ = {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
 
     def forward(self, x):
-        x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
-        self._in_shape = h, w, b, c = x.shape
+        x = _channels_last(x)
+        self._in_shape = x.shape
+        lead = x.shape[:-4]
+        h, w, b, c = x.shape[-4:]
         h_out, w_out = output_size(h, w, self.window)
-        self._out_shape = (h_out, w_out, b, len(self.weight))
-        # (C*k*k, H'W'B): row c*k*k + u*k + v is view (u, v) of channel c, the
-        # order of weight.reshape(O, -1); the views are stacked straight into it
-        cols = np.empty((c, self.window.n, h_out, w_out, b))
-        np.stack(window_views(x, self.window), out=cols.transpose(1, 2, 3, 4, 0))
-        self._cols = cols.reshape(c * self.window.n, -1)
-        out = self._cols.T @ self.weight.reshape(len(self.weight), -1).T  # (H'W'B, O)
-        out += self.bias  # in place: no second output-sized buffer
-        return out.reshape(self._out_shape).transpose(2, 3, 0, 1)
+        o = self.bias.shape[-1]
+        self._out_shape = lead + (h_out, w_out, b, o)
+        # (..., C*k*k, H'W'B): row c*k*k + u*k + v is view (u, v) of channel c, the
+        # order of weight.reshape(..., O, -1); the views are stacked straight into it
+        cols = np.empty(lead + (c, self.window.n, h_out, w_out, b))
+        by_view = cols.transpose(_VIEWS_FIRST[len(lead)])
+        for k, view in enumerate(window_views(x, self.window, len(lead))):
+            by_view[k] = view
+        self._cols = cols.reshape(lead + (c * self.window.n, -1))
+        out = self._cols.swapaxes(-1, -2) @ self.weight.reshape(lead + (o, -1)).swapaxes(-1, -2)  # (..., H'W'B, O)
+        out += self.bias[..., None, :]  # in place: no second output-sized buffer
+        return _channels_first(out.reshape(self._out_shape))
 
     def backward(self, dy):
-        dy = np.ascontiguousarray(dy.transpose(2, 3, 0, 1))
-        dy2 = dy.reshape(-1, len(self.weight))  # (H'W'B, O)
-        self.grads_["weight"] += (dy2.T @ self._cols.T).reshape(self.weight.shape)
-        self.grads_["bias"] += np.ones(len(dy2)) @ dy2
+        dy = _channels_last(dy)
+        lead = dy.shape[:-4]
+        o = dy.shape[-1]
+        dy2 = dy.reshape(lead + (-1, o))  # (..., H'W'B, O)
+        self.grads_["weight"] += (dy2.swapaxes(-1, -2) @ self._cols.swapaxes(-1, -2)).reshape(self.weight.shape)
+        self.grads_["bias"] += np.ones(dy2.shape[-2]) @ dy2
         if not self.input_grad:
             return None
-        # col2im: the (H'W'B, C) gradient of view (u, v) is dy2 @ weight[:, :, u, v]
-        o, c = self.weight.shape[:2]
-        parts = dy2 @ self.weight.transpose(2, 3, 0, 1).reshape(self.window.n, o, c)
-        parts = parts.reshape((self.window.n,) + self._out_shape[:3] + (c,))
-        return _scatter(self._in_shape, self.window, parts).transpose(2, 3, 0, 1)
+        # col2im: the (H'W'B, C) gradient of view (u, v) is dy2 @ weight[..., :, :, u, v]
+        n, c = self.window.n, self.weight.shape[-3]
+        w = self.weight.transpose(_KERNEL_FIRST[len(lead)]).reshape((n,) + lead + (o, c))
+        parts = (dy2 @ w).reshape((n,) + self._out_shape[:-1] + (c,))
+        return _channels_first(_scatter(self._in_shape, self.window, parts, len(lead)))
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -124,9 +171,15 @@ class Conv2D:
         return self.grads_
 
 
+# by replica axes: the im2col buffer (..., C, n, H', W', B) as (n, ..., H', W', B, C),
+# and the weight (..., O, C, k, k) as (k, k, ..., O, C)
+_VIEWS_FIRST = {0: (1, 2, 3, 4, 0), 1: (2, 0, 3, 4, 5, 1)}
+_KERNEL_FIRST = {0: (2, 3, 0, 1), 1: (3, 4, 0, 1, 2)}
+
+
 class ReLU:
     def forward(self, x):
-        self._mask = x > 0.0
+        self._mask = (x > 0.0).astype(x.dtype)  # a float product runs at twice a bool one's speed
         return x * self._mask
 
     def backward(self, dy):
@@ -142,7 +195,7 @@ class ReLU:
 class Flatten:
     def forward(self, x):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[:-3] + (-1,))
 
     def backward(self, dy):
         return dy.reshape(self._shape)
@@ -155,21 +208,21 @@ class Flatten:
 
 
 class Linear:
-    """Affine head; weights drawn from N(0, 0.01), zero bias."""
+    """Affine head; weights drawn from N(0, 0.01), zero bias.  A stacked head
+    (``rng`` a sequence of generators) maps (S, B, F) to (S, B, O)."""
 
     def __init__(self, in_features, out_features, rng=None):
-        rng = rng or np.random.default_rng()
-        self.weight = rng.normal(0.0, 0.01, (out_features, in_features))
-        self.bias = np.zeros(out_features)
+        self.weight = _draw(rng, lambda g: g.normal(0.0, 0.01, (out_features, in_features)))
+        self.bias = np.zeros(self.weight.shape[:-1])
         self.grads_ = {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
 
     def forward(self, x):
         self._x = x
-        return x @ self.weight.T + self.bias
+        return x @ self.weight.swapaxes(-1, -2) + self.bias[..., None, :]
 
     def backward(self, dy):
-        self.grads_["weight"] += dy.T @ self._x
-        self.grads_["bias"] += dy.sum(axis=0)
+        self.grads_["weight"] += dy.swapaxes(-1, -2) @ self._x
+        self.grads_["bias"] += dy.sum(axis=-2)
         return dy @ self.weight
 
     def params(self):
@@ -187,24 +240,37 @@ class PoolingBlock:
     back and adds each field gradient to its parameter.  The squeeze-and-
     excitation (SE) methods add a branch on the input's per-channel means.
     ``pool_params`` holds the block's arrays by flat name, as the method's
-    ``init`` returns them; the block reads and trains them in place.
+    ``init`` returns them; the block reads and trains them in place.  A block
+    of ``replicas`` S holds each array with a leading axis of S rows, one
+    replica's parameters each, and pools (S, B, C, H, W) inputs.
     """
 
-    def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray]):
-        validate_pool_params(spec, pool_params)
+    def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray], replicas: int | None = None):
+        if replicas is None:
+            validate_pool_params(spec, pool_params)
+        else:
+            for name, value in pool_params.items():
+                if np.shape(value)[:1] != (replicas,):
+                    raise ShapeError(f"{name} must hold {replicas} replica rows, got shape {np.shape(value)}")
+            for r in range(replicas):
+                validate_pool_params(spec, {name: value[r] for name, value in pool_params.items()})
         self.window = spec.window
         self.method = spec.method
+        self.replicas = replicas
         self.pool_params = pool_params
         self.pooling = POOLING[spec.method]
         self.grads_ = {name: np.zeros(arr.shape) for name, arr in self.params().items()}
-        # Views (they follow the optimizer's in-place updates) shaped for (n, H', W', B, C):
-        # an entry weight gets the window axis first, and a one-entry parameter is a
-        # scalar, as a (1,) array would cut every elementwise loop into C-long pieces.
+        # Views (they follow the optimizer's in-place updates) shaped for the stack
+        # (n, H', W', B, C), or (n, S, H', W', B, C): an entry weight gets the window
+        # axis first, and a single block's one-entry parameter is a scalar, as a (1,)
+        # array would cut every elementwise loop into C-long pieces.
         self._fields = {}
         for name in self.pooling.fields:
             value = pool_params[name]
             if name in ENTRY_WEIGHTS:
-                value = value.reshape(-1, 1, 1, 1, 1)
+                value = value.T.reshape(value.shape[::-1] + (1, 1, 1, 1))
+            elif replicas is not None:
+                value = value.reshape(replicas, 1, 1, 1, -1)
             elif np.size(value) == 1:
                 value = np.reshape(value, ())
             self._fields[name] = value
@@ -220,68 +286,71 @@ class PoolingBlock:
     # -- forward and backward -----------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        check_input(x)
-        x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
+        check_input(x, replicas=self.replicas is not None)
+        x = _channels_last(x)
         self._x_shape = x.shape
         self._cache = self._scaled = None  # free the last call's cache before building this one
         fields = dict(self._fields)
         scaled = self._se_forward(x, fields) if self.pooling.se else x
-        stack = np.array(window_views(scaled, self.window)[: self.pooling.entries])
+        stack = np.array(window_views(scaled, self.window, x.ndim - 4)[: self.pooling.entries])
         del scaled  # SEMP's scaled input: free it before the kernel allocates
         y, self._cache = self.pooling.forward(stack, fields)
-        return y.transpose(2, 3, 0, 1)
+        return _channels_first(y)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dy = np.ascontiguousarray(dy.transpose(2, 3, 0, 1))
+        dy = _channels_last(dy)
         d_stack, d_fields = self.pooling.backward(self._cache, dy)
-        dx = _scatter(self._x_shape, self.window, d_stack)
+        dx = _scatter(self._x_shape, self.window, d_stack, dy.ndim - 4)
         del d_stack  # free it before the SE branch allocates
         for name, grad in self.grads_.items():
             if name in d_fields:
-                grad += d_fields[name].reshape(grad.shape)
+                d = d_fields[name]
+                if name in ENTRY_WEIGHTS:  # (n, ..., 1, 1, 1, 1) back to (..., n)
+                    d = d.reshape(grad.shape[::-1]).T
+                grad += d.reshape(grad.shape)
         if self.pooling.se:
             dx = self._se_backward(dx, d_fields)
-        return dx.transpose(2, 3, 0, 1)
+        return _channels_first(dx)
 
     def _se_forward(self, x, fields):
         """The kernel input; the SE branch drives SESMP's tau field or SEMP's input scale."""
-        out = self._branch(x)  # (B, C)
+        out = self._branch(x)  # (..., B, C)
         if self.pooling.se == "tau":
-            fields["tau"] = out
+            fields["tau"] = out[..., None, None, :, :]
             return x
         scales = sigmoid(out)
         self._scaled = (x, scales)
-        return x * scales
+        return x * scales[..., None, None, :, :]
 
     def _se_backward(self, dx, d_fields):
         """The input gradient ``dx`` of the kernel input, carried through the SE branch."""
         if self.pooling.se == "tau":
-            return dx + self._branch_backward(d_fields["tau"])
+            return dx + self._branch_backward(d_fields["tau"][..., 0, 0, :, :])
         x, scales = self._scaled
-        d_scales = (dx * x).sum(axis=(0, 1))
-        return dx * scales + self._branch_backward(d_scales * scales * (1.0 - scales))
+        d_scales = (dx * x).sum(axis=(-4, -3))
+        return dx * scales[..., None, None, :, :] + self._branch_backward(d_scales * scales * (1.0 - scales))
 
     def _branch(self, x):
         # squeeze: per-channel spatial means; excite: affine-ReLU-affine
         p = self.pool_params
-        mu = x.mean(axis=(0, 1))
-        hidden_pre = mu @ p["se_f1_weight"].T + p["se_f1_bias"]
+        mu = x.mean(axis=(-4, -3))
+        hidden_pre = mu @ p["se_f1_weight"].swapaxes(-1, -2) + p["se_f1_bias"][..., None, :]
         hidden = np.maximum(hidden_pre, 0.0)
-        out = hidden @ p["se_f2_weight"].T + p["se_f2_bias"]
+        out = hidden @ p["se_f2_weight"].swapaxes(-1, -2) + p["se_f2_bias"][..., None, :]
         self._mu, self._hidden_pre, self._hidden = mu, hidden_pre, hidden
         return out
 
     def _branch_backward(self, d_out):
         p = self.pool_params
-        self.grads_["se_f2_weight"] += d_out.T @ self._hidden
-        self.grads_["se_f2_bias"] += d_out.sum(axis=0)
+        self.grads_["se_f2_weight"] += d_out.swapaxes(-1, -2) @ self._hidden
+        self.grads_["se_f2_bias"] += d_out.sum(axis=-2)
         d_hidden = d_out @ p["se_f2_weight"]
         d_hidden_pre = d_hidden * (self._hidden_pre > 0.0)
-        self.grads_["se_f1_weight"] += d_hidden_pre.T @ self._mu
-        self.grads_["se_f1_bias"] += d_hidden_pre.sum(axis=0)
+        self.grads_["se_f1_weight"] += d_hidden_pre.swapaxes(-1, -2) @ self._mu
+        self.grads_["se_f1_bias"] += d_hidden_pre.sum(axis=-2)
         d_mu = d_hidden_pre @ p["se_f1_weight"]
-        h, w = self._x_shape[:2]
-        return np.broadcast_to(d_mu / (h * w), self._x_shape)
+        h, w = self._x_shape[-4:-2]
+        return np.broadcast_to((d_mu / (h * w))[..., None, None, :, :], self._x_shape)
 
 
 @dataclass(frozen=True)
@@ -324,17 +393,31 @@ class ToyNetConfig:
 
 
 class ToyNet:
-    """conv-ReLU-pool, conv-ReLU-pool, flatten, affine logits."""
+    """conv-ReLU-pool, conv-ReLU-pool, flatten, affine logits.
+
+    ``rng`` is one generator for a single net, or a sequence of S generators
+    for a stack of S replicas (``replicas`` = S): each replica draws its
+    parameters from its own generator in a single net's order, and a stacked
+    net maps (S*B, C, H, W) or (S, B, C, H, W) images, replica r owning rows
+    r*B .. (r+1)*B - 1, to (S, B, classes) logits.
+    """
 
     def __init__(self, config: ToyNetConfig, method: str, rng):
         self.config = config
         self.method = method
+        self.replicas = len(rng) if isinstance(rng, (list, tuple)) else None
         c1, c2 = config.stage_channels
 
         def pool(channels):
             spec = PoolSpec(method, config.window, channels)  # rejects an unknown method
-            params = POOLING[method].init(spec.window.n, channels, rng, config.se_ratio, config.lse_sharpness)
-            return PoolingBlock(spec, params)
+
+            def init(g):
+                return POOLING[method].init(spec.window.n, channels, g, config.se_ratio, config.lse_sharpness)
+
+            if self.replicas is None:
+                return PoolingBlock(spec, init(rng))
+            rows = [init(g) for g in rng]
+            return PoolingBlock(spec, {name: np.stack([row[name] for row in rows]) for name in rows[0]}, self.replicas)
 
         # nothing reads the image batch's gradient
         self.conv1 = Conv2D(config.in_channels, c1, config.conv_kernel, rng, input_grad=False)
@@ -348,11 +431,21 @@ class ToyNet:
         names = ("conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "flatten", "head")
         self._stack = [(name, getattr(self, name)) for name in names]
 
+    def select(self, rows) -> "ToyNet":
+        """A stacked net of this stacked net's replicas ``rows``, with copies of their parameters."""
+        net = ToyNet(self.config, self.method, [np.random.default_rng(0) for _ in rows])
+        params = self.params()
+        for name, arr in net.params().items():
+            arr[...] = params[name][rows]
+        return net
+
     @property
     def pooling_blocks(self) -> list[PoolingBlock]:
         return [self.pool1, self.pool2]
 
     def forward(self, x):
+        if self.replicas is not None:
+            x = x.reshape((self.replicas, -1) + x.shape[-3:])
         for _, layer in self._stack:
             x = layer.forward(x)
         return x
@@ -383,16 +476,19 @@ def softmax_cross_entropy(logits, labels):
 
     Returns (loss, d_logits, accuracy); d_logits is already divided by the
     batch size.  Evaluated via the log-sum-exp shift, so uniform zero logits
-    give exactly log(K).
+    give exactly log(K).  Stacked (S, B, K) logits give one loss and one
+    accuracy per replica, arrays of S; ``labels`` broadcast against (S, B).
     """
-    labels = np.asarray(labels)
-    b = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    labels = np.broadcast_to(labels, logits.shape[:-1])
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     log_probs = z - log_norm
-    loss = float(-log_probs[np.arange(b), labels].mean())
+    one_hot = labels[..., None] == np.arange(logits.shape[-1])
+    loss = -log_probs[one_hot].reshape(labels.shape).mean(axis=-1)
     d_logits = np.exp(log_probs)
-    d_logits[np.arange(b), labels] -= 1.0
-    d_logits /= b
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    d_logits -= one_hot
+    d_logits /= logits.shape[-2]
+    accuracy = (logits.argmax(axis=-1) == labels).mean(axis=-1)
+    if logits.ndim == 2:
+        return float(loss), d_logits, float(accuracy)
     return loss, d_logits, accuracy

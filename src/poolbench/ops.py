@@ -91,11 +91,20 @@ class ConfigurationError(ValueError):
     """A structural configuration is inconsistent (e.g. reduction ratio vs channels)."""
 
 
-class DegenerateWeightsError(ParameterError):
+class _ReplicaError(Exception):
+    """An error that may name the replicas of a stack it concerns: ``replicas``
+    holds their row indices, or is None when the error concerns the whole input."""
+
+    def __init__(self, message="", replicas=None):
+        super().__init__(message)
+        self.replicas = replicas
+
+
+class DegenerateWeightsError(_ReplicaError, ParameterError):
     """Simplex projection received weights with no positive entry."""
 
 
-class DivergedRunError(RuntimeError, ValueError):
+class DivergedRunError(_ReplicaError, RuntimeError, ValueError):
     """A loss or a pooling input became non-finite.
 
     Also a ``ValueError``: the pooling input rule (:func:`check_input`)
@@ -485,13 +494,17 @@ def check_field(name: str, value: np.ndarray) -> None:
         raise ParameterError(f"{name} must be finite")
 
 
-def check_input(x: np.ndarray) -> None:
+def check_input(x: np.ndarray, replicas: bool = False) -> None:
     """The one input rule of pooling blocks and window operators: at least one
-    entry, and every entry finite (else :class:`DivergedRunError`)."""
+    entry, and every entry finite (else :class:`DivergedRunError`).  With
+    ``replicas`` the leading axis of ``x`` holds a stack's replicas, and the
+    error names those with a non-finite entry."""
     if x.size == 0:
         raise ShapeError("pooling input must contain at least one entry")
-    if np.count_nonzero(np.isfinite(x)) < x.size:  # one pass, as .all() at a third of the cost
-        raise DivergedRunError("pooling input contains non-finite values")
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) < x.size:  # one pass, as .all() at a third of the cost
+        rows = tuple(np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1)).tolist()) if replicas else None
+        raise DivergedRunError("pooling input contains non-finite values", rows)
 
 
 @dataclass(frozen=True)

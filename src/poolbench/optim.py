@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ParameterError, project_to_simplex
+from .ops import DegenerateWeightsError, ParameterError, project_to_simplex
 
 __all__ = ["OptimConfig", "Adam", "ADAM_EPSILON"]
 
@@ -42,31 +42,44 @@ class Adam:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    m and v are flat, one slice per parameter; every operation is elementwise,
-    so the result equals the per-parameter update bit for bit.  Parameters
-    named in ``simplex_names`` are re-projected onto the probability simplex
-    immediately after every update.
+    m and v hold one row per replica, each row one slice per parameter; every
+    operation is elementwise, so the result equals the per-parameter update
+    of each replica alone bit for bit.  With ``replicas`` S every parameter
+    has a leading axis of S replicas, which all step together, so ``t``
+    counts the steps of each.  Parameters named in ``simplex_names`` are
+    re-projected onto the probability simplex immediately after every update,
+    one replica's row at a time; a row with no positive entry stays as it
+    is, as do its replica's later simplex parameters, and the step ends in a
+    :class:`DegenerateWeightsError` naming every such replica.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], config: OptimConfig, simplex_names=()):
+    def __init__(self, params: dict[str, np.ndarray], config: OptimConfig, simplex_names=(), replicas: int = 1):
         self.params = params
         self.config = config
         self.simplex_names = tuple(simplex_names)
         unknown = set(self.simplex_names) - set(params)
         if unknown:
             raise ParameterError(f"simplex constraint on unknown parameters: {sorted(unknown)}")
+        self.replicas = replicas
         self.t = 0
-        offsets = np.cumsum([0] + [p.size for p in params.values()])
+        offsets = np.cumsum([0] + [p.size // replicas for p in params.values()])
         self._slices = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        self.m = np.zeros(offsets[-1])
-        self.v = np.zeros(offsets[-1])
+        self.m = np.zeros((replicas, offsets[-1]))
+        self.v = np.zeros((replicas, offsets[-1]))
+
+    def select(self, params: dict[str, np.ndarray], rows) -> "Adam":
+        """An optimizer of ``params``, the replicas ``rows`` of this one's, that
+        carries on with their moments and step count."""
+        adam = Adam(params, self.config, self.simplex_names, len(rows))
+        adam.t, adam.m, adam.v = self.t, self.m[rows], self.v[rows]
+        return adam
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         lr, b1, b2 = self.config.lr, self.config.beta1, self.config.beta2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
-        g = np.concatenate([grads[name] for name in self.params], axis=None)
+        g = np.concatenate([grads[name].reshape(self.replicas, -1) for name in self.params], axis=1)
         m, v = self.m, self.v
         m *= b1
         m += (1.0 - b1) * g
@@ -74,6 +87,15 @@ class Adam:
         v += (1.0 - b2) * (g * g)
         update = lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPSILON)
         for p, part in zip(self.params.values(), self._slices):
-            p -= update[part].reshape(p.shape)
+            p -= update[:, part].reshape(p.shape)
+        failed = []
         for name in self.simplex_names:
-            self.params[name][...] = project_to_simplex(self.params[name])
+            for r, row in enumerate(self.params[name].reshape(self.replicas, -1)):
+                if r not in failed:
+                    try:
+                        row[...] = project_to_simplex(row)
+                    except DegenerateWeightsError as err:
+                        failed.append(r)
+                        message = str(err)
+        if failed:
+            raise DegenerateWeightsError(message, tuple(sorted(failed)))

@@ -7,7 +7,9 @@ same configuration reproduces a bit-identical :class:`RunReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import ctypes
+import platform
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +28,8 @@ __all__ = [
     "forward_backward",
     "evaluate",
     "train",
+    "train_seeds",
+    "run_seeds",
     "run_single",
 ]
 
@@ -85,13 +89,20 @@ def forward_backward(net: ToyNet, images, labels):
     """One full forward/backward pass; returns (loss, accuracy, grads).
 
     Gradients cover every trainable parameter, pooling parameters included.
-    Raises :class:`DivergedRunError` on a non-finite loss or pooling input.
+    A stacked net takes (S*B, ...) images and labels, replica r's rows r*B ..
+    (r+1)*B - 1, and gives a loss and an accuracy per replica.  Raises
+    :class:`DivergedRunError` on a non-finite loss or pooling input; for a
+    stack, the error names the replicas at fault.
     """
     net.zero_grads()
     logits = net.forward(images)
-    loss, d_logits, accuracy = softmax_cross_entropy(logits, labels)
-    if not np.isfinite(loss):
-        raise DivergedRunError(f"non-finite loss {loss}")
+    loss, d_logits, accuracy = softmax_cross_entropy(logits, np.reshape(labels, logits.shape[:-1]))
+    finite = np.isfinite(loss)
+    if not finite.all():
+        if net.replicas is None:
+            raise DivergedRunError(f"non-finite loss {loss}")
+        r = int(np.argmin(finite))  # the first; the messages differ by value
+        raise DivergedRunError(f"non-finite loss {float(loss[r])}", (r,))
     net.backward(d_logits)
     return loss, accuracy, net.grads()
 
@@ -101,37 +112,154 @@ def evaluate(net: ToyNet, images, labels, batch_size: int = 100):
 
     Forwards slices of ``batch_size`` images (:func:`train` passes its
     training batch) and sums the loss per 100 samples at any slice size.
-    Raises ``ValueError`` on an empty set.
+    Every replica of a stacked net scores the whole set, and gets its own
+    loss and accuracy.  Raises ``ValueError`` on an empty set.
     """
     if len(images) == 0:
         raise ValueError("cannot evaluate on zero images")
-    logits = np.empty((len(images), net.config.classes))
+    lead = () if net.replicas is None else (net.replicas,)
+    logits = np.empty(lead + (len(images), net.config.classes))
     for start in range(0, len(images), batch_size):
-        logits[start : start + batch_size] = net.forward(images[start : start + batch_size])
+        batch = images[start : start + batch_size]
+        logits[..., start : start + batch_size, :] = net.forward(np.broadcast_to(batch, lead + batch.shape))
     total_loss = 0.0
     correct = 0.0
     for start in range(0, len(images), 100):
-        group = logits[start : start + 100]
+        group = logits[..., start : start + 100, :]
         loss, _, acc = softmax_cross_entropy(group, labels[start : start + 100])
-        total_loss += loss * len(group)
-        correct += acc * len(group)
+        total_loss += loss * group.shape[-2]
+        correct += acc * group.shape[-2]
     return total_loss / len(images), correct / len(images)
 
 
-def _snapshots(net: ToyNet) -> list[BlockSnapshot]:
-    """Every pooling block's parameters as flat float lists, with LNP's exponent
-    ``p`` next to ``p_raw``."""
+def _snapshots(net: ToyNet, row: int = 0) -> list[BlockSnapshot]:
+    """Every pooling block's parameters (replica ``row``'s, for a stacked net) as
+    flat float lists, with LNP's exponent ``p`` next to ``p_raw``."""
     snapshots = []
     for index, block in enumerate(net.pooling_blocks):
-        params = {name: [float(v) for v in np.reshape(arr, -1)] for name, arr in block.pool_params.items()}
+        values = block.pool_params
+        if net.replicas is not None:
+            values = {name: arr[row] for name, arr in values.items()}
+        params = {name: [float(v) for v in np.reshape(arr, -1)] for name, arr in values.items()}
         if "p_raw" in params:
-            params["p"] = [norm_exponent(block.pool_params["p_raw"][0])]
+            params["p"] = [norm_exponent(values["p_raw"][0])]
         snapshots.append(BlockSnapshot(block=index, params=params))
     return snapshots
 
 
+class _Replicas:
+    """The live runs of a lock-step training, in stack order: one net and one
+    optimizer over all of them, and each run's seed generator, report,
+    epoch shuffle and batch-weighted epoch loss and accuracy sums."""
+
+    def __init__(self, method, net_config, optim, seeds):
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.reports = [RunReport(method=method, seed=seed) for seed in seeds]
+        self.net = build_net(method, net_config, self.rngs[0] if len(seeds) == 1 else self.rngs)
+        self.adam = Adam(self.net.params(), optim, self.net.simplex_params(), len(seeds))
+
+    def new_epoch(self, samples):
+        self.orders = [rng.permutation(samples) for rng in self.rngs]
+        self.sums = np.zeros((2, len(self.rngs)))
+
+    def drop(self, rows, note):
+        """Freeze the runs at ``rows`` (None: all) with ``note`` and their current
+        parameters, and take them off the stack."""
+        rows = range(len(self.reports)) if rows is None else rows
+        for r in rows:
+            report = self.reports[r]
+            report.diverged, report.note, report.snapshots = True, note, _snapshots(self.net, r)
+        keep = [r for r in range(len(self.reports)) if r not in rows]
+        self.rngs, self.reports, self.orders = ([runs[r] for r in keep] for runs in (self.rngs, self.reports, self.orders))
+        self.sums = self.sums[:, keep]
+        if keep:
+            self.net = self.net.select(keep)
+            self.adam = self.adam.select(self.net.params(), keep)
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Ask glibc to keep freed memory in this process: blocks under 64 MiB come
+    from the heap, and its top is trimmed only past 256 MiB free.  A stacked
+    step's temporaries (hundreds of KiB each) otherwise cross glibc's mmap and
+    trim thresholds, and every step would fault their pages in anew.  Other
+    C libraries are left as they are."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+
+
 # overflow surfaces as a recorded divergence, not as numpy warnings; one scope per run
 @np.errstate(over="ignore", invalid="ignore")
+def train_seeds(
+    method: str,
+    dataset: SyntheticDataset,
+    optim: OptimConfig,
+    seeds,
+    net_config: ToyNetConfig | None = None,
+    step_hook=None,
+) -> list[RunReport]:
+    """Train one run per seed, in lock-step, and report each, in seed order.
+
+    The runs are the replicas of one stacked net (a single net for one
+    seed).  Each draws its weights and every epoch's shuffle from its own
+    seed, and every live run takes each optimizer step with the others, so
+    each report is the one its seed gives alone.  ``step_hook(step_index,
+    net)``, when given, runs after every optimizer step; the acceptance
+    suite uses it to watch the ordinal weights.  A run that diverges
+    (non-finite loss or activations) or aborts (a degenerate simplex
+    projection) keeps the epochs finished so far and its current parameter
+    snapshots, with the failure recorded in ``note``, and leaves the stack;
+    the others go on.
+    """
+    _keep_freed_memory()
+    live = _Replicas(method, net_config or ToyNetConfig(), optim, seeds)
+    reports = list(live.reports)
+    images, labels = dataset.train_images, dataset.train_labels
+    samples, batch = len(images), optim.batch_size
+    step = 0
+    for epoch in range(1, optim.epochs + 1):
+        live.new_epoch(samples)
+        start = 0
+        while start < samples and live.reports:
+            rows = np.concatenate([order[start : start + batch] for order in live.orders])
+            try:
+                loss, acc, grads = forward_backward(live.net, images[rows], labels[rows])
+            except DivergedRunError as err:  # the others retake the step
+                live.drop(err.replicas, f"diverged at step {step + 1}: {err}")
+                continue
+            failed = None
+            try:
+                live.adam.step(grads)
+            except DegenerateWeightsError as err:
+                failed, note = err.replicas, f"aborted at step {step + 1}: {err}"
+            step += 1
+            size = min(batch, samples - start)
+            live.sums += np.reshape([loss, acc], (2, -1)) * size
+            if failed is not None:
+                live.drop(failed, note)
+            if step_hook is not None and live.reports:
+                step_hook(step, live.net)
+            start += batch
+        while live.reports:
+            try:
+                test = evaluate(live.net, dataset.test_images, dataset.test_labels, batch)
+                break
+            except DivergedRunError as err:
+                live.drop(err.replicas, f"diverged after step {step}, in evaluation: {err}")
+        if not live.reports:
+            break
+        test = np.reshape(test, (2, -1))
+        for r, report in enumerate(live.reports):
+            train_loss, train_acc = live.sums[:, r] / samples
+            report.epochs.append(EpochMetrics(epoch, float(train_loss), float(train_acc), *map(float, test[:, r])))
+    for r, report in enumerate(live.reports):
+        report.snapshots = _snapshots(live.net, r)
+    return reports
+
+
 def train(
     method: str,
     dataset: SyntheticDataset,
@@ -139,62 +267,9 @@ def train(
     net_config: ToyNetConfig | None = None,
     step_hook=None,
 ) -> RunReport:
-    """Train one run to completion (or divergence) and report it.
-
-    ``step_hook(step_index, net)``, when given, runs after every optimizer
-    step; the acceptance suite uses it to watch the ordinal weights.
-    A diverged (non-finite loss or activations) or aborted run keeps the
-    epochs finished so far and the current parameter snapshots, with the
-    failure recorded in ``note``.
-    """
-    net_config = net_config or ToyNetConfig()
-    rng = np.random.default_rng(optim.seed)
-    net = build_net(method, net_config, rng)
-    adam = Adam(net.params(), optim, simplex_names=net.simplex_params())
-    report = RunReport(method=method, seed=optim.seed)
-
-    images = dataset.train_images
-    labels = dataset.train_labels
-    step = 0
-    for epoch in range(1, optim.epochs + 1):
-        order = rng.permutation(len(images))
-        epoch_loss = 0.0
-        epoch_correct = 0.0
-        try:
-            for start in range(0, len(order), optim.batch_size):
-                batch_idx = order[start : start + optim.batch_size]
-                loss, acc, grads = forward_backward(net, images[batch_idx], labels[batch_idx])
-                adam.step(grads)
-                step += 1
-                epoch_loss += loss * len(batch_idx)
-                epoch_correct += acc * len(batch_idx)
-                if step_hook is not None:
-                    step_hook(step, net)
-        except DivergedRunError as err:
-            report.diverged = True
-            report.note = f"diverged at step {step + 1}: {err}"
-            break
-        except DegenerateWeightsError as err:
-            report.diverged = True
-            report.note = f"aborted at step {step + 1}: {err}"
-            break
-        try:
-            test_loss, test_acc = evaluate(net, dataset.test_images, dataset.test_labels, optim.batch_size)
-        except DivergedRunError as err:
-            report.diverged = True
-            report.note = f"diverged after step {step}, in evaluation: {err}"
-            break
-        report.epochs.append(
-            EpochMetrics(
-                epoch=epoch,
-                train_loss=epoch_loss / len(order),
-                train_acc=epoch_correct / len(order),
-                test_loss=test_loss,
-                test_acc=test_acc,
-            )
-        )
-    report.snapshots = _snapshots(net)
-    return report
+    """Train the run of ``optim.seed`` to completion (or divergence) and report
+    it: :func:`train_seeds` for that one seed, on a single net."""
+    return train_seeds(method, dataset, optim, (optim.seed,), net_config, step_hook)[0]
 
 
 @lru_cache(maxsize=4)
@@ -206,11 +281,17 @@ def _shared_dataset(data_items) -> SyntheticDataset:
     return dataset
 
 
-def run_single(method: str, seed: int, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> RunReport:
-    """One (method, seed) run on the dataset that ``data_kwargs`` describe.
+def run_seeds(method: str, seeds, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> list[RunReport]:
+    """The (method, seed) runs of ``seeds``, trained in lock-step on the dataset
+    that ``data_kwargs`` describe.
 
     Every run of a sweep shares one dataset, so it is generated once per
     process.  Top-level so a process pool can dispatch it.
     """
     dataset = _shared_dataset(tuple(sorted(data_kwargs.items())))
-    return train(method, dataset, replace(optim, seed=seed), net_config)
+    return train_seeds(method, dataset, optim, seeds, net_config)
+
+
+def run_single(method: str, seed: int, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> RunReport:
+    """One (method, seed) run: :func:`run_seeds` for that seed."""
+    return run_seeds(method, (seed,), data_kwargs, optim, net_config)[0]

@@ -18,6 +18,11 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def per_seed(run):
+    """``run(method, seed, ...)`` as a sweep's per-method entry point: one call per seed."""
+    return lambda method, seeds, *args: [run(method, seed, *args) for seed in seeds]
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     cfg = tmp_path / "bench.cfg"
@@ -102,6 +107,34 @@ class TestSweep:
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_seed_reports_do_not_depend_on_the_seed_list(self, tmp_path, monkeypatch, workers):
+        # a method's seeds train in lock-step; seed 2's files are those of seed 2 alone
+        monkeypatch.setenv("POOLBENCH_THREADS", workers)
+        args = ["--methods", *ops.METHODS, "--samples", "40", "--epochs", "2"]
+        assert run_cli("sweep", *args, "--seeds", "1", "2", "3", "--out", str(tmp_path / "all")) == 0
+        assert run_cli("sweep", *args, "--seeds", "2", "--out", str(tmp_path / "alone")) == 0
+        for method in ops.METHODS:
+            for name in (f"run_{method}_2.csv", f"params_{method}_2.json"):
+                assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+
+    def test_a_crash_leaves_the_other_seeds_as_alone(self, tmp_path, tiny_config, monkeypatch, capsys):
+        real = cli.run_seeds
+
+        def crash_seed_2(method, seeds, *args):
+            if 2 in seeds:
+                raise RuntimeError("injected")
+            return real(method, seeds, *args)
+
+        monkeypatch.setattr(cli, "run_seeds", crash_seed_2)
+        args = ["--config", str(tiny_config), "--methods", "OP", "--epochs", "2"]
+        assert run_cli("sweep", *args, "--seeds", "1", "2", "3", "--out", str(tmp_path / "all")) == 3
+        assert capsys.readouterr().err.splitlines() == ["DIVERGED: OP seed 2: crashed: RuntimeError: injected"]
+        for seed in (1, 3):
+            assert run_cli("sweep", *args, "--seeds", str(seed), "--out", str(tmp_path / f"alone{seed}")) == 0
+            for name in (f"run_OP_{seed}.csv", f"params_OP_{seed}.json"):
+                assert (tmp_path / "all" / name).read_bytes() == (tmp_path / f"alone{seed}" / name).read_bytes()
+
     def test_fewest_samples_with_a_test_split(self, tmp_path):
         # 9 samples over 4 classes: the class of 3 puts one sample in the test split
         args = ["--methods", "MP", "--seeds", "1", "--samples", "9", "--epochs", "1"]
@@ -139,6 +172,7 @@ class TestSweep:
             raise AssertionError("a run started before the settings were validated")
 
         monkeypatch.setattr(cli, "run_single", no_run)
+        monkeypatch.setattr(cli, "run_seeds", no_run)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         code = run_cli("sweep", "--config", str(cfg), *flags, "--out", str(tmp_path / "r"))
@@ -187,7 +221,7 @@ class TestSweep:
             report.snapshots = [BlockSnapshot(0, {}), BlockSnapshot(1, {})]
             return report
 
-        monkeypatch.setattr(cli, "run_single", fake_run)
+        monkeypatch.setattr(cli, "run_seeds", per_seed(fake_run))
         out = tmp_path / "results"
         code = run_cli("sweep", "--methods", "MP", "AP", "--seeds", "1", "--out", str(out))
         assert code == 3
@@ -216,14 +250,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_crashed_run_recorded_and_exit_code_3(self, tmp_path, tiny_config, capsys, monkeypatch, workers):
-        real = cli.run_single
+        real = cli.run_seeds
 
-        def crash_ap_seed_2(method, seed, *args):
-            if (method, seed) == ("AP", 2):
+        # AP's seeds crash together, then train one at a time: only seed 2 crashes again
+        def crash_ap_seed_2(method, seeds, *args):
+            if method == "AP" and 2 in seeds:
                 raise KeyError("boom")
-            return real(method, seed, *args)
+            return real(method, seeds, *args)
 
-        monkeypatch.setattr(cli, "run_single", crash_ap_seed_2)
+        monkeypatch.setattr(cli, "run_seeds", crash_ap_seed_2)
         monkeypatch.setenv("POOLBENCH_THREADS", workers)
         out = tmp_path / "results"
         code = run_cli(
@@ -246,14 +281,14 @@ class TestSweep:
     def test_killed_worker_loses_only_its_runs(self, tmp_path, tiny_config, capsys, monkeypatch):
         # a worker killed by a signal breaks the pool: the runs it did not return become
         # failed rows, every report is written and the sweep exits 3
-        real = cli.run_single
+        real = cli.run_seeds
 
-        def killed_on_ap(method, seed, *args):
+        def killed_on_ap(method, seeds, *args):
             if method == "AP":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(method, seed, *args)
+            return real(method, seeds, *args)
 
-        monkeypatch.setattr(cli, "run_single", killed_on_ap)
+        monkeypatch.setattr(cli, "run_seeds", killed_on_ap)
         monkeypatch.setenv("POOLBENCH_THREADS", "2")
         out = tmp_path / "results"
         code = run_cli(
@@ -723,7 +758,7 @@ def fake_report(method, seed):
 class TestConfigKeys:
     @pytest.fixture()
     def calls(self, monkeypatch, tmp_path):
-        """The settings of every run_single and run_gradcheck call, in a fresh directory."""
+        """The settings of every run and run_gradcheck call, in a fresh directory."""
         seen = []
 
         def fake_run(method, seed, data_kwargs, optim, net_config):
@@ -741,6 +776,7 @@ class TestConfigKeys:
             return []
 
         monkeypatch.setattr(cli, "run_single", fake_run)
+        monkeypatch.setattr(cli, "run_seeds", per_seed(fake_run))
         monkeypatch.setattr(cli, "run_gradcheck", fake_gradcheck)
         monkeypatch.chdir(tmp_path)
         return seen

@@ -8,7 +8,8 @@ This reads the tracer's own lists; it does not change the tracer.
 import pytest
 
 from helpers import load_tracing
-from poolbench import gradcheck, grads, layers, ops, optim, reports, train
+from poolbench import cli, gradcheck, grads, layers, ops, optim, reports, train
+from poolbench.data import make_synthetic
 
 TRACED = load_tracing()
 
@@ -50,3 +51,22 @@ def test_patched_class_attributes_exist(cls, attr):
 
 def test_tracer_lists_every_method():
     assert TRACED.METHODS == ops.METHODS
+
+
+def test_forward_backward_sees_every_training_sample(tmp_path, monkeypatch):
+    # the tracer counts train.samples as len(images) per forward_backward call and
+    # names each call after net.method; a stacked step passes every replica's batch
+    calls = []
+    real = train.forward_backward
+
+    def counting(net, images, labels):
+        calls.append((net.method, len(images)))
+        return real(net, images, labels)
+
+    monkeypatch.setattr(train, "forward_backward", counting)
+    methods, seeds, epochs, samples = ("OP", "SESMP"), ("1", "2"), 2, 60
+    argv = ["sweep", "--methods", *methods, "--seeds", *seeds, "--epochs", str(epochs), "--samples", str(samples)]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    split = len(make_synthetic(classes=4, samples=samples, seed=777, noise=0.1).train_idx)
+    assert sum(n for _, n in calls) == len(methods) * len(seeds) * epochs * split
+    assert {m for m, _ in calls} == set(methods)

@@ -1,5 +1,7 @@
 """Training harness: initialization, end-to-end gradients, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from poolbench.train import (
     forward_backward,
     run_single,
     train,
+    train_seeds,
 )
 
 MICRO = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2)
@@ -238,6 +241,81 @@ class TestTraining:
         net = build_net("MP", ToyNetConfig(), np.random.default_rng(6))
         with pytest.raises(ValueError, match="zero images"):
             evaluate(net, dataset.test_images[:0], dataset.test_labels[:0])
+
+
+def row_of(arr, net, row):
+    """Replica ``row``'s part of a parameter of a stacked net; all of a single net's."""
+    return arr if net.replicas is None else arr[row]
+
+
+#: (method, the step after which a hook poisons one run, the poison, its recorded note)
+POISONS = {
+    "loss": ("MP", 3, lambda net, row: row_of(net.head.weight, net, row).fill(np.inf), "diverged at step 4: "),
+    "evaluation": (
+        "GP", 32, lambda net, row: row_of(net.conv2.weight, net, row).fill(np.inf),
+        "diverged after step 32, in evaluation: pooling input contains non-finite values",
+    ),
+    "projection": (
+        "OP", 2, lambda net, row: row_of(net.pool2.pool_params["ordinal_w"], net, row).fill(-1.0),
+        "aborted at step 3: cannot project",
+    ),
+}
+
+
+class TestLockStep:
+    """A method's seeds train as the replicas of one stacked net, and each
+    report is the one its seed gives alone, bit for bit."""
+
+    SEEDS = (1, 2, 3)
+
+    @pytest.mark.parametrize("method", ["MP", "NN", "CONV", "OP", "LNP", "LSE", "SMP_fixed", "SESMP", "SEMP"])
+    def test_every_replica_reports_its_solo_run(self, dataset, method):
+        optim = OptimConfig(epochs=2)
+        solo = [train(method, dataset, replace(optim, seed=seed)) for seed in self.SEEDS]
+        assert train_seeds(method, dataset, optim, self.SEEDS) == solo
+
+    @pytest.mark.parametrize("failure", sorted(POISONS))
+    def test_a_failed_replica_leaves_the_others_as_alone(self, dataset, failure):
+        method, at, poison, note = POISONS[failure]
+        optim = OptimConfig(epochs=2)
+
+        def poisoned(row):
+            return lambda step, net: poison(net, row) if step == at else None
+
+        with np.errstate(all="ignore"):
+            stacked = train_seeds(method, dataset, optim, self.SEEDS, step_hook=poisoned(1))
+            solo = [
+                train(method, dataset, replace(optim, seed=seed), step_hook=poisoned(0) if seed == 2 else None)
+                for seed in self.SEEDS
+            ]
+        assert stacked == solo
+        assert [r.diverged for r in stacked] == [False, True, False]
+        assert stacked[1].note.startswith(note)
+        assert len(stacked[0].epochs) == 2
+
+    def test_replicas_that_fail_together_each_get_their_note(self, dataset):
+        def poison(step, net):
+            if step == 3:
+                net.head.weight[:2] = np.inf  # the first two of three replicas
+
+        with np.errstate(all="ignore"):
+            reports = train_seeds("AP", dataset, OptimConfig(epochs=1), self.SEEDS, step_hook=poison)
+        assert [r.diverged for r in reports] == [True, True, False]
+        assert all(r.note.startswith("diverged at step 4: non-finite loss") for r in reports[:2])
+        assert reports[2] == train("AP", dataset, OptimConfig(epochs=1, seed=3))
+
+    def test_stacked_forward_takes_each_replica_batch(self):
+        # replica r of a stacked net owns rows r*B .. (r+1)*B - 1 and gives its single net's loss
+        rng = np.random.default_rng(21)
+        images, labels = micro_batch(rng, n=6)
+        stacked = build_net("SMP_trainable", MICRO, [np.random.default_rng(s) for s in (4, 5)])
+        loss, acc, grads = forward_backward(stacked, images, labels)
+        for r, seed in enumerate((4, 5)):
+            single = build_net("SMP_trainable", MICRO, np.random.default_rng(seed))
+            want = forward_backward(single, images[3 * r : 3 * r + 3], labels[3 * r : 3 * r + 3])
+            assert (loss[r], acc[r]) == want[:2]
+            for name, grad in want[2].items():
+                np.testing.assert_array_equal(grads[name][r], grad, err_msg=name)
 
 
 def test_run_single_builds_each_dataset_once(monkeypatch):
