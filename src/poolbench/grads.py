@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import POOLING, ParameterError, window_stack
+from .ops import POOLING, ParameterError, check_pooled, window_stack
 from .tensor import ShapeError
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "learned_norm_pool_grad",
     "lse_pool_grad",
     "smooth_max_pool_grad",
+    "bumped_points",
     "central_difference",
     "relative_error",
     "fd_check",
@@ -100,12 +101,16 @@ def pool_grads(method: str, x, **params) -> GradBundle:
     Parameters are as for :func:`poolbench.ops.window_stack`.  ``d_input``
     has the broadcast windows' shape (..., n); each parameter gradient has
     one row per window: (..., n) for a weight per entry, an (..., 1) column
-    for a scalar.  The kernel pair runs once for all the windows.
+    for a scalar.  The kernel pair runs once for all the windows.  A non-finite
+    gradient, such as one of an overflowing product, raises
+    :class:`~poolbench.ops.DivergedRunError`.
     """
     stack, fields, batch = window_stack(method, x, params, per_window=True)
     pooling = POOLING[method]
-    _, cache = pooling.forward(stack, fields)
-    d_stack, d_fields = pooling.backward(cache, np.ones(stack.shape[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, cache = pooling.forward(stack, fields)
+        d_stack, d_fields = pooling.backward(cache, np.ones(stack.shape[1:]))
+    check_pooled(method, "gradient", d_stack, *d_fields.values())
 
     def rows(d):  # window-first (n, M) or (M,) to window-last rows over the batch
         return np.asarray(d).T.reshape(batch + (-1,))
@@ -159,20 +164,30 @@ def smooth_max_pool_grad(x, tau) -> GradBundle:
     return pool_grads("SMP_trainable", _vector(x), tau=_vector(tau))
 
 
+def bumped_points(points, step) -> np.ndarray:
+    """The bumped points of central differences at step h for each point along
+    the last axis of ``points``: n coordinates give a (2n, n) stack, rows
+    x + h e_i, then rows x - h e_i, so (..., n) points give (..., 2n, n)."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[-1]
+    stack = np.empty(points.shape[:-1] + (2 * n, n))
+    stack[...] = points[..., None, :]
+    flat = stack.reshape(stack.shape[:-2] + (-1,))
+    flat[..., : n * n : n + 1] = points + step  # the diagonal of each half
+    flat[..., n * n :: n + 1] = points - step
+    return stack
+
+
 def central_difference(fn, point, step: float, batched: bool = False) -> np.ndarray:
     """Per-coordinate central differences (fn(x + h e_i) - fn(x - h e_i)) / 2h.
 
-    The n coordinates give a (2n, n) stack of bumped points: rows x + h e_i,
-    then rows x - h e_i.  With ``batched`` ``fn`` maps the whole stack to its
-    2n values in one call; otherwise it is called once per row.
+    The n coordinates give the (2n, n) stack of :func:`bumped_points`.  With
+    ``batched`` ``fn`` maps the whole stack to its 2n values in one call;
+    otherwise it is called once per row.
     """
     point = np.asarray(point, dtype=np.float64).reshape(-1)
     n = point.size
-    stack = np.empty((2 * n, n))
-    stack[:] = point
-    flat = stack.reshape(-1)
-    flat[: n * n : n + 1] = point + step  # the diagonal of each half
-    flat[n * n :: n + 1] = point - step
+    stack = bumped_points(point, step)
     if batched:
         values = np.asarray(fn(stack), dtype=np.float64)
         if values.shape != (2 * n,):

@@ -34,9 +34,11 @@ window; a scalar parameter (``p_raw``, ``sharpness``, ``tau``) is a scalar or
 an (m, 1) column.  Operators and blocks share one input rule
 (:func:`check_input`): an input with a NaN or an infinite entry raises
 :class:`DivergedRunError`, so no NaN is pooled into a result or a zero
-gradient.  Parameters follow :data:`FIELD_RULES`: a missing or extra key
-raises :class:`ConfigurationError`, a wrong shape ``ShapeError`` and a value
-out of range :class:`ParameterError`.
+gradient; so does a result that is not finite, such as that of a product
+of an input and a parameter that overflows (:func:`check_pooled`).
+Parameters follow :data:`FIELD_RULES`: a missing or extra key raises
+:class:`ConfigurationError`, a wrong shape ``ShapeError`` and a value out of
+range :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "FIELD_RULES",
     "check_field",
     "check_input",
+    "check_pooled",
     "PoolSpec",
     "validate_pool_params",
     "sigmoid",
@@ -507,6 +510,16 @@ def check_input(x: np.ndarray, replicas: bool = False) -> None:
         raise DivergedRunError("pooling input contains non-finite values", rows)
 
 
+def check_pooled(method: str, what: str, *arrays) -> None:
+    """A window operator's results: a non-finite entry in any of ``arrays``, such
+    as the NaN of a finite input whose product with a parameter overflows,
+    raises :class:`DivergedRunError` naming ``method`` and ``what`` it was."""
+    for a in arrays:
+        a = np.asarray(a)
+        if np.count_nonzero(np.isfinite(a)) < a.size:
+            raise DivergedRunError(f"{method} gave a non-finite {what}")
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """A pooling method plus its window geometry and channel count."""
@@ -606,9 +619,13 @@ def window_stack(method: str, x, params, per_window=False):
 
 def pool(method: str, x, **params) -> float | np.ndarray:
     """``method``'s forward kernel on the windows along the last axis of ``x``,
-    with parameters as for :func:`window_stack`; a float for one window."""
+    with parameters as for :func:`window_stack`; a float for one window.  An
+    overflowing product is no warning: a result that is not finite raises
+    :class:`DivergedRunError`, and one that stays finite is returned."""
     stack, fields, batch = window_stack(method, x, params)
-    y, _ = POOLING[method].forward(stack, fields)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, _ = POOLING[method].forward(stack, fields)
+    check_pooled(method, "pooled value", y)
     return _float_or_array(y.reshape(batch))
 
 

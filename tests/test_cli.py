@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poolbench import cli, gradcheck, layers, ops
+import gradcheck_reference
+from poolbench import cli, gradcheck, grads, layers, ops
 from helpers import read_run_csv, read_summary_csv
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
@@ -408,6 +409,43 @@ class TestGradcheck:
         monkeypatch.setattr(gradcheck, "fd_check", counting)
         return calls
 
+    def test_away_from_zero_draws_match_rng_choice(self):
+        def by_choice(rng, n=4, lo=0.05, hi=1.0):
+            return rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
+
+        for n in (1, 4, 9):
+            old, new = np.random.default_rng(23), np.random.default_rng(23)
+            for _ in range(700):
+                assert np.array_equal(gradcheck._away_from_zero(new, n), by_choice(old, n))
+            assert old.uniform() == new.uniform()  # the generators stay in step
+
+    @pytest.mark.parametrize("method", ops.METHODS)
+    def test_each_trial_keeps_its_own_fd_check_call(self, fd_calls, method):
+        # perfbench's traced gate (workloads.fd_count_problems) counts at least `trials`
+        # gradcheck.fd_check calls per method; these trials span more than one block
+        trials = 40 if ops.pooling_row(method).se else 150
+        assert gradcheck.check_method(method, trials=trials).passed
+        assert len(fd_calls) >= trials
+        # a trial's function holds only its own values: another trial's stack raises
+        for (fn, point, _, config), kwargs in fd_calls:
+            other = next(args[1] for args, _ in fd_calls if args[1].shape == point.shape)
+            if np.array_equal(other, point):
+                other = point + 0.5
+            stack = grads.bumped_points(other, config.step)
+            with pytest.raises(grads.OracleError):
+                fn(stack if kwargs.get("batched") else stack[0])
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("method", ops.METHODS)
+    def test_worst_error_is_the_one_trial_at_a_time_reference(self, method, seed):
+        trials = 80 if ops.pooling_row(method).se else 300
+        result = gradcheck.check_method(method, trials=trials, seed=seed)
+        assert result.worst_error == gradcheck_reference.worst_error(method, trials, seed=seed)
+
+    def test_lse_worst_error_is_the_reference_at_high_sharpness(self):
+        result = gradcheck.check_method("LSE", trials=300, lse_sharpness=1e12)
+        assert result.worst_error == gradcheck_reference.worst_error("LSE", 300, lse_sharpness=1e12)
+
     def test_every_trial_makes_a_comparison_at_high_lse_sharpness(self, fd_calls):
         result = gradcheck.check_method("LSE", trials=200, lse_sharpness=100.0)
         assert len(fd_calls) == 200
@@ -472,12 +510,15 @@ class TestGradcheck:
     @pytest.mark.parametrize("target", ["x", *ops.POOLING["SEMP"].trainable])
     @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
     def test_perturbed_se_gradient_fails(self, monkeypatch, method, target, coord):
-        # a 1e-3 relative error in one coordinate of the input or of one branch array
+        # a 1e-3 relative error in one coordinate of the input or of one branch array, in
+        # every replica of a stacked block
         real = layers.PoolingBlock.backward
 
         def perturbed(block, dy):
             dx = real(block, dy)
-            (dx if target == "x" else block.grads()[target]).flat[coord] *= 1.0 + 1e-3
+            d = dx if target == "x" else block.grads()[target]
+            for replica in d if block.replicas is not None else d[None]:
+                replica.flat[coord] *= 1.0 + 1e-3
             return dx
 
         monkeypatch.setattr(layers.PoolingBlock, "backward", perturbed)
@@ -486,8 +527,8 @@ class TestGradcheck:
     def test_semp_backward_without_sigmoid_derivative_fails(self, monkeypatch):
         def dropped_one_minus_s(block, dx, d_fields):
             x, scales = block._scaled
-            d_scales = (dx * x).sum(axis=(0, 1))  # blocks compute in (H, W, B, C)
-            return dx * scales + block._branch_backward(d_scales * scales)
+            d_scales = (dx * x).sum(axis=(-4, -3))  # blocks compute in (S, H, W, B, C)
+            return dx * scales[..., None, None, :, :] + block._branch_backward(d_scales * scales)
 
         monkeypatch.setattr(layers.PoolingBlock, "_se_backward", dropped_one_minus_s)
         assert not gradcheck.check_method("SEMP", trials=50).passed

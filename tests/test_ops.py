@@ -747,6 +747,28 @@ class TestValidationContract:
         with pytest.raises(error):
             entry(method, x, **params)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [ops.pool, grads.pool_grads], ids=["pool", "pool_grads"])
+    @pytest.mark.parametrize(
+        "method, x, params",
+        [
+            ("LSE", [1e10, 2.0], {"sharpness": 1e300}),  # r * x overflows: pooled to NaN
+            ("SMP_trainable", [1e300, -1e300], {"tau": 1e10}),  # tau * x overflows both ways
+        ],
+    )
+    def test_overflowing_product_raises_naming_the_method(self, entry, method, x, params):
+        with pytest.raises(DivergedRunError, match=method):
+            entry(method, x, **params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_the_operators_is_no_warning(self):
+        with pytest.raises(DivergedRunError, match="LSE"):
+            lse_pool([1e10, 2.0], 1e300)
+        with pytest.raises(DivergedRunError, match="SMP_trainable"):
+            smooth_max_pool([1e300, -1e300], 1e10)
+        # w . x overflows to inf, and the saturated gate still blends a finite result
+        assert gated_pool([1e300, 1e300], [1e10, 1.0]) == 1e300
+
     def test_one_unknown_method_rule(self):
         with pytest.raises(ConfigurationError) as spec_error:
             PoolSpec("WAT", POOL22, channels=2)
