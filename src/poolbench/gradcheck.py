@@ -8,9 +8,9 @@ in draw order, and more are drawn for any shortfall.  Each trial then
 compares the input gradient and every parameter gradient coordinate by
 coordinate with central differences of the forward kernel, so every trial
 makes at least one comparison.  For the squeeze-and-excitation blocks
-(SESMP, SEMP) the check runs at block level through the batched layer,
-probing a random linear functional of the block output: every input
-coordinate in one batched forward, and the branch parameters along one
+(SESMP, SEMP) the check runs at block level through the layer, probing a
+random linear functional of the block output: every input coordinate in
+one forward of a stack of inputs, and the branch parameters along one
 random direction.
 
 The work is done per block of trials: one forward-kernel call per gradient
@@ -18,9 +18,9 @@ evaluates the bumped points (:func:`poolbench.grads.bumped_points`) of every
 point of a window block, and the SE candidates of a block are the replicas
 of one stacked layer, whose forward and backward give all their gradients.
 Each trial still makes its own :func:`~poolbench.grads.fd_check` call per
-comparison, with a function that hands back that trial's values and raises
-on any other points; the benchmark's traced run counts those calls, at
-least one per trial and method.
+comparison, with that trial's own values at its bumped points; the
+benchmark's traced run counts those calls, at least one per trial and
+method.
 
 Sampling keeps points where the comparison is informative:
 
@@ -36,7 +36,6 @@ Sampling keeps points where the comparison is informative:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -144,18 +143,6 @@ def _informative_points(method, candidates):
     )
 
 
-def _precomputed(stack, values, points):
-    """``fd_check``'s function over values computed ahead: ``values`` at the bumped
-    points ``stack``, all of them for the whole stack and its own for one row.  Any
-    other points raise, so a trial cannot read another trial's values."""
-    if points.shape == stack.shape and points.tobytes() == stack.tobytes():
-        return values
-    for row, value in zip(stack, values):
-        if points.shape == row.shape and points.tobytes() == row.tobytes():
-            return value
-    raise grads.OracleError(f"no values were computed at {points}")
-
-
 def _check_window_method(method, trials, config, rng, lse_sharpness):
     draw, r = _DRAWS[method], float(lse_sharpness)
     # LSE draws x = u / r with u of the same spread at every r; a step of h / r in x is the
@@ -171,25 +158,22 @@ def _check_window_method(method, trials, config, rng, lse_sharpness):
         count = len(args["x"])
         if not count:
             continue
-        # every point's (2k, k) stack of bumped points, one per gradient: of its input, of a
-        # weight row, or a scalar's (2, 1) column; the stacks of all points are the rows of
-        # one kernel call, with each point's other arguments repeated on its rows
-        stacks = {"x": grads.bumped_points(args["x"], input_config.step)}
-        for name in bundle.d_params:  # a fixed hyperparameter has none
-            stacks[name] = grads.bumped_points(args[name], config.step)
+        # every point's values at its (2k, k) stack of bumped points, one stack per
+        # gradient: of its input, of a weight row, or a scalar's (2, 1) column (a fixed
+        # hyperparameter has none); the stacks of all points are the rows of one kernel
+        # call, with each point's other arguments repeated on its rows
         values = {}
-        for name, stack in stacks.items():
+        for name in ("x", *bundle.d_params):
+            stack = grads.bumped_points(args[name], (input_config if name == "x" else config).step)
             rows = {key: np.repeat(v, stack.shape[1], axis=0) for key, v in args.items()}
             rows[name] = stack.reshape(-1, stack.shape[2])
             values[name] = ops.pool(method, **rows).reshape(count, -1)
         for i in range(count):
             checked += 1
-            # each trial's own comparison, of its values at the stacks fd_check builds
-            fn = partial(_precomputed, stacks["x"][i], values["x"][i])
-            worst = max(worst, fd_check(fn, args["x"][i], bundle.d_input[i], input_config, batched=True))
+            # one call per comparison, of the trial's own values: the traced benchmark counts them
+            worst = max(worst, fd_check(values["x"][i], bundle.d_input[i], input_config))
             for name, d in bundle.d_params.items():
-                fn = partial(_precomputed, stacks[name][i], values[name][i])
-                worst = max(worst, fd_check(fn, args[name][i], d[i], config, batched=True))
+                worst = max(worst, fd_check(values[name][i], d[i], config))
     return worst
 
 
@@ -244,8 +228,8 @@ def _check_se_block(method, trials, config, rng):
     """Block-level check of the squeeze-and-excitation pooling stages.
 
     Probes the scalar <R, block(X)> for a fixed random R against the layer's
-    analytic backward.  Every input coordinate is checked in one batched
-    forward of the bumped inputs; the branch parameters are checked along one
+    analytic backward.  Every input coordinate is checked in one forward of
+    the stacked bumped inputs; the branch parameters are checked along one
     random unit direction v, <grad, v> against the central difference of
     t -> f(theta + t v).  The candidates of a block are the replicas of one
     stacked layer: one forward and one backward give all their gradients, and
@@ -270,16 +254,14 @@ def _check_se_block(method, trials, config, rng):
             checked += 1
             for name, arr in single.pool_params.items():
                 arr[...] = params[name][r]
-            # the trial's input check: one batched forward of its own bumped inputs
+            # the trial's input check: one forward of its own stack of bumped inputs
             flat_x = x.reshape(-1)
             stack = grads.bumped_points(flat_x[keep], config.step)
             bumped = np.tile(flat_x, (len(stack), 1))
             bumped[:, keep] = stack
             out = single.forward(bumped.reshape(-1, *x.shape[1:]))
-            fn = partial(_precomputed, stack, (probes[r] * out).sum(axis=(1, 2, 3)))
-            worst = max(worst, fd_check(fn, flat_x[keep], dx[keep], config, batched=True))
-            fn = partial(_precomputed, along, at_t[:, r])
-            worst = max(worst, fd_check(fn, np.zeros(1), gv[r : r + 1], config))
+            worst = max(worst, fd_check((probes[r] * out).sum(axis=(1, 2, 3)), dx[keep], config))
+            worst = max(worst, fd_check(at_t[:, r], gv[r : r + 1], config))
     return worst
 
 
@@ -291,6 +273,8 @@ def check_method(
     lse_sharpness: float = 1.0,
 ) -> GradCheckResult:
     """Worst relative FD error for one method over `trials` random points."""
+    if trials < 1:  # no trial, no comparison: a worst error of 0 would pass vacuously
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     config = FDOracleConfig(tolerance=tolerance)
     if ops.pooling_row(method).se:

@@ -10,6 +10,11 @@ Like the operators of :mod:`poolbench.ops`, they are adapters over the
 method's kernel pair in :data:`poolbench.ops.POOLING`, the code that trains;
 :func:`pool_grads` evaluates it for many windows at once.
 
+The oracle takes values, not a function.  The caller evaluates its function
+at the (2n, n) stack of :func:`bumped_points`, row by row or all rows in one
+call, and :func:`fd_check` compares a claimed gradient with the central
+differences of those 2n values.
+
 Non-smooth points are handled with fixed, documented conventions:
 
 * max-pooling and ordinal-pooling break ties toward the first index in
@@ -178,24 +183,17 @@ def bumped_points(points, step) -> np.ndarray:
     return stack
 
 
-def central_difference(fn, point, step: float, batched: bool = False) -> np.ndarray:
-    """Per-coordinate central differences (fn(x + h e_i) - fn(x - h e_i)) / 2h.
+def central_difference(values, step: float) -> np.ndarray:
+    """Per-coordinate central differences (f(x + h e_i) - f(x - h e_i)) / 2h.
 
-    The n coordinates give the (2n, n) stack of :func:`bumped_points`.  With
-    ``batched`` ``fn`` maps the whole stack to its 2n values in one call;
-    otherwise it is called once per row.
+    ``values`` are the function's 2n values at the rows of
+    :func:`bumped_points` ``(x, h)``: f(x + h e_i) for every i, then
+    f(x - h e_i).
     """
-    point = np.asarray(point, dtype=np.float64).reshape(-1)
-    n = point.size
-    stack = bumped_points(point, step)
-    if batched:
-        values = np.asarray(fn(stack), dtype=np.float64)
-        if values.shape != (2 * n,):
-            raise ShapeError(f"batched fn returned shape {values.shape}, expected {(2 * n,)}")
-    else:
-        values = np.empty(2 * n)
-        for row in range(2 * n):
-            values[row] = fn(stack[row])
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or not values.size or values.size % 2:
+        raise ShapeError(f"expected the 2n values of n coordinates as one flat array, got shape {values.shape}")
+    n = values.size // 2
     hi, lo = values[:n], values[n:]
     if not np.isfinite(values).all():
         i = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))[0]
@@ -215,15 +213,10 @@ def relative_error(a, b, floor: float = 1e-8) -> float:
     return float((np.abs(a - b) / scale).max())
 
 
-def fd_check(
-    fn, point, analytic, config: FDOracleConfig = FDOracleConfig(), batched: bool = False
-) -> float:
-    """Worst relative error of ``analytic`` against central differences of ``fn``.
-
-    ``fn`` maps a flat coordinate vector to a scalar (with ``batched``, a stack
-    of them to their values; see :func:`central_difference`); ``analytic`` is
-    the claimed gradient at ``point``.  The caller is responsible for keeping
-    ``point`` away from non-differentiable sets (ties, |x| = 0 kinks).
+def fd_check(values, analytic, config: FDOracleConfig) -> float:
+    """Worst relative error of ``analytic``, the claimed gradient at a point x,
+    against the central differences of ``values``, the function's values at
+    :func:`bumped_points` ``(x, config.step)``.  The caller is responsible for
+    keeping x away from non-differentiable sets (ties, |x| = 0 kinks).
     """
-    numeric = central_difference(fn, point, config.step, batched)
-    return relative_error(np.asarray(analytic, dtype=np.float64).reshape(-1), numeric)
+    return relative_error(analytic, central_difference(values, config.step))

@@ -41,7 +41,7 @@ from .ops import (
     ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, sigmoid,
     validate_pool_params,
 )
-from .tensor import ShapeError, WindowSpec, output_size
+from .tensor import WindowSpec, output_size
 
 __all__ = [
     "window_views",
@@ -246,14 +246,7 @@ class PoolingBlock:
     """
 
     def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray], replicas: int | None = None):
-        if replicas is None:
-            validate_pool_params(spec, pool_params)
-        else:
-            for name, value in pool_params.items():
-                if np.shape(value)[:1] != (replicas,):
-                    raise ShapeError(f"{name} must hold {replicas} replica rows, got shape {np.shape(value)}")
-            for r in range(replicas):
-                validate_pool_params(spec, {name: value[r] for name, value in pool_params.items()})
+        validate_pool_params(spec, pool_params, replicas)
         self.window = spec.window
         self.method = spec.method
         self.replicas = replicas

@@ -534,21 +534,23 @@ class PoolSpec:
             raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
 
 
-def validate_pool_params(spec: PoolSpec, params: dict) -> None:
+def validate_pool_params(spec: PoolSpec, params: dict, replicas: int | None = None) -> None:
     """Check ``params`` against :data:`FIELD_RULES` at the exact shapes that the
     method's ``init`` builds: exactly the method's keys, each shaped for the
     spec's n and C, and the SE branch mapping C -> hidden -> C for a hidden
-    width that divides C."""
+    width that divides C.  With ``replicas`` S each array stacks S replicas'
+    parameters on a leading axis, and each rule checks the stack at once."""
     pooling = POOLING[spec.method]
     _check_keys(spec.method, params)
+    lead = () if replicas is None else (replicas,)
     c = spec.channels
-    hidden = np.shape(params.get("se_f1_weight"))[:1]  # () without an SE branch
+    hidden = np.shape(params.get("se_f1_weight"))[len(lead) :][:1]  # () without an SE branch
     if hidden and (hidden[0] < 1 or c % hidden[0]):
         raise ConfigurationError(f"the SE hidden width {hidden[0]} must divide channels={c}")
     sizes = {"n": spec.window.n, "C": c, "h": hidden[0] if hidden else None}
     for name, value in params.items():
         value = np.asarray(value)
-        shape = tuple(sizes.get(d, d) for d in FIELD_RULES[name][0])
+        shape = lead + tuple(sizes.get(d, d) for d in FIELD_RULES[name][0])
         if value.shape != shape:
             raise ShapeError(f"{name} must have shape {shape}, got {value.shape}")
         if value.dtype.kind != "f" and name in pooling.trainable:  # the optimizer updates it in place

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 import numpy as np
 
@@ -99,8 +100,11 @@ def read_params_json(path) -> dict:
         if not (isinstance(b, dict) and isinstance(b.get("block"), int) and isinstance(b.get("params"), dict)):
             raise ValueError(f"each block needs an integer 'block' and a 'params' object, got {b!r}")
         for name, values in b["params"].items():
-            if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-                raise ValueError(f"parameter {name!r} must be a list of numbers, got {values!r}")
+            # json reads NaN, Infinity and -Infinity as floats, and an integer of any size
+            if not isinstance(values, list) or not all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
+            ):
+                raise ValueError(f"parameter {name!r} must be a list of finite numbers, got {values!r}")
     payload["blocks"] = [{"block": b["block"], "params": b["params"]} for b in payload["blocks"]]
     return payload
 
@@ -149,9 +153,14 @@ def write_summary_csv(rows: list[dict], path) -> None:
 
 
 def percentile_summary(values) -> dict[str, float]:
-    """5/25/50/75/95 percentiles with linear interpolation; nondecreasing."""
-    values = np.asarray(values, dtype=np.float64)
-    points = [float(np.percentile(values, p, method="linear")) for p in PERCENTILES]
+    """5/25/50/75/95 percentiles with linear interpolation; nondecreasing.
+
+    The interpolation runs on the halved values and the result is doubled:
+    exact for normal floats, and the difference of two finite halves cannot
+    overflow, as that of two weights near +-1.7e308 does.
+    """
+    values = np.asarray(values, dtype=np.float64) * 0.5
+    points = [2.0 * float(np.percentile(values, p, method="linear")) for p in PERCENTILES]
     assert all(a <= b for a, b in zip(points, points[1:])), "percentiles must be sorted"
     return {f"p{p}": v for p, v in zip(PERCENTILES, points)}
 

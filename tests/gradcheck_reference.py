@@ -1,13 +1,14 @@
 """Test-only reference: gradcheck's trials one at a time.
 
 ``poolbench.gradcheck`` evaluates the bumped points of a block of trials
-together and hands each trial's ``fd_check`` call its precomputed values.
+together and hands each trial's ``fd_check`` call its share of the values.
 The loops here do the same checks the plain way: each ``fd_check`` call gets
-a function that evaluates its bumped stack itself, through one ``ops.pool``
-call per gradient for a window method and through the trial's own
-``PoolingBlock`` for an SE method.  They draw the same points from the same
-generator, so :func:`worst_error` must equal ``check_method(...).worst_error``
-bit for bit.
+the values of its own bumped stack, from one ``ops.pool`` call per gradient
+for a window method and from the trial's own ``PoolingBlock`` for an SE
+method.  They draw the same points from the same generator, so the
+``fd_check`` calls here get the same arguments, in the same order, as
+``check_method``'s, and :func:`worst_error` must equal
+``check_method(...).worst_error`` bit for bit.
 """
 
 from dataclasses import replace
@@ -17,6 +18,8 @@ import numpy as np
 from poolbench import gradcheck, grads, layers, ops
 from poolbench.grads import FDOracleConfig, fd_check
 from poolbench.tensor import output_size
+
+from helpers import values_at
 
 
 def _informative_points(method, candidates):
@@ -46,14 +49,12 @@ def _window_method(method, trials, config, rng, lse_sharpness):
             input_config = config
             if "sharpness" in params:
                 input_config = replace(config, step=config.step / params["sharpness"])
-            worst = max(
-                worst,
-                fd_check(lambda v: ops.pool(method, v, **params), x, bundle.d_input, input_config, batched=True),
-            )
+            values = values_at(lambda v: ops.pool(method, v, **params), x, input_config.step, batched=True)
+            worst = max(worst, fd_check(values, bundle.d_input, input_config))
             for name, analytic in bundle.d_params.items():
-                point = np.atleast_1d(params[name])
                 fn = lambda v: ops.pool(method, x, **{**params, name: v})  # noqa: E731
-                worst = max(worst, fd_check(fn, point, analytic, config, batched=True))
+                values = values_at(fn, params[name], config.step, batched=True)
+                worst = max(worst, fd_check(values, analytic, config))
     return worst
 
 
@@ -103,8 +104,8 @@ def _se_block(method, trials, config, rng):
                 offset += arr.size
             return float((probe * block.forward(x)).sum())
 
-        worst = max(worst, fd_check(at_inputs, flat_x[keep], dx[keep], config, batched=True))
-        worst = max(worst, fd_check(along_v, np.zeros(1), np.array([g @ v]), config))
+        worst = max(worst, fd_check(values_at(at_inputs, flat_x[keep], config.step, batched=True), dx[keep], config))
+        worst = max(worst, fd_check(values_at(along_v, np.zeros(1), config.step), np.array([g @ v]), config))
     return worst
 
 

@@ -1,5 +1,5 @@
-"""Test-only helpers: report readers, initial weights, a data baseline and
-perfbench's tracer.
+"""Test-only helpers: report readers, initial weights, a data baseline, the
+finite-difference oracle of a function and perfbench's tracer.
 
 The program writes its reports and never reads back a run or summary CSV;
 the tests read them through these functions.
@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from poolbench.data import SyntheticDataset
+from poolbench.grads import bumped_points, fd_check
 from poolbench.layers import ToyNetConfig
 from poolbench.reports import SUMMARY_FIELDS
 from poolbench.train import EpochMetrics, build_net
@@ -61,6 +62,18 @@ def nearest_centroid_accuracy(dataset: SyntheticDataset) -> float:
     flat_test = dataset.test_images.reshape(len(dataset.test_idx), -1)
     distances = ((flat_test[:, None, :] - centroids[None]) ** 2).sum(axis=2)
     return float((distances.argmin(axis=1) == dataset.test_labels).mean())
+
+
+def values_at(fn, point, step, batched=False) -> np.ndarray:
+    """``fn``'s values at the rows of ``grads.bumped_points(point, step)``: one call
+    per row, or one call on the whole (2n, n) stack for a ``batched`` ``fn``."""
+    stack = bumped_points(np.asarray(point, dtype=np.float64).reshape(-1), step)
+    return np.asarray(fn(stack) if batched else [fn(row) for row in stack], dtype=np.float64)
+
+
+def fd_check_fn(fn, point, analytic, config, batched=False) -> float:
+    """``grads.fd_check`` of ``analytic`` against ``fn`` around ``point``."""
+    return fd_check(values_at(fn, point, config.step, batched), analytic, config)
 
 
 def load_tracing():

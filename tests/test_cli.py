@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
+import csv
 import os
 import signal
 import warnings
@@ -360,6 +361,14 @@ class TestGradcheck:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("method, trials", [("MP", 0), ("SESMP", -3), ("LSE", 0)])
+    def test_no_trial_is_no_pass(self, method, trials):
+        # a check without a comparison reported a worst error of 0, which passed
+        with pytest.raises(ValueError, match="trials"):
+            gradcheck.check_method(method, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            gradcheck.run_gradcheck([method], trials=trials)
+
     def test_config_file_seed_is_used_and_flag_wins(self, tmp_path, capsys):
         cfg = tmp_path / "gradcheck.cfg"
         cfg.write_text("methods = GP OP\ntrials = 50\nseed = 5\n")
@@ -420,20 +429,24 @@ class TestGradcheck:
             assert old.uniform() == new.uniform()  # the generators stay in step
 
     @pytest.mark.parametrize("method", ops.METHODS)
-    def test_each_trial_keeps_its_own_fd_check_call(self, fd_calls, method):
+    def test_each_trial_keeps_its_own_fd_check_call(self, monkeypatch, fd_calls, method):
         # perfbench's traced gate (workloads.fd_count_problems) counts at least `trials`
         # gradcheck.fd_check calls per method; these trials span more than one block
         trials = 40 if ops.pooling_row(method).se else 150
         assert gradcheck.check_method(method, trials=trials).passed
         assert len(fd_calls) >= trials
-        # a trial's function holds only its own values: another trial's stack raises
-        for (fn, point, _, config), kwargs in fd_calls:
-            other = next(args[1] for args, _ in fd_calls if args[1].shape == point.shape)
-            if np.array_equal(other, point):
-                other = point + 0.5
-            stack = grads.bumped_points(other, config.step)
-            with pytest.raises(grads.OracleError):
-                fn(stack if kwargs.get("batched") else stack[0])
+        # each call gets the values and gradient of its own trial: those that the
+        # reference computes one trial at a time, bit for bit and in the same order
+        reference = []
+        monkeypatch.setattr(
+            gradcheck_reference, "fd_check", lambda *args: reference.append(args) or grads.fd_check(*args)
+        )
+        gradcheck_reference.worst_error(method, trials)
+        assert len(fd_calls) == len(reference)
+        for (args, kwargs), expected in zip(fd_calls, reference):
+            assert kwargs == {} and args[2] == expected[2]
+            for got, want in zip(args[:2], expected[:2]):
+                assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("method", ops.METHODS)
@@ -453,12 +466,12 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
     def test_every_trial_makes_a_comparison_in_se_blocks(self, fd_calls, method):
-        # per trial: every kept input coordinate in one batched call, then one direction
+        # per trial: the 2k values of every kept input coordinate in one call, then one direction
         result = gradcheck.check_method(method, trials=50)
         assert len(fd_calls) == 100
         inputs, directions = fd_calls[::2], fd_calls[1::2]
-        assert all(kw == {"batched": True} and 1 <= args[1].size <= 64 for args, kw in inputs)
-        assert all(kw == {} and args[1].size == 1 and args[2][0] != 0.0 for args, kw in directions)
+        assert all(1 <= args[1].size <= 64 and args[0].shape == (2 * args[1].size,) for args, _ in inputs)
+        assert all(args[0].shape == (2,) and args[1].size == 1 and args[1][0] != 0.0 for args, _ in directions)
         # SEMP's non-maximal entries get only d_mu / 16, under the guard in some channels
         assert np.mean([args[1].size for args, _ in inputs]) > 48
         assert result.passed
@@ -567,6 +580,20 @@ class TestParamsReport:
         assert code == 0
         assert "p50=+3.0000" in capsys.readouterr().out
 
+    def test_report_of_an_extreme_learning_rate_run(self, tmp_path):
+        # the run diverges (exit 3) with finite weights near -+1.7e308, whose tau
+        # percentiles came out unsorted and failed the report with a traceback
+        out = tmp_path / "big"
+        flags = ["--seeds", "1", "--samples", "40", "--epochs", "1", "--lr", "1.7e308", "--out", str(out)]
+        assert run_cli("sweep", "--methods", "CONV", "SMP_trainable", *flags) == 3
+        assert run_cli("params-report", "--out", str(out)) == 0
+        with open(out / "params_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["param"].split("[")[0] for row in rows} == {"conv_w", "tau"}
+        for row in rows:
+            points = [float(row[f"p{p}"]) for p in rep.PERCENTILES]
+            assert np.isfinite(points).all() and points == sorted(points)
+
     def test_missing_snapshots_usage_error(self, tmp_path):
         assert run_cli("params-report", "--out", str(tmp_path / "empty")) == 1
 
@@ -578,8 +605,16 @@ class TestParamsReport:
             '{"seed": 1, "diverged": false, "note": "", "blocks": [{"block": 0, "params": {}}]}',
             '{"method": "LNP", "seed": 1, "diverged": false, "note": "", '
             '"blocks": [{"block": 0, "params": {"p": ["abc"]}}]}',
+            '{"method": "SMP_trainable", "seed": 1, "diverged": true, "note": "", '
+            '"blocks": [{"block": 0, "params": {"tau": [0.5, NaN]}}]}',
+            '{"method": "CONV", "seed": 1, "diverged": true, "note": "", '
+            '"blocks": [{"block": 0, "params": {"conv_w": [Infinity, 0.0, 0.0, 0.0]}}]}',
+            '{"method": "CONV", "seed": 1, "diverged": true, "note": "", '
+            '"blocks": [{"block": 0, "params": {"conv_w": [-Infinity, 0.0, 0.0, 0.0]}}]}',
+            '{"method": "LNP", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": 0, "params": {"p": [1' + '0' * 400 + ']}}]}',  # past the largest float
         ],
-        ids=["top-level-list", "op-without-blocks", "no-method", "text-value"],
+        ids=["top-level-list", "op-without-blocks", "no-method", "text-value", "nan", "inf", "-inf", "huge-int"],
     )
     def test_malformed_snapshot_is_one_error_line(self, tmp_path, capsys, payload):
         path = tmp_path / "params_X_1.json"

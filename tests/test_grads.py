@@ -32,7 +32,9 @@ from poolbench import (
     smooth_max_pool,
     smooth_max_pool_grad,
 )
+from poolbench.grads import bumped_points
 from poolbench.layers import PoolingBlock
+from helpers import fd_check_fn, values_at
 from window_reference import global_avg_pool, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
@@ -93,7 +95,7 @@ class TestMaxPoolGrad:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = spread_window(rng)
-            err = fd_check(max_pool, x, max_pool_grad(x).d_input, CFG)
+            err = fd_check_fn(max_pool, x, max_pool_grad(x).d_input, CFG)
             assert err < 1e-6
 
 
@@ -117,7 +119,7 @@ class TestAvgPoolGrad:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.normal(size=4)
-            assert fd_check(avg_pool, x, avg_pool_grad(x).d_input, CFG) < 1e-8
+            assert fd_check_fn(avg_pool, x, avg_pool_grad(x).d_input, CFG) < 1e-8
 
 
 class TestConvPoolGrad:
@@ -137,9 +139,9 @@ class TestConvPoolGrad:
         for _ in range(50):
             x, w = rng.normal(size=4), rng.normal(size=4)
             bundle = conv_pool_grad(x, w)
-            assert fd_check(lambda v: conv_pool(v, w), x, bundle.d_input, CFG) < 1e-8
+            assert fd_check_fn(lambda v: conv_pool(v, w), x, bundle.d_input, CFG) < 1e-8
             assert (
-                fd_check(lambda v: conv_pool(x, v), w, bundle.d_params["conv_w"], CFG)
+                fd_check_fn(lambda v: conv_pool(x, v), w, bundle.d_params["conv_w"], CFG)
                 < 1e-8
             )
 
@@ -162,8 +164,8 @@ class TestGatedPoolGrad:
             x = spread_window(rng)
             w = rng.normal(size=4)
             bundle = gated_pool_grad(x, w)
-            err_x = fd_check(lambda v: gated_pool(v, w), x, bundle.d_input, CFG)
-            err_w = fd_check(lambda v: gated_pool(x, v), w, bundle.d_params["gate_w"], CFG)
+            err_x = fd_check_fn(lambda v: gated_pool(v, w), x, bundle.d_input, CFG)
+            err_w = fd_check_fn(lambda v: gated_pool(x, v), w, bundle.d_params["gate_w"], CFG)
             assert err_x < 1e-6
             assert err_w < 1e-6
 
@@ -186,8 +188,8 @@ class TestOrdinalPoolGrad:
             x = spread_window(rng)
             w = interior_simplex(rng)
             bundle = ordinal_pool_grad(x, w)
-            err_x = fd_check(lambda v: ordinal_pool(v, w), x, bundle.d_input, CFG)
-            err_w = fd_check(
+            err_x = fd_check_fn(lambda v: ordinal_pool(v, w), x, bundle.d_input, CFG)
+            err_w = fd_check_fn(
                 lambda v: ordinal_pool(x, v), w, bundle.d_params["ordinal_w"], CFG
             )
             assert err_x < 1e-6
@@ -222,7 +224,7 @@ class TestLearnedNormPoolGrad:
             x = rng.uniform(0.2, 2.0, size=4)
             p_raw = rng.uniform(-1.0, 2.0)
             bundle = learned_norm_pool_grad(x, p_raw)
-            err = fd_check(
+            err = fd_check_fn(
                 lambda v: learned_norm_pool(x, v[0]),
                 np.array([p_raw]),
                 bundle.d_params["p_raw"],
@@ -236,7 +238,7 @@ class TestLearnedNormPoolGrad:
             x = rng.uniform(0.2, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
             p_raw = rng.uniform(-1.0, 2.0)
             bundle = learned_norm_pool_grad(x, p_raw)
-            err = fd_check(lambda v: learned_norm_pool(v, p_raw), x, bundle.d_input, CFG)
+            err = fd_check_fn(lambda v: learned_norm_pool(v, p_raw), x, bundle.d_input, CFG)
             assert err < 1e-6
 
 
@@ -266,7 +268,7 @@ class TestLsePoolGrad:
         for _ in range(200):
             x = rng.uniform(-1.0, 1.0, size=4)
             r = rng.uniform(0.1, 5.0)
-            err = fd_check(lambda v: lse_pool(v, r), x, lse_pool_grad(x, r).d_input, CFG)
+            err = fd_check_fn(lambda v: lse_pool(v, r), x, lse_pool_grad(x, r).d_input, CFG)
             assert err < 1e-6
 
     def test_no_overflow_for_extreme_inputs(self):
@@ -315,8 +317,8 @@ class TestSmoothMaxPoolGrad:
         for _ in range(300):
             x, tau = self.conditioned_point(rng)
             bundle = smooth_max_pool_grad(x, tau)
-            err_x = fd_check(lambda v: smooth_max_pool(v, tau), x, bundle.d_input, CFG)
-            err_t = fd_check(
+            err_x = fd_check_fn(lambda v: smooth_max_pool(v, tau), x, bundle.d_input, CFG)
+            err_t = fd_check_fn(
                 lambda v: smooth_max_pool(x, v[0]),
                 np.array([tau]),
                 bundle.d_params["tau"],
@@ -436,14 +438,14 @@ class TestSeBranchGrad:
                 mu = global_avg_pool(flat.reshape(x.shape[1:]))
                 return float(upstream[0] @ se_temperatures(mu, se, 2))
 
-            assert fd_check(scalar_out, x.reshape(-1), d_x.reshape(-1), CFG) < 1e-6
+            assert fd_check_fn(scalar_out, x.reshape(-1), d_x.reshape(-1), CFG) < 1e-6
 
             def weight_out(flat):
                 probe = {**se, "se_f1_weight": flat.reshape(hidden, channels)}
                 mu = global_avg_pool(x[0])
                 return float(upstream[0] @ se_temperatures(mu, probe, 2))
 
-            err = fd_check(
+            err = fd_check_fn(
                 weight_out,
                 se["se_f1_weight"].reshape(-1),
                 block.grads()["se_f1_weight"].reshape(-1),
@@ -457,7 +459,7 @@ class TestFdOracle:
         w = np.array([0.3, -1.2, 2.0, 0.7])
         x = np.array([0.4, 0.1, -0.9, 1.3])
         for step in (1e-3, 1e-5, 1e-7):
-            err = fd_check(lambda v: float(w @ v), x, w, FDOracleConfig(step=step))
+            err = fd_check_fn(lambda v: float(w @ v), x, w, FDOracleConfig(step=step))
             assert err < 1e-8
 
     def test_smooth_max_is_the_oracle_run(self):
@@ -465,7 +467,7 @@ class TestFdOracle:
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=4)
             tau = rng.uniform(-3.0, 3.0)
-            err = fd_check(
+            err = fd_check_fn(
                 lambda v: smooth_max_pool(v, tau),
                 x,
                 smooth_max_pool_grad(x, tau).d_input,
@@ -477,14 +479,14 @@ class TestFdOracle:
         # at an exact tie the analytic convention (first maximizer) and the
         # two-sided difference disagree: such points are excluded by samplers
         x = np.array([2.0, 2.0, 1.0, 0.0])
-        numeric = central_difference(max_pool, x, 1e-5)
+        numeric = central_difference(values_at(max_pool, x, 1e-5), 1e-5)
         analytic = max_pool_grad(x).d_input
         assert relative_error(analytic, numeric) > 0.4
         assert (spread_window(np.random.default_rng(19)) != x).any()
 
     def test_non_finite_forward_raises(self):
         with pytest.raises(OracleError):
-            central_difference(lambda v: float("nan"), np.zeros(2), 1e-5)
+            central_difference(values_at(lambda v: float("nan"), np.zeros(2), 1e-5), 1e-5)
 
     def test_scalar_mode_matches_per_coordinate_loop(self):
         def per_coordinate(fn, point, step):
@@ -503,46 +505,53 @@ class TestFdOracle:
             for fn in (lambda v: smooth_max_pool(v, tau), lambda v: lse_pool(v, r), max_pool):
                 for step in (1e-3, 1e-5):
                     np.testing.assert_array_equal(
-                        central_difference(fn, x, step), per_coordinate(fn, x, step)
+                        central_difference(values_at(fn, x, step), step), per_coordinate(fn, x, step)
                     )
 
-    def test_batched_mode_is_bit_identical_to_scalar_mode(self):
+    def test_stacked_values_are_bit_identical_to_row_values(self):
         rng = np.random.default_rng(21)
         w = rng.normal(size=6)
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=6)
             # a matrix product may sum in another order than a dot product, so w . v is
-            # an elementwise product summed along the row in both modes
+            # an elementwise product summed along the row both ways
             for one, stack in (
                 (lambda v: float((v * w).sum()), lambda s: (s * w).sum(axis=1)),
                 (max_pool, lambda s: s.max(axis=1)),
             ):
                 np.testing.assert_array_equal(
-                    central_difference(stack, x, 1e-5, batched=True),
-                    central_difference(one, x, 1e-5),
+                    central_difference(values_at(stack, x, 1e-5, batched=True), 1e-5),
+                    central_difference(values_at(one, x, 1e-5), 1e-5),
                 )
-        assert fd_check(lambda s: s @ w, x, w, CFG, batched=True) < 1e-8
+        assert fd_check_fn(lambda s: s @ w, x, w, CFG, batched=True) < 1e-8
 
-    def test_batched_mode_gets_the_bumped_stack(self):
-        seen = []
+    def test_bumped_points_are_the_rows_of_the_values(self):
         x = np.array([0.5, -1.0, 2.0])
-        central_difference(lambda s: seen.append(s.copy()) or s.sum(axis=1), x, 0.25, batched=True)
         expected = np.vstack([x + 0.25 * np.eye(3), x - 0.25 * np.eye(3)])
-        np.testing.assert_array_equal(seen[0], expected)
+        np.testing.assert_array_equal(bumped_points(x, 0.25), expected)
+        # a stack of points gives each point's own bumped rows
+        points = np.array([x, -x])
+        stacks = bumped_points(points, 0.25)
+        assert stacks.shape == (2, 6, 3)
+        for point, stack in zip(points, stacks):
+            np.testing.assert_array_equal(stack, bumped_points(point, 0.25))
 
     @pytest.mark.parametrize("row", range(6))
-    def test_batched_non_finite_row_names_its_coordinate(self, row):
-        def fn(stack):
-            values = stack.sum(axis=1)
-            values[row] = np.inf if row % 2 else np.nan
-            return values
-
+    def test_non_finite_value_names_its_coordinate(self, row):
+        values = np.arange(6.0)
+        values[row] = np.inf if row % 2 else np.nan
         with pytest.raises(OracleError, match=f"coordinate {row % 3} "):
-            central_difference(fn, np.zeros(3), 1e-5, batched=True)
+            central_difference(values, 1e-5)
 
-    def test_batched_wrong_length_rejected(self):
+    @pytest.mark.parametrize("shape", [(0,), (5,), (3, 2), (6, 1), ()], ids=["empty", "odd", "2-D", "column", "0-d"])
+    def test_values_of_the_wrong_shape_rejected(self, shape):
         with pytest.raises(ShapeError):
-            central_difference(lambda s: s.sum(), np.zeros(3), 1e-5, batched=True)
+            central_difference(np.zeros(shape), 1e-5)
+
+    def test_values_of_the_wrong_length_rejected(self):
+        # the 2n values of 4 coordinates against a gradient of 3
+        with pytest.raises(ShapeError):
+            fd_check(np.zeros(8), np.zeros(3), CFG)
 
     def test_relative_error_floor(self):
         assert relative_error([0.0], [1e-12]) == pytest.approx(1e-4)

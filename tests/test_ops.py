@@ -528,6 +528,58 @@ class TestPoolParamsValidation:
             PoolingBlock(PoolSpec("GP", POOL22, channels=4), {"gate_w": np.array([0.0, np.inf, 0.0, 0.0])})
 
 
+class TestStackedPoolParamsValidation:
+    """A stacked block's (S, ...) arrays: each rule runs once on the whole stack and
+    still reaches every replica."""
+
+    @staticmethod
+    def stacked(method, channels, replicas=4):
+        params = ops.POOLING[method].init(4, channels, np.random.default_rng(0), 2, 1.0)
+        return PoolSpec(method, POOL22, channels), {k: np.stack([v] * replicas) for k, v in params.items()}
+
+    @pytest.mark.parametrize("method", ["CONV", "GP", "OP", "LNP", "LSE", "SMP_trainable", "SESMP", "SEMP"])
+    def test_valid_stack_builds(self, method):
+        spec, params = self.stacked(method, 4)
+        validate_pool_params(spec, params, 4)
+        assert PoolingBlock(spec, params, 4).replicas == 4
+
+    @pytest.mark.parametrize("method, name, index", [
+        ("SEMP", "se_f1_weight", (2, 1, 3)),
+        ("SESMP", "se_f2_bias", (2, 0)),
+        ("SMP_trainable", "tau", (2, 1)),
+        ("CONV", "conv_w", (2, 3)),
+        ("LNP", "p_raw", (2, 0)),
+        ("LSE", "sharpness", (2,)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_entry_in_replica_3_of_4(self, method, name, index, bad):
+        spec, params = self.stacked(method, 4)
+        params[name][index] = bad
+        with pytest.raises(ParameterError, match=name):
+            PoolingBlock(spec, params, 4)
+
+    @pytest.mark.parametrize("row", [[0.4, 0.4, 0.4, 0.4], [0.5, 0.5, 0.5, -0.5], [np.nan, 0.5, 0.25, 0.25]])
+    def test_off_simplex_row_in_replica_3_of_4(self, row):
+        spec, params = self.stacked("OP", 2)
+        params["ordinal_w"][2] = row
+        with pytest.raises(ParameterError, match="ordinal_w"):
+            PoolingBlock(spec, params, 4)
+
+    @pytest.mark.parametrize("method", ["CONV", "LNP", "SESMP"])
+    @pytest.mark.parametrize("replicas", [3, 5, None])
+    def test_wrong_replica_count(self, method, replicas):
+        spec, params = self.stacked(method, 4)
+        with pytest.raises(ShapeError):
+            PoolingBlock(spec, params, replicas)
+
+    def test_se_hidden_width_after_the_replica_axis(self):
+        # (4, 4, 6) stacks a hidden width of 4, which does not divide 6 channels
+        spec = PoolSpec("SESMP", POOL22, channels=6)
+        params = se_params(np.zeros((4, 6)), np.zeros(4), np.zeros((6, 4)), np.zeros(6))
+        with pytest.raises(ConfigurationError):
+            PoolingBlock(spec, {k: np.stack([v] * 4) for k, v in params.items()}, 4)
+
+
 class TestPoolParamsArrays:
     def test_stored_arrays_by_flat_name(self):
         params = se_params(np.zeros((2, 4)), np.ones(2), np.zeros((4, 2)), np.ones(4))

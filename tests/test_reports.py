@@ -104,6 +104,21 @@ class TestPercentiles:
             points = list(summary.values())
             assert points == sorted(points)
 
+    def test_finite_and_sorted_near_the_largest_float(self):
+        # the difference of two weights near -+1.7e308 overflowed, and the percentiles came out unsorted
+        big = np.finfo(np.float64).max
+        for values in ([-1.7e308, 1.7e308], [-big, big, -big, 0.5], [big, big, big, -big]):
+            points = list(rep.percentile_summary(values).values())
+            assert np.isfinite(points).all() and points == sorted(points)
+
+    def test_ordinary_values_keep_their_percentiles_exactly(self):
+        # halving before the interpolation and doubling after are exact for normal floats
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            values = rng.normal(size=rng.integers(1, 20)) * 10.0 ** rng.integers(-300, 300)
+            for p, v in zip(rep.PERCENTILES, rep.percentile_summary(values).values()):
+                assert v == float(np.percentile(values, p, method="linear"))
+
 
 class TestParamsReport:
     def test_tau_rows_have_percentiles(self):
