@@ -7,9 +7,11 @@ on spaces or commas), parsed ahead of the command line, so its flags win.  A
 key no command has is a usage error; other commands' keys are skipped.
 
 Exit codes: 0 success, 1 usage error, 2 gradient-check failure, 3 sweep
-finished but contains diverged or crashed run(s).  A sweep trains each
-method's seeds in lock-step, as one task; ``POOLBENCH_THREADS`` caps how many
-worker processes share out those tasks (default 1).
+finished but contains diverged or crashed run(s).  A run is an
+:class:`OptimConfig`: ``sweep`` makes one per seed, ``lr-sweep`` one per
+learning rate.  Both train a method's runs in lock-step, as one task, and
+record a crash against its own run; ``POOLBENCH_THREADS`` caps how many
+worker processes share out a sweep's tasks (default 1).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .layers import ToyNetConfig
 from .ops import HEADLINE_METHODS, METHODS, ConfigurationError, pooling_row
 from .optim import OptimConfig
 from . import reports as rep
-from .train import RunReport, run_seeds, run_single
+from .train import RunReport, shared_dataset, train_runs
 
 __all__ = ["ExperimentConfig", "UsageError", "build_parser", "main"]
 
@@ -70,11 +72,10 @@ def _check_seed(name, seed):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A resolved sweep: which methods and seeds, training and data settings."""
+    """A resolved sweep: which methods, the runs of each, and the data settings."""
 
     methods: tuple[str, ...]
-    seeds: tuple[int, ...]
-    optim: OptimConfig
+    runs: tuple[OptimConfig, ...]
     out_dir: Path
     samples: int
     noise: float
@@ -84,10 +85,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_methods(self.methods)
-        if not self.seeds:
-            raise UsageError("seed list must not be empty")
-        for seed in self.seeds:
-            _check_seed("seed", seed)
+        if not self.runs:
+            raise UsageError("run list must not be empty")
+        for run in self.runs:
+            _check_seed("seed", run.seed)
+        # a repeated run would count twice in its method's summary
+        labels = [f"method {m}" for m in self.methods] + [f"run of seed {r.seed} at lr {r.lr!r}" for r in self.runs]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise UsageError(f"repeated {label}")
         _check_seed("data_seed", self.data_seed)
         check_data_args(self.classes, self.samples, self.noise)
         # the 80/20 split gives a class a test sample only from 3 samples on
@@ -114,8 +120,8 @@ def _read_config_file(path) -> dict[str, str]:
     """Flat `key = value` pairs; blank lines and #-comments ignored."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -201,13 +207,16 @@ def _with_config_flags(parser, argv):
     return [argv[0], *spliced, *argv[1:]]
 
 
-def _experiment(args, methods, seeds, lr) -> ExperimentConfig:
+def _experiment(args, methods, seeds, lrs) -> ExperimentConfig:
     """The command's settings as a validated sweep; out-of-range values are usage errors."""
     try:
         return ExperimentConfig(
             methods=tuple(methods),
-            seeds=tuple(seeds),
-            optim=OptimConfig(lr=lr, epochs=args.epochs, batch_size=args.batch_size),
+            runs=tuple(  # a run per seed and learning rate, in seed order
+                OptimConfig(lr=lr, epochs=args.epochs, batch_size=args.batch_size, seed=seed)
+                for seed in sorted(seeds)
+                for lr in lrs
+            ),
             out_dir=args.out,
             samples=args.samples,
             noise=args.noise,
@@ -219,6 +228,15 @@ def _experiment(args, methods, seeds, lr) -> ExperimentConfig:
         raise UsageError(str(err)) from err
 
 
+def _out_dir(path: Path) -> Path:
+    """``path``, made a directory if it is not one; failing that, a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot create output directory {path}: {err}") from err
+    return path
+
+
 def _worker_count() -> int:
     raw = os.environ.get("POOLBENCH_THREADS", "1")
     try:
@@ -228,45 +246,40 @@ def _worker_count() -> int:
 
 
 def _run_sweep_tasks(config: ExperimentConfig) -> list[RunReport]:
-    """Every (method, seed) run: one task per method, which trains its seeds in lock-step."""
+    """Every (method, run) report, in that order: one task per method, which
+    trains its runs in lock-step."""
     workers = min(_worker_count(), len(config.methods))
-    settings = (config.data_kwargs(), config.optim, config.net_config())
-    args = [(m, config.seeds, *settings) for m in config.methods]
+    args = [(m, config.runs, config.data_kwargs(), config.net_config()) for m in config.methods]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, a) for a in args]
-            results = [r for future, m in zip(futures, config.methods) for r in _result(future, m, config.seeds)]
-    else:
-        results = [r for a in args for r in _run_one(a)]
-    # deterministic assembly regardless of completion order
-    order = {m: i for i, m in enumerate(config.methods)}
-    results.sort(key=lambda r: (order[r.method], r.seed))
-    return results
+            return [r for future, m in zip(futures, config.methods) for r in _result(future, m, config.runs)]
+    return [r for a in args for r in _run_one(a)]
 
 
-def _result(future, method, seeds) -> list[RunReport]:
+def _result(future, method, runs) -> list[RunReport]:
     """A worker's runs; if the pool broke first (a worker killed by a signal), failed rows."""
     try:
         return future.result()
     except BrokenProcessPool as err:
-        return [RunReport(method, seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}") for seed in seeds]
+        return [RunReport(method, r.seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}") for r in runs]
 
 
 def _run_one(packed) -> list[RunReport]:
-    """One method's runs.  A crash reruns its seeds one at a time, so that each
-    crash becomes a failed row of its own (method, seed), not the sweep's end."""
-    method, seeds, *settings = packed
+    """One method's runs.  A crash reruns them one at a time, so that each crash
+    becomes a failed row of its own run, not the sweep's end."""
+    method, runs, data_kwargs, net_config = packed
     try:
-        return run_seeds(method, seeds, *settings)
+        return train_runs(method, shared_dataset(data_kwargs), runs, net_config)
     except Exception as err:
-        if len(seeds) == 1:
-            return [RunReport(method, seeds[0], diverged=True, note=f"crashed: {type(err).__name__}: {err}")]
-        return [report for seed in seeds for report in _run_one((method, (seed,), *settings))]
+        if len(runs) == 1:
+            return [RunReport(method, runs[0].seed, diverged=True, note=f"crashed: {type(err).__name__}: {err}")]
+        return [report for run in runs for report in _run_one((method, (run,), data_kwargs, net_config))]
 
 
 def cmd_sweep(args) -> int:
-    config = _experiment(args, args.methods, args.seeds, args.lr)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    config = _experiment(args, args.methods, args.seeds, [args.lr])
+    _out_dir(config.out_dir)
     results = _run_sweep_tasks(config)
     for report in results:
         rep.write_run_csv(report, config.out_dir / rep.run_csv_name(report.method, report.seed))
@@ -321,8 +334,7 @@ def cmd_params_report(args) -> int:
         except (OSError, ValueError, KeyError) as err:
             raise UsageError(f"cannot read snapshot {path}: {err}") from err
     rows = rep.params_report_rows(payloads)
-    args.out.mkdir(parents=True, exist_ok=True)
-    rep.write_params_report_csv(rows, args.out / "params_report.csv")
+    rep.write_params_report_csv(rows, _out_dir(args.out) / "params_report.csv")
     for row in rows:
         cells = " ".join(f"p{p}={row[f'p{p}']:+.4f}" for p in rep.PERCENTILES)
         print(
@@ -339,19 +351,17 @@ def cmd_params_report(args) -> int:
 
 
 def cmd_lr_sweep(args) -> int:
-    configs = [_experiment(args, [args.method], [args.seed], lr) for lr in args.lrs]
-    args.out.mkdir(parents=True, exist_ok=True)
-    results = []
-    for config in configs:
-        report = run_single(args.method, args.seed, config.data_kwargs(), config.optim, config.net_config())
-        results.append((config.optim.lr, report.final_train_loss, report.diverged))
+    config = _experiment(args, [args.method], [args.seed], args.lrs)
+    _out_dir(config.out_dir)
+    reports = _run_sweep_tasks(config)
+    results = [(run.lr, report.final_train_loss, report.diverged) for run, report in zip(config.runs, reports)]
     # ties break toward the smaller learning rate
     viable = [(loss, lr) for lr, loss, diverged in results if not diverged]
     print(f"{'lr':>10} {'final_train_loss':>18}")
     for lr, loss, diverged in results:
         note = " (diverged)" if diverged else ""
         print(f"{lr:>10.1e} {loss:>18.6f}{note}")
-    with open(args.out / "lr_sweep.csv", "w", newline="") as fh:
+    with open(config.out_dir / "lr_sweep.csv", "w", newline="") as fh:
         fh.write("lr,final_train_loss,diverged\n")
         for lr, loss, diverged in results:
             fh.write(f"{lr!r},{loss!r},{int(diverged)}\n")

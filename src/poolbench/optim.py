@@ -44,23 +44,25 @@ class Adam:
 
     m and v hold one row per replica, each row one slice per parameter; every
     operation is elementwise, so the result equals the per-parameter update
-    of each replica alone bit for bit.  With ``replicas`` S every parameter
-    has a leading axis of S replicas, which all step together, so ``t``
-    counts the steps of each.  Parameters named in ``simplex_names`` are
+    of each replica alone bit for bit.  ``lrs`` holds each replica's rate
+    (default: one replica at ``config.lr``); each parameter but a lone
+    replica's has a leading axis of the S replicas, which all step together,
+    so ``t`` counts the steps of each.  Parameters named in ``simplex_names`` are
     re-projected onto the probability simplex immediately after every update,
     one replica's row at a time; a row with no positive entry stays as it
     is, as do its replica's later simplex parameters, and the step ends in a
     :class:`DegenerateWeightsError` naming every such replica.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], config: OptimConfig, simplex_names=(), replicas: int = 1):
+    def __init__(self, params: dict[str, np.ndarray], config: OptimConfig, simplex_names=(), lrs=None):
         self.params = params
         self.config = config
         self.simplex_names = tuple(simplex_names)
         unknown = set(self.simplex_names) - set(params)
         if unknown:
             raise ParameterError(f"simplex constraint on unknown parameters: {sorted(unknown)}")
-        self.replicas = replicas
+        self.lrs = np.reshape(np.asarray((config.lr,) if lrs is None else lrs, dtype=float), (-1, 1))
+        self.replicas = replicas = len(self.lrs)
         self.t = 0
         offsets = np.cumsum([0] + [p.size // replicas for p in params.values()])
         self._slices = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
@@ -69,14 +71,14 @@ class Adam:
 
     def select(self, params: dict[str, np.ndarray], rows) -> "Adam":
         """An optimizer of ``params``, the replicas ``rows`` of this one's, that
-        carries on with their moments and step count."""
-        adam = Adam(params, self.config, self.simplex_names, len(rows))
+        carries on with their learning rates, moments and step count."""
+        adam = Adam(params, self.config, self.simplex_names, self.lrs[rows])
         adam.t, adam.m, adam.v = self.t, self.m[rows], self.v[rows]
         return adam
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        lr, b1, b2 = self.config.lr, self.config.beta1, self.config.beta2
+        b1, b2 = self.config.beta1, self.config.beta2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
         g = np.concatenate([grads[name].reshape(self.replicas, -1) for name in self.params], axis=1)
@@ -85,7 +87,10 @@ class Adam:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        update = lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPSILON)
+        # in place, with each row's rate: the bits of lr * (m / c1) / (sqrt(v / c2) + eps)
+        update = m / correction1
+        update *= self.lrs
+        update /= np.sqrt(v / correction2) + ADAM_EPSILON
         for p, part in zip(self.params.values(), self._slices):
             p -= update[:, part].reshape(p.shape)
         failed = []

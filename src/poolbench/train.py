@@ -1,15 +1,18 @@
 """Training loop: seeded runs of the toy classifier with any pooling method.
 
-A run is fully determined by (method, dataset, OptimConfig, ToyNetConfig):
-the run seed drives weight initialization and the per-epoch shuffles, so the
-same configuration reproduces a bit-identical :class:`RunReport`.
+A run is an :class:`OptimConfig`, and it is fully determined by (method,
+dataset, OptimConfig, ToyNetConfig): its seed drives weight initialization
+and the per-epoch shuffles, so the same configuration reproduces a
+bit-identical :class:`RunReport`.  :func:`train_runs` trains a list of runs
+that differ only in seed and learning rate as the replicas of one stacked
+net, in lock-step; each report is the one its run gives alone.
 """
 
 from __future__ import annotations
 
 import ctypes
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,9 +31,8 @@ __all__ = [
     "forward_backward",
     "evaluate",
     "train",
-    "train_seeds",
-    "run_seeds",
-    "run_single",
+    "train_runs",
+    "shared_dataset",
 ]
 
 
@@ -110,53 +112,49 @@ def forward_backward(net: ToyNet, images, labels):
 def evaluate(net: ToyNet, images, labels, batch_size: int = 100):
     """Mean loss and accuracy over a held-out set, without touching gradients.
 
-    Forwards slices of ``batch_size`` images (:func:`train` passes its
+    Forwards slices of ``batch_size`` images (:func:`train_runs` passes its
     training batch) and sums the loss per 100 samples at any slice size.
-    Every replica of a stacked net scores the whole set, and gets its own
-    loss and accuracy.  Raises ``ValueError`` on an empty set.
+    Every replica of the stacked ``net`` scores the whole set, and gets its
+    own loss and accuracy.  Raises ``ValueError`` on an empty set.
     """
     if len(images) == 0:
         raise ValueError("cannot evaluate on zero images")
-    lead = () if net.replicas is None else (net.replicas,)
-    logits = np.empty(lead + (len(images), net.config.classes))
+    logits = np.empty((net.replicas, len(images), net.config.classes))
     for start in range(0, len(images), batch_size):
         batch = images[start : start + batch_size]
-        logits[..., start : start + batch_size, :] = net.forward(np.broadcast_to(batch, lead + batch.shape))
+        logits[:, start : start + batch_size] = net.forward(np.broadcast_to(batch, (net.replicas,) + batch.shape))
     total_loss = 0.0
     correct = 0.0
     for start in range(0, len(images), 100):
-        group = logits[..., start : start + 100, :]
+        group = logits[:, start : start + 100]
         loss, _, acc = softmax_cross_entropy(group, labels[start : start + 100])
-        total_loss += loss * group.shape[-2]
-        correct += acc * group.shape[-2]
+        total_loss += loss * group.shape[1]
+        correct += acc * group.shape[1]
     return total_loss / len(images), correct / len(images)
 
 
-def _snapshots(net: ToyNet, row: int = 0) -> list[BlockSnapshot]:
-    """Every pooling block's parameters (replica ``row``'s, for a stacked net) as
+def _snapshots(net: ToyNet, row: int) -> list[BlockSnapshot]:
+    """Every pooling block's parameters of replica ``row`` of a stacked net as
     flat float lists, with LNP's exponent ``p`` next to ``p_raw``."""
     snapshots = []
     for index, block in enumerate(net.pooling_blocks):
-        values = block.pool_params
-        if net.replicas is not None:
-            values = {name: arr[row] for name, arr in values.items()}
-        params = {name: [float(v) for v in np.reshape(arr, -1)] for name, arr in values.items()}
+        params = {name: [float(v) for v in np.reshape(arr[row], -1)] for name, arr in block.pool_params.items()}
         if "p_raw" in params:
-            params["p"] = [norm_exponent(values["p_raw"][0])]
+            params["p"] = [norm_exponent(params["p_raw"][0])]
         snapshots.append(BlockSnapshot(block=index, params=params))
     return snapshots
 
 
 class _Replicas:
-    """The live runs of a lock-step training, in stack order: one net and one
-    optimizer over all of them, and each run's seed generator, report,
+    """The live runs of a lock-step training, in stack order: one stacked net
+    and one optimizer over all of them, and each run's seed generator, report,
     epoch shuffle and batch-weighted epoch loss and accuracy sums."""
 
-    def __init__(self, method, net_config, optim, seeds):
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.reports = [RunReport(method=method, seed=seed) for seed in seeds]
-        self.net = build_net(method, net_config, self.rngs[0] if len(seeds) == 1 else self.rngs)
-        self.adam = Adam(self.net.params(), optim, self.net.simplex_params(), len(seeds))
+    def __init__(self, method, net_config, runs):
+        self.rngs = [np.random.default_rng(run.seed) for run in runs]
+        self.reports = [RunReport(method=method, seed=run.seed) for run in runs]
+        self.net = build_net(method, net_config, self.rngs)
+        self.adam = Adam(self.net.params(), runs[0], self.net.simplex_params(), [run.lr for run in runs])
 
     def new_epoch(self, samples):
         self.orders = [rng.permutation(samples) for rng in self.rngs]
@@ -193,20 +191,19 @@ def _keep_freed_memory() -> None:
 
 # overflow surfaces as a recorded divergence, not as numpy warnings; one scope per run
 @np.errstate(over="ignore", invalid="ignore")
-def train_seeds(
+def train_runs(
     method: str,
     dataset: SyntheticDataset,
-    optim: OptimConfig,
-    seeds,
+    runs,
     net_config: ToyNetConfig | None = None,
     step_hook=None,
 ) -> list[RunReport]:
-    """Train one run per seed, in lock-step, and report each, in seed order.
+    """Train the ``runs`` (OptimConfigs) in lock-step, and report each, in order.
 
-    The runs are the replicas of one stacked net (a single net for one
-    seed).  Each draws its weights and every epoch's shuffle from its own
-    seed, and every live run takes each optimizer step with the others, so
-    each report is the one its seed gives alone.  ``step_hook(step_index,
+    The runs are the replicas of one stacked net, and may differ only in
+    ``seed`` and ``lr`` (else ``ValueError``).  Each draws its weights and
+    every epoch's shuffle from its own seed and steps at its own rate, so
+    each report is the one its run gives alone.  ``step_hook(step_index,
     net)``, when given, runs after every optimizer step; the acceptance
     suite uses it to watch the ordinal weights.  A run that diverges
     (non-finite loss or activations) or aborts (a degenerate simplex
@@ -214,8 +211,11 @@ def train_seeds(
     snapshots, with the failure recorded in ``note``, and leaves the stack;
     the others go on.
     """
+    if not runs or any(replace(run, seed=runs[0].seed, lr=runs[0].lr) != runs[0] for run in runs):
+        raise ValueError(f"need one or more runs that differ only in seed and lr, got {runs}")
+    optim = runs[0]
     _keep_freed_memory()
-    live = _Replicas(method, net_config or ToyNetConfig(), optim, seeds)
+    live = _Replicas(method, net_config or ToyNetConfig(), runs)
     reports = list(live.reports)
     images, labels = dataset.train_images, dataset.train_labels
     samples, batch = len(images), optim.batch_size
@@ -267,31 +267,20 @@ def train(
     net_config: ToyNetConfig | None = None,
     step_hook=None,
 ) -> RunReport:
-    """Train the run of ``optim.seed`` to completion (or divergence) and report
-    it: :func:`train_seeds` for that one seed, on a single net."""
-    return train_seeds(method, dataset, optim, (optim.seed,), net_config, step_hook)[0]
+    """Train the run ``optim`` to completion (or divergence) and report it:
+    :func:`train_runs` of that one run."""
+    return train_runs(method, dataset, [optim], net_config, step_hook)[0]
+
+
+def shared_dataset(data_kwargs: dict) -> SyntheticDataset:
+    """``make_synthetic(**data_kwargs)``, built once per process and read-only:
+    every run of a sweep trains on the same dataset."""
+    return _dataset(tuple(sorted(data_kwargs.items())))
 
 
 @lru_cache(maxsize=4)
-def _shared_dataset(data_items) -> SyntheticDataset:
-    """make_synthetic(**dict(data_items)), built once per process and read-only."""
+def _dataset(data_items) -> SyntheticDataset:
     dataset = make_synthetic(**dict(data_items))
     for arr in (dataset.images, dataset.labels, dataset.train_idx, dataset.test_idx):
         arr.flags.writeable = False
     return dataset
-
-
-def run_seeds(method: str, seeds, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> list[RunReport]:
-    """The (method, seed) runs of ``seeds``, trained in lock-step on the dataset
-    that ``data_kwargs`` describe.
-
-    Every run of a sweep shares one dataset, so it is generated once per
-    process.  Top-level so a process pool can dispatch it.
-    """
-    dataset = _shared_dataset(tuple(sorted(data_kwargs.items())))
-    return train_seeds(method, dataset, optim, seeds, net_config)
-
-
-def run_single(method: str, seed: int, data_kwargs: dict, optim: OptimConfig, net_config: ToyNetConfig) -> RunReport:
-    """One (method, seed) run: :func:`run_seeds` for that seed."""
-    return run_seeds(method, (seed,), data_kwargs, optim, net_config)[0]

@@ -20,9 +20,26 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def per_seed(run):
-    """``run(method, seed, ...)`` as a sweep's per-method entry point: one call per seed."""
-    return lambda method, seeds, *args: [run(method, seed, *args) for seed in seeds]
+def fake_training(monkeypatch, run):
+    """Train every run with ``run(method, seed, data_kwargs, optim, net_config)``:
+    the dataset a run gets is the settings that describe it."""
+    monkeypatch.setattr(cli, "shared_dataset", lambda data_kwargs: data_kwargs)
+    monkeypatch.setattr(
+        cli, "train_runs", lambda method, data, runs, net: [run(method, r.seed, data, r, net) for r in runs]
+    )
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """The methods of every training task the test starts; each fails."""
+    calls = []
+
+    def record(method, *args):
+        calls.append(method)
+        raise AssertionError("a run started before the settings were validated")
+
+    monkeypatch.setattr(cli, "train_runs", record)
+    return calls
 
 
 @pytest.fixture()
@@ -121,14 +138,14 @@ class TestSweep:
                 assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
 
     def test_a_crash_leaves_the_other_seeds_as_alone(self, tmp_path, tiny_config, monkeypatch, capsys):
-        real = cli.run_seeds
+        real = cli.train_runs
 
-        def crash_seed_2(method, seeds, *args):
-            if 2 in seeds:
+        def crash_seed_2(method, dataset, runs, *args):
+            if 2 in [run.seed for run in runs]:
                 raise RuntimeError("injected")
-            return real(method, seeds, *args)
+            return real(method, dataset, runs, *args)
 
-        monkeypatch.setattr(cli, "run_seeds", crash_seed_2)
+        monkeypatch.setattr(cli, "train_runs", crash_seed_2)
         args = ["--config", str(tiny_config), "--methods", "OP", "--epochs", "2"]
         assert run_cli("sweep", *args, "--seeds", "1", "2", "3", "--out", str(tmp_path / "all")) == 3
         assert capsys.readouterr().err.splitlines() == ["DIVERGED: OP seed 2: crashed: RuntimeError: injected"]
@@ -169,18 +186,14 @@ class TestSweep:
             ([], "samples = 10\nclasses = 5\n"),
         ],
     )
-    def test_bad_value_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags, config):
-        def no_run(*args):
-            raise AssertionError("a run started before the settings were validated")
-
-        monkeypatch.setattr(cli, "run_single", no_run)
-        monkeypatch.setattr(cli, "run_seeds", no_run)
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, started, flags, config):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         code = run_cli("sweep", "--config", str(cfg), *flags, "--out", str(tmp_path / "r"))
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert started == []
 
     def test_summary_statistics_recompute_from_runs(self, tmp_path, tiny_config):
         out = tmp_path / "results"
@@ -223,7 +236,7 @@ class TestSweep:
             report.snapshots = [BlockSnapshot(0, {}), BlockSnapshot(1, {})]
             return report
 
-        monkeypatch.setattr(cli, "run_seeds", per_seed(fake_run))
+        fake_training(monkeypatch, fake_run)
         out = tmp_path / "results"
         code = run_cli("sweep", "--methods", "MP", "AP", "--seeds", "1", "--out", str(out))
         assert code == 3
@@ -252,15 +265,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_crashed_run_recorded_and_exit_code_3(self, tmp_path, tiny_config, capsys, monkeypatch, workers):
-        real = cli.run_seeds
+        real = cli.train_runs
 
         # AP's seeds crash together, then train one at a time: only seed 2 crashes again
-        def crash_ap_seed_2(method, seeds, *args):
-            if method == "AP" and 2 in seeds:
+        def crash_ap_seed_2(method, dataset, runs, *args):
+            if method == "AP" and 2 in [run.seed for run in runs]:
                 raise KeyError("boom")
-            return real(method, seeds, *args)
+            return real(method, dataset, runs, *args)
 
-        monkeypatch.setattr(cli, "run_seeds", crash_ap_seed_2)
+        monkeypatch.setattr(cli, "train_runs", crash_ap_seed_2)
         monkeypatch.setenv("POOLBENCH_THREADS", workers)
         out = tmp_path / "results"
         code = run_cli(
@@ -283,14 +296,14 @@ class TestSweep:
     def test_killed_worker_loses_only_its_runs(self, tmp_path, tiny_config, capsys, monkeypatch):
         # a worker killed by a signal breaks the pool: the runs it did not return become
         # failed rows, every report is written and the sweep exits 3
-        real = cli.run_seeds
+        real = cli.train_runs
 
-        def killed_on_ap(method, seeds, *args):
+        def killed_on_ap(method, *args):
             if method == "AP":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(method, seeds, *args)
+            return real(method, *args)
 
-        monkeypatch.setattr(cli, "run_seeds", killed_on_ap)
+        monkeypatch.setattr(cli, "train_runs", killed_on_ap)
         monkeypatch.setenv("POOLBENCH_THREADS", "2")
         out = tmp_path / "results"
         code = run_cli(
@@ -670,7 +683,7 @@ class TestLrSweep:
             report.epochs = [EpochMetrics(1, 0.5, 0.9, 0.6, 0.8)]  # same loss always
             return report
 
-        monkeypatch.setattr(cli, "run_single", fake_run)
+        fake_training(monkeypatch, fake_run)
         code = run_cli("lr-sweep", "--method", "MP", "--lrs", "1e-3", "1e-4", "--out", str(tmp_path))
         assert code == 0
         assert "best lr: 0.0001" in capsys.readouterr().out
@@ -696,7 +709,7 @@ class TestLrSweep:
             report.epochs = [EpochMetrics(1, 0.5, 0.9, 0.6, 0.8)]
             return report
 
-        monkeypatch.setattr(cli, "run_single", fake_run)
+        fake_training(monkeypatch, fake_run)
         cfg = tmp_path / "cfg"
         cfg.write_text("samples = 160\nnoise = 0.3\ndata_seed = 9\nlse_r = 2.5\nbatch_size = 20\n")
         code = run_cli(
@@ -714,6 +727,46 @@ class TestLrSweep:
         code = run_cli("lr-sweep", "--config", str(cfg), "--lrs", "1e-3", "--out", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    LOCKSTEP = ["--method", "GP", "--samples", "40", "--epochs", "2"]
+
+    def rows_alone(self, tmp_path, capsys, rates):
+        """Each rate's csv row and stdout line when it runs alone."""
+        rows = []
+        for lr in rates:
+            code = run_cli("lr-sweep", *self.LOCKSTEP, "--lrs", lr, "--out", str(tmp_path / lr))
+            assert code == (3 if lr == "1e300" else 0)  # alone, 1e300 leaves no winner
+            row = (tmp_path / lr / "lr_sweep.csv").read_bytes().splitlines()[1]
+            rows.append((row, capsys.readouterr().out.splitlines()[1]))
+        return rows
+
+    def test_each_rate_row_is_that_rate_alone(self, tmp_path, capsys):
+        # the rates train in lock-step, and 1e300 diverges beside live rates
+        rates = ["1e300", "1e-2", "1e-3"]
+        assert run_cli("lr-sweep", *self.LOCKSTEP, "--lrs", *rates, "--out", str(tmp_path / "all")) == 0
+        lines = capsys.readouterr().out.splitlines()[1:4]
+        rows = (tmp_path / "all" / "lr_sweep.csv").read_bytes().splitlines()[1:]
+        assert list(zip(rows, lines)) == self.rows_alone(tmp_path, capsys, rates)
+        assert [row.split(b",")[-1] for row in rows] == [b"1", b"0", b"0"]
+
+    def test_a_crash_is_recorded_against_its_rate(self, tmp_path, monkeypatch, capsys):
+        real = cli.train_runs
+
+        def crash_at_1e_3(method, dataset, runs, *args):
+            if 1e-3 in [run.lr for run in runs]:
+                raise RuntimeError("injected")
+            return real(method, dataset, runs, *args)
+
+        monkeypatch.setattr(cli, "train_runs", crash_at_1e_3)
+        rates = ["1e300", "1e-2", "1e-3"]
+        assert run_cli("lr-sweep", *self.LOCKSTEP, "--lrs", *rates, "--out", str(tmp_path / "all")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""  # no traceback
+        lines = captured.out.splitlines()[1:4]
+        rows = (tmp_path / "all" / "lr_sweep.csv").read_bytes().splitlines()[1:]
+        assert rows[2] == b"0.001,nan,1" and lines[2].endswith("nan (diverged)")
+        assert list(zip(rows, lines))[:2] == self.rows_alone(tmp_path, capsys, rates[:2])
+        assert "best lr: 0.01 " in captured.out
 
     def test_class_count_from_config_respected(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -760,16 +813,61 @@ class TestConfigFile:
         assert "argument --" not in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (["sweep", "--methods", "MP", "AP", "MP", "--seeds", "1", "2"], "method MP"),
+        (["sweep", "--methods", "MP", "--seeds", "1", "2", "1"], "run of seed 1 at lr 0.0001"),
+        (["lr-sweep", "--lrs", "1e-3", "1e-4", "0.001"], "run of seed 1 at lr 0.001"),
+    ],
+    ids=["method", "seed", "lr"],
+)
+def test_repeated_method_or_run_is_one_error_line(tmp_path, capsys, started, argv, repeated):
+    # a repeated seed once counted twice in summary.csv's mean and sd
+    out = tmp_path / "r"
+    assert run_cli(*argv, "--samples", "40", "--epochs", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: repeated {repeated}"]
+    assert started == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, path",
+    [(c, p) for c in ("sweep", "lr-sweep", "params-report") for p in ("out-is-a-file", "out-under-a-file")]
+    + [(c, "config-not-utf-8") for c in ("sweep", "lr-sweep", "gradcheck")],
+)
+def test_bad_path_is_one_error_line(tmp_path, capsys, started, command, path):
+    blocker = tmp_path / "file"
+    blocker.write_text("a file, not a directory\n")
+    out = {"out-is-a-file": blocker, "out-under-a-file": blocker / "results"}.get(path, tmp_path / "results")
+    cfg = tmp_path / "latin-1.cfg"
+    cfg.write_bytes("# r\xe9sultats\nsamples = 40\n".encode("latin-1"))
+    snapshot = tmp_path / "params_LNP_1.json"
+    rep.write_params_json(fake_report("LNP", 1), snapshot)
+    argv = {
+        "sweep": ["--methods", "MP", "--seeds", "1", "--samples", "40", "--epochs", "1", "--out", str(out)],
+        "lr-sweep": ["--lrs", "1e-3", "--samples", "40", "--out", str(out)],
+        "params-report": [str(snapshot), "--out", str(out)],
+        "gradcheck": ["--methods", "AP", "--trials", "2"],
+    }[command]
+    if path == "config-not-utf-8":
+        argv += ["--config", str(cfg)]
+    assert run_cli(command, *argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot ")
+    assert str(cfg if path == "config-not-utf-8" else out) in err[0]
+    assert captured.out == "" and started == []
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
 class TestNegativeExponentForm:
     """A negative number in exponent form is a value, as -0.0001 is: it gets
     the learning-rate range error, not an argparse option error."""
 
     @pytest.fixture()
-    def no_run(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a run started before the settings were validated")
-
-        monkeypatch.setattr(cli, "run_single", fail)
+    def no_run(self, started):
+        yield
+        assert started == []
 
     def range_error(self, capsys, *argv):
         assert run_cli("lr-sweep", *argv) == 1
@@ -851,8 +949,7 @@ class TestConfigKeys:
                          "seed": seed, "lse_r": lse_sharpness})
             return []
 
-        monkeypatch.setattr(cli, "run_single", fake_run)
-        monkeypatch.setattr(cli, "run_seeds", per_seed(fake_run))
+        fake_training(monkeypatch, fake_run)
         monkeypatch.setattr(cli, "run_gradcheck", fake_gradcheck)
         monkeypatch.chdir(tmp_path)
         return seen

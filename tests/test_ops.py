@@ -598,7 +598,7 @@ class TestPoolParamsArrays:
         config = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2, lse_sharpness=2.0)
         rng = np.random.default_rng(0)
         (lse, _), (lnp, _), (se, _) = (
-            _snapshots(ToyNet(config, method, rng)) for method in ("LSE", "LNP", "SESMP")
+            _snapshots(ToyNet(config, method, [rng]), 0) for method in ("LSE", "LNP", "SESMP")
         )
         assert lse.params == {"sharpness": [2.0]}
         assert lnp.params == {"p_raw": [float(np.log(np.expm1(2.0)))], "p": [norm_exponent(np.log(np.expm1(2.0)))]}

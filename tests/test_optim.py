@@ -92,6 +92,30 @@ def test_flat_update_bit_identical_to_per_parameter_formula():
             np.testing.assert_array_equal(p[name], want[name], err_msg=f"{name} at step {t}")
 
 
+def test_stacked_rates_match_single_optimizers_bit_for_bit():
+    # replica r steps at lrs[r]; the stack and r's own Adam give the same bits, and so
+    # does a selected row after more steps
+    rng = np.random.default_rng(3)
+    lrs = (0.05, 1e-4)
+    shapes = {"conv": (3, 2, 3), "w": (4,)}
+    stacked = {name: rng.normal(size=(2,) + shape) for name, shape in shapes.items()}
+    stacked["w"][...] = 0.25
+    single = [{name: arr[r].copy() for name, arr in stacked.items()} for r in range(2)]
+    config = OptimConfig(lr=1.0, beta1=0.8, beta2=0.99)
+    adam = Adam(stacked, config, simplex_names=("w",), lrs=lrs)
+    alone = [Adam(p, OptimConfig(lr=lr, beta1=0.8, beta2=0.99), simplex_names=("w",)) for p, lr in zip(single, lrs)]
+    for t in range(12):
+        if t == 6:
+            stacked = {name: arr[[1]].copy() for name, arr in stacked.items()}
+            adam, alone, single = adam.select(stacked, [1]), alone[1:], single[1:]
+        grads = {name: rng.normal(size=arr.shape) for name, arr in stacked.items()}
+        adam.step(grads)
+        for r, (opt, params) in enumerate(zip(alone, single)):
+            opt.step({name: g[r] for name, g in grads.items()})
+            for name in params:
+                np.testing.assert_array_equal(stacked[name][r], params[name], err_msg=f"{name}[{r}] at step {t}")
+
+
 def test_unknown_simplex_name_rejected():
     with pytest.raises(ParameterError):
         Adam({"w": np.ones(2)}, OptimConfig(), simplex_names=("nope",))

@@ -15,9 +15,9 @@ from poolbench.train import (
     build_net,
     evaluate,
     forward_backward,
-    run_single,
+    shared_dataset,
     train,
-    train_seeds,
+    train_runs,
 )
 
 MICRO = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2)
@@ -220,7 +220,7 @@ class TestTraining:
 
     def test_evaluate_sums_100_sample_groups_of_sliced_forwards(self, dataset):
         rng = np.random.default_rng(6)
-        net = build_net("GP", ToyNetConfig(), rng)
+        net = build_net("GP", ToyNetConfig(), [rng])
         images, labels = dataset.images[:230], dataset.labels[:230]
         forward_backward(net, images[:10], labels[:10])  # gradients the call must leave alone
         grads = {name: grad.copy() for name, grad in net.grads().items()}
@@ -229,7 +229,7 @@ class TestTraining:
         for name, grad in net.grads().items():
             np.testing.assert_array_equal(grad, grads[name])
         # by hand: one forward of the whole set, loss and accuracy per group of 100
-        logits = net.forward(images)
+        (logits,) = net.forward(images[None])
         groups = [softmax_cross_entropy(logits[s : s + 100], labels[s : s + 100]) for s in (0, 100, 200)]
         sizes = (100, 100, 30)
         want_loss = sum(size * group[0] for size, group in zip(sizes, groups)) / 230
@@ -238,41 +238,62 @@ class TestTraining:
         assert abs(acc - want_acc) <= 1e-12
 
     def test_evaluate_rejects_an_empty_set(self, dataset):
-        net = build_net("MP", ToyNetConfig(), np.random.default_rng(6))
+        net = build_net("MP", ToyNetConfig(), [np.random.default_rng(6)])
         with pytest.raises(ValueError, match="zero images"):
             evaluate(net, dataset.test_images[:0], dataset.test_labels[:0])
 
 
-def row_of(arr, net, row):
-    """Replica ``row``'s part of a parameter of a stacked net; all of a single net's."""
-    return arr if net.replicas is None else arr[row]
-
-
 #: (method, the step after which a hook poisons one run, the poison, its recorded note)
 POISONS = {
-    "loss": ("MP", 3, lambda net, row: row_of(net.head.weight, net, row).fill(np.inf), "diverged at step 4: "),
+    "loss": ("MP", 3, lambda net, row: net.head.weight[row].fill(np.inf), "diverged at step 4: "),
     "evaluation": (
-        "GP", 32, lambda net, row: row_of(net.conv2.weight, net, row).fill(np.inf),
+        "GP", 32, lambda net, row: net.conv2.weight[row].fill(np.inf),
         "diverged after step 32, in evaluation: pooling input contains non-finite values",
     ),
     "projection": (
-        "OP", 2, lambda net, row: row_of(net.pool2.pool_params["ordinal_w"], net, row).fill(-1.0),
+        "OP", 2, lambda net, row: net.pool2.pool_params["ordinal_w"][row].fill(-1.0),
         "aborted at step 3: cannot project",
     ),
 }
 
 
+def seed_runs(optim, seeds):
+    return [replace(optim, seed=seed) for seed in seeds]
+
+
 class TestLockStep:
-    """A method's seeds train as the replicas of one stacked net, and each
-    report is the one its seed gives alone, bit for bit."""
+    """A method's runs train as the replicas of one stacked net, and each
+    report is the one its run gives alone, bit for bit."""
 
     SEEDS = (1, 2, 3)
 
     @pytest.mark.parametrize("method", ["MP", "NN", "CONV", "OP", "LNP", "LSE", "SMP_fixed", "SESMP", "SEMP"])
     def test_every_replica_reports_its_solo_run(self, dataset, method):
-        optim = OptimConfig(epochs=2)
-        solo = [train(method, dataset, replace(optim, seed=seed)) for seed in self.SEEDS]
-        assert train_seeds(method, dataset, optim, self.SEEDS) == solo
+        runs = seed_runs(OptimConfig(epochs=2), self.SEEDS)
+        solo = [train(method, dataset, run) for run in runs]
+        assert train_runs(method, dataset, runs) == solo
+
+    @pytest.mark.parametrize("method", ["MP", "OP", "LNP", "SESMP"])
+    def test_every_learning_rate_reports_its_solo_run(self, dataset, method):
+        # one replica steps at a rate that makes it diverge, beside live ones
+        runs = [OptimConfig(epochs=2, lr=lr) for lr in (1e-2, 1e300, 1e-3, 1e-5)]
+        solo = [train(method, dataset, run) for run in runs]
+        assert train_runs(method, dataset, runs) == solo
+        assert [run.diverged for run in solo] == [False, True, False, False]
+
+    @pytest.mark.parametrize(
+        "other",
+        [dict(epochs=3), dict(batch_size=20), dict(beta1=0.8), dict(beta2=0.99)],
+        ids=["epochs", "batch_size", "beta1", "beta2"],
+    )
+    def test_runs_may_differ_only_in_seed_and_lr(self, dataset, other):
+        runs = [OptimConfig(epochs=1, seed=1), replace(OptimConfig(epochs=1, seed=2, lr=1e-3), **other)]
+        with pytest.raises(ValueError, match="differ only in seed and lr"):
+            train_runs("MP", dataset, runs)
+
+    def test_no_runs_rejected(self, dataset):
+        with pytest.raises(ValueError, match="one or more runs"):
+            train_runs("MP", dataset, [])
 
     @pytest.mark.parametrize("failure", sorted(POISONS))
     def test_a_failed_replica_leaves_the_others_as_alone(self, dataset, failure):
@@ -283,7 +304,7 @@ class TestLockStep:
             return lambda step, net: poison(net, row) if step == at else None
 
         with np.errstate(all="ignore"):
-            stacked = train_seeds(method, dataset, optim, self.SEEDS, step_hook=poisoned(1))
+            stacked = train_runs(method, dataset, seed_runs(optim, self.SEEDS), step_hook=poisoned(1))
             solo = [
                 train(method, dataset, replace(optim, seed=seed), step_hook=poisoned(0) if seed == 2 else None)
                 for seed in self.SEEDS
@@ -299,7 +320,7 @@ class TestLockStep:
                 net.head.weight[:2] = np.inf  # the first two of three replicas
 
         with np.errstate(all="ignore"):
-            reports = train_seeds("AP", dataset, OptimConfig(epochs=1), self.SEEDS, step_hook=poison)
+            reports = train_runs("AP", dataset, seed_runs(OptimConfig(epochs=1), self.SEEDS), step_hook=poison)
         assert [r.diverged for r in reports] == [True, True, False]
         assert all(r.note.startswith("diverged at step 4: non-finite loss") for r in reports[:2])
         assert reports[2] == train("AP", dataset, OptimConfig(epochs=1, seed=3))
@@ -318,7 +339,7 @@ class TestLockStep:
                 np.testing.assert_array_equal(grads[name][r], grad, err_msg=name)
 
 
-def test_run_single_builds_each_dataset_once(monkeypatch):
+def test_shared_dataset_builds_each_dataset_once(monkeypatch):
     calls = []
 
     def counting(**kwargs):
@@ -326,13 +347,15 @@ def test_run_single_builds_each_dataset_once(monkeypatch):
         return make_synthetic(**kwargs)
 
     monkeypatch.setattr(train_module, "make_synthetic", counting)
-    train_module._shared_dataset.cache_clear()
+    train_module._dataset.cache_clear()
     optim = OptimConfig(epochs=1, batch_size=20)
     data = {"classes": 4, "samples": 40, "seed": 3, "noise": 0.1}
-    first = run_single("AP", 1, data, optim, ToyNetConfig())
-    run_single("MP", 2, dict(reversed(list(data.items()))), optim, ToyNetConfig())
-    again = run_single("AP", 1, data, optim, ToyNetConfig())
-    run_single("AP", 1, {**data, "seed": 4}, optim, ToyNetConfig())
-    train_module._shared_dataset.cache_clear()
+    dataset = shared_dataset(data)
+    first = train("AP", dataset, optim)
+    train("MP", shared_dataset(dict(reversed(list(data.items())))), replace(optim, seed=2))
+    again = train("AP", shared_dataset(data), optim)
+    train("AP", shared_dataset({**data, "seed": 4}), optim)
+    train_module._dataset.cache_clear()
     assert [c["seed"] for c in calls] == [3, 4]
     assert again.epochs == first.epochs
+    assert not dataset.images.flags.writeable
