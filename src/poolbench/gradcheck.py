@@ -211,7 +211,7 @@ def _stacked_se(spec, xs, params, probes, vs, along):
     block.forward(xs)
     dxs = block.backward(probes)
     arrays = block.params()
-    g = [np.concatenate([block.grads()[name][r].reshape(-1) for name in arrays]) for r in range(len(xs))]
+    g = np.concatenate([block.grads()[name].reshape(len(xs), -1) for name in arrays], axis=1)
     gv = np.array([g_r @ v for g_r, v in zip(g, vs)])
     values = np.empty((len(along), len(xs)))
     for row, t in enumerate(along[:, 0]):

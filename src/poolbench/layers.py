@@ -16,18 +16,20 @@ single layer's GEMMs.  Every replica's result equals, bit for bit, what a
 single layer with that replica's parameters gives.
 
 Convolution and pooling read their windows through the window-offset views
-of their input (:func:`window_views`), never through copied windows, and add
-input gradients into the same views (:func:`_scatter`).  A pooling block runs
-its method's kernel pair from :data:`poolbench.ops.POOLING` on the stack of
-those views; the window-level operators of :mod:`poolbench.ops` and the
+of their input (:func:`window_views`), never through copied windows, and
+write input gradients back through them (:func:`_scatter`).  A pooling block
+runs its method's kernel pair from :data:`poolbench.ops.POOLING` on the stack
+of those views; the window-level operators of :mod:`poolbench.ops` and the
 gradients of :mod:`poolbench.grads` run the same kernels.
 
-Layers expose ``params()`` and ``grads()`` dicts of like-named arrays;
-gradients accumulate per backward call into ``grads()`` entries that the
-optimizer reads and the trainer zeroes between steps.  A pooling block keeps
-all its parameters, trained or fixed, in one dict (``pool_params``) keyed by
-the same flat names (``conv_w``, ``tau``, ``se_f1_weight``, ...); its
-``params()`` is the trainable part, in the method's ``trainable`` order.
+Layers with parameters expose ``params()`` and ``grads()`` dicts of
+like-named arrays; gradients accumulate per backward call into ``grads()``.
+A pooling block keeps all its parameters, trained or fixed, in one dict
+(``pool_params``) keyed by the same flat names (``conv_w``, ``tau``,
+``se_f1_weight``, ...); its ``params()`` is the trainable part, in the
+method's ``trainable`` order.  A :class:`ToyNet` keeps its trainable arrays
+in one (S, P) buffer (``flat_params``, a row per replica, ``params()`` order)
+and their gradients in ``flat_grads``; its layers are bound to views of them.
 """
 
 from __future__ import annotations
@@ -85,10 +87,25 @@ def _window_index(h: int, w: int, spec: WindowSpec, axis: int) -> tuple[tuple[sl
 
 
 def _scatter(shape, spec: WindowSpec, parts, axis: int = 0) -> np.ndarray:
-    """Adjoint of :func:`window_views`: add parts[k] into view k of a zeroed array."""
-    dx = np.zeros(shape)
-    for view, part in zip(window_views(dx, spec, axis), parts):
-        view += part
+    """Adjoint of :func:`window_views`: the array whose view k holds parts[k],
+    summed where views overlap, and 0 where none reaches.  Disjoint windows
+    (stride = size) with a part per entry take one strided copy into their
+    (..., H', k1, W', k2, ...) tiles, and only the rest is zeroed; other
+    windows, or fewer parts (nearest-neighbor pooling's one), add into zeros."""
+    k1, k2 = spec.k1, spec.k2
+    if (spec.s1, spec.s2) != (k1, k2) or len(parts) != spec.n:
+        dx = np.zeros(shape)
+        for view, part in zip(window_views(dx, spec, axis), parts):
+            view += part
+        return dx
+    dx = np.empty(shape)
+    lead = (slice(None),) * axis
+    rows, cols = shape[axis] // k1 * k1, shape[axis + 1] // k2 * k2
+    dx[lead + (slice(rows, None),)] = dx[lead + (slice(rows), slice(cols, None))] = 0.0
+    tiles = dx[lead + (slice(rows), slice(cols))]
+    tiles = tiles.reshape(shape[:axis] + (rows // k1, k1, cols // k2, k2) + shape[axis + 2 :])
+    by_entry = (axis + 1, axis + 3, *range(axis), axis, axis + 2, *range(axis + 4, tiles.ndim))  # not np.moveaxis: 7 us
+    tiles.transpose(by_entry)[...] = np.reshape(parts, (k1, k2) + np.shape(parts)[1:])
     return dx
 
 
@@ -114,7 +131,22 @@ def _draw(rng, draw):
     return draw(rng or np.random.default_rng())
 
 
-class Conv2D:
+class _Affine:
+    """A layer with a ``weight`` and a ``bias``; their gradients accumulate in ``grads_``."""
+
+    def params(self):
+        return {"weight": self.weight, "bias": self.bias}
+
+    def grads(self):
+        return self.grads_
+
+    def bind(self, params, grads):
+        """Rebind the arrays and their gradients to like-named views (of a net's buffers)."""
+        self.weight, self.bias = params["weight"], params["bias"]
+        self.grads_ = grads
+
+
+class Conv2D(_Affine):
     """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
     views, then one GEMM per replica.  With ``input_grad=False``, backward
     returns None.  ``rng``, a sequence of generators, makes a stacked layer
@@ -164,12 +196,6 @@ class Conv2D:
         parts = (dy2 @ w).reshape((n,) + self._out_shape[:-1] + (c,))
         return _channels_first(_scatter(self._in_shape, self.window, parts, len(lead)))
 
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return self.grads_
-
 
 # by replica axes: the im2col buffer (..., C, n, H', W', B) as (n, ..., H', W', B, C),
 # and the weight (..., O, C, k, k) as (k, k, ..., O, C)
@@ -179,17 +205,12 @@ _KERNEL_FIRST = {0: (2, 3, 0, 1), 1: (3, 4, 0, 1, 2)}
 
 class ReLU:
     def forward(self, x):
-        self._mask = (x > 0.0).astype(x.dtype)  # a float product runs at twice a bool one's speed
-        return x * self._mask
+        self._y = np.maximum(x, 0.0)  # NaN stays NaN; no mask: the backward reads it off y
+        return self._y
 
     def backward(self, dy):
-        return dy * self._mask
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
+        mask = (self._y > 0.0).astype(dy.dtype)  # a float product is faster than a bool one
+        return np.multiply(mask, dy, out=mask)
 
 
 class Flatten:
@@ -200,14 +221,8 @@ class Flatten:
     def backward(self, dy):
         return dy.reshape(self._shape)
 
-    def params(self):
-        return {}
 
-    def grads(self):
-        return {}
-
-
-class Linear:
+class Linear(_Affine):
     """Affine head; weights drawn from N(0, 0.01), zero bias.  A stacked head
     (``rng`` a sequence of generators) maps (S, B, F) to (S, B, O)."""
 
@@ -224,12 +239,6 @@ class Linear:
         self.grads_["weight"] += dy.swapaxes(-1, -2) @ self._x
         self.grads_["bias"] += dy.sum(axis=-2)
         return dy @ self.weight
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return self.grads_
 
 
 class PoolingBlock:
@@ -252,21 +261,7 @@ class PoolingBlock:
         self.replicas = replicas
         self.pool_params = pool_params
         self.pooling = POOLING[spec.method]
-        self.grads_ = {name: np.zeros(arr.shape) for name, arr in self.params().items()}
-        # Views (they follow the optimizer's in-place updates) shaped for the stack
-        # (n, H', W', B, C), or (n, S, H', W', B, C): an entry weight gets the window
-        # axis first, and a single block's one-entry parameter is a scalar, as a (1,)
-        # array would cut every elementwise loop into C-long pieces.
-        self._fields = {}
-        for name in self.pooling.fields:
-            value = pool_params[name]
-            if name in ENTRY_WEIGHTS:
-                value = value.T.reshape(value.shape[::-1] + (1, 1, 1, 1))
-            elif replicas is not None:
-                value = value.reshape(replicas, 1, 1, 1, -1)
-            elif np.size(value) == 1:
-                value = np.reshape(value, ())
-            self._fields[name] = value
+        self.bind(self.params(), {name: np.zeros(arr.shape) for name, arr in self.params().items()})
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -275,6 +270,25 @@ class PoolingBlock:
 
     def grads(self) -> dict[str, np.ndarray]:
         return self.grads_
+
+    def bind(self, params, grads):
+        """Rebind the trainable arrays and their gradients to like-named views (of a net's buffers)."""
+        self.pool_params.update(params)
+        self.grads_ = grads
+        # Views (they follow the optimizer's in-place updates) shaped for the stack
+        # (n, H', W', B, C), or (n, S, H', W', B, C): an entry weight gets the window
+        # axis first, and a single block's one-entry parameter is a scalar, as a (1,)
+        # array would cut every elementwise loop into C-long pieces.
+        self._fields = {}
+        for name in self.pooling.fields:
+            value = self.pool_params[name]
+            if name in ENTRY_WEIGHTS:
+                value = value.T.reshape(value.shape[::-1] + (1, 1, 1, 1))
+            elif self.replicas is not None:
+                value = value.reshape(self.replicas, 1, 1, 1, -1)
+            elif np.size(value) == 1:
+                value = np.reshape(value, ())
+            self._fields[name] = value
 
     # -- forward and backward -----------------------------------------------
 
@@ -422,14 +436,25 @@ class ToyNet:
         self.flatten = Flatten()
         self.head = Linear(config.feature_size(), config.classes, rng)
         names = ("conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "flatten", "head")
-        self._stack = [(name, getattr(self, name)) for name in names]
+        self._stack = [getattr(self, name) for name in names]
+        # each trainable array moves into a view of one (S, P) buffer, its gradient into another
+        rows = self.replicas or 1
+        trained = {slot: getattr(self, slot) for slot in ("conv1", "pool1", "conv2", "pool2", "head")}
+        arrays = {f"{slot}.{key}": arr for slot, layer in trained.items() for key, arr in layer.params().items()}
+        bounds = np.cumsum([0] + [arr.size // rows for arr in arrays.values()])
+        self.flat_params, self.flat_grads = np.empty((rows, bounds[-1])), np.zeros((rows, bounds[-1]))
+        self._params, self._grads = {}, {}
+        for (name, arr), lo, hi in zip(arrays.items(), bounds, bounds[1:]):
+            self._params[name] = self.flat_params[:, lo:hi].reshape(arr.shape)
+            self._params[name][...] = arr
+            self._grads[name] = self.flat_grads[:, lo:hi].reshape(arr.shape)
+        for slot, layer in trained.items():
+            layer.bind(*({key: views[f"{slot}.{key}"] for key in layer.params()} for views in (self._params, self._grads)))
 
     def select(self, rows) -> "ToyNet":
         """A stacked net of this stacked net's replicas ``rows``, with copies of their parameters."""
         net = ToyNet(self.config, self.method, [np.random.default_rng(0) for _ in rows])
-        params = self.params()
-        for name, arr in net.params().items():
-            arr[...] = params[name][rows]
+        net.flat_params[...] = self.flat_params[rows]
         return net
 
     @property
@@ -439,29 +464,29 @@ class ToyNet:
     def forward(self, x):
         if self.replicas is not None:
             x = x.reshape((self.replicas, -1) + x.shape[-3:])
-        for _, layer in self._stack:
+        for layer in self._stack:
             x = layer.forward(x)
         return x
 
     def backward(self, d_logits) -> None:
-        for _, layer in reversed(self._stack):
+        for layer in reversed(self._stack):
             d_logits = layer.backward(d_logits)
 
     def params(self) -> dict[str, np.ndarray]:
-        return {f"{n}.{k}": v for n, layer in self._stack for k, v in layer.params().items()}
+        """Every trainable array as a view of :attr:`flat_params`, by ``slot.name``."""
+        return self._params
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {f"{n}.{k}": v for n, layer in self._stack for k, v in layer.grads().items()}
+        """Every gradient as a view of :attr:`flat_grads`, by the names of :meth:`params`."""
+        return self._grads
 
     def zero_grads(self):
-        for _, layer in self._stack:
-            for arr in layer.grads().values():
-                arr[...] = 0.0
+        self.flat_grads.fill(0.0)
 
-    def simplex_params(self) -> tuple[str, ...]:
-        """Names of parameters the optimizer must re-project onto the simplex."""
-        simplex = POOLING[self.method].simplex
-        return tuple(f"{slot}.{name}" for slot in ("pool1", "pool2") for name in simplex)
+    def simplex_params(self) -> dict[str, np.ndarray]:
+        """The parameters the optimizer must re-project onto the simplex, by name."""
+        names = (f"{slot}.{key}" for slot in ("pool1", "pool2") for key in POOLING[self.method].simplex)
+        return {name: self._params[name] for name in names}
 
 
 def softmax_cross_entropy(logits, labels):

@@ -15,7 +15,7 @@ through a few parameters.
 
 Kernels.  ``forward(stack, fields)`` returns ``(y, cache)`` and
 ``backward(cache, dy)`` returns ``(d_stack, {name: gradient})``, where
-``d_stack`` may also be a list of its n entries.  ``stack`` holds the windows
+``d_stack`` may be a read-only broadcast view.  ``stack`` holds the windows
 along its first axis, with any trailing shape: (n, H', W', B, C) in a pooling
 block, (n, m) for m windows in the adapters; the forward may overwrite it.  A
 forward builds no state that only its backward reads, except LNP's weighted
@@ -375,7 +375,7 @@ POOLING = {
     "MP": Pooling(_max_forward, _max_backward),
     "AP": Pooling(
         lambda stack, fields: (stack.mean(axis=0), len(stack)),
-        lambda n, dy: ([dy / n] * n, {}),  # one array for all n entries
+        lambda n, dy: (np.broadcast_to(dy / n, (n,) + dy.shape), {}),  # one array for all n entries
     ),
     "NN": Pooling(
         lambda stack, fields: (stack[0], len(stack)),

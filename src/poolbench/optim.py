@@ -37,65 +37,59 @@ class OptimConfig:
 
 
 class Adam:
-    """Standard Adam update, in place on a named parameter dict.
+    """Standard Adam update, in place on a net's parameter buffer.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    m and v hold one row per replica, each row one slice per parameter; every
-    operation is elementwise, so the result equals the per-parameter update
-    of each replica alone bit for bit.  ``lrs`` holds each replica's rate
-    (default: one replica at ``config.lr``); each parameter but a lone
-    replica's has a leading axis of the S replicas, which all step together,
-    so ``t`` counts the steps of each.  Parameters named in ``simplex_names`` are
-    re-projected onto the probability simplex immediately after every update,
-    one replica's row at a time; a row with no positive entry stays as it
-    is, as do its replica's later simplex parameters, and the step ends in a
+    ``params`` is a net's (S, P) parameter buffer, a row per replica
+    (:attr:`~poolbench.layers.ToyNet.flat_params`), and :meth:`step` takes its
+    gradient buffer.  m and v are two more such buffers; every operation is
+    elementwise on whole buffers, so each replica's result is, bit for bit,
+    the per-parameter update of that replica alone.  ``lrs`` holds each row's
+    rate (default: ``config.lr``); all rows step together, so ``t`` counts the
+    steps of each.  Each array of ``simplex``, a view of ``params`` with a row
+    of weights per replica, is re-projected onto the probability simplex after
+    every update, a row at a time; a row with no positive entry stays as it
+    is, as do its replica's later simplex arrays, and the step ends in a
     :class:`DegenerateWeightsError` naming every such replica.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], config: OptimConfig, simplex_names=(), lrs=None):
+    def __init__(self, params: np.ndarray, config: OptimConfig, simplex=(), lrs=None):
+        if not all(np.may_share_memory(arr, params) for arr in simplex):
+            raise ParameterError("simplex constraint on an array outside the parameter buffer")
         self.params = params
         self.config = config
-        self.simplex_names = tuple(simplex_names)
-        unknown = set(self.simplex_names) - set(params)
-        if unknown:
-            raise ParameterError(f"simplex constraint on unknown parameters: {sorted(unknown)}")
-        self.lrs = np.reshape(np.asarray((config.lr,) if lrs is None else lrs, dtype=float), (-1, 1))
-        self.replicas = replicas = len(self.lrs)
+        self.simplex = tuple(simplex)
+        self.lrs = np.reshape(np.asarray((config.lr,) * len(params) if lrs is None else lrs, dtype=float), (-1, 1))
         self.t = 0
-        offsets = np.cumsum([0] + [p.size // replicas for p in params.values()])
-        self._slices = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        self.m = np.zeros((replicas, offsets[-1]))
-        self.v = np.zeros((replicas, offsets[-1]))
+        self.m, self.v = np.zeros(params.shape), np.zeros(params.shape)
 
-    def select(self, params: dict[str, np.ndarray], rows) -> "Adam":
+    def select(self, params: np.ndarray, simplex, rows) -> "Adam":
         """An optimizer of ``params``, the replicas ``rows`` of this one's, that
         carries on with their learning rates, moments and step count."""
-        adam = Adam(params, self.config, self.simplex_names, self.lrs[rows])
+        adam = Adam(params, self.config, simplex, self.lrs[rows])
         adam.t, adam.m, adam.v = self.t, self.m[rows], self.v[rows]
         return adam
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.config.beta1, self.config.beta2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
-        g = np.concatenate([grads[name].reshape(self.replicas, -1) for name in self.params], axis=1)
         m, v = self.m, self.v
         m *= b1
-        m += (1.0 - b1) * g
+        m += (1.0 - b1) * grads
         v *= b2
-        v += (1.0 - b2) * (g * g)
+        v += (1.0 - b2) * (grads * grads)
         # in place, with each row's rate: the bits of lr * (m / c1) / (sqrt(v / c2) + eps)
         update = m / correction1
         update *= self.lrs
         update /= np.sqrt(v / correction2) + ADAM_EPSILON
-        for p, part in zip(self.params.values(), self._slices):
-            p -= update[:, part].reshape(p.shape)
+        self.params -= update
         failed = []
-        for name in self.simplex_names:
-            for r, row in enumerate(self.params[name].reshape(self.replicas, -1)):
+        for arr in self.simplex:
+            for r, row in enumerate(arr.reshape(len(self.lrs), -1)):
                 if r not in failed:
                     try:
                         row[...] = project_to_simplex(row)

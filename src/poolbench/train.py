@@ -154,7 +154,7 @@ class _Replicas:
         self.rngs = [np.random.default_rng(run.seed) for run in runs]
         self.reports = [RunReport(method=method, seed=run.seed) for run in runs]
         self.net = build_net(method, net_config, self.rngs)
-        self.adam = Adam(self.net.params(), runs[0], self.net.simplex_params(), [run.lr for run in runs])
+        self.adam = Adam(self.net.flat_params, runs[0], self.net.simplex_params().values(), [run.lr for run in runs])
 
     def new_epoch(self, samples):
         self.orders = [rng.permutation(samples) for rng in self.rngs]
@@ -172,7 +172,7 @@ class _Replicas:
         self.sums = self.sums[:, keep]
         if keep:
             self.net = self.net.select(keep)
-            self.adam = self.adam.select(self.net.params(), keep)
+            self.adam = self.adam.select(self.net.flat_params, self.net.simplex_params().values(), keep)
 
 
 @lru_cache(maxsize=None)
@@ -226,13 +226,13 @@ def train_runs(
         while start < samples and live.reports:
             rows = np.concatenate([order[start : start + batch] for order in live.orders])
             try:
-                loss, acc, grads = forward_backward(live.net, images[rows], labels[rows])
+                loss, acc, _ = forward_backward(live.net, images[rows], labels[rows])
             except DivergedRunError as err:  # the others retake the step
                 live.drop(err.replicas, f"diverged at step {step + 1}: {err}")
                 continue
             failed = None
             try:
-                live.adam.step(grads)
+                live.adam.step(live.net.flat_grads)
             except DegenerateWeightsError as err:
                 failed, note = err.replicas, f"aborted at step {step + 1}: {err}"
             step += 1

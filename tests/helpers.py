@@ -1,5 +1,6 @@
 """Test-only helpers: report readers, initial weights, a data baseline, the
-finite-difference oracle of a function and perfbench's tracer.
+finite-difference oracle of a function, and perfbench's tracer and reference
+network.
 
 The program writes its reports and never reads back a run or summary CSV;
 the tests read them through these functions.
@@ -76,9 +77,18 @@ def fd_check_fn(fn, point, analytic, config, batched=False) -> float:
     return fd_check(values_at(fn, point, config.step, batched), analytic, config)
 
 
-def load_tracing():
-    """perfbench's tracer module, loaded from its file; it lists the names it patches."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    """perfbench's tracer module, loaded from its file; it lists the names it patches."""
+    return _perfbench_module("tracing")
+
+
+def load_reference():
+    """perfbench's plain-numpy reference network, which shares no code with poolbench."""
+    return _perfbench_module("reference")

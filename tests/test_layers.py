@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import window_reference as ref
 from poolbench import PoolSpec, WindowSpec, sigmoid
+from helpers import load_reference
 from poolbench.layers import (
     Conv2D,
     Linear,
@@ -14,10 +15,12 @@ from poolbench.layers import (
     ReLU,
     ToyNet,
     ToyNetConfig,
+    _scatter,
     softmax_cross_entropy,
     window_views,
 )
-from poolbench.ops import POOLING, norm_exponent
+from poolbench.ops import METHODS, POOLING, norm_exponent
+from poolbench.optim import Adam, OptimConfig
 from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures
 
 POOL22 = WindowSpec(2, 2, 2, 2)
@@ -179,6 +182,51 @@ class TestWindowViews:
                     np.testing.assert_array_equal(
                         [v[i, j, 0, c] for v in views], extract_window(x[:, :, 0, c], spec, i + 1, j + 1)
                     )
+
+
+class TestScatter:
+    """The one-copy scatter of disjoint windows against the zero-and-add adjoint
+    of :func:`window_views`."""
+
+    @staticmethod
+    def added(shape, spec, parts, axis):
+        dx = np.zeros(shape)
+        for view, part in zip(window_views(dx, spec, axis), parts):
+            view += part
+        return dx
+
+    @pytest.mark.parametrize("size", [14, 5])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_disjoint_windows_match_the_added_adjoint(self, size, axis):
+        rng = np.random.default_rng(size + axis)
+        shape = (2,) * axis + (size, size, 3, 2)
+        h = size // 2
+        parts = rng.normal(size=(4,) + (2,) * axis + (h, h, 3, 2))
+        parts.reshape(-1)[::7] = -0.0
+        parts.reshape(-1)[3::11] = np.nan
+        got = _scatter(shape, POOL22, parts, axis)
+        np.testing.assert_array_equal(got, self.added(shape, POOL22, parts, axis))
+        assert np.isnan(got).sum() == np.isnan(parts).sum()
+        # a (lead, S) view: the broadcast part of every entry of an average-pooling window
+        shared = np.broadcast_to(parts[0], parts.shape)
+        np.testing.assert_array_equal(_scatter(shape, POOL22, shared, axis), self.added(shape, POOL22, shared, axis))
+        # nearest-neighbor pooling's one part: the other entries get 0
+        np.testing.assert_array_equal(_scatter(shape, POOL22, parts[:1], axis), self.added(shape, POOL22, parts[:1], axis))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rows_and_columns_outside_every_window_stay_zero(self, axis):
+        shape = (2,) * axis + (5, 5, 3, 2)
+        parts = np.full((4,) + (2,) * axis + (2, 2, 3, 2), np.nan)
+        got = np.moveaxis(_scatter(shape, POOL22, parts, axis), (axis, axis + 1), (0, 1))
+        assert np.isnan(got[:4, :4]).all()
+        for edge in (got[4], got[:, 4]):
+            assert (edge == 0.0).all() and not np.signbit(edge).any()
+
+    def test_overlapping_windows_add(self):
+        rng = np.random.default_rng(3)
+        spec = WindowSpec(3, 3, 1, 1)
+        parts = rng.normal(size=(9, 4, 3, 2, 1))
+        np.testing.assert_array_equal(_scatter((6, 5, 2, 1), spec, parts), self.added((6, 5, 2, 1), spec, parts, 0))
 
 
 class TestPoolingBlockForward:
@@ -515,6 +563,24 @@ class TestConvAndHead:
             r.backward(np.ones_like(x)), [[0.0, 1.0], [0.0, 0.0]]
         )
 
+    def test_relu_is_the_masked_product(self):
+        # the value of x * (x > 0), and NaN stays NaN, so a diverged run still shows
+        # (-inf gives 0, where the product gave 0 * -inf = NaN); the backward is bit
+        # for bit dy * mask, the mask 1.0 where x > 0 and 0.0 elsewhere
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(2, 3, 4, 5))
+        x.reshape(-1)[:8] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308]
+        dy = rng.normal(size=x.shape)
+        dy.reshape(-1)[8:12] = [np.nan, np.inf, -0.0, -np.inf]
+        r = ReLU()
+        with np.errstate(invalid="ignore"):
+            want = np.where(x == -np.inf, 0.0, x * (x > 0))
+            mask = (x > 0).astype(float)
+            np.testing.assert_array_equal(r.forward(x), want)
+            assert np.isnan(r.forward(x).reshape(-1)[2])
+            got = r.backward(dy)
+        np.testing.assert_array_equal(got.view(np.int64), (dy * mask).view(np.int64))
+
 
 class TestLoss:
     def test_uniform_logits_give_log_k(self):
@@ -545,6 +611,68 @@ class TestLoss:
         assert acc == pytest.approx(2.0 / 3.0)
 
 
+def _nets(method):
+    """A single net, a stacked one of three replicas and that stack's rows 2 and 0."""
+    config = ToyNetConfig()
+    single = ToyNet(config, method, np.random.default_rng(40))
+    stacked = ToyNet(config, method, [np.random.default_rng(s) for s in (41, 42, 43)])
+    return {"single": single, "stacked": stacked, "selected": stacked.select([2, 0])}
+
+
+class TestFlatBuffers:
+    """Every trainable array and gradient of a net is a view of its two buffers."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_array_is_a_view_of_the_buffers(self, method):
+        for kind, net in _nets(method).items():
+            rows = net.replicas or 1
+            width = sum(a.size for a in net.params().values()) // rows
+            assert net.flat_params.shape == net.flat_grads.shape == (rows, width)
+            for name, arr in net.params().items():
+                assert np.shares_memory(arr, net.flat_params), f"{kind} {name}"
+                assert np.shares_memory(net.grads()[name], net.flat_grads), f"{kind} {name} gradient"
+            assert list(net.grads()) == list(net.params())
+            for slot in ("conv1", "pool1", "conv2", "pool2", "head"):
+                layer = getattr(net, slot)
+                for key, arr in layer.params().items():
+                    assert arr is net.params()[f"{slot}.{key}"], f"{kind} {slot}.{key}"
+                    assert layer.grads()[key] is net.grads()[f"{slot}.{key}"], f"{kind} {slot}.{key} gradient"
+            for block in net.pooling_blocks:
+                for name in set(block.pooling.fields) & set(block.pooling.trainable):
+                    assert np.shares_memory(block._fields[name], net.flat_params), f"{kind} field {name}"
+            # each row lists its replica's arrays in params() order
+            layout = np.concatenate([arr.reshape(rows, -1) for arr in net.params().values()], axis=1)
+            np.testing.assert_array_equal(layout, net.flat_params)
+
+    def test_selected_rows_carry_their_parameters(self):
+        nets = _nets("OP")
+        np.testing.assert_array_equal(nets["selected"].flat_params, nets["stacked"].flat_params[[2, 0]])
+        assert not np.shares_memory(nets["selected"].flat_params, nets["stacked"].flat_params)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_forward_after_a_step_reads_the_updated_weights(self, method):
+        # the reference network shares no code with poolbench: it reads the
+        # parameters from params(), and must agree after the optimizer moved them
+        reference = load_reference()
+        data = np.random.default_rng(44)
+        for kind, net in _nets(method).items():
+            rows = net.replicas or 1
+            images = data.normal(size=(rows * 3, 1, 16, 16))
+            net.zero_grads()
+            net.forward(images)
+            net.backward(data.normal(size=(rows, 3, 4)).reshape(net.forward(images).shape))
+            simplex = net.simplex_params().values()
+            before = {name: arr.copy() for name, arr in net.params().items()}
+            Adam(net.flat_params, OptimConfig(lr=1e-2), simplex).step(net.flat_grads)
+            for name, arr in net.params().items():
+                assert (arr != before[name]).any(), f"{kind} {name} did not move"
+            logits = net.forward(images).reshape(rows, 3, -1)
+            for r in range(rows):
+                params = {name: (arr if net.replicas is None else arr[r]) for name, arr in net.params().items()}
+                want = reference.forward(method, params, images[3 * r : 3 * r + 3])
+                np.testing.assert_allclose(logits[r], want, rtol=1e-9, atol=1e-12, err_msg=f"{kind} row {r}")
+
+
 class TestToyNet:
     def test_forward_shapes(self):
         rng = np.random.default_rng(11)
@@ -565,8 +693,8 @@ class TestToyNet:
 
     def test_simplex_params_only_for_ordinal(self):
         rng = np.random.default_rng(14)
-        assert ToyNet(ToyNetConfig(), "OP", rng).simplex_params() == (
+        assert tuple(ToyNet(ToyNetConfig(), "OP", rng).simplex_params()) == (
             "pool1.ordinal_w",
             "pool2.ordinal_w",
         )
-        assert ToyNet(ToyNetConfig(), "MP", rng).simplex_params() == ()
+        assert ToyNet(ToyNetConfig(), "MP", rng).simplex_params() == {}

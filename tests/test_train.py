@@ -149,11 +149,11 @@ class TestTraining:
         net = build_net("MP", ToyNetConfig(), rng)
         from poolbench.optim import Adam
 
-        adam = Adam(net.params(), OptimConfig(lr=1e-2, batch_size=1))
+        adam = Adam(net.flat_params, OptimConfig(lr=1e-2, batch_size=1))
         loss = np.inf
         for _ in range(200):
-            loss, _, grads = forward_backward(net, one, label)
-            adam.step(grads)
+            loss, _, _ = forward_backward(net, one, label)
+            adam.step(net.flat_grads)
         assert loss < 1e-3
 
     def test_deterministic_reports(self, dataset):
