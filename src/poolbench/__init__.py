@@ -33,7 +33,6 @@ from .grads import (
     GradBundle,
     OracleError,
     avg_pool_grad,
-    central_difference,
     conv_pool_grad,
     fd_check,
     gated_pool_grad,
@@ -42,7 +41,6 @@ from .grads import (
     max_pool_grad,
     nearest_pool_grad,
     ordinal_pool_grad,
-    relative_error,
     smooth_max_pool_grad,
 )
 

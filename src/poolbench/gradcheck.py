@@ -9,18 +9,20 @@ compares the input gradient and every parameter gradient coordinate by
 coordinate with central differences of the forward kernel, so every trial
 makes at least one comparison.  For the squeeze-and-excitation blocks
 (SESMP, SEMP) the check runs at block level through the layer, probing a
-random linear functional of the block output: every input coordinate in
-one forward of a stack of inputs, and the branch parameters along one
-random direction.
+random linear functional of the block output: every input coordinate
+through a forward of a stack of bumped inputs, and the branch parameters
+along one random direction.
 
 The work is done per block of trials: one forward-kernel call per gradient
 evaluates the bumped points (:func:`poolbench.grads.bumped_points`) of every
 point of a window block, and the SE candidates of a block are the replicas
 of one stacked layer, whose forward and backward give all their gradients.
+The bumped inputs of two SE trials are the replicas of one more forward.
 Each trial still makes its own :func:`~poolbench.grads.fd_check` call per
 comparison, with that trial's own values at its bumped points; the
 benchmark's traced run counts those calls, at least one per trial and
-method.
+method.  A non-finite analytic gradient makes the method's worst error NaN,
+and the method fails.
 
 Sampling keeps points where the comparison is informative:
 
@@ -35,7 +37,9 @@ Sampling keeps points where the comparison is informative:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,15 +53,24 @@ _WINDOW = WindowSpec(2, 2, 2, 2)
 _MIN_COORD = 1e-3  # oracle resolution guard; see module docstring
 _BLOCK = 128  # candidate points per analytic-gradient call; a larger block holds more memory
 _SE_BLOCK = 32  # SE candidates per stacked block
-#: the SE branch of gradcheck's block, C = 4 channels and hidden width 2: each array's
-#: shape and the bound of its uniform draw, in the order of the trainable arrays
+_SE_PAIR = 2  # SE trials whose bumped inputs share one forward; more hold more memory
+#: one SE candidate of gradcheck's block, C = 4 channels and hidden width 2: its input X and
+#: the branch's trainable arrays, each array's shape and the bound of its uniform draw
 _SE_DRAWS = {
+    "x": ((1, 4, 4, 4), 1.0),
     "se_f1_weight": ((2, 4), 1.0),
     "se_f1_bias": ((2,), 0.5),
     "se_f2_weight": ((4, 2), 1.0),
     "se_f2_bias": ((4,), 0.5),
 }
-_SE_SIZE = sum(int(np.prod(shape)) for shape, _ in _SE_DRAWS.values())
+_SE_SIZES = [math.prod(shape) for shape, _ in _SE_DRAWS.values()]
+#: each array's slice of a candidate's draws, in the order of _SE_DRAWS
+_SE_SLICES = {name: slice(end - size, end) for name, size, end in zip(_SE_DRAWS, _SE_SIZES, accumulate(_SE_SIZES))}
+_SE_SIZE = sum(_SE_SIZES[1:])  # the branch parameters
+#: a candidate's draws as low + width * u for the u of one rng.random call: the values of
+#: an rng.uniform(-bound, bound) call per array, in the order of _SE_DRAWS
+_SE_LOW = np.repeat([-bound for _, bound in _SE_DRAWS.values()], _SE_SIZES)
+_SE_WIDTH = -2.0 * _SE_LOW
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,11 @@ class GradCheckResult:
     @property
     def passed(self) -> bool:
         return self.worst_error < self.tolerance
+
+
+def _worse(worst, error):
+    """The larger of two errors; a NaN, a comparison that failed, outranks every number."""
+    return error if error > worst or error != error else worst
 
 
 def _spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
@@ -154,7 +172,10 @@ def _check_window_method(method, trials, config, rng, lse_sharpness):
     # the points that redrawing each trial until it is informative would
     while checked < trials:
         block = [draw(rng, r) for _ in range(min(trials - checked, _BLOCK))]
-        args, bundle = _informative_points(method, block)
+        try:
+            args, bundle = _informative_points(method, block)
+        except ops.DivergedRunError:  # a non-finite analytic gradient fails the method
+            return math.nan
         count = len(args["x"])
         if not count:
             continue
@@ -171,42 +192,46 @@ def _check_window_method(method, trials, config, rng, lse_sharpness):
         for i in range(count):
             checked += 1
             # one call per comparison, of the trial's own values: the traced benchmark counts them
-            worst = max(worst, fd_check(values["x"][i], bundle.d_input[i], input_config))
+            worst = _worse(worst, fd_check(values["x"][i], bundle.d_input[i], input_config))
             for name, d in bundle.d_params.items():
-                worst = max(worst, fd_check(values[name][i], d[i], config))
+                worst = _worse(worst, fd_check(values[name][i], d[i], config))
     return worst
+
+
+def _se_array(draws, name) -> np.ndarray:
+    """Array ``name`` of :data:`_SE_DRAWS`, from the candidates' draws along the last axis."""
+    return draws[..., _SE_SLICES[name]].reshape(draws.shape[:-1] + _SE_DRAWS[name][0])
 
 
 def _se_candidates(rng, count, probe_shape):
     """``count`` SE candidates in draw order, each as a row of stacked arrays: the
     input X, the branch arrays, the probe R and the unit direction v.  A candidate
     near a ReLU kink or a window tie is redrawn."""
-    xs = np.empty((count, 1, 4, 4, 4))
-    params = {name: np.empty((count, *shape)) for name, (shape, _) in _SE_DRAWS.items()}
+    draws = np.empty((count, _SE_LOW.size))
     probes, vs = np.empty((count, *probe_shape)), np.empty((count, _SE_SIZE))
     i = 0
     while i < count:
-        x = rng.uniform(-1.0, 1.0, size=xs.shape[1:])
-        draw = {name: rng.uniform(-bound, bound, size=shape) for name, (shape, bound) in _SE_DRAWS.items()}
-        # keep the ReLU kink and window ties out of FD range
-        hidden_pre = draw["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + draw["se_f1_bias"]
-        sorted_win = np.sort(np.stack(layers.window_views(x.transpose(2, 3, 0, 1), _WINDOW)), axis=0)
-        if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[-1] - sorted_win[-2]).min() <= 1e-2:
+        draw = _SE_LOW + _SE_WIDTH * rng.random(_SE_LOW.size)
+        x = _se_array(draw, "x")
+        # keep the ReLU kink and window ties out of FD range; the 2 x 2 windows tile
+        # the 4 x 4 input, so each window's entries are a row of the reshaped input
+        hidden_pre = _se_array(draw, "se_f1_weight") @ x[0].mean(axis=(1, 2)) + _se_array(draw, "se_f1_bias")
+        sorted_win = np.sort(x.reshape(4, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 4), axis=1)
+        if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[:, -1] - sorted_win[:, -2]).min() <= 1e-2:
             continue
-        xs[i] = x
-        for name, value in draw.items():
-            params[name][i] = value
+        draws[i] = draw
         probes[i] = rng.uniform(-1.0, 1.0, size=probe_shape)
         v = rng.standard_normal(_SE_SIZE)
         vs[i] = v / np.linalg.norm(v)
         i += 1
-    return xs, params, probes, vs
+    params = {name: _se_array(draws, name) for name in _SE_DRAWS}
+    return params.pop("x"), params, probes, vs
 
 
 def _stacked_se(spec, xs, params, probes, vs, along):
     """The candidates as the replicas of one stacked block: each one's input
-    gradient dx and <g, v> for the branch gradient g, from one forward and one
-    backward, and its <R, block(X)> at theta + t v for each t of ``along``."""
+    gradient dx (a row) and <g, v> for the branch gradient g, from one forward
+    and one backward, and its <R, block(X)> at theta + t v for each t of ``along``."""
     block = layers.PoolingBlock(spec, {name: a.copy() for name, a in params.items()}, len(xs))
     block.forward(xs)
     dxs = block.backward(probes)
@@ -221,47 +246,55 @@ def _stacked_se(spec, xs, params, probes, vs, along):
             offset += arr[0].size
         out = block.forward(xs)
         values[row] = [float((probe * out[r]).sum()) for r, probe in enumerate(probes)]
-    return dxs, gv, values
+    return dxs.reshape(len(xs), -1), gv, values
+
+
+def _bumped_input_values(spec, xs, params, probes, step):
+    """The candidates as the replicas of one stacked block: each one's
+    <R, block(X')> at all 2 x 64 bumped inputs X' of its X, from one forward.
+    The block, and the caches of its forward, end with the call."""
+    block = layers.PoolingBlock(spec, params, len(xs))
+    # (S, 128, C, H, W), laid out channels-last as the block computes: its forward copies none
+    bumped = grads.bumped_points(xs.reshape(len(xs), -1), step)
+    bumped = np.ascontiguousarray(bumped.reshape(len(xs), -1, *xs.shape[2:]).transpose(0, 3, 4, 1, 2))
+    out = block.forward(bumped.transpose(0, 3, 4, 1, 2))
+    return [(probe * out_r).sum(axis=(1, 2, 3)) for probe, out_r in zip(probes, out)]
 
 
 def _check_se_block(method, trials, config, rng):
     """Block-level check of the squeeze-and-excitation pooling stages.
 
     Probes the scalar <R, block(X)> for a fixed random R against the layer's
-    analytic backward.  Every input coordinate is checked in one forward of
-    the stacked bumped inputs; the branch parameters are checked along one
-    random unit direction v, <grad, v> against the central difference of
-    t -> f(theta + t v).  The candidates of a block are the replicas of one
-    stacked layer: one forward and one backward give all their gradients, and
-    two more forwards their values at theta +- h v.
+    analytic backward.  Every input coordinate is checked through a forward
+    of the bumped inputs; the branch parameters are checked along one random
+    unit direction v, <grad, v> against the central difference of t ->
+    f(theta + t v).  The candidates of a block are the replicas of one
+    stacked layer: one forward and one backward give all their gradients,
+    and two more forwards their values at theta +- h v.  The bumped inputs of
+    every coordinate of _SE_PAIR trials are the replicas of one more block.
     """
     spec = ops.PoolSpec(method, _WINDOW, 4)
     probe_shape = (1, 4, *output_size(4, 4, _WINDOW))
-    single = layers.PoolingBlock(spec, {name: np.zeros(shape) for name, (shape, _) in _SE_DRAWS.items()})
     along = grads.bumped_points(np.zeros(1), config.step)  # t = +h, then t = -h
     worst, checked = 0.0, 0
     while checked < trials:
         xs, params, probes, vs = _se_candidates(rng, min(trials - checked, _SE_BLOCK), probe_shape)
         dxs, gv, at_t = _stacked_se(spec, xs, params, probes, vs, along)
-        for r, (x, dx) in enumerate(zip(xs, dxs)):
-            dx = dx.reshape(-1)
-            # the oracle resolves no |analytic| under _MIN_COORD but exact zeros, so
-            # such input coordinates are left out; a cancelled <g, v> redraws the
-            # point with v, which also ends the loop at points where g vanishes
-            keep = ~((np.abs(dx) > 0.0) & (np.abs(dx) < _MIN_COORD))
-            if not (keep.any() and abs(gv[r]) >= _MIN_COORD):
-                continue
-            checked += 1
-            for name, arr in single.pool_params.items():
-                arr[...] = params[name][r]
-            # the trial's input check: one forward of its own stack of bumped inputs
-            flat_x = x.reshape(-1)
-            stack = grads.bumped_points(flat_x[keep], config.step)
-            bumped = np.tile(flat_x, (len(stack), 1))
-            bumped[:, keep] = stack
-            out = single.forward(bumped.reshape(-1, *x.shape[1:]))
-            worst = max(worst, fd_check((probes[r] * out).sum(axis=(1, 2, 3)), dx[keep], config))
-            worst = max(worst, fd_check(at_t[:, r], gv[r : r + 1], config))
+        # the oracle resolves no |analytic| under _MIN_COORD but exact zeros, so such
+        # input coordinates are left out; a cancelled <g, v> redraws the point with v,
+        # which also ends the loop at points where g vanishes.  A NaN is kept: it fails.
+        keep = ~((np.abs(dxs) > 0.0) & (np.abs(dxs) < _MIN_COORD))
+        informative = np.flatnonzero(keep.any(axis=1) & ~(np.abs(gv) < _MIN_COORD))
+        # the informative trials in groups of _SE_PAIR; an odd count leaves one alone
+        for start in range(0, len(informative), _SE_PAIR):
+            group = informative[start : start + _SE_PAIR]
+            branch = {name: a[group] for name, a in params.items()}
+            at_x = _bumped_input_values(spec, xs[group], branch, probes[group], config.step)
+            for r, values in zip(group, at_x):
+                checked += 1
+                # each trial takes the rows of its kept coordinates, +h then -h
+                worst = _worse(worst, fd_check(values[np.tile(keep[r], 2)], dxs[r][keep[r]], config))
+                worst = _worse(worst, fd_check(at_t[:, r], gv[r : r + 1], config))
     return worst
 
 

@@ -43,7 +43,7 @@ from .ops import (
     ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, sigmoid,
     validate_pool_params,
 )
-from .tensor import WindowSpec, output_size
+from .tensor import WindowSpec, keep_freed_memory, output_size
 
 __all__ = [
     "window_views",
@@ -256,6 +256,7 @@ class PoolingBlock:
 
     def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray], replicas: int | None = None):
         validate_pool_params(spec, pool_params, replicas)
+        keep_freed_memory()
         self.window = spec.window
         self.method = spec.method
         self.replicas = replicas

@@ -379,7 +379,8 @@ POOLING = {
     ),
     "NN": Pooling(
         lambda stack, fields: (stack[0], len(stack)),
-        lambda n, dy: (np.concatenate([dy[None], np.zeros((n - 1,) + dy.shape)]), {}),
+        # a pooling block's stack holds only the first entry (entries=1): its gradient is dy
+        lambda n, dy: (np.concatenate([dy[None], np.zeros((n - 1,) + dy.shape)]) if n > 1 else dy[None], {}),
         entries=1,
     ),
     "CONV": Pooling(

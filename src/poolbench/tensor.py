@@ -1,4 +1,5 @@
-"""Window geometry of the sliding-window layers.
+"""Window geometry of the sliding-window layers, and the allocator setting
+their temporaries need.
 
 A :class:`WindowSpec` is a window's size (k1 x k2) and stride (s1 x s2), and
 :func:`output_size` counts its complete placements along each axis.  There is
@@ -6,15 +7,21 @@ no padding: trailing rows and columns that fit no complete window are dropped.
 Window (i, j), counted from 0, covers rows s1*i .. s1*i + k1 - 1 and columns
 s2*j .. s2*j + k2 - 1 of its input, its entries in row-major order;
 :func:`poolbench.layers.window_views` reads every window that way.
+
+A pooling block's temporaries are hundreds of KiB; :func:`keep_freed_memory`
+keeps them in the heap, so that no call faults their pages in anew.
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-__all__ = ["ShapeError", "WindowSpec", "output_size"]
+__all__ = ["ShapeError", "WindowSpec", "output_size", "keep_freed_memory"]
 
 
 class ShapeError(ValueError):
@@ -53,3 +60,17 @@ def output_size(h: int, w: int, spec: WindowSpec) -> tuple[int, int]:
     if w < spec.k2:
         raise ShapeError(f"width {w} is smaller than window width k2={spec.k2}")
     return (h - spec.k1) // spec.s1 + 1, (w - spec.k2) // spec.s2 + 1
+
+
+@cache
+def keep_freed_memory() -> None:
+    """Ask glibc, once per process, to keep freed memory: blocks under 64 MiB come
+    from the heap, and its top is trimmed only past 256 MiB free.  A stacked
+    block's temporaries (hundreds of KiB each) otherwise cross glibc's mmap and
+    trim thresholds, and every call would fault their pages in anew.  Other
+    C libraries are left as they are."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD

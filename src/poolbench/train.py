@@ -10,8 +10,6 @@ net, in lock-step; each report is the one its run gives alone.
 
 from __future__ import annotations
 
-import ctypes
-import platform
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -175,20 +173,6 @@ class _Replicas:
             self.adam = self.adam.select(self.net.flat_params, self.net.simplex_params().values(), keep)
 
 
-@lru_cache(maxsize=None)
-def _keep_freed_memory() -> None:
-    """Ask glibc to keep freed memory in this process: blocks under 64 MiB come
-    from the heap, and its top is trimmed only past 256 MiB free.  A stacked
-    step's temporaries (hundreds of KiB each) otherwise cross glibc's mmap and
-    trim thresholds, and every step would fault their pages in anew.  Other
-    C libraries are left as they are."""
-    if platform.libc_ver()[0] == "glibc":
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
-
-
 # overflow surfaces as a recorded divergence, not as numpy warnings; one scope per run
 @np.errstate(over="ignore", invalid="ignore")
 def train_runs(
@@ -214,7 +198,6 @@ def train_runs(
     if not runs or any(replace(run, seed=runs[0].seed, lr=runs[0].lr) != runs[0] for run in runs):
         raise ValueError(f"need one or more runs that differ only in seed and lr, got {runs}")
     optim = runs[0]
-    _keep_freed_memory()
     live = _Replicas(method, net_config or ToyNetConfig(), runs)
     reports = list(live.reports)
     images, labels = dataset.train_images, dataset.train_labels

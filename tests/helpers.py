@@ -1,6 +1,6 @@
 """Test-only helpers: report readers, initial weights, a data baseline, the
-finite-difference oracle of a function, and perfbench's tracer and reference
-network.
+finite-difference oracle of a function with its array-form reference, and
+perfbench's tracer and reference network.
 
 The program writes its reports and never reads back a run or summary CSV;
 the tests read them through these functions.
@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from poolbench.data import SyntheticDataset
-from poolbench.grads import bumped_points, fd_check
+from poolbench.grads import OracleError, bumped_points, fd_check
 from poolbench.layers import ToyNetConfig
 from poolbench.reports import SUMMARY_FIELDS
+from poolbench.tensor import ShapeError
 from poolbench.train import EpochMetrics, build_net
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +76,38 @@ def values_at(fn, point, step, batched=False) -> np.ndarray:
 def fd_check_fn(fn, point, analytic, config, batched=False) -> float:
     """``grads.fd_check`` of ``analytic`` against ``fn`` around ``point``."""
     return fd_check(values_at(fn, point, config.step, batched), analytic, config)
+
+
+def central_difference(values, step: float) -> np.ndarray:
+    """Per-coordinate central differences (f(x + h e_i) - f(x - h e_i)) / 2h, as arrays.
+
+    ``values`` are the function's 2n values at the rows of
+    ``grads.bumped_points(x, h)``: f(x + h e_i) for every i, then
+    f(x - h e_i).  With :func:`relative_error` it is the reference of
+    ``grads.fd_check``, which must equal ``relative_error(analytic,
+    central_difference(values, step))`` bit for bit and raise the same errors.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or not values.size or values.size % 2:
+        raise ShapeError(f"expected the 2n values of n coordinates as one flat array, got shape {values.shape}")
+    n = values.size // 2
+    hi, lo = values[:n], values[n:]
+    if not np.isfinite(values).all():
+        i = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))[0]
+        raise OracleError(
+            f"non-finite function value near coordinate {i} (f+={hi[i]}, f-={lo[i]})"
+        )
+    return (hi - lo) / (2.0 * step)
+
+
+def relative_error(a, b, floor: float = 1e-8) -> float:
+    """Worst relative discrepancy max_i |a_i - b_i| / max(|a_i|, |b_i|, floor)."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    if a.shape != b.shape:
+        raise ShapeError(f"cannot compare shapes {a.shape} and {b.shape}")
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float((np.abs(a - b) / scale).max())
 
 
 def _perfbench_module(name):

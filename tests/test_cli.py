@@ -489,6 +489,90 @@ class TestGradcheck:
         assert np.mean([args[1].size for args, _ in inputs]) > 48
         assert result.passed
 
+    def test_se_candidate_draws_match_per_array_uniform_draws(self):
+        def per_array(rng, count, probe_shape):
+            # one rng.uniform call per array and the window-view tie test, as drawn before
+            # the arrays shared one call
+            bounds = {name: bound for name, (_, bound) in gradcheck._SE_DRAWS.items()}
+            xs, params, probes, vs = [], {name: [] for name in bounds if name != "x"}, [], []
+            while len(xs) < count:
+                x = rng.uniform(-1.0, 1.0, size=(1, 4, 4, 4))
+                draw = {name: rng.uniform(-bounds[name], bounds[name], size=shape)
+                        for name, (shape, _) in gradcheck._SE_DRAWS.items() if name != "x"}
+                hidden_pre = draw["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + draw["se_f1_bias"]
+                windows = np.sort(np.stack(layers.window_views(x.transpose(2, 3, 0, 1), gradcheck._WINDOW)), axis=0)
+                if np.abs(hidden_pre).min() <= 1e-3 or (windows[-1] - windows[-2]).min() <= 1e-2:
+                    continue
+                xs.append(x)
+                for name, value in draw.items():
+                    params[name].append(value)
+                probes.append(rng.uniform(-1.0, 1.0, size=probe_shape))
+                v = rng.standard_normal(gradcheck._SE_SIZE)
+                vs.append(v / np.linalg.norm(v))
+            return np.array(xs), {k: np.array(v) for k, v in params.items()}, np.array(probes), np.array(vs)
+
+        old, new = np.random.default_rng(29), np.random.default_rng(29)
+        for count in (1, 7, 32, 32):
+            want, got = per_array(old, count, (1, 4, 2, 2)), gradcheck._se_candidates(new, count, (1, 4, 2, 2))
+            for w, g in zip(want, got):
+                for key in (w if isinstance(w, dict) else [None]):
+                    a, b = (w[key], g[key]) if key else (w, g)
+                    assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
+        assert old.uniform() == new.uniform()  # the generators stay in step
+
+    @pytest.fixture()
+    def deadline(self):
+        """A check that does not end in 120 s fails the test instead of hanging it."""
+
+        def hung(signum, frame):
+            raise TimeoutError("the check did not end")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    @pytest.mark.parametrize("trials", [1, 33])
+    def test_odd_block_size_leaves_one_candidate_alone(self, monkeypatch, fd_calls, deadline, method, trials):
+        # the bumped inputs of two trials share a forward, 128 rows a replica; an odd
+        # number of trials in a block leaves one trial alone in a forward of its own
+        groups = []
+        real = layers.PoolingBlock.forward
+
+        def recording(block, x):
+            if x.ndim == 5 and x.shape[1] == 128:
+                groups.append(len(x))
+            return real(block, x)
+
+        monkeypatch.setattr(layers.PoolingBlock, "forward", recording)
+        result = gradcheck.check_method(method, trials=trials)
+        assert set(groups) <= {1, 2} and sum(groups) == trials and 1 in groups
+        assert groups.count(1) == 1 or trials > gradcheck._SE_BLOCK
+        assert result.worst_error == gradcheck_reference.worst_error(method, trials)
+        assert len(fd_calls) == 2 * trials
+
+    @pytest.mark.parametrize("method", ["MP", "GP", "SESMP", "SEMP"])
+    def test_nan_gradient_fails(self, monkeypatch, capsys, deadline, method):
+        # NaN in every 5th entry of the kernel's input gradient: SESMP's NaN entries
+        # were dropped by max(worst, nan), SEMP's NaN <g, v> redrew every candidate
+        # without end, and a window method's raised DivergedRunError out of the
+        # command.  Each must be a FAIL row and exit 2.
+        pooling = ops.POOLING[method]
+
+        def nan_every_5th(cache, dy):
+            d_stack, d_fields = pooling.backward(cache, dy)
+            d_stack = np.array(d_stack)
+            d_stack.flat[::5] = np.nan
+            return d_stack, d_fields
+
+        monkeypatch.setitem(ops.POOLING, method, pooling._replace(backward=nan_every_5th))
+        assert run_cli("gradcheck", "--methods", method, "--trials", "200") == 2
+        assert np.isnan(gradcheck_reference.worst_error(method, 20))
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[0] == method and row[1] == "nan" and row[-1] == "FAIL"
+
     @pytest.mark.parametrize("sharpness", ["1000", "1e8", "1e12"])
     def test_correct_lse_gradient_passes_at_high_sharpness(self, capsys, sharpness):
         # an FD step sized for O(1) inputs failed here: the draws shrink as 1 / r

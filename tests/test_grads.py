@@ -11,7 +11,6 @@ from poolbench import (
     WindowSpec,
     avg_pool,
     avg_pool_grad,
-    central_difference,
     conv_pool,
     conv_pool_grad,
     fd_check,
@@ -27,14 +26,13 @@ from poolbench import (
     ordinal_pool,
     ordinal_pool_grad,
     project_to_simplex,
-    relative_error,
     ShapeError,
     smooth_max_pool,
     smooth_max_pool_grad,
 )
 from poolbench.grads import bumped_points
 from poolbench.layers import PoolingBlock
-from helpers import fd_check_fn, values_at
+from helpers import central_difference, fd_check_fn, relative_error, values_at
 from window_reference import global_avg_pool, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
@@ -486,7 +484,7 @@ class TestFdOracle:
 
     def test_non_finite_forward_raises(self):
         with pytest.raises(OracleError):
-            central_difference(values_at(lambda v: float("nan"), np.zeros(2), 1e-5), 1e-5)
+            fd_check(values_at(lambda v: float("nan"), np.zeros(2), 1e-5), np.zeros(2), CFG)
 
     def test_scalar_mode_matches_per_coordinate_loop(self):
         def per_coordinate(fn, point, step):
@@ -541,12 +539,12 @@ class TestFdOracle:
         values = np.arange(6.0)
         values[row] = np.inf if row % 2 else np.nan
         with pytest.raises(OracleError, match=f"coordinate {row % 3} "):
-            central_difference(values, 1e-5)
+            fd_check(values, np.zeros(3), CFG)
 
     @pytest.mark.parametrize("shape", [(0,), (5,), (3, 2), (6, 1), ()], ids=["empty", "odd", "2-D", "column", "0-d"])
     def test_values_of_the_wrong_shape_rejected(self, shape):
         with pytest.raises(ShapeError):
-            central_difference(np.zeros(shape), 1e-5)
+            fd_check(np.zeros(shape), np.zeros(1), CFG)
 
     def test_values_of_the_wrong_length_rejected(self):
         # the 2n values of 4 coordinates against a gradient of 3
@@ -555,3 +553,91 @@ class TestFdOracle:
 
     def test_relative_error_floor(self):
         assert relative_error([0.0], [1e-12]) == pytest.approx(1e-4)
+        # values 2e-17 apart at step 1e-5: a central difference of 1e-12 against 0
+        assert fd_check(np.array([2e-17, 0.0]), np.zeros(1), CFG) == pytest.approx(1e-4)
+
+
+def reference_fd_check(values, analytic, config):
+    """``fd_check`` in array form: the reference it must equal bit for bit.
+    Overflow and NaN are results here, not numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return relative_error(analytic, central_difference(values, config.step))
+
+
+def outcome(check, *args):
+    """``check(*args)``'s result as bytes (any NaN as "nan": its sign bit means
+    nothing), or its error's type and message."""
+    try:
+        result = check(*args)
+    except (ShapeError, OracleError) as err:
+        return type(err), str(err)
+    assert type(result) is float
+    return "nan" if np.isnan(result) else np.float64(result).tobytes()
+
+
+class TestOnePassFdCheck:
+    """``fd_check`` loops over Python floats; the array form in ``helpers`` is its reference."""
+
+    def assert_same(self, values, analytic, config=CFG):
+        got = outcome(fd_check, values, analytic, config)
+        assert got == outcome(reference_fd_check, values, analytic, config)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    def test_random_values_match_the_array_form(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-12, 12)
+            values = rng.normal(size=2 * n) * scale
+            analytic = rng.normal(size=n) * scale * 1e5
+            # a near-exact gradient too, whose error sits at roundoff
+            exact = (values[:n] - values[n:]) / (2.0 * CFG.step)
+            for a in (analytic, exact, exact * (1.0 + 1e-9)):
+                self.assert_same(values, a)
+        # other steps, and a gradient given as a column: it is compared flattened
+        self.assert_same(rng.normal(size=2 * n), rng.normal(size=(n, 1)), FDOracleConfig(step=1e-3))
+
+    def test_signed_zeros_and_subnormals_match(self):
+        tiny = 5e-324
+        cases = [
+            ([0.0, -0.0], [0.0]),
+            ([-0.0, 0.0], [-0.0]),
+            ([0.0, 0.0, -0.0, -0.0], [-0.0, 0.0]),
+            ([tiny, 0.0], [0.0]),
+            ([tiny, -tiny, 3 * tiny, 0.0], [tiny, -tiny]),
+            ([1e-310, -1e-310], [1e-305]),
+            ([2e-308, 1e-308], [-1e-303]),
+        ]
+        for values, analytic in cases:
+            self.assert_same(np.array(values), np.array(analytic))
+        assert self.assert_same(np.array([0.0, -0.0]), np.array([0.0])) == np.float64(0.0).tobytes()
+
+    def test_overflow_and_nan_gradient_give_nan(self):
+        # hi - lo overflows to inf: the array form compares inf / inf
+        self.assert_same(np.array([1.7e308, 1.0, -1.7e308, 0.0]), np.array([1.0, 5e4]))
+        # a - d overflows with both finite: an infinite error
+        assert self.assert_same(np.array([1.7e303, -1.7e303]), np.array([-1.7e308])) == np.float64(np.inf).tobytes()
+        for where in range(4):
+            analytic = np.arange(1.0, 5.0)
+            analytic[where] = np.nan
+            values = np.concatenate([np.nan_to_num(analytic) * 2e-5, np.zeros(4)])
+            assert np.isnan(fd_check(values, analytic, CFG))
+            self.assert_same(values, analytic)
+        # an infinite gradient, and a NaN after an error larger than every other
+        self.assert_same(np.zeros(4), np.array([np.inf, 1.0]))
+        self.assert_same(np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1e9, np.nan]))
+
+    @pytest.mark.parametrize("values, analytic", [
+        (np.zeros(0), np.zeros(0)),
+        (np.zeros(5), np.zeros(2)),
+        (np.zeros((3, 2)), np.zeros(3)),
+        (np.zeros(()), np.zeros(1)),
+        (np.zeros(8), np.zeros(3)),  # the 2n values of 4 coordinates against 3
+        (np.array([1.0, np.inf, 0.0, 0.0]), np.zeros(2)),
+        (np.array([np.nan, 0.0, 0.0, -np.inf]), np.zeros(2)),
+        (np.array([0.0, 0.0, np.nan, 0.0]), np.array([np.nan, 1.0])),
+        (np.array([0.0, np.inf]), np.zeros(3)),  # a non-finite value outranks a shape mismatch
+    ], ids=["empty", "odd", "2-D", "0-d", "mismatch", "inf", "nan-and-inf", "nan-both", "inf-and-mismatch"])
+    def test_errors_and_messages_are_unchanged(self, values, analytic):
+        kind, message = self.assert_same(values, analytic)
+        assert kind in (ShapeError, OracleError) and message
