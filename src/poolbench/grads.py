@@ -108,7 +108,7 @@ def pool_grads(method: str, x, **params) -> GradBundle:
     gradient, such as one of an overflowing product, raises
     :class:`~poolbench.ops.DivergedRunError`.
     """
-    stack, fields, batch = window_stack(method, x, params, per_window=True)
+    stack, fields, batch = window_stack(method, x, params)
     pooling = POOLING[method]
     with np.errstate(over="ignore", invalid="ignore"):
         _, cache = pooling.forward(stack, fields)

@@ -22,14 +22,17 @@ runs its method's kernel pair from :data:`poolbench.ops.POOLING` on the stack
 of those views; the window-level operators of :mod:`poolbench.ops` and the
 gradients of :mod:`poolbench.grads` run the same kernels.
 
+Every layer is built on its parameter arrays; :class:`ToyNet` draws them.
 Layers with parameters expose ``params()`` and ``grads()`` dicts of
 like-named arrays; gradients accumulate per backward call into ``grads()``.
 A pooling block keeps all its parameters, trained or fixed, in one dict
 (``pool_params``) keyed by the same flat names (``conv_w``, ``tau``,
 ``se_f1_weight``, ...); its ``params()`` is the trainable part, in the
-method's ``trainable`` order.  A :class:`ToyNet` keeps its trainable arrays
-in one (S, P) buffer (``flat_params``, a row per replica, ``params()`` order)
-and their gradients in ``flat_grads``; its layers are bound to views of them.
+method's ``trainable`` order.  Its squeeze-and-excitation branch is
+``Linear -> ReLU -> Linear`` on the ``se_f1_*`` and ``se_f2_*`` arrays.  A
+:class:`ToyNet` keeps its trainable arrays in one (S, P) buffer
+(``flat_params``, a row per replica, ``params()`` order) and their gradients
+in ``flat_grads``; its layers are bound to views of them.
 """
 
 from __future__ import annotations
@@ -123,16 +126,12 @@ def _channels_first(x: np.ndarray) -> np.ndarray:
     return x.transpose(_SWAP[x.ndim])
 
 
-def _draw(rng, draw):
-    """``draw(rng)``, or for a sequence of generators one draw each, stacked
-    along a leading replica axis."""
-    if isinstance(rng, (list, tuple)):
-        return np.stack([draw(g) for g in rng])
-    return draw(rng or np.random.default_rng())
-
-
 class _Affine:
-    """A layer with a ``weight`` and a ``bias``; their gradients accumulate in ``grads_``."""
+    """A layer on a ``weight`` and a ``bias`` array; their gradients accumulate in ``grads_``."""
+
+    def __init__(self, weight, bias):
+        self.weight, self.bias = weight, bias
+        self.grads_ = {"weight": np.zeros_like(weight), "bias": np.zeros_like(bias)}
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -148,19 +147,14 @@ class _Affine:
 
 class Conv2D(_Affine):
     """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
-    views, then one GEMM per replica.  With ``input_grad=False``, backward
-    returns None.  ``rng``, a sequence of generators, makes a stacked layer
-    with one weight draw per generator."""
+    views, then one GEMM per replica.  The layer is built on its (O, C, k, k)
+    ``weight``, or a stack of S such weights (S, O, C, k, k), and a zero bias;
+    it trains them in place.  With ``input_grad=False``, backward returns None."""
 
-    def __init__(self, in_channels, out_channels, kernel=3, rng=None, input_grad=True):
-        fan_in = in_channels * kernel * kernel
-        # He-normal initialization: std = sqrt(2 / fan_in)
-        shape = (out_channels, in_channels, kernel, kernel)
-        self.weight = _draw(rng, lambda g: g.normal(0.0, np.sqrt(2.0 / fan_in), shape))
-        self.bias = np.zeros(self.weight.shape[:-3])
-        self.window = WindowSpec(kernel, kernel, 1, 1)
+    def __init__(self, weight, input_grad=True):
+        super().__init__(weight, np.zeros(weight.shape[:-3]))
+        self.window = WindowSpec(weight.shape[-2], weight.shape[-1], 1, 1)
         self.input_grad = input_grad
-        self.grads_ = {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
 
     def forward(self, x):
         x = _channels_last(x)
@@ -223,13 +217,9 @@ class Flatten:
 
 
 class Linear(_Affine):
-    """Affine head; weights drawn from N(0, 0.01), zero bias.  A stacked head
-    (``rng`` a sequence of generators) maps (S, B, F) to (S, B, O)."""
-
-    def __init__(self, in_features, out_features, rng=None):
-        self.weight = _draw(rng, lambda g: g.normal(0.0, 0.01, (out_features, in_features)))
-        self.bias = np.zeros(self.weight.shape[:-1])
-        self.grads_ = {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
+    """Affine map x W^T + b on its (O, F) ``weight`` and (O,) ``bias``, which it
+    trains in place.  A stacked layer, on (S, O, F) and (S, O) arrays, maps
+    (S, B, F) to (S, B, O)."""
 
     def forward(self, x):
         self._x = x
@@ -247,11 +237,13 @@ class PoolingBlock:
     The block runs its method's kernel pair (:data:`~poolbench.ops.POOLING`)
     on the stack of its input's window views, scatters the stack's gradient
     back and adds each field gradient to its parameter.  The squeeze-and-
-    excitation (SE) methods add a branch on the input's per-channel means.
-    ``pool_params`` holds the block's arrays by flat name, as the method's
-    ``init`` returns them; the block reads and trains them in place.  A block
-    of ``replicas`` S holds each array with a leading axis of S rows, one
-    replica's parameters each, and pools (S, B, C, H, W) inputs.
+    excitation (SE) methods add a branch on the input's per-channel means:
+    ``Linear -> ReLU -> Linear``, the two :class:`Linear` layers built on the
+    ``se_f1_*`` and ``se_f2_*`` arrays and their gradients at every
+    :meth:`bind`.  ``pool_params`` holds the block's arrays by flat name, as
+    the method's ``init`` returns them; the block reads and trains them in
+    place.  A block of ``replicas`` S holds each array with a leading axis of
+    S rows, one replica's parameters each, and pools (S, B, C, H, W) inputs.
     """
 
     def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray], replicas: int | None = None):
@@ -290,6 +282,14 @@ class PoolingBlock:
             elif np.size(value) == 1:
                 value = np.reshape(value, ())
             self._fields[name] = value
+        if self.pooling.se:
+            self._se_layers = [self._se_linear("se_f1"), ReLU(), self._se_linear("se_f2")]
+
+    def _se_linear(self, prefix):
+        """A :class:`Linear` on the SE arrays ``prefix``_weight and ``prefix``_bias and their gradients."""
+        layer = Linear(self.pool_params[f"{prefix}_weight"], self.pool_params[f"{prefix}_bias"])
+        layer.grads_ = {key: self.grads_[f"{prefix}_{key}"] for key in ("weight", "bias")}
+        return layer
 
     # -- forward and backward -----------------------------------------------
 
@@ -339,50 +339,42 @@ class PoolingBlock:
         return dx * scales[..., None, None, :, :] + self._branch_backward(d_scales * scales * (1.0 - scales))
 
     def _branch(self, x):
-        # squeeze: per-channel spatial means; excite: affine-ReLU-affine
-        p = self.pool_params
-        mu = x.mean(axis=(-4, -3))
-        hidden_pre = mu @ p["se_f1_weight"].swapaxes(-1, -2) + p["se_f1_bias"][..., None, :]
-        hidden = np.maximum(hidden_pre, 0.0)
-        out = hidden @ p["se_f2_weight"].swapaxes(-1, -2) + p["se_f2_bias"][..., None, :]
-        self._mu, self._hidden_pre, self._hidden = mu, hidden_pre, hidden
+        # squeeze: per-channel spatial means; excite: Linear-ReLU-Linear
+        out = x.mean(axis=(-4, -3))
+        for layer in self._se_layers:
+            out = layer.forward(out)
         return out
 
     def _branch_backward(self, d_out):
-        p = self.pool_params
-        self.grads_["se_f2_weight"] += d_out.swapaxes(-1, -2) @ self._hidden
-        self.grads_["se_f2_bias"] += d_out.sum(axis=-2)
-        d_hidden = d_out @ p["se_f2_weight"]
-        d_hidden_pre = d_hidden * (self._hidden_pre > 0.0)
-        self.grads_["se_f1_weight"] += d_hidden_pre.swapaxes(-1, -2) @ self._mu
-        self.grads_["se_f1_bias"] += d_hidden_pre.sum(axis=-2)
-        d_mu = d_hidden_pre @ p["se_f1_weight"]
+        for layer in reversed(self._se_layers):
+            d_out = layer.backward(d_out)
         h, w = self._x_shape[-4:-2]
-        return np.broadcast_to((d_mu / (h * w))[..., None, None, :, :], self._x_shape)
+        return np.broadcast_to((d_out / (h * w))[..., None, None, :, :], self._x_shape)
+
+
+#: the toy images' channels, the convolutions' kernel size, and the window of
+#: every pooling stage: 2x2 with stride 2, so each halves the resolution
+IN_CHANNELS = 1
+CONV_KERNEL = 3
+POOL_WINDOW = WindowSpec(2, 2, 2, 2)
 
 
 @dataclass(frozen=True)
 class ToyNetConfig:
     """Two conv+pool stages and an affine head on small single-channel images.
 
-    Every pooling stage halves the spatial resolution (2x2 windows, stride
-    2).  The squeeze-and-excitation reduction ratio defaults to 4 because
-    the widest toy stage has 16 channels; the canonical ratio of 16 needs
+    The squeeze-and-excitation reduction ratio defaults to 4 because the
+    widest toy stage has 16 channels; the canonical ratio of 16 needs
     hundreds of channels to leave a usable hidden width.
     """
 
     classes: int = 4
-    in_channels: int = 1
     image_size: int = 16
     stage_channels: tuple[int, int] = (8, 16)
-    window: WindowSpec = WindowSpec(2, 2, 2, 2)
-    conv_kernel: int = 3
     se_ratio: int = 4
     lse_sharpness: float = 1.0
 
     def __post_init__(self):
-        if self.window != WindowSpec(2, 2, 2, 2):
-            raise ConfigurationError("pooling stages must halve resolution: 2x2 windows, stride 2")
         if self.classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.classes}")
         check_field("sharpness", np.asarray(self.lse_sharpness))
@@ -395,8 +387,8 @@ class ToyNetConfig:
     def feature_size(self) -> int:
         size = self.image_size
         for _ in self.stage_channels:
-            size = size - (self.conv_kernel - 1)
-            size, _ = output_size(size, size, self.window)
+            size = size - (CONV_KERNEL - 1)
+            size, _ = output_size(size, size, POOL_WINDOW)
         return self.stage_channels[-1] * size * size
 
 
@@ -404,10 +396,11 @@ class ToyNet:
     """conv-ReLU-pool, conv-ReLU-pool, flatten, affine logits.
 
     ``rng`` is one generator for a single net, or a sequence of S generators
-    for a stack of S replicas (``replicas`` = S): each replica draws its
-    parameters from its own generator in a single net's order, and a stacked
-    net maps (S*B, C, H, W) or (S, B, C, H, W) images, replica r owning rows
-    r*B .. (r+1)*B - 1, to (S, B, classes) logits.
+    for a stack of S replicas (``replicas`` = S): the net draws every initial
+    array, each replica's from its own generator in a single net's order
+    (conv1, pool1, conv2, pool2, head), and builds its layers on them.  A
+    stacked net maps (S*B, C, H, W) or (S, B, C, H, W) images, replica r
+    owning rows r*B .. (r+1)*B - 1, to (S, B, classes) logits.
     """
 
     def __init__(self, config: ToyNetConfig, method: str, rng):
@@ -416,26 +409,32 @@ class ToyNet:
         self.replicas = len(rng) if isinstance(rng, (list, tuple)) else None
         c1, c2 = config.stage_channels
 
-        def pool(channels):
-            spec = PoolSpec(method, config.window, channels)  # rejects an unknown method
-
-            def init(g):
-                return POOLING[method].init(spec.window.n, channels, g, config.se_ratio, config.lse_sharpness)
-
+        def draw(init):  # init(g)'s arrays, or each stacked over the generators on a replica axis
             if self.replicas is None:
-                return PoolingBlock(spec, init(rng))
+                return init(rng)
             rows = [init(g) for g in rng]
-            return PoolingBlock(spec, {name: np.stack([row[name] for row in rows]) for name in rows[0]}, self.replicas)
+            return {name: np.stack([row[name] for row in rows]) for name in rows[0]}
 
-        # nothing reads the image batch's gradient
-        self.conv1 = Conv2D(config.in_channels, c1, config.conv_kernel, rng, input_grad=False)
+        def conv(c_in, c_out, **options):
+            shape = (c_out, c_in, CONV_KERNEL, CONV_KERNEL)
+            std = np.sqrt(2.0 / (c_in * CONV_KERNEL * CONV_KERNEL))  # He-normal: sqrt(2 / fan_in)
+            return Conv2D(**draw(lambda g: {"weight": g.normal(0.0, std, shape)}), **options)
+
+        def pool(channels):
+            spec = PoolSpec(method, POOL_WINDOW, channels)  # rejects an unknown method
+            init = POOLING[method].init
+            params = draw(lambda g: init(spec.window.n, channels, g, config.se_ratio, config.lse_sharpness))
+            return PoolingBlock(spec, params, self.replicas)
+
+        self.conv1 = conv(IN_CHANNELS, c1, input_grad=False)  # nothing reads the image batch's gradient
         self.pool1 = pool(c1)
-        self.conv2 = Conv2D(c1, c2, config.conv_kernel, rng)
+        self.conv2 = conv(c1, c2)
         self.pool2 = pool(c2)
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.flatten = Flatten()
-        self.head = Linear(config.feature_size(), config.classes, rng)
+        shape = (config.classes, config.feature_size())
+        self.head = Linear(**draw(lambda g: {"weight": g.normal(0.0, 0.01, shape), "bias": np.zeros(shape[0])}))
         names = ("conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "flatten", "head")
         self._stack = [getattr(self, name) for name in names]
         # each trainable array moves into a view of one (S, P) buffer, its gradient into another

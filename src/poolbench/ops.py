@@ -288,9 +288,12 @@ def _lnp_backward(cache, dy):
 
 
 def _softmax_weights(z):
-    """Max-shifted exponentials of stacked logits and their sum over the window."""
-    e = np.exp(z - z.max(axis=0))
-    return e, e.sum(axis=0)
+    """Max-shifted exponentials of stacked logits, computed in ``z``, their sum
+    over the window and the window's largest logit."""
+    peak = z.max(axis=0)
+    z -= peak
+    np.exp(z, out=z)
+    return z, z.sum(axis=0), peak
 
 
 def _lse_forward(stack, fields):
@@ -298,9 +301,8 @@ def _lse_forward(stack, fields):
     # shrinks.  Its input gradient is the softmax of r x; the sharpness r is a
     # fixed hyperparameter.  Shifted by the largest r x_i, no exp overflows.
     r = fields["sharpness"]
-    z = r * stack
-    e, total = _softmax_weights(z)
-    return (z.max(axis=0) + np.log(total / len(z))) / r, (e, total)
+    e, total, peak = _softmax_weights(r * stack)
+    return (peak + np.log(total / len(e))) / r, (e, total)
 
 
 def _smp_forward(stack, fields):
@@ -308,7 +310,7 @@ def _smp_forward(stack, fields):
     # window for every tau; tau = 0 is the average exactly, tau -> +inf the
     # maximum, tau -> -inf the minimum.  Shifted by the largest tau x_i.
     tau = fields["tau"]
-    e, total = _softmax_weights(tau * stack)
+    e, total, _ = _softmax_weights(tau * stack)
     y = (e * stack).sum(axis=0) / total
     return y, (stack, tau, e, total, y)
 
@@ -567,18 +569,16 @@ def _float_or_array(out: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def window_stack(method: str, x, params, per_window=False):
+def window_stack(method: str, x, params):
     """``method``'s kernel arguments for the windows along the last axis of ``x``
     (a scalar is a one-entry window), with ``params`` checked against
     :data:`FIELD_RULES`; the rows of all broadcast over the windows' batch
     shape.  Returns ``(stack, fields, batch)``: the (n, M) stack of the M
     windows, a fresh copy, each entry weight as (n, M) and each other field as
-    (M,).  A field without batch axes stays one (n, 1) column or scalar shared
-    by every window, unless ``per_window`` asks for its gradient per window.
-    Every (n, M) array is the transpose of a C-ordered (M, n) one, the memory
-    order of a stack of rows, so a window's result does not depend on which
-    other windows share the call.  The SE methods have no window form: their
-    branch needs a block.
+    (M,), a row per window even where one is shared.  Every (n, M) array is
+    the transpose of a C-ordered (M, n) one, the memory order of a stack of
+    rows, so a window's result does not depend on which other windows share
+    the call.  The SE methods have no window form: their branch needs a block.
     """
     if pooling_row(method).se:
         raise ConfigurationError(f"{method} pools through its SE branch, in a PoolingBlock only")
@@ -609,8 +609,6 @@ def window_stack(method: str, x, params, per_window=False):
                 raise ShapeError(f"{name} rows {rows} do not broadcast against windows {batch}") from None
 
     def window_first(a, width, copy=False):
-        if a.ndim == len(width) and not (copy or per_window):
-            return a.reshape(width + (1,)) if width else a
         if copy or a.shape != batch + width:
             a, full = np.empty(batch + width), a
             a[...] = full

@@ -117,30 +117,20 @@ def summarize(reports: list[RunReport], method_order) -> list[dict]:
     """
     rows = []
     for method in method_order:
-        train_accs = [
-            r.final_train_acc for r in reports if r.method == method and not r.diverged
-        ]
-        test_accs = [
-            r.final_test_acc for r in reports if r.method == method and not r.diverged
-        ]
-        if train_accs:
-            row = {
-                "method": method,
-                "mean_train_acc": float(np.mean(train_accs)),
-                "sd_train_acc": float(np.std(train_accs, ddof=1)) if len(train_accs) > 1 else 0.0,
-                "mean_test_acc": float(np.mean(test_accs)),
-                "sd_test_acc": float(np.std(test_accs, ddof=1)) if len(test_accs) > 1 else 0.0,
-            }
-        else:
-            row = {
-                "method": method,
-                "mean_train_acc": float("nan"),
-                "sd_train_acc": float("nan"),
-                "mean_test_acc": float("nan"),
-                "sd_test_acc": float("nan"),
-            }
+        runs = [r for r in reports if r.method == method and not r.diverged]
+        row = {"method": method}
+        for split in ("train", "test"):
+            accs = [getattr(r, f"final_{split}_acc") for r in runs]
+            row[f"mean_{split}_acc"], row[f"sd_{split}_acc"] = _mean_and_sd(accs)
         rows.append(row)
     return rows
+
+
+def _mean_and_sd(values) -> tuple[float, float]:
+    """Mean and sample sd of ``values``: the sd is 0 for one value, and both are nan for none."""
+    if not values:
+        return float("nan"), float("nan")
+    return float(np.mean(values)), float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
@@ -180,33 +170,22 @@ def params_report_rows(snapshots: list[dict]) -> list[dict]:
         method = payload["method"]
         names = POOLING[method].report if method in POOLING else ()
         for block in payload["blocks"]:
+
+            def row(param, count, percentiles):
+                return {
+                    "method": method, "seed": payload["seed"], "block": block["block"], "param": param,
+                    "count": count, **percentiles,
+                }
+
             for name in names:
                 if name not in block["params"]:
                     continue
                 values = block["params"][name]
                 if name in ENTRY_WEIGHTS:
                     for slot, value in enumerate(values, start=1):
-                        rows.append(
-                            {
-                                "method": method,
-                                "seed": payload["seed"],
-                                "block": block["block"],
-                                "param": f"{name}[{slot}]",
-                                "count": 1,
-                                **{f"p{p}": float(value) for p in PERCENTILES},
-                            }
-                        )
+                        rows.append(row(f"{name}[{slot}]", 1, {f"p{p}": float(value) for p in PERCENTILES}))
                 else:
-                    rows.append(
-                        {
-                            "method": method,
-                            "seed": payload["seed"],
-                            "block": block["block"],
-                            "param": name,
-                            "count": len(values),
-                            **percentile_summary(values),
-                        }
-                    )
+                    rows.append(row(name, len(values), percentile_summary(values)))
     return rows
 
 

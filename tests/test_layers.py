@@ -47,6 +47,11 @@ def make_block(method, channels=4, rng=None, window=POOL22):
     return PoolingBlock(spec, params)
 
 
+def conv_weight(rng, c_in, c_out, kernel=3):
+    """A He-normal (c_out, c_in, k, k) convolution weight, drawn as ToyNet draws its own."""
+    return rng.normal(0.0, np.sqrt(2.0 / (c_in * kernel * kernel)), (c_out, c_in, kernel, kernel))
+
+
 def reference_forward(block, x):
     """Oracle: one sample and channel at a time through the test-only window formulas."""
     p = block.pool_params
@@ -408,7 +413,7 @@ class TestMemoryOrder:
         dy = rng.normal(size=(3, 5, 5, 4))
 
         def conv():
-            layer = Conv2D(4, 5, 3, np.random.default_rng(44))
+            layer = Conv2D(conv_weight(np.random.default_rng(44), 4, 5))
             layer.bias[...] = np.arange(5.0)
             return layer
 
@@ -457,7 +462,7 @@ class TestRandomGeometry:
 class TestConvAndHead:
     def test_conv_matches_direct_correlation(self):
         rng = np.random.default_rng(7)
-        conv = Conv2D(2, 3, kernel=3, rng=rng)
+        conv = Conv2D(conv_weight(rng, 2, 3))
         for shape in [(2, 2, 5, 5), (3, 2, 6, 9), (1, 2, 5, 5)]:  # square, non-square, batch 1
             x = rng.normal(size=shape)
             out = conv.forward(x)
@@ -476,7 +481,7 @@ class TestConvAndHead:
 
     def test_conv_bias_gradient_matches_fd(self):
         rng = np.random.default_rng(18)
-        conv = Conv2D(2, 3, kernel=3, rng=rng)
+        conv = Conv2D(conv_weight(rng, 2, 3))
         x = rng.normal(size=(2, 2, 5, 7))
         probe = rng.normal(size=conv.forward(x).shape)
         conv.backward(probe)
@@ -492,8 +497,8 @@ class TestConvAndHead:
 
     def test_conv_without_input_grad_accumulates_the_same_parameter_grads(self):
         rng = np.random.default_rng(19)
-        full = Conv2D(2, 3, kernel=3, rng=np.random.default_rng(5))
-        params_only = Conv2D(2, 3, kernel=3, rng=np.random.default_rng(5), input_grad=False)
+        full = Conv2D(conv_weight(np.random.default_rng(5), 2, 3))
+        params_only = Conv2D(conv_weight(np.random.default_rng(5), 2, 3), input_grad=False)
         for _ in range(2):  # gradients accumulate across calls
             x = rng.normal(size=(2, 2, 6, 5))
             dy = rng.normal(size=(2, 3, 4, 3))
@@ -514,7 +519,7 @@ class TestConvAndHead:
 
     def test_conv_backward_matches_fd(self):
         rng = np.random.default_rng(8)
-        conv = Conv2D(2, 3, kernel=3, rng=rng)
+        conv = Conv2D(conv_weight(rng, 2, 3))
         x = rng.normal(size=(2, 2, 6, 6))
         probe = rng.normal(size=conv.forward(x).shape)
 
@@ -546,7 +551,7 @@ class TestConvAndHead:
 
     def test_linear_backward(self):
         rng = np.random.default_rng(9)
-        lin = Linear(5, 3, rng=rng)
+        lin = Linear(rng.normal(0.0, 0.01, (3, 5)), np.zeros(3))
         x = rng.normal(size=(4, 5))
         dy = rng.normal(size=(4, 3))
         lin.forward(x)
@@ -619,8 +624,66 @@ def _nets(method):
     return {"single": single, "stacked": stacked, "selected": stacked.select([2, 0])}
 
 
+def se_layer_problems(net):
+    """Where the SE branches' Linear layers of a net miss its buffers: each
+    layer's weight, bias and gradients must be the net's views of them."""
+    problems = []
+    for slot in ("pool1", "pool2"):
+        se_layers = getattr(net, slot)._se_layers
+        assert [type(layer) for layer in se_layers] == [Linear, ReLU, Linear]
+        for layer, prefix in zip(se_layers[::2], ("se_f1", "se_f2")):
+            for key in ("weight", "bias"):
+                name = f"{slot}.{prefix}_{key}"
+                arr, grad = layer.params()[key], layer.grads()[key]
+                if not (arr is net.params()[name] and np.shares_memory(arr, net.flat_params)):
+                    problems.append(name)
+                if not (grad is net.grads()[name] and np.shares_memory(grad, net.flat_grads)):
+                    problems.append(f"{name} gradient")
+    return problems
+
+
 class TestFlatBuffers:
     """Every trainable array and gradient of a net is a view of its two buffers."""
+
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    def test_se_layers_are_built_on_the_buffers(self, method):
+        for kind, net in _nets(method).items():
+            assert se_layer_problems(net) == [], kind
+
+    def test_a_bind_that_skips_the_se_branch_fails(self, monkeypatch):
+        real = PoolingBlock.bind
+
+        def skipping(block, params, grads):  # keeps the layers of the block's first bind
+            se_layers = getattr(block, "_se_layers", None)
+            real(block, params, grads)
+            if se_layers is not None:
+                block._se_layers = se_layers
+
+        monkeypatch.setattr(PoolingBlock, "bind", skipping)
+        for kind, net in _nets("SEMP").items():
+            assert len(se_layer_problems(net)) == 16, kind
+
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    def test_a_step_moves_every_replica_of_the_se_layers(self, method):
+        data = np.random.default_rng(45)
+        for kind, net in _nets(method).items():
+            rows = net.replicas or 1
+            images = data.normal(size=(rows * 3, 1, 16, 16))
+            for slot in ("pool1", "pool2"):
+                net.params()[f"{slot}.se_f1_bias"][...] = 1.0  # every hidden unit live: every array gets a gradient
+            net.zero_grads()
+            logits = net.forward(images)
+            net.backward(data.normal(size=logits.shape))
+            arrays = [
+                (f"{slot} {i} {key}", arr)
+                for slot in ("pool1", "pool2")
+                for i, layer in enumerate(getattr(net, slot)._se_layers[::2])
+                for key, arr in layer.params().items()
+            ]
+            before = [arr.copy() for _, arr in arrays]
+            Adam(net.flat_params, OptimConfig(lr=1e-2), ()).step(net.flat_grads)
+            for (name, arr), old in zip(arrays, before):
+                assert (arr != old).reshape(rows, -1).any(axis=1).all(), f"{kind} {name} did not move"
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_array_is_a_view_of_the_buffers(self, method):

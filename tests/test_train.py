@@ -24,7 +24,7 @@ MICRO = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2)
 
 
 def micro_batch(rng, n=3, config=MICRO):
-    images = rng.normal(size=(n, config.in_channels, config.image_size, config.image_size))
+    images = rng.normal(size=(n, 1, config.image_size, config.image_size))
     labels = rng.integers(0, config.classes, size=n)
     return images, labels
 
