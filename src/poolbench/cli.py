@@ -10,14 +10,13 @@ Exit codes: 0 success, 1 usage error, 2 gradient-check failure, 3 sweep
 finished but contains diverged or crashed run(s).  A run is an
 :class:`OptimConfig`: ``sweep`` makes one per seed, ``lr-sweep`` one per
 learning rate.  Both train a method's runs in lock-step, as one task, and
-record a crash against its own run; ``POOLBENCH_THREADS`` caps how many
-worker processes share out a sweep's tasks (default 1).
+record a crash against its own run; ``sweep --workers N`` shares out its
+tasks among N worker processes (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -159,6 +158,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--methods", nargs="+", default=HEADLINE_METHODS, help=f"subset of: {' '.join(METHODS)}")
     sweep.add_argument("--seeds", nargs="+", type=int, default=(1, 2, 3, 4))
     sweep.add_argument("--lr", type=float, default=1e-4)
+    sweep.add_argument("--workers", type=int, default=1, help="worker processes, each training whole methods")
     grad.add_argument("--methods", nargs="+", default=METHODS)
     grad.add_argument("--trials", type=int, default=1000)
     grad.add_argument("--tolerance", type=float, default=1e-5)
@@ -237,18 +237,10 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("POOLBENCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"POOLBENCH_THREADS must be an integer, got {raw!r}")
-
-
-def _run_sweep_tasks(config: ExperimentConfig) -> list[RunReport]:
+def _run_sweep_tasks(config: ExperimentConfig, workers: int = 1) -> list[RunReport]:
     """Every (method, run) report, in that order: one task per method, which
-    trains its runs in lock-step."""
-    workers = min(_worker_count(), len(config.methods))
+    trains its runs in lock-step, shared out among up to ``workers`` processes."""
+    workers = min(workers, len(config.methods))
     args = [(m, config.runs, config.data_kwargs(), config.net_config()) for m in config.methods]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -278,9 +270,11 @@ def _run_one(packed) -> list[RunReport]:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"workers must be >= 1, got {args.workers}")
     config = _experiment(args, args.methods, args.seeds, [args.lr])
     _out_dir(config.out_dir)
-    results = _run_sweep_tasks(config)
+    results = _run_sweep_tasks(config, args.workers)
     for report in results:
         rep.write_run_csv(report, config.out_dir / rep.run_csv_name(report.method, report.seed))
         rep.write_params_json(report, config.out_dir / rep.params_json_name(report.method, report.seed))
@@ -331,7 +325,7 @@ def cmd_params_report(args) -> int:
     for path in paths:
         try:
             payloads.append(rep.read_params_json(path))
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError, KeyError, RecursionError) as err:  # RecursionError: JSON nested too deep
             raise UsageError(f"cannot read snapshot {path}: {err}") from err
     rows = rep.params_report_rows(payloads)
     rep.write_params_report_csv(rows, _out_dir(args.out) / "params_report.csv")

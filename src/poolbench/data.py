@@ -1,10 +1,10 @@
 """Synthetic image classification data for the pooling benchmark.
 
 Each class is a fixed 16x16 procedural pattern (stripes, checker, disk,
-ring, ...); samples jitter the pattern by a small circular shift, scale its
-amplitude, and add pixel noise.  Bright sparse strokes on a dark background
-keep the task easy for a small network while still giving max-like pooling
-something to prefer.
+ring, ...); samples shift the pattern circularly by at most a pixel per
+axis, scale its amplitude, and add pixel noise.  Bright sparse strokes on a
+dark background keep the task easy for a small network while still giving
+max-like pooling something to prefer.
 
 Generation is fully determined by the seed; the dataset is regenerated on
 demand and never written to disk.
@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SyntheticDataset", "check_data_args", "make_synthetic"]
+__all__ = ["IMAGE_SIZE", "MAX_SHIFT", "SyntheticDataset", "check_data_args", "make_synthetic"]
+
+#: the side of every image, and the largest circular shift of a sample per axis
+IMAGE_SIZE = 16
+MAX_SHIFT = 1
 
 
 def _vertical_stripes(size):
@@ -118,33 +122,27 @@ def check_data_args(classes: int, samples: int, noise: float) -> None:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
 
-def make_synthetic(
-    classes: int = 4,
-    samples: int = 1000,
-    seed: int = 0,
-    noise: float = 0.1,
-    image_size: int = 16,
-    jitter: int = 1,
-) -> SyntheticDataset:
-    """Balanced procedural dataset: `samples` images over `classes` classes.
+def make_synthetic(classes: int = 4, samples: int = 1000, seed: int = 0, noise: float = 0.1) -> SyntheticDataset:
+    """Balanced procedural dataset: `samples` IMAGE_SIZE x IMAGE_SIZE images
+    over `classes` classes, each shifted by up to MAX_SHIFT pixels per axis.
 
     Class sizes differ by at most one sample.  The train/test split is
     80/20, stratified per class, with disjoint index sets.  With noise = 0
-    the only variation left is the shift/amplitude jitter, and a
+    the only variation left is the shift and the amplitude, and a
     nearest-centroid classifier separates the classes perfectly.
     """
     check_data_args(classes, samples, noise)
     rng = np.random.default_rng(seed)
-    bases = [fn(image_size) for fn in _PATTERNS[:classes]]
+    bases = [fn(IMAGE_SIZE) for fn in _PATTERNS[:classes]]
     counts = [samples // classes + (1 if k < samples % classes else 0) for k in range(classes)]
 
-    images = np.empty((samples, 1, image_size, image_size))
+    images = np.empty((samples, 1, IMAGE_SIZE, IMAGE_SIZE))
     labels = np.empty(samples, dtype=np.int64)
     train_parts, test_parts = [], []
     pos = 0
     for k, count in enumerate(counts):
         for _ in range(count):
-            dy, dx = rng.integers(-jitter, jitter + 1, size=2)
+            dy, dx = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2)
             amplitude = rng.uniform(0.8, 1.2)
             img = amplitude * np.roll(bases[k], (dy, dx), axis=(0, 1))
             img = img + rng.normal(0.0, noise, size=img.shape) if noise > 0 else img

@@ -352,44 +352,31 @@ class PoolingBlock:
         return np.broadcast_to((d_out / (h * w))[..., None, None, :, :], self._x_shape)
 
 
-#: the toy images' channels, the convolutions' kernel size, and the window of
-#: every pooling stage: 2x2 with stride 2, so each halves the resolution
+#: the toy images' channels, the convolutions' kernel size, the output channels of
+#: the two conv+pool stages, and the window of every pooling stage: 2x2 with
+#: stride 2, so each halves the resolution
 IN_CHANNELS = 1
 CONV_KERNEL = 3
+STAGE_CHANNELS = (8, 16)
 POOL_WINDOW = WindowSpec(2, 2, 2, 2)
+#: the head's input width: the last stage's channels on a 2 x 2 grid, as the stages
+#: take a 16-pixel side (data.IMAGE_SIZE) through 14, 7, 5 and 2
+HEAD_FEATURES = STAGE_CHANNELS[-1] * 2 * 2
 
 
 @dataclass(frozen=True)
 class ToyNetConfig:
-    """Two conv+pool stages and an affine head on small single-channel images.
-
-    The squeeze-and-excitation reduction ratio defaults to 4 because the
-    widest toy stage has 16 channels; the canonical ratio of 16 needs
-    hundreds of channels to leave a usable hidden width.
-    """
+    """The toy net's settable values: its class count and LSE pooling's fixed
+    sharpness.  Its shape is fixed: two conv+pool stages of
+    :data:`STAGE_CHANNELS` and an affine head on 16x16 single-channel images."""
 
     classes: int = 4
-    image_size: int = 16
-    stage_channels: tuple[int, int] = (8, 16)
-    se_ratio: int = 4
     lse_sharpness: float = 1.0
 
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {self.classes}")
         check_field("sharpness", np.asarray(self.lse_sharpness))
-        for c in self.stage_channels:
-            if c % self.se_ratio != 0:
-                raise ConfigurationError(
-                    f"se_ratio {self.se_ratio} must divide every stage width, got {c}"
-                )
-
-    def feature_size(self) -> int:
-        size = self.image_size
-        for _ in self.stage_channels:
-            size = size - (CONV_KERNEL - 1)
-            size, _ = output_size(size, size, POOL_WINDOW)
-        return self.stage_channels[-1] * size * size
 
 
 class ToyNet:
@@ -407,7 +394,7 @@ class ToyNet:
         self.config = config
         self.method = method
         self.replicas = len(rng) if isinstance(rng, (list, tuple)) else None
-        c1, c2 = config.stage_channels
+        c1, c2 = STAGE_CHANNELS
 
         def draw(init):  # init(g)'s arrays, or each stacked over the generators on a replica axis
             if self.replicas is None:
@@ -423,7 +410,7 @@ class ToyNet:
         def pool(channels):
             spec = PoolSpec(method, POOL_WINDOW, channels)  # rejects an unknown method
             init = POOLING[method].init
-            params = draw(lambda g: init(spec.window.n, channels, g, config.se_ratio, config.lse_sharpness))
+            params = draw(lambda g: init(spec.window.n, channels, g, config.lse_sharpness))
             return PoolingBlock(spec, params, self.replicas)
 
         self.conv1 = conv(IN_CHANNELS, c1, input_grad=False)  # nothing reads the image batch's gradient
@@ -433,7 +420,7 @@ class ToyNet:
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.flatten = Flatten()
-        shape = (config.classes, config.feature_size())
+        shape = (config.classes, HEAD_FEATURES)
         self.head = Linear(**draw(lambda g: {"weight": g.normal(0.0, 0.01, shape), "bias": np.zeros(shape[0])}))
         names = ("conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "flatten", "head")
         self._stack = [getattr(self, name) for name in names]

@@ -59,6 +59,7 @@ __all__ = [
     "ENTRY_WEIGHTS",
     "Pooling",
     "POOLING",
+    "SE_RATIO",
     "METHODS",
     "HEADLINE_METHODS",
     "pooling_row",
@@ -331,32 +332,38 @@ def _smp_backward(cache, dy):
 class Pooling(NamedTuple):
     """One pooling method: its kernel pair, the parameters its kernel reads
     (``fields``) and its ``trainable`` arrays, and ``init(n, channels, rng,
-    se_ratio, lse_sharpness)``, a block's initial parameters: a dict holding
-    exactly the names in ``fields`` and ``trainable``.  ``trainable`` is in
-    the order the optimizer flattens.  ``se`` is what the squeeze-and-
-    excitation branch drives: the temperature field (``"tau"``) or, through a
-    sigmoid, a per-channel input scale (``"scale"``).  ``simplex`` names the
-    arrays the optimizer re-projects onto the simplex; ``report`` the
-    snapshot entries that ``params-report`` summarizes.  A kernel that reads
-    only the first ``entries`` entries of each window may get a stack of just
-    those."""
+    lse_sharpness)``, a block's initial parameters: a dict holding exactly
+    the names in ``fields`` and ``trainable``; an SE branch's hidden width is
+    channels / :data:`SE_RATIO`.  ``trainable`` is in the order the optimizer
+    flattens.  ``se`` is what the squeeze-and-excitation branch drives: the
+    temperature field (``"tau"``) or, through a sigmoid, a per-channel input
+    scale (``"scale"``).  ``simplex`` names the arrays the optimizer
+    re-projects onto the simplex; ``report`` the snapshot entries that
+    ``params-report`` summarizes.  A kernel that reads only the first
+    ``entries`` entries of each window may get a stack of just those."""
 
     forward: Callable
     backward: Callable
     fields: tuple[str, ...] = ()
     trainable: tuple[str, ...] = ()
-    init: Callable = lambda n, c, rng, se_ratio, lse_r: {}
+    init: Callable = lambda n, c, rng, lse_r: {}
     se: str = ""
     simplex: tuple[str, ...] = ()
     report: tuple[str, ...] = ()
     entries: int | None = None
 
 
-def _init_se(n, channels, rng, se_ratio, lse_sharpness) -> dict[str, np.ndarray]:
-    """He-uniform branch weights with zero biases; the hidden width is channels / se_ratio."""
-    if channels % se_ratio != 0:
-        raise ConfigurationError(f"se_ratio {se_ratio} must divide channels {channels}")
-    hidden = channels // se_ratio
+#: the squeeze-and-excitation reduction ratio: a branch's hidden width is
+#: channels / SE_RATIO.  It is 4 because the widest toy stage has 16 channels;
+#: the canonical ratio of 16 needs hundreds of channels to leave a usable width.
+SE_RATIO = 4
+
+
+def _init_se(n, channels, rng, lse_sharpness) -> dict[str, np.ndarray]:
+    """He-uniform branch weights with zero biases; the hidden width is channels / SE_RATIO."""
+    if channels % SE_RATIO != 0:
+        raise ConfigurationError(f"SE_RATIO {SE_RATIO} must divide channels {channels}")
+    hidden = channels // SE_RATIO
     bound1, bound2 = np.sqrt(6.0 / channels), np.sqrt(6.0 / hidden)
     return {
         "se_f1_weight": rng.uniform(-bound1, bound1, (hidden, channels)),
@@ -387,33 +394,33 @@ POOLING = {
     ),
     "CONV": Pooling(
         _conv_forward, _conv_backward, ("conv_w",), ("conv_w",),
-        lambda n, c, rng, se_ratio, lse_r: {"conv_w": np.full(n, 1.0 / n)}, report=("conv_w",),
+        lambda n, c, rng, lse_r: {"conv_w": np.full(n, 1.0 / n)}, report=("conv_w",),
     ),
     "GP": Pooling(
         _gp_forward, _gp_backward, ("gate_w",), ("gate_w",),
-        lambda n, c, rng, se_ratio, lse_r: {"gate_w": np.zeros(n)}, report=("gate_w",),
+        lambda n, c, rng, lse_r: {"gate_w": np.zeros(n)}, report=("gate_w",),
     ),
     "OP": Pooling(
         _op_forward, _op_backward, ("ordinal_w",), ("ordinal_w",),
-        lambda n, c, rng, se_ratio, lse_r: {"ordinal_w": np.full(n, 1.0 / n)},
+        lambda n, c, rng, lse_r: {"ordinal_w": np.full(n, 1.0 / n)},
         simplex=("ordinal_w",), report=("ordinal_w",),
     ),
     "LNP": Pooling(
         _lnp_forward, _lnp_backward, ("p_raw",), ("p_raw",),
-        lambda n, c, rng, se_ratio, lse_r: {"p_raw": np.array([np.log(np.expm1(2.0))])},
+        lambda n, c, rng, lse_r: {"p_raw": np.array([np.log(np.expm1(2.0))])},
         report=("p",),
     ),
     "LSE": Pooling(
         _lse_forward, lambda cache, dy: (dy * (cache[0] / cache[1]), {}), ("sharpness",),
-        init=lambda n, c, rng, se_ratio, lse_r: {"sharpness": lse_r},
+        init=lambda n, c, rng, lse_r: {"sharpness": lse_r},
     ),
     "SMP_fixed": Pooling(
         _smp_forward, _smp_backward, ("tau",),
-        init=lambda n, c, rng, se_ratio, lse_r: {"tau": fixed_temperatures(c)}, report=("tau",),
+        init=lambda n, c, rng, lse_r: {"tau": fixed_temperatures(c)}, report=("tau",),
     ),
     "SMP_trainable": Pooling(
         _smp_forward, _smp_backward, ("tau",), ("tau",),
-        lambda n, c, rng, se_ratio, lse_r: {"tau": rng.standard_normal(c)}, report=("tau",),
+        lambda n, c, rng, lse_r: {"tau": rng.standard_normal(c)}, report=("tau",),
     ),
     "SESMP": Pooling(_smp_forward, _smp_backward, (), _SE_PARAMS, _init_se, "tau", report=("se_f2_bias",)),
     "SEMP": Pooling(_max_forward, _max_backward, (), _SE_PARAMS, _init_se, "scale"),

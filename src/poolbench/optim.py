@@ -9,18 +9,19 @@ import numpy as np
 
 from .ops import DegenerateWeightsError, ParameterError, project_to_simplex
 
-__all__ = ["OptimConfig", "Adam", "ADAM_EPSILON"]
+__all__ = ["OptimConfig", "Adam", "ADAM_BETAS", "ADAM_EPSILON"]
 
+#: the moment decay rates (b1, b2) and the denominator guard of every Adam step
+ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Training hyperparameters; defaults follow the benchmark protocol."""
+    """A run's settable hyperparameters; defaults follow the benchmark protocol.
+    Adam's other constants are fixed: :data:`ADAM_BETAS` and :data:`ADAM_EPSILON`."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 10
     batch_size: int = 10
     seed: int = 1
@@ -28,10 +29,6 @@ class OptimConfig:
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1), got {b}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be >= 1")
 
@@ -74,7 +71,7 @@ class Adam:
 
     def step(self, grads: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.config.beta1, self.config.beta2
+        b1, b2 = ADAM_BETAS
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
         m, v = self.m, self.v

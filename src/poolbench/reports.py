@@ -91,13 +91,14 @@ def read_params_json(path) -> dict:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    # exact types: json reads true and false as bools, and a bool is an int to isinstance
     for key, kind in (("method", str), ("seed", int), ("diverged", bool), ("blocks", list)):
-        if not isinstance(payload.get(key), kind):
+        if type(payload.get(key)) is not kind:
             raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {payload.get(key)!r}")
     if not payload["blocks"] and not payload["diverged"]:
         raise ValueError("a run that did not diverge must have parameter blocks")
     for b in payload["blocks"]:
-        if not (isinstance(b, dict) and isinstance(b.get("block"), int) and isinstance(b.get("params"), dict)):
+        if not (isinstance(b, dict) and type(b.get("block")) is int and isinstance(b.get("params"), dict)):
             raise ValueError(f"each block needs an integer 'block' and a 'params' object, got {b!r}")
         for name, values in b["params"].items():
             # json reads NaN, Infinity and -Infinity as floats, and an integer of any size

@@ -4,6 +4,7 @@ import csv
 import os
 import signal
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -102,22 +103,19 @@ class TestSweep:
             path2 = out2 / path1.name
             assert path1.read_bytes() == path2.read_bytes()
 
-    def test_parallel_workers_same_bytes(self, tmp_path, tiny_config, monkeypatch):
+    def test_parallel_workers_same_bytes(self, tmp_path, tiny_config):
         out1, out2 = tmp_path / "seq", tmp_path / "par"
         assert run_cli("sweep", "--config", str(tiny_config), "--methods", "MP", "AP", "--out", str(out1)) == 0
-        monkeypatch.setenv("POOLBENCH_THREADS", "2")
-        assert run_cli("sweep", "--config", str(tiny_config), "--methods", "MP", "AP", "--out", str(out2)) == 0
+        args = ["--methods", "MP", "AP", "--workers", "2", "--out", str(out2)]
+        assert run_cli("sweep", "--config", str(tiny_config), *args) == 0
         for path1 in sorted(out1.iterdir()):
             assert path1.read_bytes() == (out2 / path1.name).read_bytes()
 
-    def test_lnp_reports_byte_identical_across_reruns_and_workers(
-        self, tmp_path, tiny_config, monkeypatch
-    ):
+    def test_lnp_reports_byte_identical_across_reruns_and_workers(self, tmp_path, tiny_config):
         outs = []
         for workers in ("1", "1", "2"):
-            monkeypatch.setenv("POOLBENCH_THREADS", workers)
-            outs.append(tmp_path / f"run{len(outs)}_threads{workers}")
-            args = ["--methods", "LNP", "--seeds", "1", "2", "--epochs", "2"]
+            outs.append(tmp_path / f"run{len(outs)}_workers{workers}")
+            args = ["--methods", "LNP", "--seeds", "1", "2", "--epochs", "2", "--workers", workers]
             assert run_cli("sweep", "--config", str(tiny_config), *args, "--out", str(outs[-1])) == 0
         names = sorted(p.name for p in outs[0].iterdir())
         assert "params_LNP_2.json" in names and len(names) == 5
@@ -127,10 +125,9 @@ class TestSweep:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_seed_reports_do_not_depend_on_the_seed_list(self, tmp_path, monkeypatch, workers):
+    def test_seed_reports_do_not_depend_on_the_seed_list(self, tmp_path, workers):
         # a method's seeds train in lock-step; seed 2's files are those of seed 2 alone
-        monkeypatch.setenv("POOLBENCH_THREADS", workers)
-        args = ["--methods", *ops.METHODS, "--samples", "40", "--epochs", "2"]
+        args = ["--methods", *ops.METHODS, "--samples", "40", "--epochs", "2", "--workers", workers]
         assert run_cli("sweep", *args, "--seeds", "1", "2", "3", "--out", str(tmp_path / "all")) == 0
         assert run_cli("sweep", *args, "--seeds", "2", "--out", str(tmp_path / "alone")) == 0
         for method in ops.METHODS:
@@ -184,6 +181,11 @@ class TestSweep:
             # the 80/20 split of 2 samples per class holds no test sample, and every run crashed
             (["--samples", "8"], ""),
             ([], "samples = 10\nclasses = 5\n"),
+            # a worker count under 1 once ran one worker without a word
+            (["--workers", "0"], ""),
+            (["--workers", "-1"], ""),
+            (["--workers", "two"], ""),
+            ([], "workers = 0\n"),
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, started, flags, config):
@@ -274,11 +276,10 @@ class TestSweep:
             return real(method, dataset, runs, *args)
 
         monkeypatch.setattr(cli, "train_runs", crash_ap_seed_2)
-        monkeypatch.setenv("POOLBENCH_THREADS", workers)
         out = tmp_path / "results"
         code = run_cli(
             "sweep", "--config", str(tiny_config), "--methods", "MP", "AP", "--seeds", "1", "2",
-            "--out", str(out),
+            "--workers", workers, "--out", str(out),
         )
         assert code == 3
         err = capsys.readouterr().err
@@ -297,18 +298,18 @@ class TestSweep:
         # a worker killed by a signal breaks the pool: the runs it did not return become
         # failed rows, every report is written and the sweep exits 3
         real = cli.train_runs
+        parent = os.getpid()
 
         def killed_on_ap(method, *args):
-            if method == "AP":
+            if method == "AP" and os.getpid() != parent:  # never the test process itself
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(method, *args)
 
         monkeypatch.setattr(cli, "train_runs", killed_on_ap)
-        monkeypatch.setenv("POOLBENCH_THREADS", "2")
         out = tmp_path / "results"
         code = run_cli(
             "sweep", "--config", str(tiny_config), "--methods", "MP", "AP", "--seeds", "1", "2",
-            "--out", str(out),
+            "--workers", "2", "--out", str(out),
         )
         assert code == 3
         err = capsys.readouterr().err
@@ -710,8 +711,15 @@ class TestParamsReport:
             '"blocks": [{"block": 0, "params": {"conv_w": [-Infinity, 0.0, 0.0, 0.0]}}]}',
             '{"method": "LNP", "seed": 1, "diverged": false, "note": "", '
             '"blocks": [{"block": 0, "params": {"p": [1' + '0' * 400 + ']}}]}',  # past the largest float
+            # json's true and false are bools, which isinstance counts as ints
+            '{"method": "OP", "seed": true, "diverged": false, "note": "", '
+            '"blocks": [{"block": false, "params": {"ordinal_w": [0.25, 0.25, 0.25, 0.25]}}]}',
+            '{"method": "OP", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": false, "params": {"ordinal_w": [0.25, 0.25, 0.25, 0.25]}}]}',
+            '[' * 200000 + ']' * 200000,  # too deep for json's recursion limit
         ],
-        ids=["top-level-list", "op-without-blocks", "no-method", "text-value", "nan", "inf", "-inf", "huge-int"],
+        ids=["top-level-list", "op-without-blocks", "no-method", "text-value", "nan", "inf", "-inf", "huge-int",
+             "bool-seed", "bool-block", "deep-nesting"],
     )
     def test_malformed_snapshot_is_one_error_line(self, tmp_path, capsys, payload):
         path = tmp_path / "params_X_1.json"
@@ -991,6 +999,7 @@ KEY_VALUES = {
     "lrs": ("1e-3, 2e-3", ["5e-4"], (1e-3, 2e-3), (5e-4,)),
     "trials": ("7", ["9"], 7, 9),
     "tolerance": ("1e-4", ["1e-3"], 1e-4, 1e-3),
+    "workers": ("2", ["3"], 2, 3),
 }
 OUTPUTS = ("summary.csv", "lr_sweep.csv", "params_report.csv")
 
@@ -1033,8 +1042,24 @@ class TestConfigKeys:
                          "seed": seed, "lse_r": lse_sharpness})
             return []
 
+        class InlinePool:  # a worker pool that runs its tasks here, where seen records them
+            def __init__(self, max_workers):
+                seen.append({"workers": max_workers})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
         fake_training(monkeypatch, fake_run)
         monkeypatch.setattr(cli, "run_gradcheck", fake_gradcheck)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         monkeypatch.chdir(tmp_path)
         return seen
 
@@ -1086,6 +1111,12 @@ class TestConfigKeys:
         assert calls == []
 
     def test_other_commands_keys_are_skipped(self, calls):
-        Path("cfg").write_text("seeds = 7 8\ntrials = 3\nmethod = AP\n")
+        Path("cfg").write_text("seeds = 7 8\ntrials = 3\nmethod = AP\nworkers = 2\n")
         assert run_cli("lr-sweep", "--config", "cfg", "--lrs", "1e-3") == 0
         assert [(c["method"], c["seed"]) for c in calls] == [("AP", 1)]
+        calls.clear()
+        assert run_cli("gradcheck", "--config", "cfg") == 0
+        assert [(c["trials"], c["seed"]) for c in calls] == [(3, 0)]
+        rep.write_params_json(fake_report("LNP", 1), Path("results") / "params_LNP_1.json")
+        assert run_cli("params-report", "--config", "cfg") == 0
+        assert Path("results", "params_report.csv").exists()

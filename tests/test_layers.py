@@ -24,13 +24,27 @@ from poolbench.optim import Adam, OptimConfig
 from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures
 
 POOL22 = WindowSpec(2, 2, 2, 2)
-SE_RATIO = 2  # the reduction ratio of make_block's SE branches
+#: the reduction ratio of make_block's SE branches: a hidden width of 2 on 4
+#: channels, where the net's SE_RATIO of 4 would leave a single hidden unit
+SE_RATIO = 2
+
+
+def se_branch(channels, rng):
+    """He-uniform SE branch arrays of hidden width channels / SE_RATIO and zero
+    biases, drawn in the order the method's ``init`` draws its own."""
+    hidden = channels // SE_RATIO
+    bound1, bound2 = np.sqrt(6.0 / channels), np.sqrt(6.0 / hidden)
+    w1 = rng.uniform(-bound1, bound1, (hidden, channels))
+    return ref.se_params(w1, np.zeros(hidden), rng.uniform(-bound2, bound2, (channels, hidden)), np.zeros(channels))
 
 
 def make_block(method, channels=4, rng=None, window=POOL22):
     rng = rng or np.random.default_rng(0)
     spec = PoolSpec(method, window, channels)
-    params = POOLING[method].init(window.n, channels, rng, SE_RATIO, 1.0)
+    if POOLING[method].se:
+        params = se_branch(channels, rng)
+    else:
+        params = POOLING[method].init(window.n, channels, rng, 1.0)
     # move trainable state off its symmetric initial point
     if method == "CONV":
         params["conv_w"] += rng.uniform(-0.1, 0.4, size=params["conv_w"].shape)

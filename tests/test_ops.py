@@ -534,7 +534,7 @@ class TestStackedPoolParamsValidation:
 
     @staticmethod
     def stacked(method, channels, replicas=4):
-        params = ops.POOLING[method].init(4, channels, np.random.default_rng(0), 2, 1.0)
+        params = ops.POOLING[method].init(4, channels, np.random.default_rng(0), 1.0)
         return PoolSpec(method, POOL22, channels), {k: np.stack([v] * replicas) for k, v in params.items()}
 
     @pytest.mark.parametrize("method", ["CONV", "GP", "OP", "LNP", "LSE", "SMP_trainable", "SESMP", "SEMP"])
@@ -553,7 +553,7 @@ class TestStackedPoolParamsValidation:
     ])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_bad_entry_in_replica_3_of_4(self, method, name, index, bad):
-        spec, params = self.stacked(method, 4)
+        spec, params = self.stacked(method, 8)  # 8 channels: an SE hidden width of 2
         params[name][index] = bad
         with pytest.raises(ParameterError, match=name):
             PoolingBlock(spec, params, 4)
@@ -595,7 +595,7 @@ class TestPoolParamsArrays:
         assert PoolingBlock(PoolSpec("LSE", POOL22, channels=4), {"sharpness": 2.0}).params() == {}
 
     def test_snapshot_reports_every_stored_parameter(self):
-        config = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2, lse_sharpness=2.0)
+        config = ToyNetConfig(lse_sharpness=2.0)
         rng = np.random.default_rng(0)
         (lse, _), (lnp, _), (se, _) = (
             _snapshots(ToyNet(config, method, [rng]), 0) for method in ("LSE", "LNP", "SESMP")
@@ -604,7 +604,7 @@ class TestPoolParamsArrays:
         assert lnp.params == {"p_raw": [float(np.log(np.expm1(2.0)))], "p": [norm_exponent(np.log(np.expm1(2.0)))]}
         assert lnp.params["p"][0] == pytest.approx(3.0)
         assert sorted(se.params) == ["se_f1_bias", "se_f1_weight", "se_f2_bias", "se_f2_weight"]
-        assert len(se.params["se_f1_weight"]) == 2 * 4  # row-major (hidden, channels)
+        assert len(se.params["se_f1_weight"]) == 2 * 8  # row-major (hidden, channels): 8 / SE_RATIO by 8
 
 
 windows = st.lists(

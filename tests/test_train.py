@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from poolbench import train as train_module
-from poolbench.data import make_synthetic
-from poolbench.layers import ToyNetConfig, softmax_cross_entropy
+from poolbench.data import IMAGE_SIZE, make_synthetic
+from poolbench.layers import CONV_KERNEL, STAGE_CHANNELS, ToyNetConfig, softmax_cross_entropy
 from poolbench.ops import HEADLINE_METHODS, norm_exponent
 from poolbench.optim import OptimConfig
 from helpers import init_weights
@@ -20,11 +20,11 @@ from poolbench.train import (
     train_runs,
 )
 
-MICRO = ToyNetConfig(image_size=12, stage_channels=(4, 8), se_ratio=2)
+CONFIG = ToyNetConfig()
 
 
-def micro_batch(rng, n=3, config=MICRO):
-    images = rng.normal(size=(n, 1, config.image_size, config.image_size))
+def micro_batch(rng, n=3, config=CONFIG):
+    images = rng.normal(size=(n, 1, IMAGE_SIZE, IMAGE_SIZE))
     labels = rng.integers(0, config.classes, size=n)
     return images, labels
 
@@ -38,9 +38,9 @@ class TestInitWeights:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_conv_weights_follow_he_normal(self):
-        params = init_weights("MP", ToyNetConfig(stage_channels=(64, 64), se_ratio=4), seed=0)
-        w = params["conv2.weight"]  # fan_in = 64 * 9
-        expected_std = np.sqrt(2.0 / (64 * 9))
+        # 32 replicas of conv2's (16, 8, 3, 3) weight: 36864 draws, fan_in = 8 * 9
+        w = build_net("MP", ToyNetConfig(), [np.random.default_rng(s) for s in range(32)]).params()["conv2.weight"]
+        expected_std = np.sqrt(2.0 / (STAGE_CHANNELS[0] * CONV_KERNEL**2))
         assert w.std() == pytest.approx(expected_std, rel=0.05)
         assert abs(w.mean()) < 0.2 * expected_std
 
@@ -56,10 +56,10 @@ class TestInitWeights:
 
     def test_fixed_temperature_ladder(self):
         rng = np.random.default_rng(0)
-        net = build_net("SMP_fixed", ToyNetConfig(stage_channels=(4, 8), se_ratio=2), rng)
+        net = build_net("SMP_fixed", ToyNetConfig(), rng)
         np.testing.assert_allclose(
             net.pool1.pool_params["tau"],
-            [np.log(0.25), np.log(0.5), np.log(0.75), 0.0],
+            np.log(np.arange(1, 9) / 8),  # log(c / C) over the first stage's 8 channels
             atol=1e-12,
         )
 
@@ -74,16 +74,16 @@ class TestInitWeights:
 class TestForwardBackward:
     def test_zero_head_gives_log_k(self):
         rng = np.random.default_rng(1)
-        net = build_net("MP", MICRO, rng)
+        net = build_net("MP", CONFIG, rng)
         net.head.weight[...] = 0.0
         net.head.bias[...] = 0.0
         images, labels = micro_batch(rng)
         loss, acc, _ = forward_backward(net, images, labels)
-        assert loss == np.log(MICRO.classes)
+        assert loss == np.log(CONFIG.classes)
 
     def test_gradients_cover_pooling_parameters(self):
         rng = np.random.default_rng(2)
-        net = build_net("SMP_trainable", MICRO, rng)
+        net = build_net("SMP_trainable", CONFIG, rng)
         images, labels = micro_batch(rng)
         _, _, grads = forward_backward(net, images, labels)
         assert set(grads) == set(net.params())
@@ -93,7 +93,7 @@ class TestForwardBackward:
     def test_network_gradient_matches_fd(self, method):
         # frozen micro-net: 50+ random coordinates against central differences
         rng = np.random.default_rng(3)
-        net = build_net(method, MICRO, rng)
+        net = build_net(method, CONFIG, rng)
         images, labels = micro_batch(rng, n=4)
 
         def loss_value():
@@ -112,8 +112,10 @@ class TestForwardBackward:
             if checked >= 50:
                 break
             analytic = grads[name].reshape(-1)[i]
-            if abs(analytic) < 1e-6:
-                continue  # below FD resolution at this step size
+            # below FD resolution at this step size: the quotient's roundoff, about
+            # eps * loss / h = 1.5e-10, must stay well under 1e-4 of the gradient
+            if abs(analytic) < 1e-5:
+                continue
             arr = params[name].reshape(-1)
             saved = arr[i]
 
@@ -283,8 +285,8 @@ class TestLockStep:
 
     @pytest.mark.parametrize(
         "other",
-        [dict(epochs=3), dict(batch_size=20), dict(beta1=0.8), dict(beta2=0.99)],
-        ids=["epochs", "batch_size", "beta1", "beta2"],
+        [dict(epochs=3), dict(batch_size=20)],
+        ids=["epochs", "batch_size"],
     )
     def test_runs_may_differ_only_in_seed_and_lr(self, dataset, other):
         runs = [OptimConfig(epochs=1, seed=1), replace(OptimConfig(epochs=1, seed=2, lr=1e-3), **other)]
@@ -329,10 +331,10 @@ class TestLockStep:
         # replica r of a stacked net owns rows r*B .. (r+1)*B - 1 and gives its single net's loss
         rng = np.random.default_rng(21)
         images, labels = micro_batch(rng, n=6)
-        stacked = build_net("SMP_trainable", MICRO, [np.random.default_rng(s) for s in (4, 5)])
+        stacked = build_net("SMP_trainable", CONFIG, [np.random.default_rng(s) for s in (4, 5)])
         loss, acc, grads = forward_backward(stacked, images, labels)
         for r, seed in enumerate((4, 5)):
-            single = build_net("SMP_trainable", MICRO, np.random.default_rng(seed))
+            single = build_net("SMP_trainable", CONFIG, np.random.default_rng(seed))
             want = forward_backward(single, images[3 * r : 3 * r + 3], labels[3 * r : 3 * r + 3])
             assert (loss[r], acc[r]) == want[:2]
             for name, grad in want[2].items():
