@@ -15,9 +15,10 @@ single layer's, and each product is one stacked GEMM whose slices are the
 single layer's GEMMs.  Every replica's result equals, bit for bit, what a
 single layer with that replica's parameters gives.
 
-Convolution and pooling read their windows through the window-offset views
-of their input (:func:`window_views`), never through copied windows, and
-write input gradients back through them (:func:`_scatter`).  A pooling block
+Pooling reads its windows through the window-offset views of its input
+(:func:`window_views`), never through copied windows, and convolution
+copies all the views at once into its im2col buffer; both write input
+gradients back through the views (:func:`_scatter`).  A pooling block
 runs its method's kernel pair from :data:`poolbench.ops.POOLING` on the stack
 of those views; the window-level operators of :mod:`poolbench.ops` and the
 gradients of :mod:`poolbench.grads` run the same kernels.
@@ -127,11 +128,12 @@ def _channels_first(x: np.ndarray) -> np.ndarray:
 
 
 class _Affine:
-    """A layer on a ``weight`` and a ``bias`` array; their gradients accumulate in ``grads_``."""
+    """A layer on a ``weight`` and a ``bias`` array; their gradients accumulate in
+    ``grads_``, which a new layer lacks until :meth:`bind` gives it the caller's."""
 
     def __init__(self, weight, bias):
         self.weight, self.bias = weight, bias
-        self.grads_ = {"weight": np.zeros_like(weight), "bias": np.zeros_like(bias)}
+        self.grads_ = None
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -149,7 +151,9 @@ class Conv2D(_Affine):
     """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
     views, then one GEMM per replica.  The layer is built on its (O, C, k, k)
     ``weight``, or a stack of S such weights (S, O, C, k, k), and a zero bias;
-    it trains them in place.  With ``input_grad=False``, backward returns None."""
+    it trains them in place.  With ``input_grad=False``, backward returns None.
+    The bias is added along whole output rows of W'*B*O floats of the
+    (H', W', B, O) layout."""
 
     def __init__(self, weight, input_grad=True):
         super().__init__(weight, np.zeros(weight.shape[:-3]))
@@ -165,14 +169,18 @@ class Conv2D(_Affine):
         o = self.bias.shape[-1]
         self._out_shape = lead + (h_out, w_out, b, o)
         # (..., C*k*k, H'W'B): row c*k*k + u*k + v is view (u, v) of channel c, the
-        # order of weight.reshape(..., O, -1); the views are stacked straight into it
-        cols = np.empty(lead + (c, self.window.n, h_out, w_out, b))
-        by_view = cols.transpose(_VIEWS_FIRST[len(lead)])
-        for k, view in enumerate(window_views(x, self.window, len(lead))):
-            by_view[k] = view
-        self._cols = cols.reshape(lead + (c * self.window.n, -1))
+        # order of weight.reshape(..., O, -1); one copy of a strided view of all of them
+        # on the C-contiguous x
+        s_h, s_w, s_b, s_c = x.strides[-4:]
+        shape = lead + (c, self.window.k1, self.window.k2, h_out, w_out, b)
+        views = np.ndarray(shape, x.dtype, x, 0, x.strides[:-4] + (s_c, s_h, s_w, s_h, s_w, s_b))
+        self._cols = np.ascontiguousarray(views).reshape(lead + (c * self.window.n, -1))
         out = self._cols.swapaxes(-1, -2) @ self.weight.reshape(lead + (o, -1)).swapaxes(-1, -2)  # (..., H'W'B, O)
-        out += self.bias[..., None, :]  # in place: no second output-sized buffer
+        # in place, a row of W'*B*O floats at a time: no second output-sized buffer
+        bias_row = np.empty(lead + (w_out * b, o))
+        bias_row[...] = self.bias[..., None, :]
+        rows = out.reshape(lead + (h_out, -1))
+        rows += bias_row.reshape(lead + (1, -1))
         return _channels_first(out.reshape(self._out_shape))
 
     def backward(self, dy):
@@ -191,9 +199,7 @@ class Conv2D(_Affine):
         return _channels_first(_scatter(self._in_shape, self.window, parts, len(lead)))
 
 
-# by replica axes: the im2col buffer (..., C, n, H', W', B) as (n, ..., H', W', B, C),
-# and the weight (..., O, C, k, k) as (k, k, ..., O, C)
-_VIEWS_FIRST = {0: (1, 2, 3, 4, 0), 1: (2, 0, 3, 4, 5, 1)}
+#: by replica axes: the weight (..., O, C, k, k) as (k, k, ..., O, C)
 _KERNEL_FIRST = {0: (2, 3, 0, 1), 1: (3, 4, 0, 1, 2)}
 
 

@@ -159,6 +159,15 @@ def norm_exponent(p_raw) -> float | np.ndarray:
 # Every fold over the window runs along axis 0 of the stack.  A pooling block
 # stacks C-contiguous (H', W', B, C) views, so each fold adds contiguous planes
 # in window order.
+#
+# A backward writes in place only into arrays that it allocated itself, never
+# into its cache: a second backward of the same forward must give the same
+# gradients.  Reusing its own temporaries saves allocations and passes; each
+# entry still gets the same IEEE operations on the same operands, in the same
+# order (which picks the NaN that a NaN pair gives), as in the form with a fresh
+# array per operation (kept in tests/bit_reference.py), or operations with the
+# same result bits (LNP's sign step), so the gradients keep their bits,
+# non-finite ones too.
 
 
 def _sum_to(grad, field):
@@ -211,9 +220,13 @@ def _gp_backward(cache, dy):
     # swing = g (1-g) (avg - max)
     stack, w, g, mean, peak = cache
     swing = g * (1.0 - g) * (mean - peak)
-    d_w = _sum_to(stack * (dy * swing), w)
+    d_stack = swing * w
+    np.add(g / len(stack), d_stack, out=d_stack)
+    np.multiply(dy, d_stack, out=d_stack)
     d_max, _ = _max_backward((stack, peak), (1.0 - g) * dy)
-    return dy * (g / len(stack) + swing * w) + d_max, {"gate_w": d_w}
+    d_stack += d_max
+    d_w = _sum_to(np.multiply(stack, dy * swing, out=d_max), w)  # last: it may be d_max itself
+    return d_stack, {"gate_w": d_w}
 
 
 def _op_forward(stack, fields):
@@ -279,7 +292,8 @@ def _lnp_backward(cache, dy):
     d_stack = np.multiply(log_r, p - 1.0)
     np.exp(d_stack, out=d_stack)
     d_stack -= zero
-    np.copysign(d_stack, 0.5 - negative, out=d_stack)  # 0.5 - True < 0: sign(x)
+    np.abs(d_stack, out=d_stack)  # with the negation, copysign(d_stack, sign(x)), a NaN's sign too
+    np.negative(d_stack, out=d_stack, where=negative)
     d_stack *= dy * np.exp(log_mean * (1.0 / p - 1.0)) / len(log_r)
     # dy/dp = y (weighted_log / p - log_mean / p^2), 0 for an all-zero window (y = 0),
     # then dp/dp_raw = sigmoid(p_raw); float_power rounds p^2 as C's pow does, for a
@@ -322,8 +336,14 @@ def _smp_backward(cache, dy):
     stack, tau, e, total, y = cache
     s = e / total
     centered = stack - y
-    d_stack = dy * s * (1.0 + tau * centered)
-    return d_stack, {"tau": _sum_to(dy * (s * centered**2).sum(axis=0), tau)}
+    spread = np.square(centered)
+    np.multiply(s, spread, out=spread)
+    d_tau = _sum_to(dy * spread.sum(axis=0), tau)
+    np.multiply(dy, s, out=s)  # s becomes dy * s * (1.0 + tau * centered)
+    np.multiply(tau, centered, out=centered)
+    np.add(1.0, centered, out=centered)
+    s *= centered
+    return s, {"tau": d_tau}
 
 
 # -- the method table ------------------------------------------------------------

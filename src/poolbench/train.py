@@ -112,22 +112,24 @@ def evaluate(net: ToyNet, images, labels, batch_size: int = 100):
 
     Forwards slices of ``batch_size`` images (:func:`train_runs` passes its
     training batch) and sums the loss per 100 samples at any slice size.
-    Every replica of the stacked ``net`` scores the whole set, and gets its
-    own loss and accuracy.  Raises ``ValueError`` on an empty set.
+    Every replica of a stacked ``net`` scores the whole set, and gets its
+    own loss and accuracy; a single net gets a float loss and accuracy.
+    Raises ``ValueError`` on an empty set.
     """
     if len(images) == 0:
         raise ValueError("cannot evaluate on zero images")
-    logits = np.empty((net.replicas, len(images), net.config.classes))
+    replicas = () if net.replicas is None else (net.replicas,)
+    logits = np.empty(replicas + (len(images), net.config.classes))
     for start in range(0, len(images), batch_size):
         batch = images[start : start + batch_size]
-        logits[:, start : start + batch_size] = net.forward(np.broadcast_to(batch, (net.replicas,) + batch.shape))
+        logits[..., start : start + batch_size, :] = net.forward(np.broadcast_to(batch, replicas + batch.shape))
     total_loss = 0.0
     correct = 0.0
     for start in range(0, len(images), 100):
-        group = logits[:, start : start + 100]
+        group = logits[..., start : start + 100, :]
         loss, _, acc = softmax_cross_entropy(group, labels[start : start + 100])
-        total_loss += loss * group.shape[1]
-        correct += acc * group.shape[1]
+        total_loss += loss * group.shape[-2]
+        correct += acc * group.shape[-2]
     return total_loss / len(images), correct / len(images)
 
 

@@ -61,6 +61,17 @@ def make_block(method, channels=4, rng=None, window=POOL22):
     return PoolingBlock(spec, params)
 
 
+def with_zero_grads(layer):
+    """``layer``, bound to zero gradient arrays of its own, as a net binds its layers to its buffer."""
+    layer.bind(layer.params(), {key: np.zeros_like(arr) for key, arr in layer.params().items()})
+    return layer
+
+
+def conv_layer(weight, **options):
+    """A standalone Conv2D on ``weight`` with gradient arrays of its own."""
+    return with_zero_grads(Conv2D(weight, **options))
+
+
 def conv_weight(rng, c_in, c_out, kernel=3):
     """A He-normal (c_out, c_in, k, k) convolution weight, drawn as ToyNet draws its own."""
     return rng.normal(0.0, np.sqrt(2.0 / (c_in * kernel * kernel)), (c_out, c_in, kernel, kernel))
@@ -342,6 +353,27 @@ class TestPoolingBlockBackward:
         block.backward(dy)
         np.testing.assert_allclose(block.grads()["conv_w"], 2 * once)
 
+    @pytest.mark.parametrize("replicas", [None, 2])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_backward_leaves_its_forward_cache_as_it_was(self, method, replicas):
+        # two backwards of one forward with the same dy: the same dx, and each
+        # gradient grows by the same increment, so it doubles exactly
+        rng = np.random.default_rng(METHODS.index(method))
+        if replicas is None:
+            block = make_block(method, rng=rng)
+        else:
+            rows = [make_block(method, rng=rng).pool_params for _ in range(replicas)]
+            params = {name: np.stack([row[name] for row in rows]) for name in rows[0]}
+            block = PoolingBlock(PoolSpec(method, POOL22, 4), params, replicas)
+        x = np.maximum(rng.normal(size=(replicas,) * bool(replicas) + (3, 4, 6, 6)), 0.0)
+        x[..., 0, 1] = x[..., 0, 0]  # tied window entries
+        dy = rng.normal(size=block.forward(x).shape)
+        first = block.backward(dy).copy()
+        once = {name: grad.copy() for name, grad in block.grads().items()}
+        np.testing.assert_array_equal(block.backward(dy), first)
+        for name, grad in block.grads().items():
+            np.testing.assert_array_equal(grad, 2.0 * once[name], err_msg=name)
+
 
 
 class TestLearnedNormZeros:
@@ -427,7 +459,7 @@ class TestMemoryOrder:
         dy = rng.normal(size=(3, 5, 5, 4))
 
         def conv():
-            layer = Conv2D(conv_weight(np.random.default_rng(44), 4, 5))
+            layer = conv_layer(conv_weight(np.random.default_rng(44), 4, 5))
             layer.bias[...] = np.arange(5.0)
             return layer
 
@@ -476,7 +508,7 @@ class TestRandomGeometry:
 class TestConvAndHead:
     def test_conv_matches_direct_correlation(self):
         rng = np.random.default_rng(7)
-        conv = Conv2D(conv_weight(rng, 2, 3))
+        conv = conv_layer(conv_weight(rng, 2, 3))
         for shape in [(2, 2, 5, 5), (3, 2, 6, 9), (1, 2, 5, 5)]:  # square, non-square, batch 1
             x = rng.normal(size=shape)
             out = conv.forward(x)
@@ -495,7 +527,7 @@ class TestConvAndHead:
 
     def test_conv_bias_gradient_matches_fd(self):
         rng = np.random.default_rng(18)
-        conv = Conv2D(conv_weight(rng, 2, 3))
+        conv = conv_layer(conv_weight(rng, 2, 3))
         x = rng.normal(size=(2, 2, 5, 7))
         probe = rng.normal(size=conv.forward(x).shape)
         conv.backward(probe)
@@ -511,8 +543,8 @@ class TestConvAndHead:
 
     def test_conv_without_input_grad_accumulates_the_same_parameter_grads(self):
         rng = np.random.default_rng(19)
-        full = Conv2D(conv_weight(np.random.default_rng(5), 2, 3))
-        params_only = Conv2D(conv_weight(np.random.default_rng(5), 2, 3), input_grad=False)
+        full = conv_layer(conv_weight(np.random.default_rng(5), 2, 3))
+        params_only = conv_layer(conv_weight(np.random.default_rng(5), 2, 3), input_grad=False)
         for _ in range(2):  # gradients accumulate across calls
             x = rng.normal(size=(2, 2, 6, 5))
             dy = rng.normal(size=(2, 3, 4, 3))
@@ -533,7 +565,7 @@ class TestConvAndHead:
 
     def test_conv_backward_matches_fd(self):
         rng = np.random.default_rng(8)
-        conv = Conv2D(conv_weight(rng, 2, 3))
+        conv = conv_layer(conv_weight(rng, 2, 3))
         x = rng.normal(size=(2, 2, 6, 6))
         probe = rng.normal(size=conv.forward(x).shape)
 
@@ -563,9 +595,24 @@ class TestConvAndHead:
             wflat[i] = saved
             assert (hi - lo) / (2 * h) == pytest.approx(grad_w[i], rel=1e-5, abs=1e-8)
 
+    def test_layers_accumulate_in_the_callers_gradient_arrays(self):
+        # a layer allocates no gradients: it has none until bound to the caller's
+        rng = np.random.default_rng(21)
+        conv, lin = Conv2D(conv_weight(rng, 2, 3)), Linear(rng.normal(size=(3, 2)), np.zeros(3))
+        assert conv.grads() is None and lin.grads() is None
+        for layer, x in ((conv, rng.normal(size=(2, 2, 5, 5))), (lin, rng.normal(size=(4, 2)))):
+            grads = {key: np.zeros_like(arr) for key, arr in layer.params().items()}
+            layer.bind(layer.params(), grads)
+            layer.backward(rng.normal(size=layer.forward(x).shape))
+            assert all(layer.grads()[key] is grads[key] and grads[key].any() for key in grads)
+        net = ToyNet(ToyNetConfig(), "MP", [rng, rng])
+        for slot in ("conv1", "conv2", "head"):
+            for key, grad in getattr(net, slot).grads().items():
+                assert grad is net.grads()[f"{slot}.{key}"] and np.shares_memory(grad, net.flat_grads)
+
     def test_linear_backward(self):
         rng = np.random.default_rng(9)
-        lin = Linear(rng.normal(0.0, 0.01, (3, 5)), np.zeros(3))
+        lin = with_zero_grads(Linear(rng.normal(0.0, 0.01, (3, 5)), np.zeros(3)))
         x = rng.normal(size=(4, 5))
         dy = rng.normal(size=(4, 3))
         lin.forward(x)

@@ -244,6 +244,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="zero images"):
             evaluate(net, dataset.test_images[:0], dataset.test_labels[:0])
 
+    @pytest.mark.parametrize("method", ["MP", "SESMP"])
+    def test_evaluate_scores_a_single_net_as_a_one_replica_stack(self, dataset, method):
+        single = build_net(method, ToyNetConfig(), np.random.default_rng(8))
+        stack = build_net(method, ToyNetConfig(), [np.random.default_rng(8)])
+        images, labels = dataset.images[:130], dataset.labels[:130]
+        loss, acc = evaluate(single, images, labels, batch_size=9)
+        (stack_loss,), (stack_acc,) = evaluate(stack, images, labels, batch_size=9)
+        assert type(loss) is float and type(acc) is float
+        assert (loss, acc) == (stack_loss, stack_acc)
+
 
 #: (method, the step after which a hook poisons one run, the poison, its recorded note)
 POISONS = {
