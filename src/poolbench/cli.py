@@ -57,11 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_methods(methods):
-    for method in methods:
+    for i, method in enumerate(methods):
         try:
             pooling_row(method)
         except ConfigurationError as err:
             raise UsageError(str(err)) from None
+        if method in methods[:i]:  # it would count twice in a sweep's summary, print twice in gradcheck's
+            raise UsageError(f"repeated method {method}")
 
 
 def _check_seed(name, seed):
@@ -89,10 +91,9 @@ class ExperimentConfig:
         for run in self.runs:
             _check_seed("seed", run.seed)
         # a repeated run would count twice in its method's summary
-        labels = [f"method {m}" for m in self.methods] + [f"run of seed {r.seed} at lr {r.lr!r}" for r in self.runs]
-        for i, label in enumerate(labels):
-            if label in labels[:i]:
-                raise UsageError(f"repeated {label}")
+        for i, run in enumerate(self.runs):
+            if run in self.runs[:i]:
+                raise UsageError(f"repeated run of seed {run.seed} at lr {run.lr!r}")
         _check_seed("data_seed", self.data_seed)
         check_data_args(self.classes, self.samples, self.noise)
         # the 80/20 split gives a class a test sample only from 3 samples on

@@ -10,19 +10,18 @@ coordinate with central differences of the forward kernel, so every trial
 makes at least one comparison.  For the squeeze-and-excitation blocks
 (SESMP, SEMP) the check runs at block level through the layer, probing a
 random linear functional of the block output: every input coordinate
-through a forward of a stack of bumped inputs, and the branch parameters
+through forwards of stacks of bumped inputs, and the branch parameters
 along one random direction.
 
 The work is done per block of trials: one forward-kernel call per gradient
 evaluates the bumped points (:func:`poolbench.grads.bumped_points`) of every
 point of a window block, and the SE candidates of a block are the replicas
-of one stacked layer, whose forward and backward give all their gradients.
-The bumped inputs of two SE trials are the replicas of one more forward.
-Each trial still makes its own :func:`~poolbench.grads.fd_check` call per
-comparison, with that trial's own values at its bumped points; the
-benchmark's traced run counts those calls, at least one per trial and
-method.  A non-finite analytic gradient makes the method's worst error NaN,
-and the method fails.
+of one stacked layer, whose forwards and backward give all their gradients
+and their values at their bumped inputs.  Each trial still makes its own
+:func:`~poolbench.grads.fd_check` call per comparison, with that trial's own
+values at its bumped points; the benchmark's traced run counts those calls,
+at least one per trial and method.  A non-finite analytic gradient makes the
+method's worst error NaN, and the method fails.
 
 Sampling keeps points where the comparison is informative:
 
@@ -53,7 +52,7 @@ _WINDOW = WindowSpec(2, 2, 2, 2)
 _MIN_COORD = 1e-3  # oracle resolution guard; see module docstring
 _BLOCK = 128  # candidate points per analytic-gradient call; a larger block holds more memory
 _SE_BLOCK = 32  # SE candidates per stacked block
-_SE_PAIR = 2  # SE trials whose bumped inputs share one forward; more hold more memory
+_SE_CHUNK = 4  # input coordinates per forward of a block's bumped inputs; more hold more memory
 #: one SE candidate of gradcheck's block, C = 4 channels and hidden width 2: its input X and
 #: the branch's trainable arrays, each array's shape and the bound of its uniform draw
 _SE_DRAWS = {
@@ -228,73 +227,67 @@ def _se_candidates(rng, count, probe_shape):
     return params.pop("x"), params, probes, vs
 
 
-def _stacked_se(spec, xs, params, probes, vs, along):
+def _stacked_se(spec, xs, params, probes, vs, step):
     """The candidates as the replicas of one stacked block: each one's input
     gradient dx (a row) and <g, v> for the branch gradient g, from one forward
-    and one backward, and its <R, block(X)> at theta + t v for each t of ``along``."""
+    and one backward; its <R, block(X)> at theta + h v and theta - h v (a row);
+    and its <R, block(X')> at every bumped input X' of its X, in the order of
+    :func:`~poolbench.grads.bumped_points` (a row), _SE_CHUNK coordinates a forward."""
     block = layers.PoolingBlock(spec, {name: a.copy() for name, a in params.items()}, len(xs))
     block.forward(xs)
     dxs = block.backward(probes)
     arrays = block.params()
     g = np.concatenate([block.grads()[name].reshape(len(xs), -1) for name in arrays], axis=1)
     gv = np.array([g_r @ v for g_r, v in zip(g, vs)])
-    values = np.empty((len(along), len(xs)))
-    for row, t in enumerate(along[:, 0]):
+
+    def probed(x):  # every replica's <R, block(X)>, a column per input of x
+        return (probes * block.forward(x)).sum(axis=(2, 3, 4))
+
+    flat = xs.reshape(len(xs), -1)  # the bumped inputs go first, while the arrays hold theta
+    at_x = np.empty((len(xs), 2, flat.shape[1]))
+    for start in range(0, flat.shape[1], _SE_CHUNK):
+        cut = slice(start, start + _SE_CHUNK)
+        rows = grads.bumped_points(flat[:, cut], step)  # (S, 2k, k): +h rows, then -h rows
+        bumped = np.repeat(flat[:, None], len(rows[0]), axis=1)
+        bumped[:, :, cut] = rows
+        at_x[:, :, cut] = probed(bumped.reshape(len(xs), -1, *xs.shape[2:])).reshape(len(xs), 2, -1)
+    at_t = np.empty((len(xs), 2))
+    for col, t in enumerate((step, -step)):
         offset = 0
         for name, arr in arrays.items():
             arr[...] = params[name] + t * vs[:, offset : offset + arr[0].size].reshape(arr.shape)
             offset += arr[0].size
-        out = block.forward(xs)
-        values[row] = [float((probe * out[r]).sum()) for r, probe in enumerate(probes)]
-    return dxs.reshape(len(xs), -1), gv, values
-
-
-def _bumped_input_values(spec, xs, params, probes, step):
-    """The candidates as the replicas of one stacked block: each one's
-    <R, block(X')> at all 2 x 64 bumped inputs X' of its X, from one forward.
-    The block, and the caches of its forward, end with the call."""
-    block = layers.PoolingBlock(spec, params, len(xs))
-    # (S, 128, C, H, W), laid out channels-last as the block computes: its forward copies none
-    bumped = grads.bumped_points(xs.reshape(len(xs), -1), step)
-    bumped = np.ascontiguousarray(bumped.reshape(len(xs), -1, *xs.shape[2:]).transpose(0, 3, 4, 1, 2))
-    out = block.forward(bumped.transpose(0, 3, 4, 1, 2))
-    return [(probe * out_r).sum(axis=(1, 2, 3)) for probe, out_r in zip(probes, out)]
+        at_t[:, col] = probed(xs)[:, 0]
+    return dxs.reshape(len(xs), -1), gv, at_t, at_x.reshape(len(xs), -1)
 
 
 def _check_se_block(method, trials, config, rng):
     """Block-level check of the squeeze-and-excitation pooling stages.
 
     Probes the scalar <R, block(X)> for a fixed random R against the layer's
-    analytic backward.  Every input coordinate is checked through a forward
+    analytic backward.  Every input coordinate is checked through forwards
     of the bumped inputs; the branch parameters are checked along one random
     unit direction v, <grad, v> against the central difference of t ->
     f(theta + t v).  The candidates of a block are the replicas of one
     stacked layer: one forward and one backward give all their gradients,
-    and two more forwards their values at theta +- h v.  The bumped inputs of
-    every coordinate of _SE_PAIR trials are the replicas of one more block.
+    and more forwards of the same layer their values at theta +- h v and at
+    their bumped inputs.
     """
     spec = ops.PoolSpec(method, _WINDOW, 4)
     probe_shape = (1, 4, *output_size(4, 4, _WINDOW))
-    along = grads.bumped_points(np.zeros(1), config.step)  # t = +h, then t = -h
     worst, checked = 0.0, 0
     while checked < trials:
         xs, params, probes, vs = _se_candidates(rng, min(trials - checked, _SE_BLOCK), probe_shape)
-        dxs, gv, at_t = _stacked_se(spec, xs, params, probes, vs, along)
+        dxs, gv, at_t, at_x = _stacked_se(spec, xs, params, probes, vs, config.step)
         # the oracle resolves no |analytic| under _MIN_COORD but exact zeros, so such
         # input coordinates are left out; a cancelled <g, v> redraws the point with v,
         # which also ends the loop at points where g vanishes.  A NaN is kept: it fails.
         keep = ~((np.abs(dxs) > 0.0) & (np.abs(dxs) < _MIN_COORD))
-        informative = np.flatnonzero(keep.any(axis=1) & ~(np.abs(gv) < _MIN_COORD))
-        # the informative trials in groups of _SE_PAIR; an odd count leaves one alone
-        for start in range(0, len(informative), _SE_PAIR):
-            group = informative[start : start + _SE_PAIR]
-            branch = {name: a[group] for name, a in params.items()}
-            at_x = _bumped_input_values(spec, xs[group], branch, probes[group], config.step)
-            for r, values in zip(group, at_x):
-                checked += 1
-                # each trial takes the rows of its kept coordinates, +h then -h
-                worst = _worse(worst, fd_check(values[np.tile(keep[r], 2)], dxs[r][keep[r]], config))
-                worst = _worse(worst, fd_check(at_t[:, r], gv[r : r + 1], config))
+        for r in np.flatnonzero(keep.any(axis=1) & ~(np.abs(gv) < _MIN_COORD)):
+            checked += 1
+            # each trial takes the rows of its kept coordinates, +h then -h
+            worst = _worse(worst, fd_check(at_x[r][np.tile(keep[r], 2)], dxs[r][keep[r]], config))
+            worst = _worse(worst, fd_check(at_t[r], gv[r : r + 1], config))
     return worst
 
 

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .layers import POOL_WINDOW
 from .ops import ENTRY_WEIGHTS, POOLING
 from .train import RunReport
 
@@ -102,10 +103,13 @@ def read_params_json(path) -> dict:
             raise ValueError(f"each block needs an integer 'block' and a 'params' object, got {b!r}")
         for name, values in b["params"].items():
             # json reads NaN, Infinity and -Infinity as floats, and an integer of any size
-            if not isinstance(values, list) or not all(
+            if not (isinstance(values, list) and values) or not all(
                 type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
             ):
-                raise ValueError(f"parameter {name!r} must be a list of finite numbers, got {values!r}")
+                raise ValueError(f"parameter {name!r} must be a non-empty list of finite numbers, got {values!r}")
+        # the ordinal drift check compares the last slot's weight with the others
+        if payload["method"] == "OP" and len(b["params"].get("ordinal_w", ())) != POOL_WINDOW.n:
+            raise ValueError(f"an OP block must hold one 'ordinal_w' weight per window entry, got {b['params']!r}")
     payload["blocks"] = [{"block": b["block"], "params": b["params"]} for b in payload["blocks"]]
     return payload
 

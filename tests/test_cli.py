@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
 import csv
+import math
 import os
 import signal
 import warnings
@@ -535,24 +536,35 @@ class TestGradcheck:
         signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
-    @pytest.mark.parametrize("trials", [1, 33])
-    def test_odd_block_size_leaves_one_candidate_alone(self, monkeypatch, fd_calls, deadline, method, trials):
-        # the bumped inputs of two trials share a forward, 128 rows a replica; an odd
-        # number of trials in a block leaves one trial alone in a forward of its own
-        groups = []
-        real = layers.PoolingBlock.forward
+    @pytest.mark.parametrize("trials", [1, 33, 100])
+    def test_one_block_per_candidate_group(self, monkeypatch, fd_calls, deadline, method, trials):
+        # a group's candidates are the replicas of one block, whose own forwards also
+        # give their values at their bumped inputs, a few coordinates at a time
+        groups, blocks, forwards = [], [], []
+        draw, build, forward = gradcheck._se_candidates, layers.PoolingBlock.__init__, layers.PoolingBlock.forward
+
+        def drawing(rng, count, probe_shape):
+            groups.append(count)
+            return draw(rng, count, probe_shape)
+
+        def building(block, spec, params, replicas=None):
+            blocks.append(replicas)
+            build(block, spec, params, replicas)
 
         def recording(block, x):
-            if x.ndim == 5 and x.shape[1] == 128:
-                groups.append(len(x))
-            return real(block, x)
+            forwards.append(x.shape[:2])
+            return forward(block, x)
 
+        monkeypatch.setattr(gradcheck, "_se_candidates", drawing)
+        monkeypatch.setattr(layers.PoolingBlock, "__init__", building)
         monkeypatch.setattr(layers.PoolingBlock, "forward", recording)
         result = gradcheck.check_method(method, trials=trials)
-        assert set(groups) <= {1, 2} and sum(groups) == trials and 1 in groups
-        assert groups.count(1) == 1 or trials > gradcheck._SE_BLOCK
-        assert result.worst_error == gradcheck_reference.worst_error(method, trials)
+        assert blocks == groups and len(groups) == math.ceil(trials / gradcheck._SE_BLOCK)
+        assert max(groups) <= gradcheck._SE_BLOCK
+        # no forward holds more bumped inputs than 32 replicas of 4 coordinates, +h and -h
+        assert max(s * b for s, b in forwards) <= gradcheck._SE_BLOCK * 2 * gradcheck._SE_CHUNK
         assert len(fd_calls) == 2 * trials
+        assert result.worst_error == gradcheck_reference.worst_error(method, trials)
 
     @pytest.mark.parametrize("method", ["MP", "GP", "SESMP", "SEMP"])
     def test_nan_gradient_fails(self, monkeypatch, capsys, deadline, method):
@@ -717,9 +729,20 @@ class TestParamsReport:
             '{"method": "OP", "seed": 1, "diverged": false, "note": "", '
             '"blocks": [{"block": false, "params": {"ordinal_w": [0.25, 0.25, 0.25, 0.25]}}]}',
             '[' * 200000 + ']' * 200000,  # too deep for json's recursion limit
+            # the ordinal drift check failed on these with a KeyError, a ValueError and an
+            # IndexError, and the tau percentiles with an IndexError
+            '{"method": "OP", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": 0, "params": {}}]}',
+            '{"method": "OP", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": 0, "params": {"ordinal_w": [1.0]}}]}',
+            '{"method": "OP", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": 0, "params": {"ordinal_w": []}}]}',
+            '{"method": "SMP_trainable", "seed": 1, "diverged": false, "note": "", '
+            '"blocks": [{"block": 0, "params": {"tau": []}}]}',
         ],
         ids=["top-level-list", "op-without-blocks", "no-method", "text-value", "nan", "inf", "-inf", "huge-int",
-             "bool-seed", "bool-block", "deep-nesting"],
+             "bool-seed", "bool-block", "deep-nesting", "op-without-ordinal-w", "one-ordinal-weight",
+             "no-ordinal-weights", "no-tau"],
     )
     def test_malformed_snapshot_is_one_error_line(self, tmp_path, capsys, payload):
         path = tmp_path / "params_X_1.json"
@@ -920,6 +943,13 @@ def test_repeated_method_or_run_is_one_error_line(tmp_path, capsys, started, arg
     assert run_cli(*argv, "--samples", "40", "--epochs", "1", "--out", str(out)) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: repeated {repeated}"]
     assert started == [] and not out.exists()
+
+
+def test_gradcheck_repeated_method_is_one_error_line(capsys, monkeypatch):
+    # sweep's rule: a repeated method once printed its gradcheck row twice and exited 0
+    monkeypatch.setattr(cli, "run_gradcheck", lambda *args, **kwargs: pytest.fail("the check started"))
+    assert run_cli("gradcheck", "--methods", "MP", "AP", "MP", "--trials", "1") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: repeated method MP"]
 
 
 @pytest.mark.parametrize(

@@ -374,6 +374,43 @@ class TestPoolingBlockBackward:
         for name, grad in block.grads().items():
             np.testing.assert_array_equal(grad, 2.0 * once[name], err_msg=name)
 
+    @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
+    def test_a_replica_has_the_same_bits_in_any_stack_and_batch(self, method):
+        # gradcheck takes an SE candidate's values at its bumped inputs from forwards
+        # of its group's stacked block, 8 inputs a replica: a replica's bits must not
+        # depend on the stack size S or on how many inputs share its forward.  A lone
+        # input, B = 1, takes another of numpy's matrix-product paths in the SE branch,
+        # whose last bits can differ from a batch's; its bits must not depend on S
+        # either.  gradcheck compares no B = 1 value with one of a larger batch.
+        rng = np.random.default_rng(METHODS.index(method))
+        rows = [make_block(method, rng=rng).pool_params for _ in range(32)]
+        x = rng.uniform(-1.0, 1.0, size=(32, 128, 4, 4, 4))
+        dy = rng.uniform(-1.0, 1.0, size=(32, 8, 4, 2, 2))
+
+        def stacked(s):
+            params = {name: np.stack([row[name] for row in rows[:s]]) for name in rows[0]}
+            return PoolingBlock(PoolSpec(method, POOL22, 4), params, s)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        want = bits(stacked(32).forward(x))
+        lone = bits(stacked(32).forward(np.ascontiguousarray(x[:, :1])))
+        for s in (1, 2, 32):
+            block = stacked(s)
+            for b in (1, 2, 8, 128):
+                got = bits(block.forward(np.ascontiguousarray(x[:s, :b])))
+                np.testing.assert_array_equal(got, lone[:s] if b == 1 else want[:s, :b])
+        whole = stacked(32)
+        whole.forward(np.ascontiguousarray(x[:, :8]))
+        want_dx = bits(whole.backward(dy))
+        for s in (1, 2, 32):
+            block = stacked(s)
+            block.forward(np.ascontiguousarray(x[:s, :8]))
+            np.testing.assert_array_equal(bits(block.backward(dy[:s])), want_dx[:s])
+            for name, grad in block.grads().items():
+                np.testing.assert_array_equal(bits(grad), bits(whole.grads()[name])[:s], err_msg=name)
+
 
 
 class TestLearnedNormZeros:
