@@ -27,7 +27,7 @@ from pathlib import Path
 from .data import check_data_args
 from .gradcheck import run_gradcheck
 from .grads import FDOracleConfig
-from .layers import ToyNetConfig
+from .layers import MIN_CLASSES, ToyNetConfig
 from .ops import HEADLINE_METHODS, METHODS, ConfigurationError, pooling_row
 from .optim import OptimConfig
 from . import reports as rep
@@ -95,7 +95,7 @@ class ExperimentConfig:
             if run in self.runs[:i]:
                 raise UsageError(f"repeated run of seed {run.seed} at lr {run.lr!r}")
         _check_seed("data_seed", self.data_seed)
-        check_data_args(self.classes, self.samples, self.noise)
+        check_data_args(self.classes, self.samples, self.noise, least_classes=MIN_CLASSES)
         # the 80/20 split gives a class a test sample only from 3 samples on
         if self.samples <= 2 * self.classes:
             raise UsageError(

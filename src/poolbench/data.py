@@ -112,10 +112,11 @@ class SyntheticDataset:
         return self.labels[self.test_idx]
 
 
-def check_data_args(classes: int, samples: int, noise: float) -> None:
-    """Raise ValueError unless :func:`make_synthetic` can build this dataset."""
-    if not 1 <= classes <= len(_PATTERNS):
-        raise ValueError(f"classes must be in 1..{len(_PATTERNS)}, got {classes}")
+def check_data_args(classes: int, samples: int, noise: float, least_classes: int = 1) -> None:
+    """Raise ValueError unless :func:`make_synthetic` can build this dataset with at
+    least ``least_classes`` classes (a caller's own minimum, stated in the same message)."""
+    if not least_classes <= classes <= len(_PATTERNS):
+        raise ValueError(f"classes must be in {least_classes}..{len(_PATTERNS)}, got {classes}")
     if samples < classes:
         raise ValueError(f"need at least one sample per class, got {samples}")
     if not 0.0 <= noise < np.inf:  # a negative or nan noise would train noise-free

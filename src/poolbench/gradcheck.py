@@ -1,27 +1,26 @@
 """Gradient verification driver: every pooling method against the FD oracle.
 
 Every check runs the kernel pair that trains (:data:`poolbench.ops.POOLING`).
-For the window methods a draw of random (window, parameter) points is the
-only per-method entry.  The analytic gradients of a whole block of candidate
-points come from one backward-kernel call; the informative points are kept
-in draw order, and more are drawn for any shortfall.  Each trial then
-compares the input gradient and every parameter gradient coordinate by
-coordinate with central differences of the forward kernel, so every trial
-makes at least one comparison.  For the squeeze-and-excitation blocks
-(SESMP, SEMP) the check runs at block level through the layer, probing a
-random linear functional of the block output: every input coordinate
-through forwards of stacks of bumped inputs, and the branch parameters
-along one random direction.
-
-The work is done per block of trials: one forward-kernel call per gradient
+A window method's only per-method entry is its draw of random (window,
+parameter) points.  It draws a block of candidates as arrays, a row per
+point, with the values and the generator stream of drawing them one at a
+time: one ``rng.random`` call for uniform draws (MP's windows one call a
+round, for the rows still missing), and each point's own calls where
+``integers`` or ``dirichlet`` calls interleave.  One backward-kernel call
+gives the block's analytic gradients; the informative points are kept in
+draw order, and more are drawn for any shortfall.  Each trial compares the
+input gradient and every parameter gradient coordinate by coordinate with
+central differences of the forward kernel, whose one call per gradient
 evaluates the bumped points (:func:`poolbench.grads.bumped_points`) of every
-point of a window block, and the SE candidates of a block are the replicas
-of one stacked layer, whose forwards and backward give all their gradients
-and their values at their bumped inputs.  Each trial still makes its own
-:func:`~poolbench.grads.fd_check` call per comparison, with that trial's own
-values at its bumped points; the benchmark's traced run counts those calls,
-at least one per trial and method.  A non-finite analytic gradient makes the
-method's worst error NaN, and the method fails.
+point of the block.  The squeeze-and-excitation blocks (SESMP, SEMP) are
+checked at block level, probing a random linear functional of the output:
+every input coordinate through forwards of bumped inputs, and the branch
+parameters along one random direction; a block's candidates are the
+replicas of one stacked layer.  Each trial makes its own
+:func:`~poolbench.grads.fd_check` call per comparison, with its own values;
+the benchmark's traced run counts them, at least one per trial and method.
+A non-finite analytic gradient makes the method's worst error NaN, and the
+method fails.
 
 Sampling keeps points where the comparison is informative:
 
@@ -38,7 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate
+from operator import methodcaller, sub
 
 import numpy as np
 
@@ -63,11 +64,10 @@ _SE_DRAWS = {
     "se_f2_bias": ((4,), 0.5),
 }
 _SE_SIZES = [math.prod(shape) for shape, _ in _SE_DRAWS.values()]
-#: each array's slice of a candidate's draws, in the order of _SE_DRAWS
 _SE_SLICES = {name: slice(end - size, end) for name, size, end in zip(_SE_DRAWS, _SE_SIZES, accumulate(_SE_SIZES))}
 _SE_SIZE = sum(_SE_SIZES[1:])  # the branch parameters
-#: a candidate's draws as low + width * u for the u of one rng.random call: the values of
-#: an rng.uniform(-bound, bound) call per array, in the order of _SE_DRAWS
+#: a candidate's draws, each array's slice of them in the order of _SE_DRAWS, as low + width * u
+#: for the u of one rng.random call: the values of an rng.uniform(-bound, bound) call per array
 _SE_LOW = np.repeat([-bound for _, bound in _SE_DRAWS.values()], _SE_SIZES)
 _SE_WIDTH = -2.0 * _SE_LOW
 
@@ -91,10 +91,31 @@ def _worse(worst, error):
     return error if error > worst or error != error else worst
 
 
-def _spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
+def _uniform(u, lo, hi):
+    """rng.uniform(lo, hi)'s own arithmetic on the u of rng.random."""
+    return lo + (hi - lo) * u
+
+
+def _rows(rng, lse_r, count, **calls):
+    # count rounds of the calls, as a row per round of each argument: draws one rng.random call cannot replay
+    rounds = [[call(rng) for call in calls.values()] for _ in range(count)]
+    return {name: np.array(col).reshape(count, -1) for name, col in zip(calls, zip(*rounds))}
+
+
+def _spread_windows(rng, count, n=4, gap=1e-2):
+    # count windows of _spread_window as rows; each round draws only the rows still missing
+    x = np.empty((0, n))
+    while len(x) < count:
+        u = _uniform(rng.random((count - len(x), n)), -1.0, 1.0)
+        x = np.concatenate([x, u[np.diff(np.sort(u)).min(axis=1) > gap]])  # adjacent once sorted
+    return x
+
+
+def _spread_window(rng, n=4, gap=1e-2, floor=0.0):
+    # n rng.uniform(-1, 1) draws, redrawn until pairs are over gap apart and |entries| at least floor
     while True:
-        x = rng.uniform(lo, hi, size=n)
-        if np.diff(np.sort(x)).min() > gap:  # the closest pair is adjacent once sorted
+        s = sorted((x := rng.uniform(-1.0, 1.0, size=n)).tolist())  # Python floats: cheaper than numpy on 4
+        if min(map(sub, s[1:], s)) > gap and min(map(abs, s)) >= floor:  # the closest pair is adjacent once sorted
             return x
 
 
@@ -111,50 +132,38 @@ def _away_from_zero(rng, n=4, lo=0.05, hi=1.0):
     return rng.uniform(lo, hi, size=n) * _SIGNS[rng.integers(0, 2, size=n)]
 
 
-def _gp_draw(rng, lse_r):
-    x = _spread_window(rng)
-    while np.abs(x).min() < 0.05:  # keep the gate's inputs off zero
-        x = _spread_window(rng)
-    return x, {"gate_w": _away_from_zero(rng)}
+def _unit_windows(rng, r, count):  # AP's and NN's windows
+    return {"x": _uniform(rng.random((count, 4)), -1.0, 1.0)}
 
 
-def _smp_draw(rng, lse_r):
-    return rng.uniform(-2.0, 2.0, size=4), {"tau": rng.uniform(-3.0, 3.0)}
+def _smp_draws(rng, r, count):
+    u = rng.random((count, 5))
+    return {"x": _uniform(u[:, :4], -2.0, 2.0), "tau": _uniform(u[:, 4:], -3.0, 3.0)}
 
 
-#: method -> draw(rng, lse_r) -> (window, {field: value}): one candidate point of each
-#: window method, a weight per window entry as a vector and any other field as a float
+#: method -> draw(rng, lse_r, count) -> the arguments of its next ``count`` candidate points, those
+#: of drawing one at a time: a window per row of ``x``, a weight row or scalar column per field
 _DRAWS = {
-    "MP": lambda rng, r: (_spread_window(rng), {}),
-    "AP": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
-    "NN": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
-    "CONV": lambda rng, r: (_away_from_zero(rng), {"conv_w": _away_from_zero(rng)}),
-    "GP": _gp_draw,
-    "OP": lambda rng, r: (_spread_window(rng), {"ordinal_w": _interior_simplex(rng)}),
-    "LNP": lambda rng, r: (_away_from_zero(rng, lo=0.1, hi=1.5), {"p_raw": rng.uniform(-1.0, 2.0)}),
+    "MP": lambda rng, r, count: {"x": _spread_windows(rng, count)},
+    "AP": _unit_windows,
+    "NN": _unit_windows,
+    "CONV": partial(_rows, x=_away_from_zero, conv_w=_away_from_zero),
+    "GP": partial(_rows, x=partial(_spread_window, floor=0.05), gate_w=_away_from_zero),  # gate inputs off zero
+    "OP": partial(_rows, x=_spread_window, ordinal_w=_interior_simplex),
+    "LNP": partial(_rows, x=partial(_away_from_zero, lo=0.1, hi=1.5), p_raw=methodcaller("uniform", -1.0, 2.0)),
     # x = u / r keeps r*x, and so the softmax gradient, at the same spread for every r
-    "LSE": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4) / r, {"sharpness": r}),
-    "SMP_fixed": _smp_draw,
-    "SMP_trainable": _smp_draw,
+    "LSE": lambda rng, r, count: {"x": _unit_windows(rng, r, count)["x"] / r, "sharpness": np.full((count, 1), r)},
+    "SMP_fixed": _smp_draws,
+    "SMP_trainable": _smp_draws,
 }
 
 
-def _informative_points(method, candidates):
-    """The candidates whose analytic gradients the oracle resolves, in draw order,
-    as ``(args, bundle)``: each argument and each gradient holds one row per point,
-    ``args["x"]`` the windows, a weight vector as rows and a scalar as a column.
-
-    One kernel call gives every candidate's gradients.
-    """
-    args = {"x": np.array([x for x, _ in candidates])}
-    for name in candidates[0][1]:
-        args[name] = np.array([p[name] for _, p in candidates]).reshape(len(candidates), -1)
+def _informative_points(method, args):
+    """The candidates of ``args`` (a row per point) whose analytic gradients the oracle
+    resolves, in draw order, as ``(args, bundle)``, from one kernel call for all."""
     bundle = grads.pool_grads(method, **args)
-    small = np.zeros(len(candidates), dtype=bool)
-    for d in (bundle.d_input, *bundle.d_params.values()):
-        d = np.abs(d)
-        small |= ((d > 0.0) & (d < _MIN_COORD)).any(axis=1)
-    keep = ~small
+    mag = np.abs(np.concatenate([bundle.d_input, *bundle.d_params.values()], axis=1))
+    keep = ~((mag > 0.0) & (mag < _MIN_COORD)).any(axis=1)
     return {k: v[keep] for k, v in args.items()}, grads.GradBundle(
         bundle.d_input[keep], {k: d[keep] for k, d in bundle.d_params.items()}
     )
@@ -170,18 +179,16 @@ def _check_window_method(method, trials, config, rng, lse_sharpness):
     # the draws do not depend on the gradients, so drawing the shortfall in blocks checks
     # the points that redrawing each trial until it is informative would
     while checked < trials:
-        block = [draw(rng, r) for _ in range(min(trials - checked, _BLOCK))]
         try:
-            args, bundle = _informative_points(method, block)
+            args, bundle = _informative_points(method, draw(rng, r, min(trials - checked, _BLOCK)))
         except ops.DivergedRunError:  # a non-finite analytic gradient fails the method
             return math.nan
         count = len(args["x"])
         if not count:
             continue
-        # every point's values at its (2k, k) stack of bumped points, one stack per
-        # gradient: of its input, of a weight row, or a scalar's (2, 1) column (a fixed
-        # hyperparameter has none); the stacks of all points are the rows of one kernel
-        # call, with each point's other arguments repeated on its rows
+        # every point's values at its (2k, k) stack of bumped points per gradient (of its
+        # input, a weight row or a scalar's (2, 1) column; a fixed hyperparameter has none):
+        # all points' stacks are the rows of one kernel call, other arguments repeated
         values = {}
         for name in ("x", *bundle.d_params):
             stack = grads.bumped_points(args[name], (input_config if name == "x" else config).step)
@@ -203,42 +210,45 @@ def _se_array(draws, name) -> np.ndarray:
 
 
 def _se_candidates(rng, count, probe_shape):
-    """``count`` SE candidates in draw order, each as a row of stacked arrays: the
-    input X, the branch arrays, the probe R and the unit direction v.  A candidate
-    near a ReLU kink or a window tie is redrawn."""
+    """``count`` SE candidates in draw order, each a row of stacked arrays: its draws
+    (input X and branch arrays, see :data:`_SE_DRAWS`), probe R and unit direction
+    v.  A candidate near a ReLU kink or a window tie is redrawn."""
     draws = np.empty((count, _SE_LOW.size))
     probes, vs = np.empty((count, *probe_shape)), np.empty((count, _SE_SIZE))
     i = 0
     while i < count:
-        draw = _SE_LOW + _SE_WIDTH * rng.random(_SE_LOW.size)
-        x = _se_array(draw, "x")
-        # keep the ReLU kink and window ties out of FD range; the 2 x 2 windows tile
-        # the 4 x 4 input, so each window's entries are a row of the reshaped input
-        hidden_pre = _se_array(draw, "se_f1_weight") @ x[0].mean(axis=(1, 2)) + _se_array(draw, "se_f1_bias")
-        sorted_win = np.sort(x.reshape(4, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 4), axis=1)
-        if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[:, -1] - sorted_win[:, -2]).min() <= 1e-2:
+        draw = draws[i] = _SE_LOW + _SE_WIDTH * rng.random(_SE_LOW.size)  # a redraw overwrites it
+        x = _se_array(draw, "x")[0]
+        # keep the ReLU kink and window ties out of FD range, tested on Python floats;
+        # np.add.reduce then / 16 is x.mean's own arithmetic
+        hidden_pre = _se_array(draw, "se_f1_weight") @ (np.add.reduce(x, axis=(1, 2)) / 16)
+        if min(map(abs, (hidden_pre + _se_array(draw, "se_f1_bias")).tolist())) <= 1e-3:
             continue
-        draws[i] = draw
-        probes[i] = rng.uniform(-1.0, 1.0, size=probe_shape)
+        # the 2 x 2 windows tile the 4 x 4 input, so each window's entries are a row of the reshaped input
+        windows = np.sort(x.reshape(4, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 4), axis=1)
+        if min(w[3] - w[2] for w in windows.tolist()) <= 1e-2:
+            continue
+        rng.random(out=probes[i])
         v = rng.standard_normal(_SE_SIZE)
-        vs[i] = v / np.linalg.norm(v)
+        vs[i] = v / math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
         i += 1
-    params = {name: _se_array(draws, name) for name in _SE_DRAWS}
-    return params.pop("x"), params, probes, vs
+    return draws, _uniform(probes, -1.0, 1.0), vs
 
 
-def _stacked_se(spec, xs, params, probes, vs, step):
+def _stacked_se(spec, draws, probes, vs, step):
     """The candidates as the replicas of one stacked block: each one's input
     gradient dx (a row) and <g, v> for the branch gradient g, from one forward
     and one backward; its <R, block(X)> at theta + h v and theta - h v (a row);
     and its <R, block(X')> at every bumped input X' of its X, in the order of
     :func:`~poolbench.grads.bumped_points` (a row), _SE_CHUNK coordinates a forward."""
-    block = layers.PoolingBlock(spec, {name: a.copy() for name, a in params.items()}, len(xs))
+    theta, g = draws.copy(), np.zeros_like(draws)  # the block's arrays and gradients, laid out as the draws
+    arrays = {name: _se_array(theta, name) for name in _SE_DRAWS}
+    xs = arrays.pop("x")
+    block = layers.PoolingBlock(spec, arrays, len(xs))
+    block.bind(arrays, {name: _se_array(g, name) for name in arrays})
     block.forward(xs)
     dxs = block.backward(probes)
-    arrays = block.params()
-    g = np.concatenate([block.grads()[name].reshape(len(xs), -1) for name in arrays], axis=1)
-    gv = np.array([g_r @ v for g_r, v in zip(g, vs)])
+    gv = np.array([g_r @ v for g_r, v in zip(g[:, -_SE_SIZE:], vs)])
 
     def probed(x):  # every replica's <R, block(X)>, a column per input of x
         return (probes * block.forward(x)).sum(axis=(2, 3, 4))
@@ -253,32 +263,22 @@ def _stacked_se(spec, xs, params, probes, vs, step):
         at_x[:, :, cut] = probed(bumped.reshape(len(xs), -1, *xs.shape[2:])).reshape(len(xs), 2, -1)
     at_t = np.empty((len(xs), 2))
     for col, t in enumerate((step, -step)):
-        offset = 0
-        for name, arr in arrays.items():
-            arr[...] = params[name] + t * vs[:, offset : offset + arr[0].size].reshape(arr.shape)
-            offset += arr[0].size
+        theta[:, -_SE_SIZE:] = draws[:, -_SE_SIZE:] + t * vs
         at_t[:, col] = probed(xs)[:, 0]
     return dxs.reshape(len(xs), -1), gv, at_t, at_x.reshape(len(xs), -1)
 
 
 def _check_se_block(method, trials, config, rng):
-    """Block-level check of the squeeze-and-excitation pooling stages.
-
-    Probes the scalar <R, block(X)> for a fixed random R against the layer's
-    analytic backward.  Every input coordinate is checked through forwards
-    of the bumped inputs; the branch parameters are checked along one random
-    unit direction v, <grad, v> against the central difference of t ->
-    f(theta + t v).  The candidates of a block are the replicas of one
-    stacked layer: one forward and one backward give all their gradients,
-    and more forwards of the same layer their values at theta +- h v and at
-    their bumped inputs.
-    """
+    """Block-level check of the squeeze-and-excitation pooling stages: the scalar
+    <R, block(X)> for a fixed random R against the layer's analytic backward, at
+    every input coordinate and, along one random unit direction v, <grad, v>
+    against the central difference of t -> f(theta + t v) (see :func:`_stacked_se`)."""
     spec = ops.PoolSpec(method, _WINDOW, 4)
     probe_shape = (1, 4, *output_size(4, 4, _WINDOW))
     worst, checked = 0.0, 0
     while checked < trials:
-        xs, params, probes, vs = _se_candidates(rng, min(trials - checked, _SE_BLOCK), probe_shape)
-        dxs, gv, at_t, at_x = _stacked_se(spec, xs, params, probes, vs, config.step)
+        draws, probes, vs = _se_candidates(rng, min(trials - checked, _SE_BLOCK), probe_shape)
+        dxs, gv, at_t, at_x = _stacked_se(spec, draws, probes, vs, config.step)
         # the oracle resolves no |analytic| under _MIN_COORD but exact zeros, so such
         # input coordinates are left out; a cancelled <g, v> redraws the point with v,
         # which also ends the loop at points where g vanishes.  A NaN is kept: it fails.

@@ -260,7 +260,7 @@ class PoolingBlock:
         self.replicas = replicas
         self.pool_params = pool_params
         self.pooling = POOLING[spec.method]
-        self.bind(self.params(), {name: np.zeros(arr.shape) for name, arr in self.params().items()})
+        self.bind(self.params(), None)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -271,7 +271,8 @@ class PoolingBlock:
         return self.grads_
 
     def bind(self, params, grads):
-        """Rebind the trainable arrays and their gradients to like-named views (of a net's buffers)."""
+        """Rebind the trainable arrays and their gradients to like-named views (of a net's
+        buffers); a new block has no gradients until it is bound to some."""
         self.pool_params.update(params)
         self.grads_ = grads
         # Views (they follow the optimizer's in-place updates) shaped for the stack
@@ -294,7 +295,8 @@ class PoolingBlock:
     def _se_linear(self, prefix):
         """A :class:`Linear` on the SE arrays ``prefix``_weight and ``prefix``_bias and their gradients."""
         layer = Linear(self.pool_params[f"{prefix}_weight"], self.pool_params[f"{prefix}_bias"])
-        layer.grads_ = {key: self.grads_[f"{prefix}_{key}"] for key in ("weight", "bias")}
+        if self.grads_ is not None:
+            layer.grads_ = {key: self.grads_[f"{prefix}_{key}"] for key in ("weight", "bias")}
         return layer
 
     # -- forward and backward -----------------------------------------------
@@ -370,6 +372,10 @@ POOL_WINDOW = WindowSpec(2, 2, 2, 2)
 HEAD_FEATURES = STAGE_CHANNELS[-1] * 2 * 2
 
 
+#: the fewest classes the head's softmax cross-entropy can tell apart
+MIN_CLASSES = 2
+
+
 @dataclass(frozen=True)
 class ToyNetConfig:
     """The toy net's settable values: its class count and LSE pooling's fixed
@@ -380,8 +386,8 @@ class ToyNetConfig:
     lse_sharpness: float = 1.0
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ConfigurationError(f"need at least 2 classes, got {self.classes}")
+        if self.classes < MIN_CLASSES:
+            raise ConfigurationError(f"need at least {MIN_CLASSES} classes, got {self.classes}")
         check_field("sharpness", np.asarray(self.lse_sharpness))
 
 

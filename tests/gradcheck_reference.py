@@ -5,10 +5,11 @@ together and hands each trial's ``fd_check`` call its share of the values.
 The loops here do the same checks the plain way: each ``fd_check`` call gets
 the values of its own bumped stack, from one ``ops.pool`` call per gradient
 for a window method and from the trial's own ``PoolingBlock`` for an SE
-method.  They draw the same points from the same generator, so the
-``fd_check`` calls here get the same arguments, in the same order, as
-``check_method``'s, and :func:`worst_error` must equal
-``check_method(...).worst_error`` bit for bit.
+method.  They draw the same points from the same generator, one candidate
+at a time through a frozen copy of the draws gradcheck made before it drew
+whole blocks (``DRAWS``), so the ``fd_check`` calls here get the same
+arguments, in the same order, as ``check_method``'s, and :func:`worst_error`
+must equal ``check_method(...).worst_error`` bit for bit.
 """
 
 from dataclasses import replace
@@ -19,7 +20,55 @@ from poolbench import gradcheck, grads, layers, ops
 from poolbench.grads import FDOracleConfig, fd_check
 from poolbench.tensor import output_size
 
-from helpers import values_at
+from helpers import values_at, with_zero_grads
+
+
+def spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
+    while True:
+        x = rng.uniform(lo, hi, size=n)
+        if np.diff(np.sort(x)).min() > gap:  # the closest pair is adjacent once sorted
+            return x
+
+
+def interior_simplex(rng, n=4, floor=0.05):
+    w = rng.dirichlet(np.full(n, 2.0))
+    return (1.0 - n * floor) * w + floor
+
+
+SIGNS = np.array([-1.0, 1.0])
+
+
+def away_from_zero(rng, n=4, lo=0.05, hi=1.0):
+    # the draws of rng.choice([-1.0, 1.0], size=n), at under half its cost
+    return rng.uniform(lo, hi, size=n) * SIGNS[rng.integers(0, 2, size=n)]
+
+
+def gp_draw(rng, lse_r):
+    x = spread_window(rng)
+    while np.abs(x).min() < 0.05:  # keep the gate's inputs off zero
+        x = spread_window(rng)
+    return x, {"gate_w": away_from_zero(rng)}
+
+
+def smp_draw(rng, lse_r):
+    return rng.uniform(-2.0, 2.0, size=4), {"tau": rng.uniform(-3.0, 3.0)}
+
+
+#: method -> draw(rng, lse_r) -> (window, {field: value}): one candidate point of each
+#: window method, a weight per window entry as a vector and any other field as a float
+DRAWS = {
+    "MP": lambda rng, r: (spread_window(rng), {}),
+    "AP": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
+    "NN": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
+    "CONV": lambda rng, r: (away_from_zero(rng), {"conv_w": away_from_zero(rng)}),
+    "GP": gp_draw,
+    "OP": lambda rng, r: (spread_window(rng), {"ordinal_w": interior_simplex(rng)}),
+    "LNP": lambda rng, r: (away_from_zero(rng, lo=0.1, hi=1.5), {"p_raw": rng.uniform(-1.0, 2.0)}),
+    # x = u / r keeps r*x, and so the softmax gradient, at the same spread for every r
+    "LSE": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4) / r, {"sharpness": r}),
+    "SMP_fixed": smp_draw,
+    "SMP_trainable": smp_draw,
+}
 
 
 def worse(worst, error):
@@ -46,7 +95,7 @@ def _informative_points(method, candidates):
 
 
 def _window_method(method, trials, config, rng, lse_sharpness):
-    draw, r = gradcheck._DRAWS[method], float(lse_sharpness)
+    draw, r = DRAWS[method], float(lse_sharpness)
     worst, checked = 0.0, 0
     while checked < trials:
         block = [draw(rng, r) for _ in range(min(trials - checked, gradcheck._BLOCK))]
@@ -83,7 +132,7 @@ def _se_block(method, trials, config, rng):
             sorted_win = np.sort(np.stack(windows), axis=0)
             if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[-1] - sorted_win[-2]).min() <= 1e-2:
                 continue
-            block = layers.PoolingBlock(spec, params)
+            block = with_zero_grads(layers.PoolingBlock(spec, params))
             probe = rng.uniform(-1.0, 1.0, size=probe_shape)
             block.forward(x)
             dx = block.backward(probe).reshape(-1)

@@ -1,6 +1,7 @@
 """Test-only helpers: report readers, initial weights, a data baseline, the
-finite-difference oracle of a function with its array-form reference, and
-perfbench's tracer and reference network.
+finite-difference oracle of a function with its array-form reference,
+perfbench's tracer and reference network, and gradient arrays for a layer
+built outside a net.
 
 The program writes its reports and never reads back a run or summary CSV;
 the tests read them through these functions.
@@ -125,3 +126,9 @@ def load_tracing():
 def load_reference():
     """perfbench's plain-numpy reference network, which shares no code with poolbench."""
     return _perfbench_module("reference")
+
+
+def with_zero_grads(layer):
+    """``layer``, bound to zero gradient arrays of its own, as a net binds its layers to its buffer."""
+    layer.bind(layer.params(), {key: np.zeros_like(arr) for key, arr in layer.params().items()})
+    return layer

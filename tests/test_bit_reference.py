@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bit_reference as ref
+from helpers import with_zero_grads
 from poolbench.layers import POOL_WINDOW, Conv2D, PoolingBlock, _channels_last
 from poolbench.ops import POOLING, PoolSpec, window_stack
 
@@ -63,7 +64,7 @@ def stacked_params(method, replicas, channels, rng):
 
 def stacked_block(method, replicas, channels, rng):
     params = stacked_params(method, replicas, channels, rng)
-    return PoolingBlock(PoolSpec(method, POOL_WINDOW, channels), params, replicas)
+    return with_zero_grads(PoolingBlock(PoolSpec(method, POOL_WINDOW, channels), params, replicas))
 
 
 def output_grad(rng, shape):

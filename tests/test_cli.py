@@ -171,6 +171,9 @@ class TestSweep:
             (["--epochs", "0"], ""),
             (["--batch-size", "0"], ""),
             ([], "classes = 9\n"),
+            # one rule for the command: the data's 8 patterns and the net's 2 classes
+            (["--classes", "1"], ""),
+            (["--classes", "100"], ""),
             (["--methods", "LSE", "--lse-r", "0"], ""),
             (["--seeds", "1", "-1"], ""),  # numpy would raise on the negative seed
             ([], "data_seed = -2\n"),
@@ -196,6 +199,8 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        if "--classes" in flags:
+            assert "classes must be in 2..8" in err[0]
         assert started == []
 
     def test_summary_statistics_recompute_from_runs(self, tmp_path, tiny_config):
@@ -419,6 +424,10 @@ class TestGradcheck:
             for _ in range(500):
                 assert np.array_equal(gradcheck._spread_window(new, n, gap), pairwise(old, n, gap))
             assert old.uniform() == new.uniform()  # the generators stay in step
+            # and as the rows of one block
+            block = gradcheck._spread_windows(new, 500, n, gap)
+            assert np.array_equal(block, np.array([pairwise(old, n, gap) for _ in range(500)]))
+            assert old.uniform() == new.uniform()
 
     @pytest.fixture()
     def fd_calls(self, monkeypatch):
@@ -442,6 +451,47 @@ class TestGradcheck:
             for _ in range(700):
                 assert np.array_equal(gradcheck._away_from_zero(new, n), by_choice(old, n))
             assert old.uniform() == new.uniform()  # the generators stay in step
+
+    def assert_block_draws_are_one_at_a_time_draws(self, method, lse_r):
+        """Blocks of a window method's candidates are its reference draws, one
+        candidate at a time, byte for byte, and leave the generator in step."""
+        old, new = np.random.default_rng(31), np.random.default_rng(31)
+        for count in (1, 7, 128, 300):
+            got = gradcheck._DRAWS[method](new, lse_r, count)
+            points = [gradcheck_reference.DRAWS[method](old, lse_r) for _ in range(count)]
+            want = {name: np.array([p[name] for _, p in points]).reshape(count, -1) for name in points[0][1]}
+            want["x"] = np.array([x for x, _ in points])
+            assert got.keys() == want.keys()
+            for name, w in want.items():
+                assert got[name].shape == w.shape and got[name].dtype == w.dtype, name
+                assert got[name].tobytes() == w.tobytes(), name
+        assert old.uniform() == new.uniform()  # the generators stay in step
+        return got
+
+    @pytest.mark.parametrize("lse_r", [1.0, 1e12])
+    @pytest.mark.parametrize("method", [m for m in ops.METHODS if not ops.pooling_row(m).se])
+    def test_block_draws_are_the_reference_draws(self, method, lse_r):
+        self.assert_block_draws_are_one_at_a_time_draws(method, lse_r)
+
+    @pytest.mark.parametrize("method", ["MP", "GP", "OP"])
+    def test_block_draws_are_the_reference_draws_when_most_windows_are_redrawn(self, monkeypatch, method):
+        # a spread gap of 0.3 rejects about nine windows in ten, so MP's block takes
+        # several rounds of the rows still missing, and GP and OP redraw most windows;
+        # the gap is each draw's default, which the draw tables' bound calls use
+        for fn, defaults in (
+            (gradcheck._spread_windows, (4, 0.3)),
+            (gradcheck._spread_window, (4, 0.3, 0.0)),
+            (gradcheck_reference.spread_window, (4, 0.3, -1.0, 1.0)),
+        ):
+            assert len(fn.__defaults__) == len(defaults)
+            monkeypatch.setattr(fn, "__defaults__", defaults)
+        rounds = []
+        uniform = gradcheck._uniform
+        monkeypatch.setattr(gradcheck, "_uniform", lambda u, lo, hi: rounds.append(len(u)) or uniform(u, lo, hi))
+        got = self.assert_block_draws_are_one_at_a_time_draws(method, 1.0)
+        assert np.diff(np.sort(got["x"])).min() > 0.3
+        if method == "MP":
+            assert len(rounds) > 4 * 10  # the four blocks took over ten rounds each on average
 
     @pytest.mark.parametrize("method", ops.METHODS)
     def test_each_trial_keeps_its_own_fd_check_call(self, monkeypatch, fd_calls, method):
@@ -515,7 +565,9 @@ class TestGradcheck:
 
         old, new = np.random.default_rng(29), np.random.default_rng(29)
         for count in (1, 7, 32, 32):
-            want, got = per_array(old, count, (1, 4, 2, 2)), gradcheck._se_candidates(new, count, (1, 4, 2, 2))
+            draws, probes, vs = gradcheck._se_candidates(new, count, (1, 4, 2, 2))
+            arrays = {name: gradcheck._se_array(draws, name) for name in gradcheck._SE_DRAWS}
+            want, got = per_array(old, count, (1, 4, 2, 2)), (arrays.pop("x"), arrays, probes, vs)
             for w, g in zip(want, got):
                 for key in (w if isinstance(w, dict) else [None]):
                     a, b = (w[key], g[key]) if key else (w, g)

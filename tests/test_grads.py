@@ -32,7 +32,7 @@ from poolbench import (
 )
 from poolbench.grads import bumped_points
 from poolbench.layers import PoolingBlock
-from helpers import central_difference, fd_check_fn, relative_error, values_at
+from helpers import central_difference, fd_check_fn, relative_error, values_at, with_zero_grads
 from window_reference import global_avg_pool, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
@@ -386,7 +386,7 @@ class TestConvexityWeights:
 
 def se_block(method, se):
     spec = PoolSpec(method, WindowSpec(2, 2, 2, 2), se["se_f1_weight"].shape[1])
-    return PoolingBlock(spec, se)
+    return with_zero_grads(PoolingBlock(spec, se))
 
 
 class TestSeBranchGrad:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import window_reference as ref
 from poolbench import PoolSpec, WindowSpec, sigmoid
-from helpers import load_reference
+from helpers import load_reference, with_zero_grads
 from poolbench.layers import (
     Conv2D,
     Linear,
@@ -58,13 +58,7 @@ def make_block(method, channels=4, rng=None, window=POOL22):
     if method in ("SESMP", "SEMP"):
         params["se_f1_bias"][...] = rng.uniform(-0.3, 0.3, size=params["se_f1_bias"].shape)
         params["se_f2_bias"][...] = rng.uniform(-0.3, 0.3, size=params["se_f2_bias"].shape)
-    return PoolingBlock(spec, params)
-
-
-def with_zero_grads(layer):
-    """``layer``, bound to zero gradient arrays of its own, as a net binds its layers to its buffer."""
-    layer.bind(layer.params(), {key: np.zeros_like(arr) for key, arr in layer.params().items()})
-    return layer
+    return with_zero_grads(PoolingBlock(spec, params))
 
 
 def conv_layer(weight, **options):
@@ -364,7 +358,7 @@ class TestPoolingBlockBackward:
         else:
             rows = [make_block(method, rng=rng).pool_params for _ in range(replicas)]
             params = {name: np.stack([row[name] for row in rows]) for name in rows[0]}
-            block = PoolingBlock(PoolSpec(method, POOL22, 4), params, replicas)
+            block = with_zero_grads(PoolingBlock(PoolSpec(method, POOL22, 4), params, replicas))
         x = np.maximum(rng.normal(size=(replicas,) * bool(replicas) + (3, 4, 6, 6)), 0.0)
         x[..., 0, 1] = x[..., 0, 0]  # tied window entries
         dy = rng.normal(size=block.forward(x).shape)
@@ -389,7 +383,7 @@ class TestPoolingBlockBackward:
 
         def stacked(s):
             params = {name: np.stack([row[name] for row in rows[:s]]) for name in rows[0]}
-            return PoolingBlock(PoolSpec(method, POOL22, 4), params, s)
+            return with_zero_grads(PoolingBlock(PoolSpec(method, POOL22, 4), params, s))
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.int64)
@@ -636,14 +630,17 @@ class TestConvAndHead:
         # a layer allocates no gradients: it has none until bound to the caller's
         rng = np.random.default_rng(21)
         conv, lin = Conv2D(conv_weight(rng, 2, 3)), Linear(rng.normal(size=(3, 2)), np.zeros(3))
-        assert conv.grads() is None and lin.grads() is None
-        for layer, x in ((conv, rng.normal(size=(2, 2, 5, 5))), (lin, rng.normal(size=(4, 2)))):
+        block = PoolingBlock(PoolSpec("SESMP", POOL22, 4), se_branch(4, rng))
+        assert conv.grads() is None and lin.grads() is None and block.grads() is None
+        assert all(layer.grads() is None for layer in block._se_layers[::2])
+        layers = ((conv, (2, 2, 5, 5)), (lin, (4, 2)), (block, (2, 4, 4, 4)))
+        for layer, shape in layers:
             grads = {key: np.zeros_like(arr) for key, arr in layer.params().items()}
             layer.bind(layer.params(), grads)
-            layer.backward(rng.normal(size=layer.forward(x).shape))
+            layer.backward(rng.normal(size=layer.forward(rng.normal(size=shape)).shape))
             assert all(layer.grads()[key] is grads[key] and grads[key].any() for key in grads)
-        net = ToyNet(ToyNetConfig(), "MP", [rng, rng])
-        for slot in ("conv1", "conv2", "head"):
+        net = ToyNet(ToyNetConfig(), "SESMP", [rng, rng])
+        for slot in ("conv1", "pool1", "conv2", "pool2", "head"):
             for key, grad in getattr(net, slot).grads().items():
                 assert grad is net.grads()[f"{slot}.{key}"] and np.shares_memory(grad, net.flat_grads)
 
@@ -732,7 +729,7 @@ def se_layer_problems(net):
         for layer, prefix in zip(se_layers[::2], ("se_f1", "se_f2")):
             for key in ("weight", "bias"):
                 name = f"{slot}.{prefix}_{key}"
-                arr, grad = layer.params()[key], layer.grads()[key]
+                arr, grad = layer.params()[key], (layer.grads() or {}).get(key)  # an unbound layer has none
                 if not (arr is net.params()[name] and np.shares_memory(arr, net.flat_params)):
                     problems.append(name)
                 if not (grad is net.grads()[name] and np.shares_memory(grad, net.flat_grads)):
