@@ -24,7 +24,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import check_data_args
+from .data import MAX_CLASSES, check_data_args
 from .gradcheck import run_gradcheck
 from .grads import FDOracleConfig
 from .layers import MIN_CLASSES, ToyNetConfig
@@ -95,14 +95,16 @@ class ExperimentConfig:
             if run in self.runs[:i]:
                 raise UsageError(f"repeated run of seed {run.seed} at lr {run.lr!r}")
         _check_seed("data_seed", self.data_seed)
-        check_data_args(self.classes, self.samples, self.noise, least_classes=MIN_CLASSES)
+        if not MIN_CLASSES <= self.classes <= MAX_CLASSES:
+            raise UsageError(f"classes must be in {MIN_CLASSES}..{MAX_CLASSES}, got {self.classes}")
+        check_data_args(self.classes, self.samples, self.noise)
         # the 80/20 split gives a class a test sample only from 3 samples on
         if self.samples <= 2 * self.classes:
             raise UsageError(
                 f"{self.samples} samples over {self.classes} classes leave no test sample; "
                 f"need at least {2 * self.classes + 1}"
             )
-        self.net_config()  # validates the class count and LSE sharpness
+        self.net_config()  # validates the LSE sharpness
 
     def data_kwargs(self) -> dict:
         return {

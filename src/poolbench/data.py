@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IMAGE_SIZE", "MAX_SHIFT", "SyntheticDataset", "check_data_args", "make_synthetic"]
+__all__ = ["IMAGE_SIZE", "MAX_SHIFT", "MAX_CLASSES", "SyntheticDataset", "check_data_args", "make_synthetic"]
 
 #: the side of every image, and the largest circular shift of a sample per axis
 IMAGE_SIZE = 16
@@ -83,6 +83,8 @@ _PATTERNS = (
     _cross,
     _corners,
 )
+#: the most classes a dataset can have: one pattern each
+MAX_CLASSES = len(_PATTERNS)
 
 
 @dataclass
@@ -112,11 +114,10 @@ class SyntheticDataset:
         return self.labels[self.test_idx]
 
 
-def check_data_args(classes: int, samples: int, noise: float, least_classes: int = 1) -> None:
-    """Raise ValueError unless :func:`make_synthetic` can build this dataset with at
-    least ``least_classes`` classes (a caller's own minimum, stated in the same message)."""
-    if not least_classes <= classes <= len(_PATTERNS):
-        raise ValueError(f"classes must be in {least_classes}..{len(_PATTERNS)}, got {classes}")
+def check_data_args(classes: int, samples: int, noise: float) -> None:
+    """Raise ValueError unless :func:`make_synthetic` can build this dataset."""
+    if not 1 <= classes <= MAX_CLASSES:
+        raise ValueError(f"classes must be in 1..{MAX_CLASSES}, got {classes}")
     if samples < classes:
         raise ValueError(f"need at least one sample per class, got {samples}")
     if not 0.0 <= noise < np.inf:  # a negative or nan noise would train noise-free

@@ -45,11 +45,10 @@ import numpy as np
 
 from . import grads, layers, ops
 from .grads import FDOracleConfig, fd_check
-from .tensor import WindowSpec, output_size
+from .tensor import output_size, window_view
 
 __all__ = ["GradCheckResult", "check_method", "run_gradcheck"]
 
-_WINDOW = WindowSpec(2, 2, 2, 2)
 _MIN_COORD = 1e-3  # oracle resolution guard; see module docstring
 _BLOCK = 128  # candidate points per analytic-gradient call; a larger block holds more memory
 _SE_BLOCK = 32  # SE candidates per stacked block
@@ -224,9 +223,9 @@ def _se_candidates(rng, count, probe_shape):
         hidden_pre = _se_array(draw, "se_f1_weight") @ (np.add.reduce(x, axis=(1, 2)) / 16)
         if min(map(abs, (hidden_pre + _se_array(draw, "se_f1_bias")).tolist())) <= 1e-3:
             continue
-        # the 2 x 2 windows tile the 4 x 4 input, so each window's entries are a row of the reshaped input
-        windows = np.sort(x.reshape(4, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 4), axis=1)
-        if min(w[3] - w[2] for w in windows.tolist()) <= 1e-2:
+        # each window is a column of its (C, H, W) input's window view, entries sorted
+        windows = np.sort(window_view(x, layers.POOL_WINDOW, 1).reshape(4, -1), axis=0)
+        if min((windows[3] - windows[2]).tolist()) <= 1e-2:
             continue
         rng.random(out=probes[i])
         v = rng.standard_normal(_SE_SIZE)
@@ -273,8 +272,8 @@ def _check_se_block(method, trials, config, rng):
     <R, block(X)> for a fixed random R against the layer's analytic backward, at
     every input coordinate and, along one random unit direction v, <grad, v>
     against the central difference of t -> f(theta + t v) (see :func:`_stacked_se`)."""
-    spec = ops.PoolSpec(method, _WINDOW, 4)
-    probe_shape = (1, 4, *output_size(4, 4, _WINDOW))
+    spec = ops.PoolSpec(method, layers.POOL_WINDOW, 4)
+    probe_shape = (1, 4, *output_size(4, 4, spec.window))
     worst, checked = 0.0, 0
     while checked < trials:
         draws, probes, vs = _se_candidates(rng, min(trials - checked, _SE_BLOCK), probe_shape)

@@ -15,13 +15,14 @@ single layer's, and each product is one stacked GEMM whose slices are the
 single layer's GEMMs.  Every replica's result equals, bit for bit, what a
 single layer with that replica's parameters gives.
 
-Pooling reads its windows through the window-offset views of its input
-(:func:`window_views`), never through copied windows, and convolution
-copies all the views at once into its im2col buffer; both write input
-gradients back through the views (:func:`_scatter`).  A pooling block
-runs its method's kernel pair from :data:`poolbench.ops.POOLING` on the stack
-of those views; the window-level operators of :mod:`poolbench.ops` and the
-gradients of :mod:`poolbench.grads` run the same kernels.
+Pooling and convolution read their windows through one strided view of
+their input (:func:`poolbench.tensor.window_view`): a pooling block's stack
+is a contiguous copy of it, and convolution's im2col buffer a transposed
+one; both write input gradients back through the view
+(:func:`poolbench.tensor.scatter_windows`).  A pooling block runs its
+method's kernel pair from :data:`poolbench.ops.POOLING` on that stack; the
+window-level operators of :mod:`poolbench.ops` and the gradients of
+:mod:`poolbench.grads` run the same kernels.
 
 Every layer is built on its parameter arrays; :class:`ToyNet` draws them.
 Layers with parameters expose ``params()`` and ``grads()`` dicts of
@@ -39,7 +40,6 @@ in ``flat_grads``; its layers are bound to views of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,10 +47,9 @@ from .ops import (
     ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, sigmoid,
     validate_pool_params,
 )
-from .tensor import WindowSpec, keep_freed_memory, output_size
+from .tensor import WindowSpec, keep_freed_memory, scatter_windows, window_view
 
 __all__ = [
-    "window_views",
     "DivergedRunError",
     "Conv2D",
     "ReLU",
@@ -61,56 +60,6 @@ __all__ = [
     "ToyNet",
     "softmax_cross_entropy",
 ]
-
-
-def window_views(x: np.ndarray, spec: WindowSpec, axis: int = 0) -> list[np.ndarray]:
-    """The k1*k2 window-offset views of an (H, W, ...) array, each (H', W', ...);
-    with ``axis`` = a, of an (..., H, W, ...) array whose H is axis a.
-
-    View ``u*k2 + v`` is ``x[u::s1, v::s2]`` cut to the H' x W' window grid:
-    its (i, j) entry is entry (u, v) of window (i, j), so the views list
-    every window's entries in row-major order.  The views share memory with
-    ``x``; rows and columns that fit no complete window appear in none of
-    them.
-    """
-    return [x[index] for index in _window_index(x.shape[axis], x.shape[axis + 1], spec, axis)]
-
-
-@lru_cache(maxsize=64)
-def _window_index(h: int, w: int, spec: WindowSpec, axis: int) -> tuple[tuple[slice, ...], ...]:
-    """The index of each view of :func:`window_views` into an input of height h and width w."""
-    h_out, w_out = output_size(h, w, spec)
-    rows = spec.s1 * (h_out - 1) + 1
-    cols = spec.s2 * (w_out - 1) + 1
-    lead = (slice(None),) * axis
-    return tuple(
-        lead + (slice(u, u + rows, spec.s1), slice(v, v + cols, spec.s2))
-        for u in range(spec.k1)
-        for v in range(spec.k2)
-    )
-
-
-def _scatter(shape, spec: WindowSpec, parts, axis: int = 0) -> np.ndarray:
-    """Adjoint of :func:`window_views`: the array whose view k holds parts[k],
-    summed where views overlap, and 0 where none reaches.  Disjoint windows
-    (stride = size) with a part per entry take one strided copy into their
-    (..., H', k1, W', k2, ...) tiles, and only the rest is zeroed; other
-    windows, or fewer parts (nearest-neighbor pooling's one), add into zeros."""
-    k1, k2 = spec.k1, spec.k2
-    if (spec.s1, spec.s2) != (k1, k2) or len(parts) != spec.n:
-        dx = np.zeros(shape)
-        for view, part in zip(window_views(dx, spec, axis), parts):
-            view += part
-        return dx
-    dx = np.empty(shape)
-    lead = (slice(None),) * axis
-    rows, cols = shape[axis] // k1 * k1, shape[axis + 1] // k2 * k2
-    dx[lead + (slice(rows, None),)] = dx[lead + (slice(rows), slice(cols, None))] = 0.0
-    tiles = dx[lead + (slice(rows), slice(cols))]
-    tiles = tiles.reshape(shape[:axis] + (rows // k1, k1, cols // k2, k2) + shape[axis + 2 :])
-    by_entry = (axis + 1, axis + 3, *range(axis), axis, axis + 2, *range(axis + 4, tiles.ndim))  # not np.moveaxis: 7 us
-    tiles.transpose(by_entry)[...] = np.reshape(parts, (k1, k2) + np.shape(parts)[1:])
-    return dx
 
 
 #: the permutation between the public (B, C, H, W) and the computing (H, W, B, C)
@@ -148,8 +97,8 @@ class _Affine:
 
 
 class Conv2D(_Affine):
-    """Valid (unpadded) stride-1 convolution: im2col from the k*k window-offset
-    views, then one GEMM per replica.  The layer is built on its (O, C, k, k)
+    """Valid (unpadded) stride-1 convolution: im2col from the input's window
+    view, then one GEMM per replica.  The layer is built on its (O, C, k, k)
     ``weight``, or a stack of S such weights (S, O, C, k, k), and a zero bias;
     it trains them in place.  With ``input_grad=False``, backward returns None.
     The bias is added along whole output rows of W'*B*O floats of the
@@ -164,17 +113,14 @@ class Conv2D(_Affine):
         x = _channels_last(x)
         self._in_shape = x.shape
         lead = x.shape[:-4]
-        h, w, b, c = x.shape[-4:]
-        h_out, w_out = output_size(h, w, self.window)
+        view = window_view(x, self.window, len(lead))  # (k, k, ..., H', W', B, C)
+        h_out, w_out, b, c = view.shape[-4:]
         o = self.bias.shape[-1]
         self._out_shape = lead + (h_out, w_out, b, o)
-        # (..., C*k*k, H'W'B): row c*k*k + u*k + v is view (u, v) of channel c, the
-        # order of weight.reshape(..., O, -1); one copy of a strided view of all of them
-        # on the C-contiguous x
-        s_h, s_w, s_b, s_c = x.strides[-4:]
-        shape = lead + (c, self.window.k1, self.window.k2, h_out, w_out, b)
-        views = np.ndarray(shape, x.dtype, x, 0, x.strides[:-4] + (s_c, s_h, s_w, s_h, s_w, s_b))
-        self._cols = np.ascontiguousarray(views).reshape(lead + (c * self.window.n, -1))
+        # (..., C*k*k, H'W'B): row c*k*k + u*k + v is view entry (u, v) of channel c,
+        # the order of weight.reshape(..., O, -1)
+        by_channel = view.transpose(_CHANNEL_FIRST[len(lead)])
+        self._cols = np.ascontiguousarray(by_channel).reshape(lead + (c * self.window.n, -1))
         out = self._cols.swapaxes(-1, -2) @ self.weight.reshape(lead + (o, -1)).swapaxes(-1, -2)  # (..., H'W'B, O)
         # in place, a row of W'*B*O floats at a time: no second output-sized buffer
         bias_row = np.empty(lead + (w_out * b, o))
@@ -196,11 +142,13 @@ class Conv2D(_Affine):
         n, c = self.window.n, self.weight.shape[-3]
         w = self.weight.transpose(_KERNEL_FIRST[len(lead)]).reshape((n,) + lead + (o, c))
         parts = (dy2 @ w).reshape((n,) + self._out_shape[:-1] + (c,))
-        return _channels_first(_scatter(self._in_shape, self.window, parts, len(lead)))
+        return _channels_first(scatter_windows(self._in_shape, self.window, parts, len(lead)))
 
 
-#: by replica axes: the weight (..., O, C, k, k) as (k, k, ..., O, C)
+#: by replica axes: the weight (..., O, C, k, k) as (k, k, ..., O, C), and the
+#: window view (k, k, ..., H', W', B, C) as (..., C, k, k, H', W', B)
 _KERNEL_FIRST = {0: (2, 3, 0, 1), 1: (3, 4, 0, 1, 2)}
+_CHANNEL_FIRST = {0: (5, 0, 1, 2, 3, 4), 1: (2, 6, 0, 1, 3, 4, 5)}
 
 
 class ReLU:
@@ -308,7 +256,9 @@ class PoolingBlock:
         self._cache = self._scaled = None  # free the last call's cache before building this one
         fields = dict(self._fields)
         scaled = self._se_forward(x, fields) if self.pooling.se else x
-        stack = np.array(window_views(scaled, self.window, x.ndim - 4)[: self.pooling.entries])
+        view = window_view(scaled, self.window, x.ndim - 4)
+        corner = view[:1, :1] if self.pooling.entries == 1 else view  # NN reads one entry
+        stack = np.array(corner, order="C").reshape((-1,) + view.shape[2:])  # order "K" would copy twice
         del scaled  # SEMP's scaled input: free it before the kernel allocates
         y, self._cache = self.pooling.forward(stack, fields)
         return _channels_first(y)
@@ -316,7 +266,7 @@ class PoolingBlock:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = _channels_last(dy)
         d_stack, d_fields = self.pooling.backward(self._cache, dy)
-        dx = _scatter(self._x_shape, self.window, d_stack, dy.ndim - 4)
+        dx = scatter_windows(self._x_shape, self.window, d_stack, dy.ndim - 4)
         del d_stack  # free it before the SE branch allocates
         for name, grad in self.grads_.items():
             if name in d_fields:

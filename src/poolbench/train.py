@@ -18,7 +18,7 @@ import numpy as np
 from .data import SyntheticDataset, make_synthetic
 from .layers import DivergedRunError, ToyNet, ToyNetConfig, softmax_cross_entropy
 from .ops import DegenerateWeightsError, norm_exponent
-from .optim import Adam, OptimConfig
+from .optim import Adam
 
 __all__ = [
     "DivergedRunError",
@@ -28,7 +28,6 @@ __all__ = [
     "build_net",
     "forward_backward",
     "evaluate",
-    "train",
     "train_runs",
     "shared_dataset",
 ]
@@ -243,18 +242,6 @@ def train_runs(
     for r, report in enumerate(live.reports):
         report.snapshots = _snapshots(live.net, r)
     return reports
-
-
-def train(
-    method: str,
-    dataset: SyntheticDataset,
-    optim: OptimConfig,
-    net_config: ToyNetConfig | None = None,
-    step_hook=None,
-) -> RunReport:
-    """Train the run ``optim`` to completion (or divergence) and report it:
-    :func:`train_runs` of that one run."""
-    return train_runs(method, dataset, [optim], net_config, step_hook)[0]
 
 
 def shared_dataset(data_kwargs: dict) -> SyntheticDataset:

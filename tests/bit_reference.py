@@ -1,15 +1,16 @@
 """Test-only copies of the earlier, allocation-heavier forms of code that was
 rewritten for speed, kept to check that the rewrites give the same bits.
 
-Each function is the earlier body verbatim, apart from the names it imports:
-``Conv2D``'s forward with an im2col copy per window view and the bias
-broadcast along O-long rows, and the backward kernels of :data:`poolbench.ops.POOLING` with one fresh array per
+Each function is the earlier body verbatim, apart from the names it imports
+and the window offsets that the conv forward slices itself: ``Conv2D``'s
+forward with an im2col copy per window-offset slice and the bias broadcast
+along O-long rows, and the backward kernels of :data:`poolbench.ops.POOLING` with one fresh array per
 operation.  They read the same caches as the kernels of ``poolbench.ops``.
 """
 
 import numpy as np
 
-from poolbench.layers import _channels_first, _channels_last, window_views
+from poolbench.layers import _channels_first, _channels_last
 from poolbench.ops import _sum_to, sigmoid
 from poolbench.tensor import output_size
 
@@ -19,7 +20,7 @@ _VIEWS_FIRST = {0: (1, 2, 3, 4, 0), 1: (2, 0, 3, 4, 5, 1)}
 
 
 def conv_forward(layer, x):
-    """``layer``'s output: im2col a view at a time, the GEMM, the bias added per O-long row."""
+    """``layer``'s output: im2col a window offset at a time, the GEMM, the bias added per O-long row."""
     x = _channels_last(x)
     lead = x.shape[:-4]
     h, w, b, c = x.shape[-4:]
@@ -27,8 +28,9 @@ def conv_forward(layer, x):
     o = layer.bias.shape[-1]
     cols = np.empty(lead + (c, layer.window.n, h_out, w_out, b))
     by_view = cols.transpose(_VIEWS_FIRST[len(lead)])
-    for k, view in enumerate(window_views(x, layer.window, len(lead))):
-        by_view[k] = view
+    for k in range(layer.window.n):  # offset (u, v) of every stride-1 window
+        u, v = divmod(k, layer.window.k2)
+        by_view[k] = x[..., u : u + h_out, v : v + w_out, :, :]
     cols = cols.reshape(lead + (c * layer.window.n, -1))
     out = cols.swapaxes(-1, -2) @ layer.weight.reshape(lead + (o, -1)).swapaxes(-1, -2)
     out += layer.bias[..., None, :]

@@ -21,6 +21,7 @@ from poolbench.grads import FDOracleConfig, fd_check
 from poolbench.tensor import output_size
 
 from helpers import values_at, with_zero_grads
+from window_reference import window_entries
 
 
 def spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
@@ -116,8 +117,8 @@ def _window_method(method, trials, config, rng, lse_sharpness):
 def _se_block(method, trials, config, rng):
     channels, hidden, size = 4, 2, 4
     worst = 0.0
-    spec = ops.PoolSpec(method, gradcheck._WINDOW, channels)
-    probe_shape = (1, channels, *output_size(size, size, gradcheck._WINDOW))
+    spec = ops.PoolSpec(method, layers.POOL_WINDOW, channels)
+    probe_shape = (1, channels, *output_size(size, size, spec.window))
     for _ in range(trials):
         while True:
             x = rng.uniform(-1.0, 1.0, size=(1, channels, size, size))
@@ -128,9 +129,8 @@ def _se_block(method, trials, config, rng):
                 "se_f2_bias": rng.uniform(-0.5, 0.5, size=channels),
             }
             hidden_pre = params["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + params["se_f1_bias"]
-            windows = layers.window_views(x.transpose(2, 3, 0, 1), gradcheck._WINDOW)
-            sorted_win = np.sort(np.stack(windows), axis=0)
-            if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[-1] - sorted_win[-2]).min() <= 1e-2:
+            sorted_win = np.sort(window_entries(x, spec.window), axis=-1)
+            if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[..., -1] - sorted_win[..., -2]).min() <= 1e-2:
                 continue
             block = with_zero_grads(layers.PoolingBlock(spec, params))
             probe = rng.uniform(-1.0, 1.0, size=probe_shape)

@@ -1,7 +1,7 @@
-"""Test-only helpers: report readers, initial weights, a data baseline, the
-finite-difference oracle of a function with its array-form reference,
-perfbench's tracer and reference network, and gradient arrays for a layer
-built outside a net.
+"""Test-only helpers: report readers, initial weights, a data baseline, one
+run trained alone, the finite-difference oracle of a function with its
+array-form reference, perfbench's tracer and reference network, and gradient
+arrays for a layer built outside a net.
 
 The program writes its reports and never reads back a run or summary CSV;
 the tests read them through these functions.
@@ -18,7 +18,7 @@ from poolbench.grads import OracleError, bumped_points, fd_check
 from poolbench.layers import ToyNetConfig
 from poolbench.reports import SUMMARY_FIELDS
 from poolbench.tensor import ShapeError
-from poolbench.train import EpochMetrics, build_net
+from poolbench.train import EpochMetrics, build_net, train_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +53,12 @@ def read_summary_csv(path) -> list[dict]:
 def init_weights(method: str, net_config: ToyNetConfig, seed: int) -> dict[str, np.ndarray]:
     """Freshly initialized parameter store; bit-identical for identical seeds."""
     return build_net(method, net_config, np.random.default_rng(seed)).params()
+
+
+def train(method, dataset, optim, net_config=None, step_hook=None):
+    """Train the run ``optim`` to completion (or divergence) and report it:
+    ``train_runs`` of that one run."""
+    return train_runs(method, dataset, [optim], net_config, step_hook)[0]
 
 
 def nearest_centroid_accuracy(dataset: SyntheticDataset) -> float:

@@ -22,13 +22,12 @@ from poolbench import (
     smooth_max_pool_grad,
 )
 from poolbench import cli
-from helpers import read_summary_csv
+from helpers import read_summary_csv, train
 from poolbench import reports as rep
 from poolbench.data import make_synthetic
 from poolbench.gradcheck import run_gradcheck
 from poolbench.ops import HEADLINE_METHODS, METHODS
 from poolbench.optim import OptimConfig
-from poolbench.train import train
 
 
 def emit(line):

@@ -16,6 +16,7 @@ from poolbench import cli, gradcheck, grads, layers, ops
 from helpers import read_run_csv, read_summary_csv
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
+from window_reference import window_entries
 
 
 def run_cli(*argv):
@@ -543,7 +544,7 @@ class TestGradcheck:
 
     def test_se_candidate_draws_match_per_array_uniform_draws(self):
         def per_array(rng, count, probe_shape):
-            # one rng.uniform call per array and the window-view tie test, as drawn before
+            # one rng.uniform call per array and the window tie test, as drawn before
             # the arrays shared one call
             bounds = {name: bound for name, (_, bound) in gradcheck._SE_DRAWS.items()}
             xs, params, probes, vs = [], {name: [] for name in bounds if name != "x"}, [], []
@@ -552,8 +553,8 @@ class TestGradcheck:
                 draw = {name: rng.uniform(-bounds[name], bounds[name], size=shape)
                         for name, (shape, _) in gradcheck._SE_DRAWS.items() if name != "x"}
                 hidden_pre = draw["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + draw["se_f1_bias"]
-                windows = np.sort(np.stack(layers.window_views(x.transpose(2, 3, 0, 1), gradcheck._WINDOW)), axis=0)
-                if np.abs(hidden_pre).min() <= 1e-3 or (windows[-1] - windows[-2]).min() <= 1e-2:
+                windows = np.sort(window_entries(x, layers.POOL_WINDOW), axis=-1)
+                if np.abs(hidden_pre).min() <= 1e-3 or (windows[..., -1] - windows[..., -2]).min() <= 1e-2:
                     continue
                 xs.append(x)
                 for name, value in draw.items():

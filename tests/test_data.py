@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import nearest_centroid_accuracy
-from poolbench.data import check_data_args, make_synthetic
+from poolbench.data import make_synthetic
 
 
 class TestBalanceAndSplit:
@@ -31,9 +31,6 @@ class TestBalanceAndSplit:
         with pytest.raises(ValueError):
             make_synthetic(classes=0)
         assert set(make_synthetic(classes=1, samples=10).labels) == {0}
-        # a caller's own minimum (the toy net's two classes) is stated in the one range
-        with pytest.raises(ValueError, match=r"classes must be in 2\.\.8, got 1"):
-            check_data_args(1, 10, 0.1, least_classes=2)
 
     @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
     def test_noise_must_be_finite_and_non_negative(self, noise):

@@ -15,13 +15,12 @@ from poolbench.layers import (
     ReLU,
     ToyNet,
     ToyNetConfig,
-    _scatter,
     softmax_cross_entropy,
-    window_views,
 )
 from poolbench.ops import METHODS, POOLING, norm_exponent
 from poolbench.optim import Adam, OptimConfig
-from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures
+from poolbench.tensor import scatter_windows, window_view
+from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures, window_entries
 
 POOL22 = WindowSpec(2, 2, 2, 2)
 #: the reduction ratio of make_block's SE branches: a hidden width of 2 on 4
@@ -177,19 +176,19 @@ ALL_METHODS = [
 class TestWindowViews:
     def test_round_trip_partition(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(6, 6, 2, 3))  # views slice the two leading axes
-        views = window_views(x, POOL22)
-        assert len(views) == 4 and all(v.shape == (3, 3, 2, 3) for v in views)
-        # for s = k the views partition the grid: copying them back rebuilds x
+        x = rng.normal(size=(6, 6, 2, 3))  # the view slices the two leading axes
+        view = window_view(x, POOL22)
+        assert view.shape == (2, 2, 3, 3, 2, 3)
+        # for s = k the windows partition the grid: copying them back rebuilds x
         rebuilt = np.zeros_like(x)
-        for dst, src in zip(window_views(rebuilt, POOL22), views):
-            dst[...] = src
+        window_view(rebuilt, POOL22)[...] = view
         np.testing.assert_array_equal(rebuilt, x)
 
     def test_overlapping_scatter_accumulates(self):
         counts = np.zeros((3, 3, 1, 1))
-        for view in window_views(counts, WindowSpec(2, 2, 1, 1)):
-            view += 1.0
+        view = window_view(counts, WindowSpec(2, 2, 1, 1))
+        for u, v in np.ndindex(2, 2):
+            view[u, v] += 1.0
         np.testing.assert_array_equal(
             counts[:, :, 0, 0], [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]
         )
@@ -198,25 +197,39 @@ class TestWindowViews:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 7, 1, 2))
         spec = WindowSpec(2, 3, 1, 2)
-        views = window_views(x, spec)
-        assert len(views) == spec.n and views[0].shape == (4, 3, 1, 2)
+        view = window_view(x, spec)
+        assert view.shape == (2, 3, 4, 3, 1, 2)
         for c in range(2):
             for i in range(4):
                 for j in range(3):
                     np.testing.assert_array_equal(
-                        [v[i, j, 0, c] for v in views], extract_window(x[:, :, 0, c], spec, i + 1, j + 1)
+                        view[:, :, i, j, 0, c].reshape(-1), extract_window(x[:, :, 0, c], spec, i + 1, j + 1)
                     )
+
+    def test_non_contiguous_input_is_refused(self):
+        # the view is built on the input's buffer, which numpy lends only from a contiguous
+        # array: a strided, reversed or transposed one raises rather than giving a view
+        x = np.zeros((6, 6, 2, 3))
+        for bad, axis in ((x[::2], 0), (x[:, :, ::-1], 0), (x.transpose(2, 3, 0, 1), 2)):
+            assert not bad.flags.c_contiguous
+            with pytest.raises(ValueError):
+                window_view(bad, POOL22, axis)
 
 
 class TestScatter:
-    """The one-copy scatter of disjoint windows against the zero-and-add adjoint
-    of :func:`window_views`."""
+    """The one-assignment scatter of disjoint windows against the zero-and-add
+    adjoint of the windows, read one placement at a time."""
 
     @staticmethod
     def added(shape, spec, parts, axis):
+        """Zeros, with part k of window (i, j) added into its entry (u, v) = divmod(k, k2), part by part."""
         dx = np.zeros(shape)
-        for view, part in zip(window_views(dx, spec, axis), parts):
-            view += part
+        grid = np.moveaxis(dx, (axis, axis + 1), (0, 1))  # a view of dx, (H, W, ...)
+        for k, part in enumerate(parts):
+            u, v = divmod(k, spec.k2)
+            part = np.moveaxis(part, (axis, axis + 1), (0, 1))  # (H', W', ...)
+            for i, j in np.ndindex(part.shape[:2]):
+                grid[spec.s1 * i + u, spec.s2 * j + v] += part[i, j]
         return dx
 
     @pytest.mark.parametrize("size", [14, 5])
@@ -228,20 +241,20 @@ class TestScatter:
         parts = rng.normal(size=(4,) + (2,) * axis + (h, h, 3, 2))
         parts.reshape(-1)[::7] = -0.0
         parts.reshape(-1)[3::11] = np.nan
-        got = _scatter(shape, POOL22, parts, axis)
+        got = scatter_windows(shape, POOL22, parts, axis)
         np.testing.assert_array_equal(got, self.added(shape, POOL22, parts, axis))
         assert np.isnan(got).sum() == np.isnan(parts).sum()
         # a (lead, S) view: the broadcast part of every entry of an average-pooling window
         shared = np.broadcast_to(parts[0], parts.shape)
-        np.testing.assert_array_equal(_scatter(shape, POOL22, shared, axis), self.added(shape, POOL22, shared, axis))
+        np.testing.assert_array_equal(scatter_windows(shape, POOL22, shared, axis), self.added(shape, POOL22, shared, axis))
         # nearest-neighbor pooling's one part: the other entries get 0
-        np.testing.assert_array_equal(_scatter(shape, POOL22, parts[:1], axis), self.added(shape, POOL22, parts[:1], axis))
+        np.testing.assert_array_equal(scatter_windows(shape, POOL22, parts[:1], axis), self.added(shape, POOL22, parts[:1], axis))
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_rows_and_columns_outside_every_window_stay_zero(self, axis):
         shape = (2,) * axis + (5, 5, 3, 2)
         parts = np.full((4,) + (2,) * axis + (2, 2, 3, 2), np.nan)
-        got = np.moveaxis(_scatter(shape, POOL22, parts, axis), (axis, axis + 1), (0, 1))
+        got = np.moveaxis(scatter_windows(shape, POOL22, parts, axis), (axis, axis + 1), (0, 1))
         assert np.isnan(got[:4, :4]).all()
         for edge in (got[4], got[:, 4]):
             assert (edge == 0.0).all() and not np.signbit(edge).any()
@@ -250,7 +263,7 @@ class TestScatter:
         rng = np.random.default_rng(3)
         spec = WindowSpec(3, 3, 1, 1)
         parts = rng.normal(size=(9, 4, 3, 2, 1))
-        np.testing.assert_array_equal(_scatter((6, 5, 2, 1), spec, parts), self.added((6, 5, 2, 1), spec, parts, 0))
+        np.testing.assert_array_equal(scatter_windows((6, 5, 2, 1), spec, parts), self.added((6, 5, 2, 1), spec, parts, 0))
 
 
 class TestPoolingBlockForward:
@@ -286,8 +299,8 @@ class TestPoolingBlockBackward:
         # keep clear of ties and ReLU kinks so FD is well-defined
         while True:
             x = rng.uniform(-1.0, 1.0, size=(2, 4, 4, 4))
-            win = np.sort(np.stack(window_views(x.transpose(2, 3, 0, 1), POOL22)), axis=0)
-            if (win[-1] - win[-2]).min() > 1e-2:
+            win = np.sort(window_entries(x, POOL22), axis=-1)
+            if (win[..., -1] - win[..., -2]).min() > 1e-2:
                 break
         assert_backward_matches_fd(block, x, rng, input_coords=24)
 
@@ -322,7 +335,7 @@ class TestPoolingBlockBackward:
         dy = rng.uniform(0.5, 1.5, size=block.forward(x).shape)
         dx = block.backward(dy)
         # window entries on the last axis: (H', W', B, C, n)
-        win, d_win = (np.moveaxis(np.stack(window_views(a.transpose(2, 3, 0, 1), POOL22)), 0, -1) for a in (x, dx))
+        win, d_win = (window_entries(a, POOL22).transpose(2, 3, 0, 1, 4) for a in (x, dx))
         assert ((win == win.max(axis=-1, keepdims=True)).sum(axis=-1) > 1).mean() > 0.3  # many ties
         first = np.arange(4) == win.argmax(axis=-1)[..., None]  # argmax's tie rule
         # every other entry, tied or not, gets one gradient without the max path
@@ -423,8 +436,7 @@ class TestLearnedNormZeros:
         x[rng.random(x.shape) < 0.4] = 0.0
         x[0, 1, :2, 2:] = 0.0  # one all-zero window
         x[1, 0, 2:, :2] = [[0.0, 1.5], [0.0, 0.0]]  # one non-zero entry
-        windows = np.stack(window_views(x.transpose(2, 3, 0, 1), POOL22))  # (4, 2, 2, B, C)
-        windows = np.moveaxis(windows, 0, -1)
+        windows = window_entries(x, POOL22).transpose(2, 3, 0, 1, 4)  # (2, 2, B, C, 4)
         assert (windows == 0.0).any(axis=-1).sum() >= 4
         dy = rng.normal(size=(2, 2, 2, 2))
 
@@ -442,9 +454,7 @@ class TestLearnedNormZeros:
             expected_dp += dy[b, c, i, j] * d_params["p_raw"][0]
         assert expected_y[0, 1, 0, 1] == 0.0
         np.testing.assert_allclose(y, expected_y, rtol=1e-13, atol=0.0)
-        dx_windows = np.moveaxis(
-            np.stack(window_views(dx.transpose(2, 3, 0, 1), POOL22)), 0, -1
-        )
+        dx_windows = window_entries(dx, POOL22).transpose(2, 3, 0, 1, 4)
         np.testing.assert_allclose(dx_windows, expected_dx, rtol=1e-13, atol=0.0)
         assert (dx_windows[windows == 0.0] == 0.0).all()
         np.testing.assert_allclose(block.grads()["p_raw"], [expected_dp], rtol=1e-12, atol=0.0)

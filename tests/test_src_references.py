@@ -5,7 +5,9 @@ from ``src/`` or from ``perfbench/*.py``.  A name that only the tests call
 belongs with them (``window_reference.py``, ``helpers.py``).  A re-export in
 ``__init__.py`` or an ``__all__`` entry is not a reference.  perfbench's
 tracer names what it patches in strings and builds the window gradients'
-names from the operators' names, so its lists count as references too.
+names from the operators' names, so its lists count as references too.  A
+module's own name is no reference to a same-named definition: a module is
+never called, so such a name counts only where it is called.
 """
 
 import ast
@@ -13,18 +15,26 @@ import ast
 from helpers import ROOT, load_tracing
 
 SRC = ROOT / "src" / "poolbench"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
 def referenced_names(path, strings=False) -> set[str]:
-    """Every name and attribute a module reads; with ``strings`` also its string literals."""
+    """Every name and attribute a module reads; with ``strings`` also its string
+    literals.  A module's name counts only where it is called."""
+    tree = ast.parse(path.read_text())
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+            name = node.value
+        else:
+            continue
+        if name not in MODULES or id(node) in called:
+            names.add(name)
     return names
 
 

@@ -10,13 +10,12 @@ from poolbench.data import IMAGE_SIZE, make_synthetic
 from poolbench.layers import CONV_KERNEL, STAGE_CHANNELS, ToyNetConfig, softmax_cross_entropy
 from poolbench.ops import HEADLINE_METHODS, norm_exponent
 from poolbench.optim import OptimConfig
-from helpers import init_weights
+from helpers import init_weights, train
 from poolbench.train import (
     build_net,
     evaluate,
     forward_backward,
     shared_dataset,
-    train,
     train_runs,
 )
 

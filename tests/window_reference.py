@@ -2,11 +2,11 @@
 
 The program evaluates each pooling method through one kernel pair
 (``poolbench.ops.POOLING``), on windows read through
-``poolbench.layers.window_views``.  The functions here are a second,
+``poolbench.tensor.window_view``.  The functions here are a second,
 independent implementation that the tests compare the program with:
 
-* ``extract_window`` and ``map_windows`` read windows one placement at a
-  time, with 1-based placement indices;
+* ``extract_window``, ``window_entries`` and ``map_windows`` read windows
+  one placement at a time, with 1-based placement indices;
 * each window forward reduces over the last axis of ``x`` (a stack of
   windows, one per row, or one window); each ``*_grad`` takes one window and
   returns ``(d_input, d_params)``;
@@ -69,6 +69,18 @@ def extract_window(x, spec: WindowSpec, i: int, j: int) -> np.ndarray:
     r0 = spec.s1 * (i - 1)
     c0 = spec.s2 * (j - 1)
     return x[r0 : r0 + spec.k1, c0 : c0 + spec.k2].reshape(-1).copy()
+
+
+def window_entries(x, spec: WindowSpec) -> np.ndarray:
+    """Every window of an (..., H, W) array as an (..., H', W', k1*k2) array:
+    out[..., i - 1, j - 1, :] = extract_window(x[...], spec, i, j)."""
+    x = as_tensor(x)
+    h_out, w_out = output_size(x.shape[-2], x.shape[-1], spec)
+    out = np.empty(x.shape[:-2] + (h_out, w_out, spec.n))
+    for index in np.ndindex(x.shape[:-2]):
+        for i, j in np.ndindex(h_out, w_out):
+            out[index + (i, j)] = extract_window(x[index], spec, i + 1, j + 1)
+    return out
 
 
 def map_windows(x, spec: WindowSpec, fn) -> np.ndarray:
