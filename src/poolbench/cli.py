@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import MAX_CLASSES, check_data_args
-from .gradcheck import run_gradcheck
-from .grads import FDOracleConfig
+from .gradcheck import check_settings, run_gradcheck
 from .layers import MIN_CLASSES, ToyNetConfig
 from .ops import HEADLINE_METHODS, METHODS, ConfigurationError, pooling_row
 from .optim import OptimConfig
@@ -301,11 +300,8 @@ def cmd_sweep(args) -> int:
 def cmd_gradcheck(args) -> int:
     _check_methods(args.methods)
     _check_seed("seed", args.seed)
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
     try:
-        FDOracleConfig(tolerance=args.tolerance)
-        ToyNetConfig(lse_sharpness=args.lse_r)
+        check_settings(args.trials, args.tolerance, args.lse_r)
     except ValueError as err:
         raise UsageError(str(err)) from err
     results = run_gradcheck(

@@ -3,24 +3,25 @@
 Every check runs the kernel pair that trains (:data:`poolbench.ops.POOLING`).
 A window method's only per-method entry is its draw of random (window,
 parameter) points.  It draws a block of candidates as arrays, a row per
-point, with the values and the generator stream of drawing them one at a
-time: one ``rng.random`` call for uniform draws (MP's windows one call a
-round, for the rows still missing), and each point's own calls where
-``integers`` or ``dirichlet`` calls interleave.  One backward-kernel call
-gives the block's analytic gradients; the informative points are kept in
-draw order, and more are drawn for any shortfall.  Each trial compares the
-input gradient and every parameter gradient coordinate by coordinate with
-central differences of the forward kernel, whose one call per gradient
-evaluates the bumped points (:func:`poolbench.grads.bumped_points`) of every
-point of the block.  The squeeze-and-excitation blocks (SESMP, SEMP) are
-checked at block level, probing a random linear functional of the output:
-every input coordinate through forwards of bumped inputs, and the branch
-parameters along one random direction; a block's candidates are the
-replicas of one stacked layer.  Each trial makes its own
-:func:`~poolbench.grads.fd_check` call per comparison, with its own values;
-the benchmark's traced run counts them, at least one per trial and method.
-A non-finite analytic gradient makes the method's worst error NaN, and the
-method fails.
+point, with one generator call per array (``rng.uniform``, ``rng.choice``,
+``rng.dirichlet``); a draw rule, such as the spread of a window's entries,
+is a mask on those rows, so a block can hold fewer points than it drew.
+One backward-kernel call gives the block's analytic gradients; the
+informative points are kept in draw order, and more are drawn for any
+shortfall.  Each trial compares the input gradient and every parameter
+gradient coordinate by coordinate with central differences of the forward
+kernel, whose one call per gradient evaluates the bumped points
+(:func:`poolbench.grads.bumped_points`) of every point of the block.  The
+squeeze-and-excitation blocks (SESMP, SEMP) are checked at block level,
+probing a random linear functional of the output: every input coordinate
+through forwards of bumped inputs, and the branch parameters along one
+random direction.  Their candidates are drawn the same way, one call per
+input, branch array, probe and direction, less those near a ReLU kink or a
+window tie, and a block's candidates are the replicas of one stacked layer.
+Each trial makes its own :func:`~poolbench.grads.fd_check` call per
+comparison, with its own values; the benchmark's traced run counts them, at
+least one per trial and method.  A non-finite analytic gradient makes the
+method's worst error NaN, and the method fails.
 
 Sampling keeps points where the comparison is informative:
 
@@ -37,17 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import accumulate
-from operator import methodcaller, sub
 
 import numpy as np
 
 from . import grads, layers, ops
 from .grads import FDOracleConfig, fd_check
+from .ops import ParameterError, check_field
 from .tensor import output_size, window_view
 
-__all__ = ["GradCheckResult", "check_method", "run_gradcheck"]
+__all__ = ["GradCheckResult", "check_method", "check_settings", "run_gradcheck"]
 
 _MIN_COORD = 1e-3  # oracle resolution guard; see module docstring
 _BLOCK = 128  # candidate points per analytic-gradient call; a larger block holds more memory
@@ -65,10 +65,6 @@ _SE_DRAWS = {
 _SE_SIZES = [math.prod(shape) for shape, _ in _SE_DRAWS.values()]
 _SE_SLICES = {name: slice(end - size, end) for name, size, end in zip(_SE_DRAWS, _SE_SIZES, accumulate(_SE_SIZES))}
 _SE_SIZE = sum(_SE_SIZES[1:])  # the branch parameters
-#: a candidate's draws, each array's slice of them in the order of _SE_DRAWS, as low + width * u
-#: for the u of one rng.random call: the values of an rng.uniform(-bound, bound) call per array
-_SE_LOW = np.repeat([-bound for _, bound in _SE_DRAWS.values()], _SE_SIZES)
-_SE_WIDTH = -2.0 * _SE_LOW
 
 
 @dataclass(frozen=True)
@@ -90,66 +86,50 @@ def _worse(worst, error):
     return error if error > worst or error != error else worst
 
 
-def _uniform(u, lo, hi):
-    """rng.uniform(lo, hi)'s own arithmetic on the u of rng.random."""
-    return lo + (hi - lo) * u
+def _spread_windows(rng, count, gap=1e-2, floor=0.0):
+    """``count`` windows of rng.uniform(-1, 1) entries, less those with two entries
+    ``gap`` or less apart or an entry under ``floor`` from zero, as rows."""
+    x = rng.uniform(-1.0, 1.0, (count, 4))
+    # the closest pair is adjacent once sorted
+    return x[(np.diff(np.sort(x)).min(axis=1) > gap) & (np.abs(x).min(axis=1) >= floor)]
 
 
-def _rows(rng, lse_r, count, **calls):
-    # count rounds of the calls, as a row per round of each argument: draws one rng.random call cannot replay
-    rounds = [[call(rng) for call in calls.values()] for _ in range(count)]
-    return {name: np.array(col).reshape(count, -1) for name, col in zip(calls, zip(*rounds))}
-
-
-def _spread_windows(rng, count, n=4, gap=1e-2):
-    # count windows of _spread_window as rows; each round draws only the rows still missing
-    x = np.empty((0, n))
-    while len(x) < count:
-        u = _uniform(rng.random((count - len(x), n)), -1.0, 1.0)
-        x = np.concatenate([x, u[np.diff(np.sort(u)).min(axis=1) > gap]])  # adjacent once sorted
-    return x
-
-
-def _spread_window(rng, n=4, gap=1e-2, floor=0.0):
-    # n rng.uniform(-1, 1) draws, redrawn until pairs are over gap apart and |entries| at least floor
-    while True:
-        s = sorted((x := rng.uniform(-1.0, 1.0, size=n)).tolist())  # Python floats: cheaper than numpy on 4
-        if min(map(sub, s[1:], s)) > gap and min(map(abs, s)) >= floor:  # the closest pair is adjacent once sorted
-            return x
-
-
-def _interior_simplex(rng, n=4, floor=0.05):
-    w = rng.dirichlet(np.full(n, 2.0))
-    return (1.0 - n * floor) * w + floor
-
-
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _away_from_zero(rng, n=4, lo=0.05, hi=1.0):
-    # the draws of rng.choice([-1.0, 1.0], size=n), at under half its cost
-    return rng.uniform(lo, hi, size=n) * _SIGNS[rng.integers(0, 2, size=n)]
+def _away_from_zero(rng, count, lo=0.05, hi=1.0):
+    """``count`` rows of 4 magnitudes in [lo, hi), each of either sign."""
+    return rng.uniform(lo, hi, (count, 4)) * rng.choice([-1.0, 1.0], (count, 4))
 
 
 def _unit_windows(rng, r, count):  # AP's and NN's windows
-    return {"x": _uniform(rng.random((count, 4)), -1.0, 1.0)}
+    return {"x": rng.uniform(-1.0, 1.0, (count, 4))}
+
+
+def _gp_draws(rng, r, count):
+    x = _spread_windows(rng, count, floor=0.05)  # gate inputs off zero
+    return {"x": x, "gate_w": _away_from_zero(rng, len(x))}
+
+
+def _op_draws(rng, r, count):
+    x = _spread_windows(rng, count)
+    # the simplex's interior: every weight in [0.05, 0.85]
+    return {"x": x, "ordinal_w": 0.8 * rng.dirichlet(np.full(4, 2.0), len(x)) + 0.05}
 
 
 def _smp_draws(rng, r, count):
-    u = rng.random((count, 5))
-    return {"x": _uniform(u[:, :4], -2.0, 2.0), "tau": _uniform(u[:, 4:], -3.0, 3.0)}
+    return {"x": rng.uniform(-2.0, 2.0, (count, 4)), "tau": rng.uniform(-3.0, 3.0, (count, 1))}
 
 
-#: method -> draw(rng, lse_r, count) -> the arguments of its next ``count`` candidate points, those
-#: of drawing one at a time: a window per row of ``x``, a weight row or scalar column per field
+#: method -> draw(rng, lse_r, count) -> the arguments of at most ``count`` candidate points:
+#: a window per row of ``x``, a weight row or scalar column per field
 _DRAWS = {
     "MP": lambda rng, r, count: {"x": _spread_windows(rng, count)},
     "AP": _unit_windows,
     "NN": _unit_windows,
-    "CONV": partial(_rows, x=_away_from_zero, conv_w=_away_from_zero),
-    "GP": partial(_rows, x=partial(_spread_window, floor=0.05), gate_w=_away_from_zero),  # gate inputs off zero
-    "OP": partial(_rows, x=_spread_window, ordinal_w=_interior_simplex),
-    "LNP": partial(_rows, x=partial(_away_from_zero, lo=0.1, hi=1.5), p_raw=methodcaller("uniform", -1.0, 2.0)),
+    "CONV": lambda rng, r, count: {"x": _away_from_zero(rng, count), "conv_w": _away_from_zero(rng, count)},
+    "GP": _gp_draws,
+    "OP": _op_draws,
+    "LNP": lambda rng, r, count: {
+        "x": _away_from_zero(rng, count, lo=0.1, hi=1.5), "p_raw": rng.uniform(-1.0, 2.0, (count, 1))
+    },
     # x = u / r keeps r*x, and so the softmax gradient, at the same spread for every r
     "LSE": lambda rng, r, count: {"x": _unit_windows(rng, r, count)["x"] / r, "sharpness": np.full((count, 1), r)},
     "SMP_fixed": _smp_draws,
@@ -175,11 +155,13 @@ def _check_window_method(method, trials, config, rng, lse_sharpness):
     # floor stays far below it (at r = 1 the step is the oracle's own)
     input_config = replace(config, step=config.step / r) if "sharpness" in ops.POOLING[method].fields else config
     worst, checked = 0.0, 0
-    # the draws do not depend on the gradients, so drawing the shortfall in blocks checks
-    # the points that redrawing each trial until it is informative would
+    # a block keeps only the points its draw rules and the oracle pass; the next draws the shortfall
     while checked < trials:
+        args = draw(rng, r, min(trials - checked, _BLOCK))
+        if not len(args["x"]):  # every window drawn broke a draw rule
+            continue
         try:
-            args, bundle = _informative_points(method, draw(rng, r, min(trials - checked, _BLOCK)))
+            args, bundle = _informative_points(method, args)
         except ops.DivergedRunError:  # a non-finite analytic gradient fails the method
             return math.nan
         count = len(args["x"])
@@ -209,29 +191,22 @@ def _se_array(draws, name) -> np.ndarray:
 
 
 def _se_candidates(rng, count, probe_shape):
-    """``count`` SE candidates in draw order, each a row of stacked arrays: its draws
-    (input X and branch arrays, see :data:`_SE_DRAWS`), probe R and unit direction
-    v.  A candidate near a ReLU kink or a window tie is redrawn."""
-    draws = np.empty((count, _SE_LOW.size))
-    probes, vs = np.empty((count, *probe_shape)), np.empty((count, _SE_SIZE))
-    i = 0
-    while i < count:
-        draw = draws[i] = _SE_LOW + _SE_WIDTH * rng.random(_SE_LOW.size)  # a redraw overwrites it
-        x = _se_array(draw, "x")[0]
-        # keep the ReLU kink and window ties out of FD range, tested on Python floats;
-        # np.add.reduce then / 16 is x.mean's own arithmetic
-        hidden_pre = _se_array(draw, "se_f1_weight") @ (np.add.reduce(x, axis=(1, 2)) / 16)
-        if min(map(abs, (hidden_pre + _se_array(draw, "se_f1_bias")).tolist())) <= 1e-3:
-            continue
-        # each window is a column of its (C, H, W) input's window view, entries sorted
-        windows = np.sort(window_view(x, layers.POOL_WINDOW, 1).reshape(4, -1), axis=0)
-        if min((windows[3] - windows[2]).tolist()) <= 1e-2:
-            continue
-        rng.random(out=probes[i])
-        v = rng.standard_normal(_SE_SIZE)
-        vs[i] = v / math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
-        i += 1
-    return draws, _uniform(probes, -1.0, 1.0), vs
+    """At most ``count`` SE candidates in draw order, each a row of stacked arrays: its
+    draws (input X and branch arrays, see :data:`_SE_DRAWS`, laid out flat), probe R
+    and unit direction v, each array one call for all rows.  Candidates near a ReLU
+    kink or a window tie are left out."""
+    arrays = {name: rng.uniform(-bound, bound, (count, *shape)) for name, (shape, bound) in _SE_DRAWS.items()}
+    probes = rng.uniform(-1.0, 1.0, (count, *probe_shape))
+    vs = rng.standard_normal((count, _SE_SIZE))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    x = arrays["x"][:, 0]  # (count, C, H, W)
+    # keep the ReLU kink and window ties out of FD range; each window is a column
+    # of the window view, entries sorted
+    hidden_pre = (arrays["se_f1_weight"] @ x.mean(axis=(2, 3))[..., None])[..., 0] + arrays["se_f1_bias"]
+    windows = np.sort(window_view(x, layers.POOL_WINDOW, 2).reshape(4, count, -1), axis=0)
+    keep = (np.abs(hidden_pre).min(axis=1) > 1e-3) & ((windows[3] - windows[2]).min(axis=1) > 1e-2)
+    draws = np.concatenate([a.reshape(count, -1) for a in arrays.values()], axis=1)
+    return draws[keep], probes[keep], vs[keep]
 
 
 def _stacked_se(spec, draws, probes, vs, step):
@@ -277,10 +252,12 @@ def _check_se_block(method, trials, config, rng):
     worst, checked = 0.0, 0
     while checked < trials:
         draws, probes, vs = _se_candidates(rng, min(trials - checked, _SE_BLOCK), probe_shape)
+        if not len(draws):
+            continue
         dxs, gv, at_t, at_x = _stacked_se(spec, draws, probes, vs, config.step)
         # the oracle resolves no |analytic| under _MIN_COORD but exact zeros, so such
-        # input coordinates are left out; a cancelled <g, v> redraws the point with v,
-        # which also ends the loop at points where g vanishes.  A NaN is kept: it fails.
+        # input coordinates are left out, and so is a point whose <g, v> cancels.  A NaN
+        # is kept: it fails.
         keep = ~((np.abs(dxs) > 0.0) & (np.abs(dxs) < _MIN_COORD))
         for r in np.flatnonzero(keep.any(axis=1) & ~(np.abs(gv) < _MIN_COORD)):
             checked += 1
@@ -288,6 +265,24 @@ def _check_se_block(method, trials, config, rng):
             worst = _worse(worst, fd_check(at_x[r][np.tile(keep[r], 2)], dxs[r][keep[r]], config))
             worst = _worse(worst, fd_check(at_t[r], gv[r : r + 1], config))
     return worst
+
+
+def check_settings(trials: int, tolerance: float, lse_sharpness: float) -> FDOracleConfig:
+    """The oracle config of a check of ``trials`` points at ``tolerance``; a
+    ``ValueError`` unless the check can fail: at least one trial, an oracle
+    tolerance (:class:`~poolbench.grads.FDOracleConfig`), and an LSE sharpness r
+    that is positive and finite, with LSE's windows u / r (|u| <= 1) finite at
+    their bumped points, a step h / r away."""
+    if trials < 1:  # no trial, no comparison: a worst error of 0 would pass vacuously
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    config = FDOracleConfig(tolerance=tolerance)
+    check_field("sharpness", np.asarray(lse_sharpness))
+    if not math.isfinite((1.0 + config.step) / float(lse_sharpness)):  # else NaN values, no comparison
+        raise ParameterError(
+            f"gradcheck draws LSE's windows as u / r, bumped by {config.step} / r: "
+            f"(1 + {config.step}) / r must be finite, got r = {lse_sharpness}"
+        )
+    return config
 
 
 def check_method(
@@ -298,10 +293,8 @@ def check_method(
     lse_sharpness: float = 1.0,
 ) -> GradCheckResult:
     """Worst relative FD error for one method over `trials` random points."""
-    if trials < 1:  # no trial, no comparison: a worst error of 0 would pass vacuously
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    config = check_settings(trials, tolerance, lse_sharpness)
     rng = np.random.default_rng(seed)
-    config = FDOracleConfig(tolerance=tolerance)
     if ops.pooling_row(method).se:
         worst = _check_se_block(method, trials, config, rng)
     else:

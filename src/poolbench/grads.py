@@ -88,6 +88,10 @@ class FDOracleConfig:
             raise ParameterError(
                 f"tolerance must be a positive finite number, got {self.tolerance}"
             )
+        # fd_check's error is never above 2, and a tolerance of at most 1 fails a coordinate of
+        # the wrong sign, or 0 where the difference is 1e-8 or more: a larger one passes them
+        if self.tolerance > 1:
+            raise ParameterError(f"tolerance must be at most 1, got {self.tolerance}")
 
 
 def _vector(x):

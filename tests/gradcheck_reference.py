@@ -5,11 +5,11 @@ together and hands each trial's ``fd_check`` call its share of the values.
 The loops here do the same checks the plain way: each ``fd_check`` call gets
 the values of its own bumped stack, from one ``ops.pool`` call per gradient
 for a window method and from the trial's own ``PoolingBlock`` for an SE
-method.  They draw the same points from the same generator, one candidate
-at a time through a frozen copy of the draws gradcheck made before it drew
-whole blocks (``DRAWS``), so the ``fd_check`` calls here get the same
-arguments, in the same order, as ``check_method``'s, and :func:`worst_error`
-must equal ``check_method(...).worst_error`` bit for bit.
+method.  They take their candidates from the program's own draws, blocks of
+the same sizes from the same generator (the draws' rules are tested on their
+own), so the ``fd_check`` calls here get the same arguments, in the same
+order, as ``check_method``'s, and :func:`worst_error` must equal
+``check_method(...).worst_error`` bit for bit.
 """
 
 from dataclasses import replace
@@ -21,55 +21,6 @@ from poolbench.grads import FDOracleConfig, fd_check
 from poolbench.tensor import output_size
 
 from helpers import values_at, with_zero_grads
-from window_reference import window_entries
-
-
-def spread_window(rng, n=4, gap=1e-2, lo=-1.0, hi=1.0):
-    while True:
-        x = rng.uniform(lo, hi, size=n)
-        if np.diff(np.sort(x)).min() > gap:  # the closest pair is adjacent once sorted
-            return x
-
-
-def interior_simplex(rng, n=4, floor=0.05):
-    w = rng.dirichlet(np.full(n, 2.0))
-    return (1.0 - n * floor) * w + floor
-
-
-SIGNS = np.array([-1.0, 1.0])
-
-
-def away_from_zero(rng, n=4, lo=0.05, hi=1.0):
-    # the draws of rng.choice([-1.0, 1.0], size=n), at under half its cost
-    return rng.uniform(lo, hi, size=n) * SIGNS[rng.integers(0, 2, size=n)]
-
-
-def gp_draw(rng, lse_r):
-    x = spread_window(rng)
-    while np.abs(x).min() < 0.05:  # keep the gate's inputs off zero
-        x = spread_window(rng)
-    return x, {"gate_w": away_from_zero(rng)}
-
-
-def smp_draw(rng, lse_r):
-    return rng.uniform(-2.0, 2.0, size=4), {"tau": rng.uniform(-3.0, 3.0)}
-
-
-#: method -> draw(rng, lse_r) -> (window, {field: value}): one candidate point of each
-#: window method, a weight per window entry as a vector and any other field as a float
-DRAWS = {
-    "MP": lambda rng, r: (spread_window(rng), {}),
-    "AP": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
-    "NN": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4), {}),
-    "CONV": lambda rng, r: (away_from_zero(rng), {"conv_w": away_from_zero(rng)}),
-    "GP": gp_draw,
-    "OP": lambda rng, r: (spread_window(rng), {"ordinal_w": interior_simplex(rng)}),
-    "LNP": lambda rng, r: (away_from_zero(rng, lo=0.1, hi=1.5), {"p_raw": rng.uniform(-1.0, 2.0)}),
-    # x = u / r keeps r*x, and so the softmax gradient, at the same spread for every r
-    "LSE": lambda rng, r: (rng.uniform(-1.0, 1.0, size=4) / r, {"sharpness": r}),
-    "SMP_fixed": smp_draw,
-    "SMP_trainable": smp_draw,
-}
 
 
 def worse(worst, error):
@@ -78,28 +29,26 @@ def worse(worst, error):
     return worst if np.isnan(worst) else error if np.isnan(error) else max(worst, error)
 
 
-def _informative_points(method, candidates):
-    """The candidates whose gradients the oracle resolves, one (window, params,
-    GradBundle) at a time in draw order, from one kernel call for all of them."""
-    params = {}
-    for name in candidates[0][1]:
-        values = np.array([p[name] for _, p in candidates])
-        params[name] = values if values.ndim == 2 else values[:, None]
-    bundle = grads.pool_grads(method, np.array([x for x, _ in candidates]), **params)
-    small = np.zeros(len(candidates), dtype=bool)
+def _informative_points(method, block):
+    """The candidates of ``block`` (a row per point) whose gradients the oracle
+    resolves, one (window, params, GradBundle) at a time in draw order, from one
+    kernel call for all of them; a weight row is a vector and a scalar a float."""
+    bundle = grads.pool_grads(method, **block)
+    small = np.zeros(len(block["x"]), dtype=bool)
     for d in (bundle.d_input, *bundle.d_params.values()):
         d = np.abs(d)
         small |= ((d > 0.0) & (d < gradcheck._MIN_COORD)).any(axis=1)
     for i in np.flatnonzero(~small):
-        x, p = candidates[i]
-        yield x, p, grads.GradBundle(bundle.d_input[i], {k: d[i] for k, d in bundle.d_params.items()})
+        params = {name: v[i] if v.shape[1] > 1 else v[i, 0].item() for name, v in block.items() if name != "x"}
+        yield block["x"][i], params, grads.GradBundle(bundle.d_input[i], {k: d[i] for k, d in bundle.d_params.items()})
 
 
 def _window_method(method, trials, config, rng, lse_sharpness):
-    draw, r = DRAWS[method], float(lse_sharpness)
     worst, checked = 0.0, 0
     while checked < trials:
-        block = [draw(rng, r) for _ in range(min(trials - checked, gradcheck._BLOCK))]
+        block = gradcheck._DRAWS[method](rng, float(lse_sharpness), min(trials - checked, gradcheck._BLOCK))
+        if not len(block["x"]):
+            continue
         for x, params, bundle in _informative_points(method, block):
             checked += 1
             input_config = config
@@ -115,52 +64,42 @@ def _window_method(method, trials, config, rng, lse_sharpness):
 
 
 def _se_block(method, trials, config, rng):
-    channels, hidden, size = 4, 2, 4
-    worst = 0.0
-    spec = ops.PoolSpec(method, layers.POOL_WINDOW, channels)
-    probe_shape = (1, channels, *output_size(size, size, spec.window))
-    for _ in range(trials):
-        while True:
-            x = rng.uniform(-1.0, 1.0, size=(1, channels, size, size))
-            params = {
-                "se_f1_weight": rng.uniform(-1.0, 1.0, size=(hidden, channels)),
-                "se_f1_bias": rng.uniform(-0.5, 0.5, size=hidden),
-                "se_f2_weight": rng.uniform(-1.0, 1.0, size=(channels, hidden)),
-                "se_f2_bias": rng.uniform(-0.5, 0.5, size=channels),
-            }
-            hidden_pre = params["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + params["se_f1_bias"]
-            sorted_win = np.sort(window_entries(x, spec.window), axis=-1)
-            if np.abs(hidden_pre).min() <= 1e-3 or (sorted_win[..., -1] - sorted_win[..., -2]).min() <= 1e-2:
-                continue
+    worst, checked = 0.0, 0
+    spec = ops.PoolSpec(method, layers.POOL_WINDOW, 4)
+    probe_shape = (1, 4, *output_size(4, 4, spec.window))
+    while checked < trials:
+        candidates = gradcheck._se_candidates(rng, min(trials - checked, gradcheck._SE_BLOCK), probe_shape)
+        for draw, probe, v in zip(*candidates):
+            x = gradcheck._se_array(draw, "x")
+            params = {name: gradcheck._se_array(draw, name).copy() for name in gradcheck._SE_DRAWS if name != "x"}
             block = with_zero_grads(layers.PoolingBlock(spec, params))
-            probe = rng.uniform(-1.0, 1.0, size=probe_shape)
             block.forward(x)
             dx = block.backward(probe).reshape(-1)
             arrays = block.params()
-            g = np.concatenate([block.grads()[name].reshape(-1) for name in arrays])
-            v = rng.standard_normal(g.size)
-            v /= np.linalg.norm(v)
+            g = np.concatenate([block.grads()[name].reshape(-1) for name in params])
             keep = ~((np.abs(dx) > 0.0) & (np.abs(dx) < gradcheck._MIN_COORD))
-            if keep.any() and not abs(g @ v) < gradcheck._MIN_COORD:  # a NaN is checked, and fails
-                break
-        theta = {name: arr.copy() for name, arr in arrays.items()}
-        flat_x = x.reshape(-1)
+            if not keep.any() or abs(g @ v) < gradcheck._MIN_COORD:  # a NaN is checked, and fails
+                continue
+            checked += 1
+            theta = {name: arrays[name].copy() for name in params}  # in the order of v's entries
+            flat_x = x.reshape(-1)
 
-        def at_inputs(stack):
-            bumped = np.tile(flat_x, (len(stack), 1))
-            bumped[:, keep] = stack
-            out = block.forward(bumped.reshape(-1, *x.shape[1:]))
-            return (probe * out).sum(axis=(1, 2, 3))
+            def at_inputs(stack):
+                bumped = np.tile(flat_x, (len(stack), 1))
+                bumped[:, keep] = stack
+                out = block.forward(bumped.reshape(-1, *x.shape[1:]))
+                return (probe * out).sum(axis=(1, 2, 3))
 
-        def along_v(t):
-            offset = 0
-            for name, arr in arrays.items():
-                arr[...] = theta[name] + t[0] * v[offset : offset + arr.size].reshape(arr.shape)
-                offset += arr.size
-            return float((probe * block.forward(x)).sum())
+            def along_v(t):
+                offset = 0
+                for name, value in theta.items():
+                    arrays[name][...] = value + t[0] * v[offset : offset + value.size].reshape(value.shape)
+                    offset += value.size
+                return float((probe * block.forward(x)).sum())
 
-        worst = worse(worst, fd_check(values_at(at_inputs, flat_x[keep], config.step, batched=True), dx[keep], config))
-        worst = worse(worst, fd_check(values_at(along_v, np.zeros(1), config.step), np.array([g @ v]), config))
+            inputs = values_at(at_inputs, flat_x[keep], config.step, batched=True)
+            worst = worse(worst, fd_check(inputs, dx[keep], config))
+            worst = worse(worst, fd_check(values_at(along_v, np.zeros(1), config.step), np.array([g @ v]), config))
     return worst
 
 

@@ -16,7 +16,7 @@ from poolbench import cli, gradcheck, grads, layers, ops
 from helpers import read_run_csv, read_summary_csv
 from poolbench import reports as rep
 from poolbench.train import BlockSnapshot, EpochMetrics, RunReport
-from window_reference import window_entries
+from window_reference import global_avg_pool, window_entries
 
 
 def run_cli(*argv):
@@ -335,6 +335,28 @@ class TestSweep:
 WINDOW_METHODS = ("MP", "AP", "NN", "CONV", "GP", "OP", "LNP", "LSE", "SMP_fixed", "SMP_trainable")
 WINDOW_PARAMS = {"CONV": ("conv_w", 4), "GP": ("gate_w", 4), "OP": ("ordinal_w", 4),
                  "LNP": ("p_raw", 1), "SMP_fixed": ("tau", 1), "SMP_trainable": ("tau", 1)}
+
+
+def within(lo, hi):
+    return lambda v: (lo <= v) & (v < hi)
+
+
+def off_zero(lo, hi):
+    return lambda v: (lo <= np.abs(v)) & (np.abs(v) < hi)
+
+
+#: window method -> field -> the rule every entry of its draws keeps (LSE's: test_lse_draws_...)
+DRAW_RULES = {
+    "MP": {"x": within(-1.0, 1.0)},
+    "AP": {"x": within(-1.0, 1.0)},
+    "NN": {"x": within(-1.0, 1.0)},
+    "CONV": {"x": off_zero(0.05, 1.0), "conv_w": off_zero(0.05, 1.0)},
+    "GP": {"x": off_zero(0.05, 1.0), "gate_w": off_zero(0.05, 1.0)},
+    "OP": {"x": within(-1.0, 1.0), "ordinal_w": lambda w: (0.05 <= w) & (w <= 0.85)},
+    "LNP": {"x": off_zero(0.1, 1.5), "p_raw": within(-1.0, 2.0)},
+    "SMP_fixed": {"x": within(-2.0, 2.0), "tau": within(-3.0, 3.0)},
+    "SMP_trainable": {"x": within(-2.0, 2.0), "tau": within(-3.0, 3.0)},
+}
 #: (method, "x" or parameter name, coordinate): every checked gradient coordinate
 #: of every window method, the input's first two
 WINDOW_PERTURBATIONS = [(m, "x", c) for m in WINDOW_METHODS for c in (0, 1)] + [
@@ -372,6 +394,10 @@ class TestGradcheck:
             ["--methods", "LSE", "--lse-r", "inf"],  # pooled to NaN
             ["--methods", "LSE", "--lse-r", "nan"],
             ["--tolerance", "inf"],  # would pass any gradient, right or wrong
+            ["--tolerance", "3"],  # above fd_check's largest error of 2: passes every finite gradient
+            ["--lse-r", "1e-320"],  # 1 / r overflows: no FD step, no LSE window
+            ["--methods", "LSE", "--lse-r", "1e-310"],  # windows u / r of inf: NaN values
+            ["--methods", "LSE", "--lse-r", "5.56268464627e-309"],  # 1 / r finite, (1 + h) / r not
             ["--seed", "-1"],
         ],
     )
@@ -412,23 +438,65 @@ class TestGradcheck:
         assert run_cli("gradcheck", "--config", str(cfg), "--methods", "AP", "--trials", "2") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_spread_window_draws_match_the_pairwise_predicate(self):
-        def pairwise(rng, n=4, gap=1e-2):
-            # every pair compared, as the sorted-neighbour test must reproduce
-            while True:
-                x = rng.uniform(-1.0, 1.0, size=n)
-                if np.abs(np.subtract.outer(x, x))[np.triu_indices(n, k=1)].min() > gap:
-                    return x
+    @staticmethod
+    def pairwise_gaps(x):
+        """Each row's smallest distance over every pair of its entries."""
+        i, j = np.triu_indices(x.shape[1], k=1)
+        return np.abs(x[:, i] - x[:, j]).min(axis=1)
 
-        for n, gap in ((4, 1e-2), (4, 0.3), (9, 0.05)):
-            old, new = np.random.default_rng(17), np.random.default_rng(17)
-            for _ in range(500):
-                assert np.array_equal(gradcheck._spread_window(new, n, gap), pairwise(old, n, gap))
-            assert old.uniform() == new.uniform()  # the generators stay in step
-            # and as the rows of one block
-            block = gradcheck._spread_windows(new, 500, n, gap)
-            assert np.array_equal(block, np.array([pairwise(old, n, gap) for _ in range(500)]))
-            assert old.uniform() == new.uniform()
+    @pytest.mark.parametrize("gap, floor", [(1e-2, 0.0), (0.3, 0.0), (1e-2, 0.05)])
+    def test_spread_windows_are_the_drawn_windows_that_are_spread(self, gap, floor):
+        # every pair compared, where the draw compares sorted neighbours: the rows kept
+        # are exactly the rows of the block's uniform draw that clear the gap and floor
+        got = gradcheck._spread_windows(np.random.default_rng(17), 2000, gap=gap, floor=floor)
+        drawn = np.random.default_rng(17).uniform(-1.0, 1.0, (2000, 4))
+        want = drawn[(self.pairwise_gaps(drawn) > gap) & (np.abs(drawn).min(axis=1) >= floor)]
+        assert 0 < len(want) < len(drawn) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", DRAW_RULES)
+    def test_window_draws_keep_their_rules(self, method):
+        block = gradcheck._DRAWS[method](np.random.default_rng(31), 1.0, 2000)
+        count = len(block["x"])
+        assert 1000 < count <= 2000  # a mask drops some rows, not most
+        assert block.keys() == DRAW_RULES[method].keys()
+        widths = dict([("x", 4), WINDOW_PARAMS.get(method, ("x", 4))])  # a row per point
+        for name, rule in DRAW_RULES[method].items():
+            v = block[name]
+            assert v.shape == (count, widths[name]), name
+            assert rule(v).all(), name
+            if name != "ordinal_w":  # each entry takes either sign
+                assert ((v > 0).any(axis=0) & (v < 0).any(axis=0)).all(), name
+        if method in ("MP", "GP", "OP"):  # ties out of FD range
+            assert (self.pairwise_gaps(block["x"]) > 1e-2).all()
+        if method == "OP":
+            assert np.allclose(block["ordinal_w"].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lse_r", [1e-3, 1.0, 1e12])
+    def test_lse_draws_scale_as_one_over_r(self, lse_r):
+        block = gradcheck._DRAWS["LSE"](np.random.default_rng(31), lse_r, 500)
+        assert block.keys() == {"x", "sharpness"} and block["x"].shape == (500, 4)
+        assert block["sharpness"].shape == (500, 1) and (block["sharpness"] == lse_r).all()
+        assert (np.abs(block["x"] * lse_r) <= 1.0 + 1e-12).all()
+
+    def test_se_candidates_clear_the_kink_and_tie_margins(self):
+        probe_shape = (1, 4, 2, 2)
+        draws, probes, vs = gradcheck._se_candidates(np.random.default_rng(29), 300, probe_shape)
+        count = len(draws)
+        assert 150 < count < 300  # window ties drop some candidates, not most
+        arrays = {name: gradcheck._se_array(draws, name) for name in gradcheck._SE_DRAWS}
+        for name, (shape, bound) in gradcheck._SE_DRAWS.items():
+            assert arrays[name].shape == (count, *shape) and (np.abs(arrays[name]) <= bound).all(), name
+        x = arrays["x"][:, 0]
+        # the ReLU kink: every hidden unit's input away from 0
+        mu = np.array([global_avg_pool(sample) for sample in x])
+        hidden_pre = np.einsum("shc,sc->sh", arrays["se_f1_weight"], mu) + arrays["se_f1_bias"]
+        assert (np.abs(hidden_pre) > 1e-3).all()
+        # window ties: every window's two largest entries apart
+        windows = np.sort(window_entries(x, layers.POOL_WINDOW), axis=-1)
+        assert (windows[..., -1] - windows[..., -2] > 1e-2).all()
+        assert probes.shape == (count, *probe_shape) and (np.abs(probes) <= 1.0).all()
+        assert vs.shape == (count, gradcheck._SE_SIZE)
+        assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     @pytest.fixture()
     def fd_calls(self, monkeypatch):
@@ -442,57 +510,6 @@ class TestGradcheck:
 
         monkeypatch.setattr(gradcheck, "fd_check", counting)
         return calls
-
-    def test_away_from_zero_draws_match_rng_choice(self):
-        def by_choice(rng, n=4, lo=0.05, hi=1.0):
-            return rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
-
-        for n in (1, 4, 9):
-            old, new = np.random.default_rng(23), np.random.default_rng(23)
-            for _ in range(700):
-                assert np.array_equal(gradcheck._away_from_zero(new, n), by_choice(old, n))
-            assert old.uniform() == new.uniform()  # the generators stay in step
-
-    def assert_block_draws_are_one_at_a_time_draws(self, method, lse_r):
-        """Blocks of a window method's candidates are its reference draws, one
-        candidate at a time, byte for byte, and leave the generator in step."""
-        old, new = np.random.default_rng(31), np.random.default_rng(31)
-        for count in (1, 7, 128, 300):
-            got = gradcheck._DRAWS[method](new, lse_r, count)
-            points = [gradcheck_reference.DRAWS[method](old, lse_r) for _ in range(count)]
-            want = {name: np.array([p[name] for _, p in points]).reshape(count, -1) for name in points[0][1]}
-            want["x"] = np.array([x for x, _ in points])
-            assert got.keys() == want.keys()
-            for name, w in want.items():
-                assert got[name].shape == w.shape and got[name].dtype == w.dtype, name
-                assert got[name].tobytes() == w.tobytes(), name
-        assert old.uniform() == new.uniform()  # the generators stay in step
-        return got
-
-    @pytest.mark.parametrize("lse_r", [1.0, 1e12])
-    @pytest.mark.parametrize("method", [m for m in ops.METHODS if not ops.pooling_row(m).se])
-    def test_block_draws_are_the_reference_draws(self, method, lse_r):
-        self.assert_block_draws_are_one_at_a_time_draws(method, lse_r)
-
-    @pytest.mark.parametrize("method", ["MP", "GP", "OP"])
-    def test_block_draws_are_the_reference_draws_when_most_windows_are_redrawn(self, monkeypatch, method):
-        # a spread gap of 0.3 rejects about nine windows in ten, so MP's block takes
-        # several rounds of the rows still missing, and GP and OP redraw most windows;
-        # the gap is each draw's default, which the draw tables' bound calls use
-        for fn, defaults in (
-            (gradcheck._spread_windows, (4, 0.3)),
-            (gradcheck._spread_window, (4, 0.3, 0.0)),
-            (gradcheck_reference.spread_window, (4, 0.3, -1.0, 1.0)),
-        ):
-            assert len(fn.__defaults__) == len(defaults)
-            monkeypatch.setattr(fn, "__defaults__", defaults)
-        rounds = []
-        uniform = gradcheck._uniform
-        monkeypatch.setattr(gradcheck, "_uniform", lambda u, lo, hi: rounds.append(len(u)) or uniform(u, lo, hi))
-        got = self.assert_block_draws_are_one_at_a_time_draws(method, 1.0)
-        assert np.diff(np.sort(got["x"])).min() > 0.3
-        if method == "MP":
-            assert len(rounds) > 4 * 10  # the four blocks took over ten rounds each on average
 
     @pytest.mark.parametrize("method", ops.METHODS)
     def test_each_trial_keeps_its_own_fd_check_call(self, monkeypatch, fd_calls, method):
@@ -542,39 +559,6 @@ class TestGradcheck:
         assert np.mean([args[1].size for args, _ in inputs]) > 48
         assert result.passed
 
-    def test_se_candidate_draws_match_per_array_uniform_draws(self):
-        def per_array(rng, count, probe_shape):
-            # one rng.uniform call per array and the window tie test, as drawn before
-            # the arrays shared one call
-            bounds = {name: bound for name, (_, bound) in gradcheck._SE_DRAWS.items()}
-            xs, params, probes, vs = [], {name: [] for name in bounds if name != "x"}, [], []
-            while len(xs) < count:
-                x = rng.uniform(-1.0, 1.0, size=(1, 4, 4, 4))
-                draw = {name: rng.uniform(-bounds[name], bounds[name], size=shape)
-                        for name, (shape, _) in gradcheck._SE_DRAWS.items() if name != "x"}
-                hidden_pre = draw["se_f1_weight"] @ x[0].mean(axis=(1, 2)) + draw["se_f1_bias"]
-                windows = np.sort(window_entries(x, layers.POOL_WINDOW), axis=-1)
-                if np.abs(hidden_pre).min() <= 1e-3 or (windows[..., -1] - windows[..., -2]).min() <= 1e-2:
-                    continue
-                xs.append(x)
-                for name, value in draw.items():
-                    params[name].append(value)
-                probes.append(rng.uniform(-1.0, 1.0, size=probe_shape))
-                v = rng.standard_normal(gradcheck._SE_SIZE)
-                vs.append(v / np.linalg.norm(v))
-            return np.array(xs), {k: np.array(v) for k, v in params.items()}, np.array(probes), np.array(vs)
-
-        old, new = np.random.default_rng(29), np.random.default_rng(29)
-        for count in (1, 7, 32, 32):
-            draws, probes, vs = gradcheck._se_candidates(new, count, (1, 4, 2, 2))
-            arrays = {name: gradcheck._se_array(draws, name) for name in gradcheck._SE_DRAWS}
-            want, got = per_array(old, count, (1, 4, 2, 2)), (arrays.pop("x"), arrays, probes, vs)
-            for w, g in zip(want, got):
-                for key in (w if isinstance(w, dict) else [None]):
-                    a, b = (w[key], g[key]) if key else (w, g)
-                    assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
-        assert old.uniform() == new.uniform()  # the generators stay in step
-
     @pytest.fixture()
     def deadline(self):
         """A check that does not end in 120 s fails the test instead of hanging it."""
@@ -593,12 +577,14 @@ class TestGradcheck:
     def test_one_block_per_candidate_group(self, monkeypatch, fd_calls, deadline, method, trials):
         # a group's candidates are the replicas of one block, whose own forwards also
         # give their values at their bumped inputs, a few coordinates at a time
-        groups, blocks, forwards = [], [], []
+        requested, groups, blocks, forwards = [], [], [], []
         draw, build, forward = gradcheck._se_candidates, layers.PoolingBlock.__init__, layers.PoolingBlock.forward
 
         def drawing(rng, count, probe_shape):
-            groups.append(count)
-            return draw(rng, count, probe_shape)
+            requested.append(count)
+            candidates = draw(rng, count, probe_shape)
+            groups.append(len(candidates[0]))
+            return candidates
 
         def building(block, spec, params, replicas=None):
             blocks.append(replicas)
@@ -612,11 +598,49 @@ class TestGradcheck:
         monkeypatch.setattr(layers.PoolingBlock, "__init__", building)
         monkeypatch.setattr(layers.PoolingBlock, "forward", recording)
         result = gradcheck.check_method(method, trials=trials)
-        assert blocks == groups and len(groups) == math.ceil(trials / gradcheck._SE_BLOCK)
-        assert max(groups) <= gradcheck._SE_BLOCK
+        # one block per draw that kept a candidate, of the candidates kept
+        assert blocks == [g for g in groups if g]
+        assert requested[0] == min(trials, gradcheck._SE_BLOCK) and max(requested) <= gradcheck._SE_BLOCK
+        assert all(g <= r for g, r in zip(groups, requested))
         # no forward holds more bumped inputs than 32 replicas of 4 coordinates, +h and -h
         assert max(s * b for s, b in forwards) <= gradcheck._SE_BLOCK * 2 * gradcheck._SE_CHUNK
         assert len(fd_calls) == 2 * trials
+        assert result.worst_error == gradcheck_reference.worst_error(method, trials)
+
+    @pytest.mark.parametrize("method", ["MP", "GP", "OP", "SESMP", "SEMP"])
+    def test_short_blocks_are_drawn_again(self, monkeypatch, fd_calls, deadline, method):
+        # blocks that keep few of the rows they drew: the check draws the shortfall until
+        # every trial has its comparisons, from the rows the rules kept
+        kept = []
+        if ops.pooling_row(method).se:
+            trials, draw = 40, gradcheck._se_candidates
+
+            def drawing(rng, count, probe_shape):  # every other candidate left out
+                candidates = [a[::2] for a in draw(rng, count, probe_shape)]
+                kept.append(len(candidates[0]))
+                return candidates
+
+            monkeypatch.setattr(gradcheck, "_se_candidates", drawing)
+            per_trial, block = 2, gradcheck._SE_BLOCK
+        else:
+            # a spread gap of 0.3 rejects about nine windows in ten
+            trials, draw = 150, gradcheck._DRAWS[method]
+            assert len(gradcheck._spread_windows.__defaults__) == 2
+            monkeypatch.setattr(gradcheck._spread_windows, "__defaults__", (0.3, 0.0))
+
+            def drawing(rng, r, count):
+                args = draw(rng, r, count)
+                assert (self.pairwise_gaps(args["x"]) > 0.3).all()
+                kept.append(len(args["x"]))
+                return args
+
+            monkeypatch.setitem(gradcheck._DRAWS, method, drawing)
+            per_trial = 1 if method == "MP" else 2  # the input, and GP's or OP's weights
+            block = gradcheck._BLOCK
+        result = gradcheck.check_method(method, trials=trials)
+        assert result.passed and len(fd_calls) == per_trial * trials
+        assert len(kept) > 2 * math.ceil(trials / block) and sum(kept) >= trials
+        # the reference draws through the same patched draws: the same trials, the same worst
         assert result.worst_error == gradcheck_reference.worst_error(method, trials)
 
     @pytest.mark.parametrize("method", ["MP", "GP", "SESMP", "SEMP"])
@@ -644,6 +668,13 @@ class TestGradcheck:
         # an FD step sized for O(1) inputs failed here: the draws shrink as 1 / r
         assert run_cli("gradcheck", "--methods", "LSE", "--trials", "200", "--lse-r", sharpness) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_smallest_lse_sharpness_passes(self, capsys):
+        # the bumped windows of r just above the overflow edge stay finite, at any u
+        assert run_cli("gradcheck", "--methods", "LSE", "--trials", "200", "--lse-r", "5.5628e-309") == 0
+        assert "PASS" in capsys.readouterr().out
+        x = np.array([1.0, -1.0]) / 5.5628e-309
+        assert np.isfinite(grads.bumped_points(x, 1e-5 / 5.5628e-309)).all()
 
     @pytest.mark.parametrize("sharpness", [1.0, 1e8, 1e12])
     def test_perturbed_lse_gradient_fails_at_any_sharpness(self, monkeypatch, sharpness):

@@ -460,6 +460,17 @@ class TestFdOracle:
             err = fd_check_fn(lambda v: float(w @ v), x, w, FDOracleConfig(step=step))
             assert err < 1e-8
 
+    def test_no_tolerance_passes_a_wrong_sign(self):
+        # the error is never above 2, so a tolerance above 1 could pass a negated gradient
+        w = np.array([0.3, -1.2, 2.0, 0.7])
+        x = np.array([0.4, 0.1, -0.9, 1.3])
+        config = FDOracleConfig(tolerance=1.0)
+        assert not fd_check_fn(lambda v: float(w @ v), x, -w, config) < config.tolerance
+        assert not fd_check_fn(lambda v: float(w @ v), x, np.zeros(4), config) < config.tolerance
+        for tolerance in (1.0 + 1e-12, 2.0, 3.0):
+            with pytest.raises(ParameterError, match="tolerance must be at most 1"):
+                FDOracleConfig(tolerance=tolerance)
+
     def test_smooth_max_is_the_oracle_run(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
