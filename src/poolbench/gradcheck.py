@@ -218,8 +218,7 @@ def _stacked_se(spec, draws, probes, vs, step):
     theta, g = draws.copy(), np.zeros_like(draws)  # the block's arrays and gradients, laid out as the draws
     arrays = {name: _se_array(theta, name) for name in _SE_DRAWS}
     xs = arrays.pop("x")
-    block = layers.PoolingBlock(spec, arrays, len(xs))
-    block.bind(arrays, {name: _se_array(g, name) for name in arrays})
+    block = layers.PoolingBlock(spec, arrays, {name: _se_array(g, name) for name in arrays}, len(xs))
     block.forward(xs)
     dxs = block.backward(probes)
     gv = np.array([g_r @ v for g_r, v in zip(g[:, -_SE_SIZE:], vs)])

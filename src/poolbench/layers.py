@@ -24,17 +24,18 @@ method's kernel pair from :data:`poolbench.ops.POOLING` on that stack; the
 window-level operators of :mod:`poolbench.ops` and the gradients of
 :mod:`poolbench.grads` run the same kernels.
 
-Every layer is built on its parameter arrays; :class:`ToyNet` draws them.
-Layers with parameters expose ``params()`` and ``grads()`` dicts of
-like-named arrays; gradients accumulate per backward call into ``grads()``.
-A pooling block keeps all its parameters, trained or fixed, in one dict
-(``pool_params``) keyed by the same flat names (``conv_w``, ``tau``,
-``se_f1_weight``, ...); its ``params()`` is the trainable part, in the
-method's ``trainable`` order.  Its squeeze-and-excitation branch is
-``Linear -> ReLU -> Linear`` on the ``se_f1_*`` and ``se_f2_*`` arrays.  A
-:class:`ToyNet` keeps its trainable arrays in one (S, P) buffer
-(``flat_params``, a row per replica, ``params()`` order) and their gradients
-in ``flat_grads``; its layers are bound to views of them.
+Every layer is built once, on its parameter arrays and on the gradient
+arrays it accumulates into, per backward call; the caller owns both, and
+:func:`initial_arrays` draws a net's.  Layers with parameters expose them
+as ``params()`` and ``grads()`` dicts of like-named arrays.  A pooling block
+keeps all its parameters, trained or fixed, in one dict (``pool_params``)
+keyed by the same flat names (``conv_w``, ``tau``, ``se_f1_weight``, ...);
+its ``params()`` is the trainable part, in the method's ``trainable`` order.
+Its squeeze-and-excitation branch is ``Linear -> ReLU -> Linear`` on the
+``se_f1_*`` and ``se_f2_*`` arrays.  A :class:`ToyNet` copies its trainable
+arrays into one (S, P) buffer (``flat_params``, a row per replica,
+``params()`` order), keeps their gradients in another (``flat_grads``) and
+builds its layers on views of the two.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (
-    ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, sigmoid,
-    validate_pool_params,
+    ENTRY_WEIGHTS, POOLING, ConfigurationError, DivergedRunError, PoolSpec, check_field, check_input, pooling_row,
+    sigmoid, validate_pool_params,
 )
 from .tensor import WindowSpec, keep_freed_memory, scatter_windows, window_view
 
@@ -58,6 +59,7 @@ __all__ = [
     "PoolingBlock",
     "ToyNetConfig",
     "ToyNet",
+    "initial_arrays",
     "softmax_cross_entropy",
 ]
 
@@ -66,6 +68,9 @@ __all__ = [
 #: order, by the rank of the array; (S, B, C, H, W) <-> (S, H, W, B, C) for a
 #: stack, the replica axis first.  Each is its own inverse.
 _SWAP = {4: (2, 3, 0, 1), 5: (0, 3, 4, 1, 2)}
+
+#: the arrays of an affine layer: a convolution, the head or an SE map
+_AFFINE = ("weight", "bias")
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -77,12 +82,12 @@ def _channels_first(x: np.ndarray) -> np.ndarray:
 
 
 class _Affine:
-    """A layer on a ``weight`` and a ``bias`` array; their gradients accumulate in
-    ``grads_``, which a new layer lacks until :meth:`bind` gives it the caller's."""
+    """A layer on the ``weight`` and ``bias`` arrays of ``params``, which it trains in
+    place; their gradients add into the like-named arrays of ``grads``, the caller's too."""
 
-    def __init__(self, weight, bias):
-        self.weight, self.bias = weight, bias
-        self.grads_ = None
+    def __init__(self, params, grads):
+        self.weight, self.bias = params["weight"], params["bias"]
+        self.grads_ = grads
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -90,23 +95,18 @@ class _Affine:
     def grads(self):
         return self.grads_
 
-    def bind(self, params, grads):
-        """Rebind the arrays and their gradients to like-named views (of a net's buffers)."""
-        self.weight, self.bias = params["weight"], params["bias"]
-        self.grads_ = grads
-
 
 class Conv2D(_Affine):
     """Valid (unpadded) stride-1 convolution: im2col from the input's window
     view, then one GEMM per replica.  The layer is built on its (O, C, k, k)
-    ``weight``, or a stack of S such weights (S, O, C, k, k), and a zero bias;
-    it trains them in place.  With ``input_grad=False``, backward returns None.
+    ``weight`` and (O,) ``bias``, or stacks of S such arrays (S, O, C, k, k) and
+    (S, O).  With ``input_grad=False``, backward returns None.
     The bias is added along whole output rows of W'*B*O floats of the
     (H', W', B, O) layout."""
 
-    def __init__(self, weight, input_grad=True):
-        super().__init__(weight, np.zeros(weight.shape[:-3]))
-        self.window = WindowSpec(weight.shape[-2], weight.shape[-1], 1, 1)
+    def __init__(self, params, grads, input_grad=True):
+        super().__init__(params, grads)
+        self.window = WindowSpec(*self.weight.shape[-2:], 1, 1)
         self.input_grad = input_grad
 
     def forward(self, x):
@@ -171,9 +171,8 @@ class Flatten:
 
 
 class Linear(_Affine):
-    """Affine map x W^T + b on its (O, F) ``weight`` and (O,) ``bias``, which it
-    trains in place.  A stacked layer, on (S, O, F) and (S, O) arrays, maps
-    (S, B, F) to (S, B, O)."""
+    """Affine map x W^T + b on its (O, F) ``weight`` and (O,) ``bias``.  A
+    stacked layer, on (S, O, F) and (S, O) arrays, maps (S, B, F) to (S, B, O)."""
 
     def forward(self, x):
         self._x = x
@@ -190,25 +189,45 @@ class PoolingBlock:
 
     The block runs its method's kernel pair (:data:`~poolbench.ops.POOLING`)
     on the stack of its input's window views, scatters the stack's gradient
-    back and adds each field gradient to its parameter.  The squeeze-and-
+    back and adds each field gradient to its parameter's.  ``pool_params``
+    holds the block's arrays by flat name, as the method's ``init`` returns
+    them, and ``grads`` a gradient array for each trainable one; the block
+    trains the arrays in place and adds into the gradients.  The squeeze-and-
     excitation (SE) methods add a branch on the input's per-channel means:
     ``Linear -> ReLU -> Linear``, the two :class:`Linear` layers built on the
-    ``se_f1_*`` and ``se_f2_*`` arrays and their gradients at every
-    :meth:`bind`.  ``pool_params`` holds the block's arrays by flat name, as
-    the method's ``init`` returns them; the block reads and trains them in
-    place.  A block of ``replicas`` S holds each array with a leading axis of
-    S rows, one replica's parameters each, and pools (S, B, C, H, W) inputs.
+    ``se_f1_*`` and ``se_f2_*`` arrays and gradients.  A block of ``replicas``
+    S holds each array with a leading axis of S rows, one replica's each, and
+    pools (S, B, C, H, W) inputs.
     """
 
-    def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray], replicas: int | None = None):
+    def __init__(self, spec: PoolSpec, pool_params: dict[str, np.ndarray], grads: dict, replicas: int | None = None):
         validate_pool_params(spec, pool_params, replicas)
         keep_freed_memory()
         self.window = spec.window
         self.method = spec.method
         self.replicas = replicas
-        self.pool_params = pool_params
+        self.pool_params, self.grads_ = pool_params, grads
         self.pooling = POOLING[spec.method]
-        self.bind(self.params(), None)
+        self._fields = {name: self._kernel_layout(name, pool_params[name]) for name in self.pooling.fields}
+        self._field_grads = {name: self._kernel_layout(name, grads[name]) for name in self.pooling.trainable
+                             if name in self._fields}
+        if self.pooling.se:
+            self._se_layers = [self._se_linear("se_f1"), ReLU(), self._se_linear("se_f2")]
+
+    def _kernel_layout(self, name, value):
+        """A view of field ``name``, or of its gradient, shaped for the stack (n, H', W', B, C)
+        or (n, S, H', W', B, C): an entry weight gets the window axis first, and a single
+        block's one-entry parameter is a scalar, as a (1,) array would cut every elementwise
+        loop into C-long pieces."""
+        if name in ENTRY_WEIGHTS:
+            return value.T.reshape(value.shape[::-1] + (1, 1, 1, 1))
+        if self.replicas is not None:
+            return value.reshape(self.replicas, 1, 1, 1, -1)
+        return np.reshape(value, ()) if np.size(value) == 1 else value
+
+    def _se_linear(self, prefix):
+        """A :class:`Linear` on the SE arrays ``prefix``_weight and ``prefix``_bias and their gradients."""
+        return Linear(*({key: d[f"{prefix}_{key}"] for key in _AFFINE} for d in (self.pool_params, self.grads_)))
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -217,35 +236,6 @@ class PoolingBlock:
 
     def grads(self) -> dict[str, np.ndarray]:
         return self.grads_
-
-    def bind(self, params, grads):
-        """Rebind the trainable arrays and their gradients to like-named views (of a net's
-        buffers); a new block has no gradients until it is bound to some."""
-        self.pool_params.update(params)
-        self.grads_ = grads
-        # Views (they follow the optimizer's in-place updates) shaped for the stack
-        # (n, H', W', B, C), or (n, S, H', W', B, C): an entry weight gets the window
-        # axis first, and a single block's one-entry parameter is a scalar, as a (1,)
-        # array would cut every elementwise loop into C-long pieces.
-        self._fields = {}
-        for name in self.pooling.fields:
-            value = self.pool_params[name]
-            if name in ENTRY_WEIGHTS:
-                value = value.T.reshape(value.shape[::-1] + (1, 1, 1, 1))
-            elif self.replicas is not None:
-                value = value.reshape(self.replicas, 1, 1, 1, -1)
-            elif np.size(value) == 1:
-                value = np.reshape(value, ())
-            self._fields[name] = value
-        if self.pooling.se:
-            self._se_layers = [self._se_linear("se_f1"), ReLU(), self._se_linear("se_f2")]
-
-    def _se_linear(self, prefix):
-        """A :class:`Linear` on the SE arrays ``prefix``_weight and ``prefix``_bias and their gradients."""
-        layer = Linear(self.pool_params[f"{prefix}_weight"], self.pool_params[f"{prefix}_bias"])
-        if self.grads_ is not None:
-            layer.grads_ = {key: self.grads_[f"{prefix}_{key}"] for key in ("weight", "bias")}
-        return layer
 
     # -- forward and backward -----------------------------------------------
 
@@ -268,12 +258,8 @@ class PoolingBlock:
         d_stack, d_fields = self.pooling.backward(self._cache, dy)
         dx = scatter_windows(self._x_shape, self.window, d_stack, dy.ndim - 4)
         del d_stack  # free it before the SE branch allocates
-        for name, grad in self.grads_.items():
-            if name in d_fields:
-                d = d_fields[name]
-                if name in ENTRY_WEIGHTS:  # (n, ..., 1, 1, 1, 1) back to (..., n)
-                    d = d.reshape(grad.shape[::-1]).T
-                grad += d.reshape(grad.shape)
+        for name, grad in self._field_grads.items():
+            grad += d_fields[name]
         if self.pooling.se:
             dx = self._se_backward(dx, d_fields)
         return _channels_first(dx)
@@ -325,6 +311,9 @@ HEAD_FEATURES = STAGE_CHANNELS[-1] * 2 * 2
 #: the fewest classes the head's softmax cross-entropy can tell apart
 MIN_CLASSES = 2
 
+#: the net's layers with arrays, in draw and buffer order
+_SLOTS = ("conv1", "pool1", "conv2", "pool2", "head")
+
 
 @dataclass(frozen=True)
 class ToyNetConfig:
@@ -341,70 +330,81 @@ class ToyNetConfig:
         check_field("sharpness", np.asarray(self.lse_sharpness))
 
 
+def initial_arrays(config: ToyNetConfig, method: str, rng) -> dict[str, np.ndarray]:
+    """A new :class:`ToyNet`'s arrays by ``slot.name``, fixed pooling parameters
+    included, from one generator ``rng``, or from a sequence of S generators for
+    a stack of S replicas, each array stacking theirs on a leading axis.  Each
+    replica draws from its own generator in layer order (:data:`_SLOTS`)."""
+    init = pooling_row(method).init
+    c1, c2 = STAGE_CHANNELS
+    head = (config.classes, HEAD_FEATURES)
+
+    def conv(c_in, c_out):
+        shape = (c_out, c_in, CONV_KERNEL, CONV_KERNEL)
+        std = np.sqrt(2.0 / (c_in * CONV_KERNEL * CONV_KERNEL))  # He-normal: sqrt(2 / fan_in)
+        return lambda g: {"weight": g.normal(0.0, std, shape), "bias": np.zeros(c_out)}
+
+    makers = {
+        "conv1": conv(IN_CHANNELS, c1),
+        "pool1": lambda g: init(POOL_WINDOW.n, c1, g, config.lse_sharpness),
+        "conv2": conv(c1, c2),
+        "pool2": lambda g: init(POOL_WINDOW.n, c2, g, config.lse_sharpness),
+        "head": lambda g: {"weight": g.normal(0.0, 0.01, head), "bias": np.zeros(head[0])},
+    }
+    stacked = isinstance(rng, (list, tuple))
+    arrays = {}
+    for slot, make in makers.items():
+        rows = [make(g) for g in (rng if stacked else [rng])]
+        for name in rows[0]:
+            arrays[f"{slot}.{name}"] = np.stack([row[name] for row in rows]) if stacked else rows[0][name]
+    return arrays
+
+
 class ToyNet:
     """conv-ReLU-pool, conv-ReLU-pool, flatten, affine logits.
 
-    ``rng`` is one generator for a single net, or a sequence of S generators
-    for a stack of S replicas (``replicas`` = S): the net draws every initial
-    array, each replica's from its own generator in a single net's order
-    (conv1, pool1, conv2, pool2, head), and builds its layers on them.  A
-    stacked net maps (S*B, C, H, W) or (S, B, C, H, W) images, replica r
-    owning rows r*B .. (r+1)*B - 1, to (S, B, classes) logits.
+    The net is built on ``arrays`` by ``slot.name`` (see :func:`initial_arrays`):
+    it copies the trainable ones into its buffers and builds every layer on
+    views of them; a fixed pooling parameter stays the caller's.  A 5-D
+    ``conv1.weight`` makes a stack of S replicas (``replicas`` = S), each array
+    holding theirs on a leading axis: it maps (S*B, C, H, W) or (S, B, C, H, W)
+    images, replica r owning rows r*B .. (r+1)*B - 1, to (S, B, classes) logits.
     """
 
-    def __init__(self, config: ToyNetConfig, method: str, rng):
-        self.config = config
-        self.method = method
-        self.replicas = len(rng) if isinstance(rng, (list, tuple)) else None
+    def __init__(self, config: ToyNetConfig, method: str, arrays: dict[str, np.ndarray]):
+        self.config, self.method = config, method
+        first = arrays["conv1.weight"]
+        self.replicas = len(first) if first.ndim == 5 else None
+        trainable = pooling_row(method).trainable
+        names = [f"{slot}.{key}" for slot in _SLOTS for key in (trainable if slot.startswith("pool") else _AFFINE)]
+        # each trainable array is copied into a view of one (S, P) buffer, its gradient is a view of another
+        rows = self.replicas or 1
+        bounds = np.cumsum([0] + [np.size(arrays[name]) // rows for name in names])
+        self.flat_params, self.flat_grads = np.empty((rows, bounds[-1])), np.zeros((rows, bounds[-1]))
+        self._arrays, self._grads = dict(arrays), {}  # a fixed pooling parameter stays the caller's
+        for name, lo, hi in zip(names, bounds, bounds[1:]):
+            self._arrays[name] = self.flat_params[:, lo:hi].reshape(np.shape(arrays[name]))
+            self._arrays[name][...] = arrays[name]
+            self._grads[name] = self.flat_grads[:, lo:hi].reshape(np.shape(arrays[name]))
+
+        def own(slot):  # the slot's arrays and gradients, by the layer's names
+            cut = len(slot) + 1
+            return [{n[cut:]: a for n, a in d.items() if n[:cut] == slot + "."} for d in (self._arrays, self._grads)]
+
         c1, c2 = STAGE_CHANNELS
-
-        def draw(init):  # init(g)'s arrays, or each stacked over the generators on a replica axis
-            if self.replicas is None:
-                return init(rng)
-            rows = [init(g) for g in rng]
-            return {name: np.stack([row[name] for row in rows]) for name in rows[0]}
-
-        def conv(c_in, c_out, **options):
-            shape = (c_out, c_in, CONV_KERNEL, CONV_KERNEL)
-            std = np.sqrt(2.0 / (c_in * CONV_KERNEL * CONV_KERNEL))  # He-normal: sqrt(2 / fan_in)
-            return Conv2D(**draw(lambda g: {"weight": g.normal(0.0, std, shape)}), **options)
-
-        def pool(channels):
-            spec = PoolSpec(method, POOL_WINDOW, channels)  # rejects an unknown method
-            init = POOLING[method].init
-            params = draw(lambda g: init(spec.window.n, channels, g, config.lse_sharpness))
-            return PoolingBlock(spec, params, self.replicas)
-
-        self.conv1 = conv(IN_CHANNELS, c1, input_grad=False)  # nothing reads the image batch's gradient
-        self.pool1 = pool(c1)
-        self.conv2 = conv(c1, c2)
-        self.pool2 = pool(c2)
+        self.conv1 = Conv2D(*own("conv1"), input_grad=False)  # nothing reads the image batch's gradient
+        self.pool1 = PoolingBlock(PoolSpec(method, POOL_WINDOW, c1), *own("pool1"), self.replicas)
+        self.conv2 = Conv2D(*own("conv2"))
+        self.pool2 = PoolingBlock(PoolSpec(method, POOL_WINDOW, c2), *own("pool2"), self.replicas)
+        self.head = Linear(*own("head"))
         self.relu1 = ReLU()
         self.relu2 = ReLU()
         self.flatten = Flatten()
-        shape = (config.classes, HEAD_FEATURES)
-        self.head = Linear(**draw(lambda g: {"weight": g.normal(0.0, 0.01, shape), "bias": np.zeros(shape[0])}))
-        names = ("conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "flatten", "head")
-        self._stack = [getattr(self, name) for name in names]
-        # each trainable array moves into a view of one (S, P) buffer, its gradient into another
-        rows = self.replicas or 1
-        trained = {slot: getattr(self, slot) for slot in ("conv1", "pool1", "conv2", "pool2", "head")}
-        arrays = {f"{slot}.{key}": arr for slot, layer in trained.items() for key, arr in layer.params().items()}
-        bounds = np.cumsum([0] + [arr.size // rows for arr in arrays.values()])
-        self.flat_params, self.flat_grads = np.empty((rows, bounds[-1])), np.zeros((rows, bounds[-1]))
-        self._params, self._grads = {}, {}
-        for (name, arr), lo, hi in zip(arrays.items(), bounds, bounds[1:]):
-            self._params[name] = self.flat_params[:, lo:hi].reshape(arr.shape)
-            self._params[name][...] = arr
-            self._grads[name] = self.flat_grads[:, lo:hi].reshape(arr.shape)
-        for slot, layer in trained.items():
-            layer.bind(*({key: views[f"{slot}.{key}"] for key in layer.params()} for views in (self._params, self._grads)))
+        self._stack = [self.conv1, self.relu1, self.pool1, self.conv2, self.relu2, self.pool2, self.flatten, self.head]
 
     def select(self, rows) -> "ToyNet":
-        """A stacked net of this stacked net's replicas ``rows``, with copies of their parameters."""
-        net = ToyNet(self.config, self.method, [np.random.default_rng(0) for _ in rows])
-        net.flat_params[...] = self.flat_params[rows]
-        return net
+        """A stacked net of this stacked net's replicas ``rows``, on copies of their arrays."""
+        return ToyNet(self.config, self.method, {name: arr[rows] for name, arr in self._arrays.items()})
 
     @property
     def pooling_blocks(self) -> list[PoolingBlock]:
@@ -423,7 +423,7 @@ class ToyNet:
 
     def params(self) -> dict[str, np.ndarray]:
         """Every trainable array as a view of :attr:`flat_params`, by ``slot.name``."""
-        return self._params
+        return {name: self._arrays[name] for name in self._grads}
 
     def grads(self) -> dict[str, np.ndarray]:
         """Every gradient as a view of :attr:`flat_grads`, by the names of :meth:`params`."""
@@ -435,7 +435,7 @@ class ToyNet:
     def simplex_params(self) -> dict[str, np.ndarray]:
         """The parameters the optimizer must re-project onto the simplex, by name."""
         names = (f"{slot}.{key}" for slot in ("pool1", "pool2") for key in POOLING[self.method].simplex)
-        return {name: self._params[name] for name in names}
+        return {name: self._arrays[name] for name in names}
 
 
 def softmax_cross_entropy(logits, labels):

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import SyntheticDataset, make_synthetic
-from .layers import DivergedRunError, ToyNet, ToyNetConfig, softmax_cross_entropy
+from .layers import DivergedRunError, ToyNet, ToyNetConfig, initial_arrays, softmax_cross_entropy
 from .ops import DegenerateWeightsError, norm_exponent
 from .optim import Adam
 
@@ -81,7 +81,7 @@ class RunReport:
 
 
 def build_net(method: str, net_config: ToyNetConfig, rng) -> ToyNet:
-    return ToyNet(net_config, method, rng)
+    return ToyNet(net_config, method, initial_arrays(net_config, method, rng))
 
 
 def forward_backward(net: ToyNet, images, labels):

@@ -20,7 +20,7 @@ from poolbench import gradcheck, grads, layers, ops
 from poolbench.grads import FDOracleConfig, fd_check
 from poolbench.tensor import output_size
 
-from helpers import values_at, with_zero_grads
+from helpers import pooling_block, values_at
 
 
 def worse(worst, error):
@@ -72,7 +72,7 @@ def _se_block(method, trials, config, rng):
         for draw, probe, v in zip(*candidates):
             x = gradcheck._se_array(draw, "x")
             params = {name: gradcheck._se_array(draw, name).copy() for name in gradcheck._SE_DRAWS if name != "x"}
-            block = with_zero_grads(layers.PoolingBlock(spec, params))
+            block = pooling_block(spec, params)
             block.forward(x)
             dx = block.backward(probe).reshape(-1)
             arrays = block.params()

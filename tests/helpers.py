@@ -15,7 +15,8 @@ import numpy as np
 
 from poolbench.data import SyntheticDataset
 from poolbench.grads import OracleError, bumped_points, fd_check
-from poolbench.layers import ToyNetConfig
+from poolbench.layers import PoolingBlock, ToyNetConfig
+from poolbench.ops import POOLING
 from poolbench.reports import SUMMARY_FIELDS
 from poolbench.tensor import ShapeError
 from poolbench.train import EpochMetrics, build_net, train_runs
@@ -134,7 +135,12 @@ def load_reference():
     return _perfbench_module("reference")
 
 
-def with_zero_grads(layer):
-    """``layer``, bound to zero gradient arrays of its own, as a net binds its layers to its buffer."""
-    layer.bind(layer.params(), {key: np.zeros_like(arr) for key, arr in layer.params().items()})
-    return layer
+def zero_grads(params, names=None):
+    """Zero gradient arrays shaped like the arrays ``names`` of ``params`` (all of them
+    by default), for a layer built outside a net, whose buffer would give them."""
+    return {key: np.zeros_like(params[key]) for key in (params if names is None else names)}
+
+
+def pooling_block(spec, params, replicas=None):
+    """A :class:`PoolingBlock` on ``params`` with zero gradients for its trainable arrays."""
+    return PoolingBlock(spec, params, zero_grads(params, POOLING[spec.method].trainable), replicas)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import bit_reference as ref
-from helpers import with_zero_grads
-from poolbench.layers import POOL_WINDOW, Conv2D, PoolingBlock, _channels_last
+from helpers import pooling_block, zero_grads
+from poolbench.layers import POOL_WINDOW, Conv2D, _channels_last
 from poolbench.ops import POOLING, PoolSpec, window_stack
 
 #: (height and width, channels) of each pooling stage's input in the toy net
@@ -64,7 +64,7 @@ def stacked_params(method, replicas, channels, rng):
 
 def stacked_block(method, replicas, channels, rng):
     params = stacked_params(method, replicas, channels, rng)
-    return with_zero_grads(PoolingBlock(PoolSpec(method, POOL_WINDOW, channels), params, replicas))
+    return pooling_block(PoolSpec(method, POOL_WINDOW, channels), params, replicas)
 
 
 def output_grad(rng, shape):
@@ -141,10 +141,8 @@ def test_block_kernels_give_the_earlier_bits_on_nans(method):
 
 def conv_layer(rng, replicas, c_in, c_out, kernel):
     lead = () if replicas is None else (replicas,)
-    weight = rng.normal(0.0, 0.4, lead + (c_out, c_in) + kernel)
-    layer = Conv2D(weight)
-    layer.bias[...] = rng.normal(size=layer.bias.shape)
-    return layer
+    params = {"weight": rng.normal(0.0, 0.4, lead + (c_out, c_in) + kernel), "bias": rng.normal(size=lead + (c_out,))}
+    return Conv2D(params, zero_grads(params))
 
 
 @pytest.mark.parametrize("replicas", [None, 1, 2, 3])

@@ -586,9 +586,9 @@ class TestGradcheck:
             groups.append(len(candidates[0]))
             return candidates
 
-        def building(block, spec, params, replicas=None):
+        def building(block, spec, params, grads, replicas=None):
             blocks.append(replicas)
-            build(block, spec, params, replicas)
+            build(block, spec, params, grads, replicas)
 
         def recording(block, x):
             forwards.append(x.shape[:2])

@@ -31,8 +31,7 @@ from poolbench import (
     smooth_max_pool_grad,
 )
 from poolbench.grads import bumped_points
-from poolbench.layers import PoolingBlock
-from helpers import central_difference, fd_check_fn, relative_error, values_at, with_zero_grads
+from helpers import central_difference, fd_check_fn, pooling_block, relative_error, values_at
 from window_reference import global_avg_pool, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
@@ -386,7 +385,7 @@ class TestConvexityWeights:
 
 def se_block(method, se):
     spec = PoolSpec(method, WindowSpec(2, 2, 2, 2), se["se_f1_weight"].shape[1])
-    return with_zero_grads(PoolingBlock(spec, se))
+    return pooling_block(spec, se)
 
 
 class TestSeBranchGrad:

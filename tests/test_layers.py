@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import window_reference as ref
 from poolbench import PoolSpec, WindowSpec, sigmoid
-from helpers import load_reference, with_zero_grads
+from helpers import load_reference, pooling_block, zero_grads
 from poolbench.layers import (
     Conv2D,
     Linear,
@@ -19,6 +19,7 @@ from poolbench.layers import (
 )
 from poolbench.ops import METHODS, POOLING, norm_exponent
 from poolbench.optim import Adam, OptimConfig
+from poolbench.train import build_net
 from poolbench.tensor import scatter_windows, window_view
 from window_reference import extract_window, global_avg_pool, map_windows, se_temperatures, window_entries
 
@@ -57,12 +58,13 @@ def make_block(method, channels=4, rng=None, window=POOL22):
     if method in ("SESMP", "SEMP"):
         params["se_f1_bias"][...] = rng.uniform(-0.3, 0.3, size=params["se_f1_bias"].shape)
         params["se_f2_bias"][...] = rng.uniform(-0.3, 0.3, size=params["se_f2_bias"].shape)
-    return with_zero_grads(PoolingBlock(spec, params))
+    return pooling_block(spec, params)
 
 
 def conv_layer(weight, **options):
-    """A standalone Conv2D on ``weight`` with gradient arrays of its own."""
-    return with_zero_grads(Conv2D(weight, **options))
+    """A standalone Conv2D on ``weight`` and a zero bias, with gradient arrays of its own."""
+    params = {"weight": weight, "bias": np.zeros(weight.shape[:-3])}
+    return Conv2D(params, zero_grads(params), **options)
 
 
 def conv_weight(rng, c_in, c_out, kernel=3):
@@ -371,7 +373,7 @@ class TestPoolingBlockBackward:
         else:
             rows = [make_block(method, rng=rng).pool_params for _ in range(replicas)]
             params = {name: np.stack([row[name] for row in rows]) for name in rows[0]}
-            block = with_zero_grads(PoolingBlock(PoolSpec(method, POOL22, 4), params, replicas))
+            block = pooling_block(PoolSpec(method, POOL22, 4), params, replicas)
         x = np.maximum(rng.normal(size=(replicas,) * bool(replicas) + (3, 4, 6, 6)), 0.0)
         x[..., 0, 1] = x[..., 0, 0]  # tied window entries
         dy = rng.normal(size=block.forward(x).shape)
@@ -396,7 +398,7 @@ class TestPoolingBlockBackward:
 
         def stacked(s):
             params = {name: np.stack([row[name] for row in rows[:s]]) for name in rows[0]}
-            return with_zero_grads(PoolingBlock(PoolSpec(method, POOL22, 4), params, s))
+            return pooling_block(PoolSpec(method, POOL22, 4), params, s)
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.int64)
@@ -598,7 +600,7 @@ class TestConvAndHead:
 
     def test_toynet_first_conv_skips_its_input_gradient(self):
         rng = np.random.default_rng(20)
-        net = ToyNet(ToyNetConfig(), "MP", rng)
+        net = build_net("MP", ToyNetConfig(), rng)
         assert not net.conv1.input_grad and net.conv2.input_grad
         net.forward(rng.normal(size=(2, 1, 16, 16)))
         assert net.backward(rng.normal(size=(2, 4)) / 2) is None
@@ -637,26 +639,56 @@ class TestConvAndHead:
             assert (hi - lo) / (2 * h) == pytest.approx(grad_w[i], rel=1e-5, abs=1e-8)
 
     def test_layers_accumulate_in_the_callers_gradient_arrays(self):
-        # a layer allocates no gradients: it has none until bound to the caller's
+        # a layer allocates no gradients: it accumulates into the arrays it was built on
         rng = np.random.default_rng(21)
-        conv, lin = Conv2D(conv_weight(rng, 2, 3)), Linear(rng.normal(size=(3, 2)), np.zeros(3))
-        block = PoolingBlock(PoolSpec("SESMP", POOL22, 4), se_branch(4, rng))
-        assert conv.grads() is None and lin.grads() is None and block.grads() is None
-        assert all(layer.grads() is None for layer in block._se_layers[::2])
-        layers = ((conv, (2, 2, 5, 5)), (lin, (4, 2)), (block, (2, 4, 4, 4)))
-        for layer, shape in layers:
-            grads = {key: np.zeros_like(arr) for key, arr in layer.params().items()}
-            layer.bind(layer.params(), grads)
+        spec = PoolSpec("SESMP", POOL22, 4)
+        conv_params = {"weight": conv_weight(rng, 2, 3), "bias": rng.normal(size=3)}
+        layers = [
+            (Conv2D, conv_params, (2, 2, 5, 5)),
+            (Linear, {"weight": rng.normal(size=(3, 2)), "bias": np.zeros(3)}, (4, 2)),
+            (lambda params, grads: PoolingBlock(spec, params, grads), se_branch(4, rng), (2, 4, 4, 4)),
+        ]
+        for build, params, shape in layers:
+            grads = zero_grads(params)
+            layer = build(params, grads)
+            assert layer.grads() is grads and all(arr is params[key] for key, arr in layer.params().items())
             layer.backward(rng.normal(size=layer.forward(rng.normal(size=shape)).shape))
             assert all(layer.grads()[key] is grads[key] and grads[key].any() for key in grads)
-        net = ToyNet(ToyNetConfig(), "SESMP", [rng, rng])
+        # the block, built last: its SE layers are on its own arrays and gradients
+        for layer, prefix in zip(layer._se_layers[::2], ("se_f1", "se_f2")):
+            for key in ("weight", "bias"):
+                assert layer.params()[key] is params[f"{prefix}_{key}"]
+                assert layer.grads()[key] is grads[f"{prefix}_{key}"]
+        net = build_net("SESMP", ToyNetConfig(), [rng, rng])
         for slot in ("conv1", "pool1", "conv2", "pool2", "head"):
             for key, grad in getattr(net, slot).grads().items():
                 assert grad is net.grads()[f"{slot}.{key}"] and np.shares_memory(grad, net.flat_grads)
 
+    @pytest.mark.parametrize("method", ["CONV", "GP", "OP"])
+    def test_a_stacked_block_adds_its_entry_weight_gradients_into_the_callers_arrays(self, method):
+        # the block reads and adds through views in the kernel's (n, S, ...) layout; the
+        # caller's arrays stay (S, n), each row the gradient of that replica alone
+        rng = np.random.default_rng(22)
+        rows = [make_block(method, rng=rng).pool_params for _ in range(3)]
+        (name,) = rows[0]
+        params = {name: np.stack([row[name] for row in rows])}
+        grads = {name: np.zeros((3, 4))}
+        block = PoolingBlock(PoolSpec(method, POOL22, 4), params, grads, 3)
+        x = rng.normal(size=(3, 2, 4, 6, 6))
+        dy = rng.normal(size=(3, 2, 4, 3, 3))
+        block.forward(x)
+        block.backward(dy)
+        assert block.grads()[name] is grads[name] and grads[name].shape == (3, 4) and grads[name].all()
+        for r, row in enumerate(rows):
+            single = pooling_block(PoolSpec(method, POOL22, 4), row)
+            single.forward(x[r])
+            single.backward(dy[r])
+            np.testing.assert_allclose(grads[name][r], single.grads()[name], rtol=1e-13, atol=0.0, err_msg=f"{r}")
+
     def test_linear_backward(self):
         rng = np.random.default_rng(9)
-        lin = with_zero_grads(Linear(rng.normal(0.0, 0.01, (3, 5)), np.zeros(3)))
+        params = {"weight": rng.normal(0.0, 0.01, (3, 5)), "bias": np.zeros(3)}
+        lin = Linear(params, zero_grads(params))
         x = rng.normal(size=(4, 5))
         dy = rng.normal(size=(4, 3))
         lin.forward(x)
@@ -724,8 +756,8 @@ class TestLoss:
 def _nets(method):
     """A single net, a stacked one of three replicas and that stack's rows 2 and 0."""
     config = ToyNetConfig()
-    single = ToyNet(config, method, np.random.default_rng(40))
-    stacked = ToyNet(config, method, [np.random.default_rng(s) for s in (41, 42, 43)])
+    single = build_net(method, config, np.random.default_rng(40))
+    stacked = build_net(method, config, [np.random.default_rng(s) for s in (41, 42, 43)])
     return {"single": single, "stacked": stacked, "selected": stacked.select([2, 0])}
 
 
@@ -739,7 +771,7 @@ def se_layer_problems(net):
         for layer, prefix in zip(se_layers[::2], ("se_f1", "se_f2")):
             for key in ("weight", "bias"):
                 name = f"{slot}.{prefix}_{key}"
-                arr, grad = layer.params()[key], (layer.grads() or {}).get(key)  # an unbound layer has none
+                arr, grad = layer.params()[key], layer.grads()[key]
                 if not (arr is net.params()[name] and np.shares_memory(arr, net.flat_params)):
                     problems.append(name)
                 if not (grad is net.grads()[name] and np.shares_memory(grad, net.flat_grads)):
@@ -755,18 +787,44 @@ class TestFlatBuffers:
         for kind, net in _nets(method).items():
             assert se_layer_problems(net) == [], kind
 
-    def test_a_bind_that_skips_the_se_branch_fails(self, monkeypatch):
-        real = PoolingBlock.bind
+    def test_se_layers_on_copies_fail(self, monkeypatch):
+        # se_layer_problems must see SE layers built on arrays other than the net's views
+        real = PoolingBlock._se_linear
 
-        def skipping(block, params, grads):  # keeps the layers of the block's first bind
-            se_layers = getattr(block, "_se_layers", None)
-            real(block, params, grads)
-            if se_layers is not None:
-                block._se_layers = se_layers
+        def copying(block, prefix):
+            layer = real(block, prefix)
+            return Linear(*({key: arr.copy() for key, arr in d.items()} for d in (layer.params(), layer.grads())))
 
-        monkeypatch.setattr(PoolingBlock, "bind", skipping)
+        monkeypatch.setattr(PoolingBlock, "_se_linear", copying)
         for kind, net in _nets("SEMP").items():
             assert len(se_layer_problems(net)) == 16, kind
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_select_builds_through_init_and_draws_nothing(self, monkeypatch, method):
+        # a selected net is built on its rows of every array, fixed pooling parameters
+        # included, through ToyNet.__init__ (perfbench's tracer tags nets there)
+        stacked = _nets(method)["stacked"]
+
+        def raising(*args):
+            raise AssertionError("select drew a pooling parameter")
+
+        monkeypatch.setitem(POOLING, method, POOLING[method]._replace(init=raising))
+        built, real = [], ToyNet.__init__
+
+        def counting(net, *args):
+            built.append(net)
+            real(net, *args)
+
+        monkeypatch.setattr(ToyNet, "__init__", counting)
+        selected = stacked.select([2, 0])
+        assert built == [selected] and selected.replicas == 2
+        np.testing.assert_array_equal(selected.flat_params, stacked.flat_params[[2, 0]])
+        for mine, theirs in zip(selected.pooling_blocks, stacked.pooling_blocks):
+            assert list(mine.pool_params) == list(theirs.pool_params)
+            for key, arr in mine.pool_params.items():
+                np.testing.assert_array_equal(arr, np.asarray(theirs.pool_params[key])[[2, 0]], err_msg=key)
+        if POOLING[method].se:
+            assert se_layer_problems(selected) == []
 
     @pytest.mark.parametrize("method", ["SESMP", "SEMP"])
     def test_a_step_moves_every_replica_of_the_se_layers(self, method):
@@ -844,25 +902,61 @@ class TestFlatBuffers:
 class TestToyNet:
     def test_forward_shapes(self):
         rng = np.random.default_rng(11)
-        net = ToyNet(ToyNetConfig(), "MP", rng)
+        net = build_net("MP", ToyNetConfig(), rng)
         logits = net.forward(rng.normal(size=(5, 1, 16, 16)))
         assert logits.shape == (5, 4)
 
     def test_param_names_cover_pooling(self):
         rng = np.random.default_rng(12)
-        net = ToyNet(ToyNetConfig(), "SMP_trainable", rng)
+        net = build_net("SMP_trainable", ToyNetConfig(), rng)
         names = set(net.params())
         assert {"conv1.weight", "conv2.bias", "head.weight", "pool1.tau", "pool2.tau"} <= names
 
     def test_fixed_temperatures_not_trainable(self):
         rng = np.random.default_rng(13)
-        net = ToyNet(ToyNetConfig(), "SMP_fixed", rng)
+        net = build_net("SMP_fixed", ToyNetConfig(), rng)
         assert not any(name.startswith("pool") for name in net.params())
 
     def test_simplex_params_only_for_ordinal(self):
         rng = np.random.default_rng(14)
-        assert tuple(ToyNet(ToyNetConfig(), "OP", rng).simplex_params()) == (
+        assert tuple(build_net("OP", ToyNetConfig(), rng).simplex_params()) == (
             "pool1.ordinal_w",
             "pool2.ordinal_w",
         )
-        assert ToyNet(ToyNetConfig(), "MP", rng).simplex_params() == {}
+        assert build_net("MP", ToyNetConfig(), rng).simplex_params() == {}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_draws_come_in_layer_order(self, method):
+        # every replica's trainable arrays, drawn here by hand from its own generator:
+        # conv1, pool1, conv2, pool2, head, each array in the order written out
+        def pool(g, channels):
+            if method == "SMP_trainable":
+                return {"tau": g.standard_normal(channels)}
+            if POOLING[method].se:
+                hidden = channels // 4
+                return {
+                    "se_f1_weight": g.uniform(-np.sqrt(6.0 / channels), np.sqrt(6.0 / channels), (hidden, channels)),
+                    "se_f1_bias": np.zeros(hidden),
+                    "se_f2_weight": g.uniform(-np.sqrt(6.0 / hidden), np.sqrt(6.0 / hidden), (channels, hidden)),
+                    "se_f2_bias": np.zeros(channels),
+                }
+            init = POOLING[method].init(4, channels, None, 1.0)  # no generator: these draw nothing
+            return {name: init[name] for name in POOLING[method].trainable}
+
+        def by_hand(g):
+            arrays = {"conv1.weight": g.normal(0.0, np.sqrt(2.0 / 9), (8, 1, 3, 3)), "conv1.bias": np.zeros(8)}
+            arrays.update({f"pool1.{name}": arr for name, arr in pool(g, 8).items()})
+            arrays.update({"conv2.weight": g.normal(0.0, np.sqrt(2.0 / 72), (16, 8, 3, 3)), "conv2.bias": np.zeros(16)})
+            arrays.update({f"pool2.{name}": arr for name, arr in pool(g, 16).items()})
+            arrays.update({"head.weight": g.normal(0.0, 0.01, (4, 64)), "head.bias": np.zeros(4)})
+            return arrays
+
+        seed = METHODS.index(method)
+        single = build_net(method, ToyNetConfig(), np.random.default_rng(seed)).params()
+        stacked = build_net(method, ToyNetConfig(), [np.random.default_rng(seed + s) for s in (1, 2)]).params()
+        want = by_hand(np.random.default_rng(seed))
+        rows = [by_hand(np.random.default_rng(seed + s)) for s in (1, 2)]
+        assert list(single) == list(stacked) == list(want)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(single[name], arr, err_msg=name)
+            np.testing.assert_array_equal(stacked[name], np.stack([row[name] for row in rows]), err_msg=name)

@@ -30,9 +30,10 @@ from poolbench import (
 )
 from poolbench import grads, ops
 from poolbench.gradcheck import check_method
-from poolbench.layers import PoolingBlock, ToyNet, ToyNetConfig
+from poolbench.layers import ToyNetConfig
 from poolbench.ops import DivergedRunError
-from poolbench.train import _snapshots
+from poolbench.train import _snapshots, build_net
+from helpers import pooling_block
 from window_reference import global_avg_pool, map_windows, se_params, se_temperatures
 
 X = np.array([1.0, 3.0, 2.0, 0.0])
@@ -372,7 +373,7 @@ class TestGapAndBranch:
 
 def semp_forward(x, se):
     """SEMP block output for one (C, H, W) sample at ratio 2 and 2x2 windows."""
-    block = PoolingBlock(PoolSpec("SEMP", POOL22, x.shape[0]), se)
+    block = pooling_block(PoolSpec("SEMP", POOL22, x.shape[0]), se)
     return block.forward(x[None])[0]
 
 
@@ -442,7 +443,7 @@ class TestPoolParamsValidation:
         with pytest.raises(ConfigurationError):
             validate_pool_params(spec, {"tau": np.zeros(2), "sharpness": 2.0})
         with pytest.raises(ConfigurationError):
-            PoolingBlock(PoolSpec("MP", POOL22, channels=2), {"conv_w": np.full(4, 0.25)})
+            pooling_block(PoolSpec("MP", POOL22, channels=2), {"conv_w": np.full(4, 0.25)})
 
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError, match="MP, AP"):
@@ -467,65 +468,65 @@ class TestPoolParamsValidation:
         params[name] = np.zeros(shape)
         for method in ("SESMP", "SEMP"):
             with pytest.raises(ShapeError):
-                PoolingBlock(PoolSpec(method, POOL22, channels=4), params)
+                pooling_block(PoolSpec(method, POOL22, channels=4), params)
 
     @pytest.mark.parametrize("method, name", [("CONV", "conv_w"), ("GP", "gate_w"), ("OP", "ordinal_w")])
     def test_entry_weights_need_one_weight_per_window_entry(self, method, name):
         spec = PoolSpec(method, POOL22, channels=2)
-        PoolingBlock(spec, {name: np.full(4, 0.25)})
+        pooling_block(spec, {name: np.full(4, 0.25)})
         for shape in ((3,), (2, 4), ()):
             with pytest.raises(ShapeError):
-                PoolingBlock(spec, {name: np.full(shape, 0.25)})
+                pooling_block(spec, {name: np.full(shape, 0.25)})
 
     def test_ordinal_weights_on_the_simplex(self):
         spec = PoolSpec("OP", POOL22, channels=2)
         with pytest.raises(ParameterError):
-            PoolingBlock(spec, {"ordinal_w": np.full(4, 0.5)})
+            pooling_block(spec, {"ordinal_w": np.full(4, 0.5)})
 
     def test_p_raw_is_one_exponent(self):
         # a (2,) p_raw would train one exponent per channel while the snapshot reports one
         spec = PoolSpec("LNP", POOL22, channels=2)
-        PoolingBlock(spec, {"p_raw": np.array([0.3])})
+        pooling_block(spec, {"p_raw": np.array([0.3])})
         for shape in ((2,), (), (1, 1)):
             with pytest.raises(ShapeError):
-                PoolingBlock(spec, {"p_raw": np.full(shape, 0.3)})
+                pooling_block(spec, {"p_raw": np.full(shape, 0.3)})
 
     @pytest.mark.parametrize("method", ["SMP_fixed", "SMP_trainable"])
     def test_tau_is_finite_and_one_per_channel(self, method):
         spec = PoolSpec(method, POOL22, channels=2)
-        PoolingBlock(spec, {"tau": np.array([-1.0, 1.0])})
+        pooling_block(spec, {"tau": np.array([-1.0, 1.0])})
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ParameterError):
-                PoolingBlock(spec, {"tau": np.array([bad, 1.0])})
+                pooling_block(spec, {"tau": np.array([bad, 1.0])})
         with pytest.raises(ShapeError):
-            PoolingBlock(spec, {"tau": np.zeros(3)})
+            pooling_block(spec, {"tau": np.zeros(3)})
 
     def test_sharpness_is_positive_and_finite(self):
         # the sharpness rule of ops.FIELD_RULES: an infinite sharpness would pool to NaN
         spec = PoolSpec("LSE", POOL22, channels=2)
-        PoolingBlock(spec, {"sharpness": 2.0})
+        pooling_block(spec, {"sharpness": 2.0})
         for bad in (np.inf, np.nan, 0.0, -1.0):
             with pytest.raises(ParameterError):
-                PoolingBlock(spec, {"sharpness": bad})
+                pooling_block(spec, {"sharpness": bad})
             with pytest.raises(ParameterError, match="positive finite"):  # the CLI's --lse-r too
                 ToyNetConfig(lse_sharpness=bad)
 
     def test_trainable_arrays_must_be_floating(self):
         # the optimizer updates a trainable array in place: an integer one failed at the first step
         with pytest.raises(ParameterError, match="conv_w"):
-            PoolingBlock(PoolSpec("CONV", POOL22, channels=2), {"conv_w": np.array([1, 0, 0, 0])})
+            pooling_block(PoolSpec("CONV", POOL22, channels=2), {"conv_w": np.array([1, 0, 0, 0])})
         params = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
         params["se_f2_bias"] = np.zeros(4, dtype=bool)
         with pytest.raises(ParameterError, match="se_f2_bias"):
-            PoolingBlock(PoolSpec("SEMP", POOL22, channels=4), params)
+            pooling_block(PoolSpec("SEMP", POOL22, channels=4), params)
 
     def test_non_finite_entries_rejected(self):
         params = se_params(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
         params["se_f2_bias"][1] = np.nan
         with pytest.raises(ParameterError):
-            PoolingBlock(PoolSpec("SEMP", POOL22, channels=4), params)
+            pooling_block(PoolSpec("SEMP", POOL22, channels=4), params)
         with pytest.raises(ParameterError):
-            PoolingBlock(PoolSpec("GP", POOL22, channels=4), {"gate_w": np.array([0.0, np.inf, 0.0, 0.0])})
+            pooling_block(PoolSpec("GP", POOL22, channels=4), {"gate_w": np.array([0.0, np.inf, 0.0, 0.0])})
 
 
 class TestStackedPoolParamsValidation:
@@ -541,7 +542,7 @@ class TestStackedPoolParamsValidation:
     def test_valid_stack_builds(self, method):
         spec, params = self.stacked(method, 4)
         validate_pool_params(spec, params, 4)
-        assert PoolingBlock(spec, params, 4).replicas == 4
+        assert pooling_block(spec, params, 4).replicas == 4
 
     @pytest.mark.parametrize("method, name, index", [
         ("SEMP", "se_f1_weight", (2, 1, 3)),
@@ -556,34 +557,34 @@ class TestStackedPoolParamsValidation:
         spec, params = self.stacked(method, 8)  # 8 channels: an SE hidden width of 2
         params[name][index] = bad
         with pytest.raises(ParameterError, match=name):
-            PoolingBlock(spec, params, 4)
+            pooling_block(spec, params, 4)
 
     @pytest.mark.parametrize("row", [[0.4, 0.4, 0.4, 0.4], [0.5, 0.5, 0.5, -0.5], [np.nan, 0.5, 0.25, 0.25]])
     def test_off_simplex_row_in_replica_3_of_4(self, row):
         spec, params = self.stacked("OP", 2)
         params["ordinal_w"][2] = row
         with pytest.raises(ParameterError, match="ordinal_w"):
-            PoolingBlock(spec, params, 4)
+            pooling_block(spec, params, 4)
 
     @pytest.mark.parametrize("method", ["CONV", "LNP", "SESMP"])
     @pytest.mark.parametrize("replicas", [3, 5, None])
     def test_wrong_replica_count(self, method, replicas):
         spec, params = self.stacked(method, 4)
         with pytest.raises(ShapeError):
-            PoolingBlock(spec, params, replicas)
+            pooling_block(spec, params, replicas)
 
     def test_se_hidden_width_after_the_replica_axis(self):
         # (4, 4, 6) stacks a hidden width of 4, which does not divide 6 channels
         spec = PoolSpec("SESMP", POOL22, channels=6)
         params = se_params(np.zeros((4, 6)), np.zeros(4), np.zeros((6, 4)), np.zeros(6))
         with pytest.raises(ConfigurationError):
-            PoolingBlock(spec, {k: np.stack([v] * 4) for k, v in params.items()}, 4)
+            pooling_block(spec, {k: np.stack([v] * 4) for k, v in params.items()}, 4)
 
 
 class TestPoolParamsArrays:
     def test_stored_arrays_by_flat_name(self):
         params = se_params(np.zeros((2, 4)), np.ones(2), np.zeros((4, 2)), np.ones(4))
-        block = PoolingBlock(PoolSpec("SESMP", POOL22, channels=4), params)
+        block = pooling_block(PoolSpec("SESMP", POOL22, channels=4), params)
         arrays = block.params()
         # the method's trainable order: it fixes the optimizer's flat vector
         assert list(arrays) == ["se_f1_weight", "se_f1_bias", "se_f2_weight", "se_f2_bias"]
@@ -591,14 +592,14 @@ class TestPoolParamsArrays:
         for name, arr in arrays.items():
             assert arr is params[name]  # the optimizer updates these in place
         tau = np.zeros(4)
-        assert PoolingBlock(PoolSpec("SMP_trainable", POOL22, channels=4), {"tau": tau}).params()["tau"] is tau
-        assert PoolingBlock(PoolSpec("LSE", POOL22, channels=4), {"sharpness": 2.0}).params() == {}
+        assert pooling_block(PoolSpec("SMP_trainable", POOL22, channels=4), {"tau": tau}).params()["tau"] is tau
+        assert pooling_block(PoolSpec("LSE", POOL22, channels=4), {"sharpness": 2.0}).params() == {}
 
     def test_snapshot_reports_every_stored_parameter(self):
         config = ToyNetConfig(lse_sharpness=2.0)
         rng = np.random.default_rng(0)
         (lse, _), (lnp, _), (se, _) = (
-            _snapshots(ToyNet(config, method, [rng]), 0) for method in ("LSE", "LNP", "SESMP")
+            _snapshots(build_net(method, config, [rng]), 0) for method in ("LSE", "LNP", "SESMP")
         )
         assert lse.params == {"sharpness": [2.0]}
         assert lnp.params == {"p_raw": [float(np.log(np.expm1(2.0)))], "p": [norm_exponent(np.log(np.expm1(2.0)))]}
